@@ -73,12 +73,28 @@ type jobRun struct {
 	// ingest is the summed duration of the job's ingest requests,
 	// submit that of SubmitJob.
 	ingest, submit time.Duration
-	// jobDur runs from SubmitJob to the terminal done event; release
-	// from the first ingest byte to the last release validated.
-	jobDur, release time.Duration
-	ok              bool // done, with every release valid
-	status          client.JobStatus
-	trace           *client.TraceSpan
+	// jobDur runs from jobFrom to the terminal done event, release from
+	// releaseFrom to the end of the last release download. They are
+	// SubmitJob and the first ingest byte sent, except on a follow job:
+	// there both are the due time of its last append, because the
+	// append schedule sets everything before it.
+	jobDur, release      time.Duration
+	jobFrom, releaseFrom time.Time
+	// downloads are the job's releases, kept for validation once the
+	// job has ended.
+	downloads []download
+	done      bool // the job ended done
+	ok        bool // done, with every release valid
+	status    client.JobStatus
+	trace     *client.TraceSpan
+}
+
+// download is one release as fetched: its bytes, when it was due and
+// when its last byte arrived.
+type download struct {
+	key      int
+	raw      []byte
+	due, eof time.Time
 }
 
 // passResult is everything one pass over the run's jobs measured.
@@ -95,7 +111,7 @@ type passResult struct {
 	parsed     map[int]*core.Dataset // the first job's releases, by key
 	accuracy   metrics.Accuracy
 	appendMS   jobSeries // due time → ack of every ingest request
-	commitMS   jobSeries // due time → release downloaded and validated
+	commitMS   jobSeries // due time → valid release downloaded
 	downloadMS []float64 // request → EOF of every release download
 	genLateMS  []float64 // how late the generator sent each append
 
@@ -222,43 +238,44 @@ func (b *bench) spec(datasetID string, in *jobInput) client.JobSpec {
 }
 
 // job runs one job: ingest, submit, follow the events, and download
-// and validate each release as it is published. Batch and windowed jobs
+// each release as it is published. Batch and windowed jobs
 // run in a closed loop: the whole feed is ingested chunk by chunk, then
 // the job is submitted. A follow job is fed by startAppends instead.
+// Releases are validated once the job has ended, so the benchmark's
+// own checks never run beside the daemon's work or inside a latency.
 func (b *bench) job(ctx context.Context, d *daemon, p *passResult, j int, jr *jobRun) {
-	t0 := time.Now()
+	jr.releaseFrom = time.Now()
 	info, err := d.c.CreateDataset(ctx, bytes.NewReader(jr.in.csv), b.ingestOptions(j))
-	jr.ingest = time.Since(t0)
+	jr.ingest = time.Since(jr.releaseFrom)
 	if !p.ops.check(err, "create dataset") {
 		return
 	}
 	jr.datasetID = info.ID
 	defer b.cleanup(ctx, d, p, jr)
 	p.appendMS.add(&p.mu, j, jr.ingest)
-	if b.size.follow {
-		b.runJob(ctx, d, p, j, jr, t0)
-		return
-	}
-	for _, c := range jr.in.appends {
-		sent := time.Now()
-		_, err := d.c.AppendRecords(ctx, jr.datasetID, bytes.NewReader(c.csv))
-		took := time.Since(sent)
-		jr.ingest += took
-		if !p.ops.check(err, fmt.Sprintf("append chunk %d", c.index)) {
-			return
+	if !b.size.follow {
+		for _, c := range jr.in.appends {
+			sent := time.Now()
+			_, err := d.c.AppendRecords(ctx, jr.datasetID, bytes.NewReader(c.csv))
+			took := time.Since(sent)
+			jr.ingest += took
+			if !p.ops.check(err, fmt.Sprintf("append chunk %d", c.index)) {
+				return
+			}
+			p.appendMS.add(&p.mu, j, took)
 		}
-		p.appendMS.add(&p.mu, j, took)
 	}
-	b.runJob(ctx, d, p, j, jr, t0)
+	b.runJob(ctx, d, p, j, jr)
+	b.validateJob(p, j, jr)
 }
 
 // startAppends feeds a follow job with an open loop: the first chunk
 // created the dataset, then one append per later chunk is due every
 // interval from start regardless of how the daemon keeps up, and every
 // latency is timed from its due time. It returns each window's closing
-// due time and a function that waits for the loop, which ends early
-// when stop closes.
-func (b *bench) startAppends(ctx context.Context, d *daemon, p *passResult, j int, jr *jobRun, start time.Time, stop <-chan struct{}) (map[int]time.Time, func()) {
+// due time, the last append's due time, and a function that waits for
+// the loop, which ends early when stop closes.
+func (b *bench) startAppends(ctx context.Context, d *daemon, p *passResult, j int, jr *jobRun, start time.Time, stop <-chan struct{}) (map[int]time.Time, time.Time, func()) {
 	in := jr.in
 	due := func(index int) time.Time {
 		return start.Add(time.Duration(index-in.firstChunk) * b.size.interval)
@@ -298,19 +315,23 @@ func (b *bench) startAppends(ctx context.Context, d *daemon, p *passResult, j in
 			}
 		}
 	}()
-	return closes, func() {
+	last := start
+	if n := len(in.appends); n > 0 {
+		last = due(in.appends[n-1].index)
+	}
+	return closes, last, func() {
 		wg.Wait()
 		jr.ingest += ingest
 	}
 }
 
 // runJob submits the job and consumes its event stream: each published
-// release is downloaded and validated as its event arrives.
-func (b *bench) runJob(ctx context.Context, d *daemon, p *passResult, j int, jr *jobRun, t0 time.Time) {
+// release is downloaded as its event arrives.
+func (b *bench) runJob(ctx context.Context, d *daemon, p *passResult, j int, jr *jobRun) {
 	in := jr.in
-	ts := time.Now()
+	jr.jobFrom = time.Now()
 	st, err := d.c.SubmitJob(ctx, b.spec(jr.datasetID, in))
-	jr.submit = time.Since(ts)
+	jr.submit = time.Since(jr.jobFrom)
 	if !p.ops.check(err, "submit job") {
 		return
 	}
@@ -323,35 +344,33 @@ func (b *bench) runJob(ctx context.Context, d *daemon, p *passResult, j int, jr 
 	if b.size.follow {
 		stop := make(chan struct{})
 		var wait func()
-		closes, wait = b.startAppends(ctx, d, p, j, jr, time.Now(), stop)
+		closes, jr.jobFrom, wait = b.startAppends(ctx, d, p, j, jr, time.Now(), stop)
+		jr.releaseFrom = jr.jobFrom
 		defer wait()
 		defer close(stop)
 	}
 
-	valid := 0
-	var last time.Time
-	fetch := func(key int, due time.Time) {
-		if at, ok := b.fetchRelease(ctx, d, p, j, jr, key, due); ok {
-			valid++
-			last = at
-		}
-	}
+	// A windowed job's window is due once the previous window's release
+	// is out (window 0 at SubmitJob), so its commit latency is the
+	// window's pipeline as the client sees it.
 	var final client.JobState
+	prevRelease := jr.jobFrom
 	for a := range events.ch {
 		switch ev := a.ev; {
 		case ev.Type == api.EventWindow && ev.Window != nil && ev.Window.State == api.WindowDone:
-			due := a.at
+			due := prevRelease
 			if closes != nil {
 				due = closes[ev.Window.Index]
 			}
-			fetch(ev.Window.Index, due)
+			prevRelease = a.at
+			b.download(ctx, d, p, jr, ev.Window.Index, due)
 		case ev.Type == api.EventWindow && ev.Window != nil && ev.Window.State == api.WindowAborted:
 			p.ops.fail(fmt.Sprintf("job %s window %d aborted", st.ID, ev.Window.Index))
 		case ev.Terminal():
 			final = ev.State
-			jr.jobDur = a.at.Sub(ts)
+			jr.jobDur = a.at.Sub(jr.jobFrom)
 			if ev.State == api.JobDone && b.size.windowHours == 0 {
-				fetch(batchKey, a.at)
+				b.download(ctx, d, p, jr, batchKey, a.at)
 			}
 		}
 	}
@@ -363,12 +382,7 @@ func (b *bench) runJob(ctx context.Context, d *daemon, p *passResult, j int, jr 
 		return
 	}
 	p.ops.check(nil, "job")
-	if valid != len(in.originals) {
-		p.ops.fail(fmt.Sprintf("job %s published %d valid releases, want %d", st.ID, valid, len(in.originals)))
-		return
-	}
-	jr.release = last.Sub(t0)
-	jr.ok = true
+	jr.done = true
 
 	jr.status, err = d.c.GetJob(ctx, st.ID)
 	if !p.ops.check(err, "get job") {
@@ -391,9 +405,8 @@ func (b *bench) cleanup(ctx context.Context, d *daemon, p *passResult, jr *jobRu
 	p.ops.check(d.c.DeleteDataset(ctx, jr.datasetID), "delete dataset")
 }
 
-// fetchRelease downloads one release to EOF, validates it and records
-// it. It returns when the release was validated and whether it passed.
-func (b *bench) fetchRelease(ctx context.Context, d *daemon, p *passResult, j int, jr *jobRun, key int, due time.Time) (time.Time, bool) {
+// download fetches one release to EOF and keeps it for validation.
+func (b *bench) download(ctx context.Context, d *daemon, p *passResult, jr *jobRun, key int, due time.Time) {
 	start := time.Now()
 	var body io.ReadCloser
 	var err error
@@ -407,33 +420,55 @@ func (b *bench) fetchRelease(ctx context.Context, d *daemon, p *passResult, j in
 		raw, err = io.ReadAll(body)
 		body.Close()
 	}
-	downloaded := time.Since(start)
+	eof := time.Now()
 	if !p.ops.check(err, fmt.Sprintf("download release %d of %s", key, jr.id)) {
-		return time.Time{}, false
+		return
 	}
-	orig, ok := jr.in.originals[key]
-	if !ok {
-		p.ops.fail(fmt.Sprintf("job %s published unexpected release %d", jr.id, key))
-		return time.Time{}, false
-	}
-	rel, err := validateRelease(raw, orig, benchK)
-	validated := time.Now()
-	if !p.ops.check(err, fmt.Sprintf("release %d of %s", key, jr.id)) {
-		return time.Time{}, false
-	}
-	acc := metrics.Measure(rel)
+	p.addSample(&p.downloadMS, eof.Sub(start))
+	jr.downloads = append(jr.downloads, download{key: key, raw: raw, due: due, eof: eof})
+}
 
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.releases[releaseID{j, key}] = sha256.Sum256(raw)
-	if j == 0 {
-		p.parsed[key] = rel
+// validateJob checks every release a finished job published and records
+// the valid ones. The job counts, with its release time and commit
+// latencies, only when it published one valid release per expected key.
+func (b *bench) validateJob(p *passResult, j int, jr *jobRun) {
+	if !jr.done {
+		return
 	}
-	p.accuracy.PositionMeters = append(p.accuracy.PositionMeters, acc.PositionMeters...)
-	p.accuracy.TimeMinutes = append(p.accuracy.TimeMinutes, acc.TimeMinutes...)
-	p.downloadMS = append(p.downloadMS, ms(downloaded))
-	p.commitMS.addLocked(j, validated.Sub(due))
-	return validated, true
+	valid := 0
+	var last time.Time
+	for _, dl := range jr.downloads {
+		orig, ok := jr.in.originals[dl.key]
+		if !ok {
+			p.ops.fail(fmt.Sprintf("job %s published unexpected release %d", jr.id, dl.key))
+			continue
+		}
+		rel, err := validateRelease(dl.raw, orig, benchK)
+		if !p.ops.check(err, fmt.Sprintf("release %d of %s", dl.key, jr.id)) {
+			continue
+		}
+		acc := metrics.Measure(rel)
+		p.mu.Lock()
+		p.releases[releaseID{j, dl.key}] = sha256.Sum256(dl.raw)
+		if j == 0 {
+			p.parsed[dl.key] = rel
+		}
+		p.accuracy.PositionMeters = append(p.accuracy.PositionMeters, acc.PositionMeters...)
+		p.accuracy.TimeMinutes = append(p.accuracy.TimeMinutes, acc.TimeMinutes...)
+		p.commitMS.addLocked(j, dl.eof.Sub(dl.due))
+		p.mu.Unlock()
+		valid++
+		if dl.eof.After(last) {
+			last = dl.eof
+		}
+	}
+	jr.downloads = nil
+	if valid != len(jr.in.originals) {
+		p.ops.fail(fmt.Sprintf("job %s published %d valid releases, want %d", jr.id, valid, len(jr.in.originals)))
+		return
+	}
+	jr.release = last.Sub(jr.releaseFrom)
+	jr.ok = true
 }
 
 func (p *passResult) addSample(dst *[]float64, d time.Duration) {

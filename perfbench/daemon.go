@@ -25,7 +25,7 @@ const childProcs = 2
 
 // setupLaunches is how many daemons an untraced pass starts to time
 // set-up; setup_s is their median.
-const setupLaunches = 7
+const setupLaunches = 15
 
 // glovedFlags are the daemon's flags: a loopback address and a fresh
 // journal directory. Everything else, -fsync=true included, keeps its

@@ -60,7 +60,13 @@ var workloads = map[string]workload{
 		name:    "windowed-week",
 		full:    size{users: 250, days: 7, feedHours: 24, windowHours: 24},
 		smoke:   size{users: 60, days: 3, feedHours: 24, windowHours: 24},
-		nominal: 1875 * time.Millisecond,
+		nominal: 1500 * time.Millisecond,
+	},
+	"follow-daily": {
+		name:    "follow-daily",
+		full:    size{users: 250, days: 7, feedHours: 24, windowHours: 24, follow: true, interval: 150 * time.Millisecond},
+		smoke:   size{users: 60, days: 3, feedHours: 24, windowHours: 24, follow: true, interval: 20 * time.Millisecond},
+		nominal: 1750 * time.Millisecond,
 	},
 	"follow-hourly": {
 		name:    "follow-hourly",

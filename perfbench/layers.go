@@ -408,10 +408,14 @@ func printShares(out io.Writer, wl workload, traced *passResult, stats []spanSta
 	case wl.full.follow:
 		commit := traced.commitMS.quantile(0.5)
 		path := fmt.Sprintf("commit_ms_p50 (%.1f ms)", commit)
-		share("service.window_ms_p50", m["service.window_ms_p50"].Value, commit, path)
+		window := share("service.window_ms_p50", m["service.window_ms_p50"].Value, commit, path)
 		core := share("core (slowest shard)", median(flatten(stats, func(s spanStats) []float64 { return s.windowCoreMS })), commit, path)
 		share("http.download_ms_p50", m["http.download_ms_p50"].Value, commit, path)
-		verdict(core < 1.0/3, "core is a minor share (< 1/3) of commit_ms_p50")
+		if wl.name == "follow-daily" {
+			verdict(window > 0.5, "the window pipeline (service.window_ms_p50) is more than half of commit_ms_p50")
+		} else {
+			verdict(core < 1.0/3, "core is a minor share (< 1/3) of commit_ms_p50")
+		}
 	case wl.full.windowHours > 0:
 		path := fmt.Sprintf("job_s (%.3f s)", jobS)
 		share("service windows", medianOf(stats, func(s spanStats) float64 { return sum(s.windowMS) / 1000 }), jobS, path)

@@ -5,7 +5,7 @@
 // result line. See README.md in this directory for the workloads, the
 // metrics and how to run it.
 //
-//	bash perfbench/run.sh --workload batch-10k --seed 1 --seconds 25 --trace 0
+//	bash perfbench/run.sh --workload windowed-week --seed 1 --seconds 30 --trace 0
 package main
 
 import (

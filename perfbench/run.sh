@@ -2,7 +2,7 @@
 # Builds gloved and the benchmark from this checkout, then runs the
 # benchmark with the given arguments. Run it from the repository root:
 #
-#   bash perfbench/run.sh --workload batch-10k --seed 1 --seconds 25 --trace 0
+#   bash perfbench/run.sh --workload windowed-week --seed 1 --seconds 30 --trace 0
 #
 # Build outputs, the Go build cache and daemon state all stay under
 # $CARGO_TARGET_DIR (default .bench_build) inside the checkout.

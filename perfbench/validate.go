@@ -3,7 +3,7 @@ package main
 import (
 	"bytes"
 	"fmt"
-	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/cdr"
@@ -80,39 +80,11 @@ func (b box) contains(o box) bool {
 	return b.x0 <= o.x0 && o.x1 <= b.x1 && b.y0 <= o.y0 && o.y1 <= b.y1 && b.t0 <= o.t0 && o.t1 <= b.t1
 }
 
-// timeIndex is a group's samples sorted by start time, with the
-// longest duration among them, so the samples that may cover a given
-// one are found by binary search.
-type timeIndex struct {
-	samples []core.Sample
-	maxDT   float64
-}
-
-func newTimeIndex(f *core.Fingerprint) timeIndex {
-	ti := timeIndex{samples: append([]core.Sample(nil), f.Samples...)}
-	sort.Slice(ti.samples, func(a, b int) bool { return ti.samples[a].T < ti.samples[b].T })
-	for _, s := range ti.samples {
-		ti.maxDT = max(ti.maxDT, s.DT)
-	}
-	return ti
-}
-
-// coversAll reports whether every sample of f is covered by one of the
-// indexed samples. A cover starts no later than s and no earlier than
-// s's end minus the longest duration; only that run is scanned.
-func (ti timeIndex) coversAll(f *core.Fingerprint) bool {
-	const eps = 1e-6 // the slack core.Sample.Covers allows
-	gs := ti.samples
+// coversAll reports whether every sample of f is covered by one of g's
+// samples, the test core.CheckTruthfulness applies.
+func coversAll(g, f *core.Fingerprint) bool {
 	for _, s := range f.Samples {
-		lo := sort.Search(len(gs), func(i int) bool { return gs[i].T >= s.T+s.DT-ti.maxDT-eps })
-		covered := false
-		for i := lo; i < len(gs) && gs[i].T <= s.T+eps; i++ {
-			if gs[i].Covers(s) {
-				covered = true
-				break
-			}
-		}
-		if !covered {
+		if !slices.ContainsFunc(g.Samples, func(p core.Sample) bool { return p.Covers(s) }) {
 			return false
 		}
 	}
@@ -126,23 +98,20 @@ func (ti timeIndex) coversAll(f *core.Fingerprint) bool {
 func placeSubscribers(rel, orig *core.Dataset) error {
 	groups := rel.Fingerprints
 	gbox := make([]box, len(groups))
-	gtime := make([]timeIndex, len(groups))
 	for g, f := range groups {
 		if len(f.Samples) == 0 {
 			return fmt.Errorf("group %s publishes no samples", f.ID)
 		}
 		gbox[g] = boundingBox(f)
-		gtime[g] = newTimeIndex(f)
 	}
-	grid := newBoxGrid(gbox)
 	cands := make([][]int, orig.Len())
 	for i, f := range orig.Fingerprints {
 		fb := boundingBox(f)
-		grid.each(fb.x0, fb.y0, func(g int) {
-			if gbox[g].contains(fb) && gtime[g].coversAll(f) {
+		for g, gf := range groups {
+			if gbox[g].contains(fb) && coversAll(gf, f) {
 				cands[i] = append(cands[i], g)
 			}
-		})
+		}
 		if len(cands[i]) == 0 {
 			return fmt.Errorf("no published group covers subscriber %s", f.ID)
 		}
@@ -192,51 +161,3 @@ func placeSubscribers(rel, orig *core.Dataset) error {
 	}
 	return nil
 }
-
-// boxGrid buckets boxes by the grid cells they overlap, so the boxes
-// that may contain a point are found without scanning them all. Each box
-// goes to the finest of a few cell sizes at which it spans at most
-// maxBoxCells cells per axis; a point is looked up at every size.
-type boxGrid struct {
-	cells []map[[2]int64][]int // per level of gridCells
-}
-
-// gridCells are the cell edge lengths of the levels, in meters.
-var gridCells = []float64{1e3, 16e3, 256e3, 4096e3}
-
-const maxBoxCells = 16
-
-func newBoxGrid(boxes []box) *boxGrid {
-	bg := &boxGrid{cells: make([]map[[2]int64][]int, len(gridCells))}
-	for l := range bg.cells {
-		bg.cells[l] = make(map[[2]int64][]int)
-	}
-	for i, b := range boxes {
-		for l, size := range gridCells {
-			cx0, cx1 := cellOf(b.x0, size), cellOf(b.x1, size)
-			cy0, cy1 := cellOf(b.y0, size), cellOf(b.y1, size)
-			if (cx1-cx0 >= maxBoxCells || cy1-cy0 >= maxBoxCells) && l < len(gridCells)-1 {
-				continue
-			}
-			for cx := cx0; cx <= cx1; cx++ {
-				for cy := cy0; cy <= cy1; cy++ {
-					k := [2]int64{cx, cy}
-					bg.cells[l][k] = append(bg.cells[l][k], i)
-				}
-			}
-			break
-		}
-	}
-	return bg
-}
-
-// each calls fn for every box that may contain the point (x, y).
-func (bg *boxGrid) each(x, y float64, fn func(i int)) {
-	for l, size := range gridCells {
-		for _, i := range bg.cells[l][[2]int64{cellOf(x, size), cellOf(y, size)}] {
-			fn(i)
-		}
-	}
-}
-
-func cellOf(v, size float64) int64 { return int64(math.Floor(v / size)) }
