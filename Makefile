@@ -36,7 +36,8 @@ race:
 # crash-e2e runs the kill/restart fault-injection matrix against a real
 # gloved binary built with the faultinject tag: torn WAL writes,
 # durable-but-unacked appends, a crash between journaling and publishing
-# a follow window, and the SIGTERM drain/checkpoint path.
+# a follow or windowed job's window, and the SIGTERM drain/checkpoint
+# path.
 crash-e2e:
 	$(GO) test -tags faultinject -race ./internal/faultinject/
 

@@ -20,6 +20,13 @@ import (
 // MinutesPerDay is the length of a day in the dataset time unit.
 const MinutesPerDay = 24 * 60
 
+// MaxMinute is the latest record time accepted, about 190 years past
+// the dataset epoch. A record lands in window int(Minute / w) for a
+// window of w minutes, and the shortest window a time.Duration can
+// express is 1 ns (1/6e10 minute), so window indices stay below 6e18 —
+// inside int64 — for every accepted record.
+const MaxMinute = 1e8
+
 // Record is one logged mobile-traffic event.
 type Record struct {
 	User   string     // pseudo-identifier of the subscriber
@@ -35,8 +42,9 @@ func (r Record) Validate() error {
 	if !r.Pos.Valid() {
 		return fmt.Errorf("cdr: record with invalid position %v", r.Pos)
 	}
-	if r.Minute < 0 {
-		return fmt.Errorf("cdr: record with negative time %g", r.Minute)
+	// Written so that NaN fails too.
+	if !(r.Minute >= 0 && r.Minute <= MaxMinute) {
+		return fmt.Errorf("cdr: record time %g outside [0, %g] minutes", r.Minute, MaxMinute)
 	}
 	return nil
 }

@@ -44,21 +44,16 @@ type Source interface {
 	// snapping, users emitted in sorted pseudo-identifier order).
 	BuildDataset() (*core.Dataset, error)
 
-	// WindowSplit partitions the records into consecutive time windows
-	// of duration d, mirroring Table.SplitByWindow (empty windows
-	// omitted, input order preserved inside each window).
-	WindowSplit(d time.Duration) ([]SourceWindow, error)
-
-	// TailWindows is the window cursor of the streaming pipeline: it
+	// TailWindows is the window cursor of the release pipeline: it
 	// partitions only the records at positions [fromRecord, NumRecords())
-	// into windows of duration d, with the same index/interval semantics
-	// as WindowSplit. The returned slices are window *fragments* — a
-	// follow executor accumulates fragments per index across appends and
-	// concatenates them (in arrival order) when a window closes, which
-	// reproduces exactly the record order WindowSplit would assign that
-	// window over the full feed, because appends only ever extend the
-	// record sequence. Empty fragments are omitted; fragments are sorted
-	// by index.
+	// into windows of duration d, with the index/interval semantics of
+	// Table.SplitByWindow; TailWindows(0, d) is the full split. The
+	// returned slices are window *fragments* — the window executor
+	// accumulates fragments per index across appends and concatenates
+	// them (in arrival order) when a window closes, which reproduces
+	// exactly the record order a full split of the final feed assigns
+	// that window, because appends only ever extend the record sequence.
+	// Empty fragments are omitted; fragments are sorted by index.
 	TailWindows(fromRecord int, d time.Duration) ([]SourceWindow, error)
 
 	// UserShards partitions the source into at most n disjoint sources
@@ -76,7 +71,7 @@ type Meta struct {
 	SpanDays int
 }
 
-// SourceWindow is one time slice of a source produced by WindowSplit —
+// SourceWindow is one time slice of a source produced by TailWindows —
 // the Source-level analogue of Window.
 type SourceWindow struct {
 	// Index is the window's position on the absolute time axis: window i
@@ -117,24 +112,6 @@ func (t *Table) EachRecord(fn func(Record) error) error {
 		}
 	}
 	return nil
-}
-
-// WindowSplit is SplitByWindow lifted to the Source interface.
-func (t *Table) WindowSplit(d time.Duration) ([]SourceWindow, error) {
-	wins, err := t.SplitByWindow(d)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]SourceWindow, len(wins))
-	for i, w := range wins {
-		out[i] = SourceWindow{
-			Index:       w.Index,
-			StartMinute: w.StartMinute,
-			EndMinute:   w.EndMinute,
-			Source:      w.Table,
-		}
-	}
-	return out, nil
 }
 
 // TailWindows implements the streaming window cursor over the in-memory

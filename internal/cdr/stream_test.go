@@ -82,6 +82,24 @@ func TestRecordReaderErrors(t *testing.T) {
 	}
 }
 
+// Non-finite and out-of-range minutes parse as floats but must not
+// become records: a window index int(minute / w) computed from them is
+// meaningless or overflows. MaxMinute itself is accepted.
+func TestRecordReaderRejectsOutOfRangeMinutes(t *testing.T) {
+	for _, minute := range []string{"NaN", "Inf", "+Inf", "-Inf", "infinity", "1e300", "100000001", "-0.5"} {
+		rr := NewRecordReader(strings.NewReader("user,lat,lon,minute\na,1,2," + minute + "\n"))
+		if rec, err := rr.Next(); err == nil {
+			t.Errorf("minute %q accepted as %+v", minute, rec)
+		} else if !strings.Contains(err.Error(), "outside [0, 1e+08] minutes") {
+			t.Errorf("minute %q: unexpected error %v", minute, err)
+		}
+	}
+	rr := NewRecordReader(strings.NewReader("user,lat,lon,minute\na,1,2,100000000\n"))
+	if rec, err := rr.Next(); err != nil || rec.Minute != MaxMinute {
+		t.Errorf("MaxMinute rejected: %+v, %v", rec, err)
+	}
+}
+
 func TestRecordsIterator(t *testing.T) {
 	table := streamTestTable()
 	var buf bytes.Buffer

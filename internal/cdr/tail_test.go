@@ -1,6 +1,7 @@
 package cdr
 
 import (
+	"reflect"
 	"testing"
 	"time"
 )
@@ -20,7 +21,7 @@ func collectRecords(t *testing.T, s Source) []Record {
 
 // TailWindows is the streaming cursor: fragments accumulated per window
 // index across a sequence of cursor positions, concatenated in arrival
-// order, must reproduce exactly what WindowSplit assigns each window
+// order, must reproduce exactly what SplitByWindow assigns each window
 // over the full feed.
 func TestTailWindowsFragmentsReassemble(t *testing.T) {
 	// Arrival order interleaves windows: the feed delivers records for
@@ -32,7 +33,7 @@ func TestTailWindowsFragmentsReassemble(t *testing.T) {
 		windowRec("e", 61), windowRec("c", 199), windowRec("a", 30),
 	}
 	tab := windowTable(recs)
-	full, err := tab.WindowSplit(time.Hour)
+	full, err := tab.SplitByWindow(time.Hour)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +70,7 @@ func TestTailWindowsFragmentsReassemble(t *testing.T) {
 		t.Fatalf("reassembled %d windows, want %d", len(byIndex), len(full))
 	}
 	for _, w := range full {
-		want := collectRecords(t, w.Source)
+		want := w.Table.Records
 		got := byIndex[w.Index]
 		if len(got) != len(want) {
 			t.Fatalf("window %d reassembled %d records, want %d", w.Index, len(got), len(want))
@@ -82,10 +83,14 @@ func TestTailWindowsFragmentsReassemble(t *testing.T) {
 	}
 }
 
+// A cursor at record zero is the full split: TailWindows(0, d) is the
+// partition SplitByWindow gives, window for window and record for
+// record — the windowed executor's frozen mode buckets its snapshot
+// this way.
 func TestTailWindowsFullRangeMatchesWindowSplit(t *testing.T) {
-	recs := []Record{windowRec("a", 5), windowRec("b", 65), windowRec("c", 185)}
+	recs := []Record{windowRec("a", 5), windowRec("b", 65), windowRec("c", 185), windowRec("d", 70)}
 	tab := windowTable(recs)
-	split, err := tab.WindowSplit(time.Hour)
+	split, err := tab.SplitByWindow(time.Hour)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,6 +106,12 @@ func TestTailWindowsFullRangeMatchesWindowSplit(t *testing.T) {
 			tail[i].StartMinute != split[i].StartMinute ||
 			tail[i].EndMinute != split[i].EndMinute {
 			t.Fatalf("window %d header differs: %+v vs %+v", i, tail[i], split[i])
+		}
+		if got := collectRecords(t, tail[i].Source); !reflect.DeepEqual(got, split[i].Table.Records) {
+			t.Fatalf("window %d records differ: %+v vs %+v", i, got, split[i].Table.Records)
+		}
+		if got, want := tail[i].Source.TableMeta(), split[i].Table.TableMeta(); got != want {
+			t.Fatalf("window %d meta = %+v, want %+v", i, got, want)
 		}
 	}
 	// Cursor at the end: no fragments, no error.
@@ -142,7 +153,7 @@ func TestMaterializeTable(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Fragments carry per-window metadata (a 1-hour window spans 1 day,
-	// not the feed's 3), exactly like cold WindowSplit windows — the
+	// not the feed's 3), exactly like cold SplitByWindow windows — the
 	// materialized window must preserve it so warm and cold runs build
 	// fingerprints from identical tables.
 	if m.Center != tab.Center || m.SpanDays != frags[0].Source.TableMeta().SpanDays {

@@ -99,16 +99,16 @@ func TestEquivalenceWithTable(t *testing.T) {
 			}
 
 			const win = 36 * time.Hour
-			vw, err := view.WindowSplit(win)
+			vw, err := view.TailWindows(0, win)
 			if err != nil {
-				t.Fatalf("view WindowSplit: %v", err)
+				t.Fatalf("view TailWindows: %v", err)
 			}
-			tw, err := table.WindowSplit(win)
+			tw, err := table.TailWindows(0, win)
 			if err != nil {
-				t.Fatalf("table WindowSplit: %v", err)
+				t.Fatalf("table TailWindows: %v", err)
 			}
 			if len(vw) != len(tw) {
-				t.Fatalf("WindowSplit yields %d windows, want %d", len(vw), len(tw))
+				t.Fatalf("TailWindows yields %d windows, want %d", len(vw), len(tw))
 			}
 			for i := range vw {
 				if vw[i].Index != tw[i].Index || vw[i].StartMinute != tw[i].StartMinute || vw[i].EndMinute != tw[i].EndMinute {
@@ -305,8 +305,8 @@ func TestConcurrentReadersAndAppends(t *testing.T) {
 					t.Errorf("scan saw %d records, want %d", n, wantLen)
 					return
 				}
-				if _, err := snap.WindowSplit(24 * time.Hour); err != nil {
-					t.Errorf("WindowSplit: %v", err)
+				if _, err := snap.TailWindows(0, 24*time.Hour); err != nil {
+					t.Errorf("TailWindows: %v", err)
 					return
 				}
 				snap.UserShards(3, 7)

@@ -190,35 +190,22 @@ func (v *View) BuildDataset() (*core.Dataset, error) {
 	return core.NewDataset(fps), nil
 }
 
-// WindowSplit partitions the view's rows into consecutive time windows
-// of duration d, mirroring cdr.Table.SplitByWindow: windows align at
-// multiples of d from minute 0, rows keep their order, empty windows
-// are omitted, and each window's nominal span rounds the duration up to
-// whole days.
-func (v *View) WindowSplit(d time.Duration) ([]cdr.SourceWindow, error) {
-	return v.tailWindows(0, d)
-}
-
-// TailWindows implements the streaming window cursor: only the view's
-// rows at positions [fromRecord, NumRecords()) are bucketed, mirroring
-// cdr.Table.TailWindows.
+// TailWindows implements the window cursor: only the view's rows at
+// positions [fromRecord, NumRecords()) are bucketed, mirroring
+// cdr.Table.TailWindows — windows align at multiples of d from minute
+// 0, rows keep their order, empty windows are omitted, and each
+// window's nominal span rounds the duration up to whole days.
 func (v *View) TailWindows(fromRecord int, d time.Duration) ([]cdr.SourceWindow, error) {
 	if fromRecord < 0 || fromRecord > v.n {
 		return nil, fmt.Errorf("colstore: tail cursor %d out of range [0, %d]", fromRecord, v.n)
 	}
-	return v.tailWindows(fromRecord, d)
-}
-
-// tailWindows buckets the view's rows from view-relative position `from`
-// into time windows; from == 0 is a full WindowSplit.
-func (v *View) tailWindows(from int, d time.Duration) ([]cdr.SourceWindow, error) {
 	w := d.Minutes()
 	if w <= 0 {
 		return nil, fmt.Errorf("colstore: window duration %v, need > 0", d)
 	}
 	buckets := make(map[int][]int64)
-	row := int64(from)
-	err := v.eachRowFrom(from, func(_, _, minute float64, _ uint32) error {
+	row := int64(fromRecord)
+	err := v.eachRowFrom(fromRecord, func(_, _, minute float64, _ uint32) error {
 		idx := int(minute / w)
 		buckets[idx] = append(buckets[idx], v.rowAt(row))
 		row++

@@ -377,6 +377,109 @@ func TestCrashFollowWindowCommitted(t *testing.T) {
 	}
 }
 
+// TestCrashWindowedWindowCommitted runs the same kill point through a
+// windowed job, which shares the follow executor and its commit point:
+// the daemon dies after window 1's release hit the journal and before it
+// was published. The restart must resume after window 1 — re-running
+// neither committed window — with exactly one done event per window and
+// releases byte-identical to an uninterrupted control run.
+func TestCrashWindowedWindowCommitted(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), 4*time.Minute)
+	defer cancel()
+
+	windows := []string{
+		windowCSV(0, "a", "b", "c", "d"),
+		windowCSV(1, "a", "b", "c"),
+		windowCSV(2, "b", "c", "d"),
+	}
+	run := func(t *testing.T, c *client.Client) client.JobStatus {
+		ds, err := c.CreateDataset(ctx, strings.NewReader(windows[0]),
+			client.IngestOptions{Name: "feed", Lat: 7.54, Lon: -5.55, Days: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, body := range windows[1:] {
+			if _, err := c.AppendRecords(ctx, ds.ID, strings.NewReader(body)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		job, err := c.SubmitJob(ctx, client.JobSpec{DatasetID: ds.ID, K: 2, Workers: 1, Shards: 1, WindowHours: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return job
+	}
+
+	ctrl := startDaemon(t, t.TempDir(), nil)
+	cc := newClient(t, ctrl.addr)
+	ctrlJob := run(t, cc)
+	if st, err := cc.WaitJob(ctx, ctrlJob.ID); err != nil || st.State != api.JobDone {
+		t.Fatalf("control job = %+v, %v", st, err)
+	}
+	want := make([][]byte, len(windows))
+	for w := range windows {
+		want[w] = windowRelease(t, ctx, cc, ctrlJob.ID, w)
+	}
+	ctrl.stop(t)
+
+	// Crash run: skip the window-0 commit, die at the window-1 commit.
+	dataDir := t.TempDir()
+	d := startDaemon(t, dataDir, map[string]string{
+		"GLOVE_CRASH": "follow.window.committed", "GLOVE_CRASH_SKIP": "1"})
+	job := run(t, newClient(t, d.addr))
+	d.waitKilled(t)
+
+	d2 := startDaemon(t, dataDir, nil)
+	defer d2.stop(t)
+	c2 := newClient(t, d2.addr)
+	final, err := c2.WaitJob(ctx, job.ID)
+	if err != nil || final.State != api.JobDone {
+		t.Fatalf("resumed job = %+v, %v", final, err)
+	}
+	for w := range windows {
+		if got := windowRelease(t, ctx, c2, job.ID, w); !bytes.Equal(got, want[w]) {
+			t.Errorf("window-%d release differs from the uninterrupted control run", w)
+		}
+	}
+	stream, err := c2.JobEvents(ctx, job.ID, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stream.Close()
+	done, ran := map[int]int{}, map[int]int{}
+	for {
+		ev, err := stream.Next()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ev.Window == nil {
+			continue
+		}
+		switch ev.Window.State {
+		case api.WindowDone:
+			done[ev.Window.Index]++
+		case api.WindowRunning:
+			ran[ev.Window.Index]++
+		}
+	}
+	if done[0] != 1 || done[1] != 1 || done[2] != 1 {
+		t.Errorf("window done events after recovery: %v, want exactly one per window", done)
+	}
+	if ran[0] != 0 || ran[1] != 0 || ran[2] != 1 {
+		t.Errorf("window running events after recovery: %v, want only window 2 to run again", ran)
+	}
+	m, err := c2.Metrics(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.Durability == nil || m.Durability.RecoveredJobs["resumed"] != 1 {
+		t.Errorf("durability after resume: %+v", m.Durability)
+	}
+}
+
 // TestDrainCleanShutdown pins the graceful path: SIGTERM drains, writes
 // the checkpoint and clean-shutdown marker, and the next boot both
 // reports the clean shutdown and serves the checkpointed state.

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/api"
 	"repro/internal/cdr"
 	"repro/internal/core"
 	"repro/internal/geo"
@@ -334,6 +335,107 @@ func TestWindowedCancellationLeavesNoPartialRelease(t *testing.T) {
 	// The batch result endpoint serves nothing for a cancelled job.
 	if _, err := mgr.Result(st.ID); err == nil {
 		t.Error("cancelled job served a batch result")
+	}
+}
+
+// The frozen mode of the window executor keeps what windowed jobs have
+// always done, case by case: a too-sparse window anywhere in the
+// snapshot fails the job before any window runs or publishes; windows
+// without records are omitted however far apart the non-empty ones lie
+// (no empty windows, no follow gap guard); and progress is weighted
+// over the whole layout, so it cannot read 1 before the last window
+// commits.
+func TestWindowedFrozenLayout(t *testing.T) {
+	far := maxFollowGap + 5
+	cases := []struct {
+		name  string
+		feed  []string // ingest body, then appends, all before submission
+		check func(t *testing.T, mgr *Manager, final JobStatus, evs []api.JobEvent)
+	}{
+		{
+			name: "sparse later window fails before any window runs",
+			feed: []string{windowCSV(0, "a", "b", "c", "d"), windowCSV(1, "a", "b", "c"), windowCSV(2, "z")},
+			check: func(t *testing.T, mgr *Manager, final JobStatus, evs []api.JobEvent) {
+				if final.State != JobFailed || !strings.Contains(final.Error, "window 2") {
+					t.Fatalf("job finished %s (%s), want failed on window 2", final.State, final.Error)
+				}
+				if len(final.Windows) != 3 {
+					t.Errorf("windows = %+v, want the whole 3-window layout", final.Windows)
+				}
+				for _, e := range evs {
+					if e.Window != nil && (e.Window.State == WindowRunning || e.Window.State == WindowDone) {
+						t.Errorf("window %d reached %s before the sparse window failed the job", e.Window.Index, e.Window.State)
+					}
+				}
+				for _, w := range final.Windows {
+					if _, err := mgr.WindowResult(final.ID, w.Index); err == nil {
+						t.Errorf("window %d published a release", w.Index)
+					}
+				}
+			},
+		},
+		{
+			name: "gap past the follow guard lists only non-empty windows",
+			feed: []string{windowCSV(0, "a", "b", "c"), windowCSV(far, "a", "b", "c")},
+			check: func(t *testing.T, mgr *Manager, final JobStatus, evs []api.JobEvent) {
+				if final.State != JobDone {
+					t.Fatalf("job finished %s: %s", final.State, final.Error)
+				}
+				if len(final.Windows) != 2 || final.Windows[0].Index != 0 || final.Windows[1].Index != far {
+					t.Fatalf("windows = %+v, want exactly 0 and %d", final.Windows, far)
+				}
+				for _, w := range final.Windows {
+					if w.State != WindowDone {
+						t.Errorf("window %d is %s, want done", w.Index, w.State)
+					}
+				}
+			},
+		},
+		{
+			name: "progress stays below 1 until the last window commits",
+			feed: []string{
+				windowCSV(0, "a", "b", "c", "d", "e", "f"),
+				windowCSV(1, "a", "b", "c", "d", "e", "f"),
+				windowCSV(2, "a", "b", "c", "d", "e", "f"),
+			},
+			check: func(t *testing.T, mgr *Manager, final JobStatus, evs []api.JobEvent) {
+				if final.State != JobDone || len(final.Windows) != 3 {
+					t.Fatalf("job finished %s with windows %+v: %s", final.State, final.Windows, final.Error)
+				}
+				done := 0
+				for _, e := range evs {
+					if e.Window != nil && e.Window.State == WindowDone {
+						done++
+					}
+					if e.Type == api.EventProgress && e.Progress >= 1 && done < len(final.Windows) {
+						t.Errorf("progress %g reported after %d of %d windows committed", e.Progress, done, len(final.Windows))
+					}
+				}
+			},
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			reg := NewRegistry()
+			mgr := NewManager(reg, ManagerOptions{})
+			defer mgr.Close()
+			info, err := reg.Ingest(strings.NewReader(tc.feed[0]), "feed", geo.LatLon{Lat: 7.54, Lon: -5.55}, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, body := range tc.feed[1:] {
+				if _, err := reg.Append(info.ID, strings.NewReader(body)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			st, err := mgr.Submit(JobSpec{DatasetID: info.ID, K: 2, Workers: 1, Shards: 1, WindowHours: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			final := waitForState(t, mgr, st.ID, func(s JobStatus) bool { return s.State.Terminal() })
+			evs, _, _ := mgr.EventsSince(st.ID, 0)
+			tc.check(t, mgr, final, evs)
+		})
 	}
 }
 

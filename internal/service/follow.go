@@ -3,62 +3,76 @@ package service
 import (
 	"context"
 	"fmt"
+	"math/rand"
+	"sort"
 	"time"
 
+	"repro/internal/analysis"
 	"repro/internal/cdr"
 	"repro/internal/core"
 	"repro/internal/faultinject"
 	"repro/internal/obs"
 )
 
-// followResume is the committed prefix of a recovered follow job,
-// rebuilt from journaled releases: executeFollow seeds its loop with it
+// windowResume is the committed prefix of a recovered windowed job,
+// rebuilt from journaled releases: executeWindows seeds its loop with it
 // so the continuation matches an uninterrupted run — same releases,
 // same budget accounting, same aggregate stats.
-type followResume struct {
+type windowResume struct {
 	// floor is the highest committed window index (empty windows
 	// included); the feed re-scan silently walks past everything at or
 	// below it.
 	floor int
-	// committed counts recovered non-empty releases against the window
-	// budget.
-	committed int
-	// releases are the recovered releases in window order.
+	// indices are the window indices of the recovered releases, in
+	// window order; releases are the releases themselves.
+	indices  []int
 	releases []*core.Dataset
 	// stats aggregates the recovered windows' run statistics.
 	stats *core.GloveStats
 }
 
 // maxFollowGap bounds how far ahead of the last committed window a new
-// record may land. Every skipped window in between is committed as an
-// explicit empty window (one jobWindow plus one event each), so a
-// corrupt timestamp millions of windows in the future must fail the job
-// instead of flooding its event log.
+// record may land in a follow job. Every skipped window in between is
+// committed as an explicit empty window (one jobWindow plus one event
+// each), so a corrupt timestamp millions of windows in the future must
+// fail the job instead of flooding its event log.
 const maxFollowGap = 4096
 
-// executeFollow drives a follow job: instead of freezing one snapshot
-// and splitting it, the run subscribes to the dataset's append wake
-// channel and advances a record cursor over the feed. Each batch of
-// appended records is bucketed into window fragments (TailWindows);
-// a record landing in window w proves every window before w is closed
-// — appends only move forward on the time axis of a feed — so those
-// windows are committed in order: fragments are fused into one window
-// table (reproducing exactly the record order a cold WindowSplit would
-// give that window) and run through the same sharded pipeline a
-// windowed job uses, warm across windows via a session pool. Windows
-// the feed skipped entirely are reported as explicit empty windows.
+// executeWindows is the one continuous-release executor, driving every
+// job with window_hours > 0. A record cursor advances over the feed and
+// buckets new records into window fragments (TailWindows); closed
+// windows are committed in order: a window's fragments are fused into
+// one source (reproducing exactly the record order a cold split of the
+// final feed gives that window) and run through the same sharded
+// pipeline a batch job uses, warm across windows via a session pool.
+// Each release is journaled before it is published, so a restarted job
+// resumes after its last committed window.
 //
-// The run ends when the effective window bound is reached (the spec's
-// follow_windows clamped by the daemon's MaxFollowWindows; empty
-// windows don't count), or when it is cancelled — committed releases
-// stay downloadable either way, and a cancellation mid-window publishes
-// nothing for that window.
-func (m *Manager) executeFollow(ctx context.Context, job *Job, spec JobSpec) (runOutcome, error) {
+// The mode only changes the feed:
+//   - frozen (windowed jobs): one snapshot, bucketed once, and every
+//     window closes at the snapshot's end. The whole layout is
+//     registered — and every window checked against k — before the
+//     first window runs; windows without records are omitted.
+//   - live (follow jobs): the run subscribes to the dataset's append
+//     wake channel and re-snapshots on every wake. A record landing in
+//     window w closes every window before w, because appends only move
+//     forward on the time axis of a feed; windows the feed skipped are
+//     committed as explicit empty windows. The run ends at its window
+//     budget (the spec's follow_windows clamped by MaxFollowWindows;
+//     empty windows don't count).
+//
+// Committed releases stay downloadable after a cancellation or failure;
+// a window interrupted mid-run publishes nothing.
+func (m *Manager) executeWindows(ctx context.Context, job *Job, spec JobSpec) (runOutcome, error) {
 	d := spec.WindowDuration()
 	wmin := d.Minutes()
-	limit := spec.FollowWindows
-	if max := m.opt.MaxFollowWindows; max > 0 && (limit <= 0 || limit > max) {
-		limit = max
+	frozen := !spec.Follow
+	limit := 0
+	if !frozen {
+		limit = spec.FollowWindows
+		if max := m.opt.MaxFollowWindows; max > 0 && (limit <= 0 || limit > max) {
+			limit = max
+		}
 	}
 	root := job.traceRoot()
 
@@ -67,8 +81,8 @@ func (m *Manager) executeFollow(ctx context.Context, job *Job, spec JobSpec) (ru
 		pending       = map[int][]cdr.Source{} // open windows: fragments in arrival order
 		lastCommitted = -1
 		maxSeen       = -1 // highest window index any record landed in
-		committed     int
 		total         = &core.GloveStats{}
+		indices       []int // window index of each release
 		releases      []*core.Dataset
 		lastSnap      cdr.Source
 		lag           float64
@@ -82,15 +96,17 @@ func (m *Manager) executeFollow(ctx context.Context, job *Job, spec JobSpec) (ru
 		// windows are never re-opened, re-run, or re-published.
 		resumeFloor = resume.floor
 		lastCommitted = resume.floor
-		committed = resume.committed
+		indices = append(indices, resume.indices...)
 		releases = append(releases, resume.releases...)
-		if resume.stats != nil {
-			total = resume.stats
-		}
+		total = resume.stats
 	}
-	// The stream-lag gauge is shared across follow jobs, so this run
-	// only ever moves it by deltas and returns its remainder on exit.
+	// The stream-lag gauge counts windows a live feed closed ahead of
+	// the job; it is shared across follow jobs, so this run only ever
+	// moves it by deltas and returns its remainder on exit.
 	setLag := func(n float64) {
+		if frozen {
+			return
+		}
 		if n < 0 {
 			n = 0
 		}
@@ -99,7 +115,23 @@ func (m *Manager) executeFollow(ctx context.Context, job *Job, spec JobSpec) (ru
 	}
 	defer setLag(0)
 
+	sparse := func(idx, users int) error {
+		if users >= spec.K {
+			return nil
+		}
+		return fmt.Errorf(
+			"service: window %d (minutes [%g, %g)) hides %d users, cannot %d-anonymize; use a longer window",
+			idx, float64(idx)*wmin, float64(idx+1)*wmin, users, spec.K)
+	}
+
 	finish := func() (runOutcome, error) {
+		if lastSnap == nil {
+			// A recovered job whose journal already met its budget never
+			// read the feed; analyse the feed as it stands.
+			if snap, _, ok := m.reg.SnapshotSource(spec.DatasetID); ok {
+				lastSnap = snap
+			}
+		}
 		var fps []*core.Fingerprint
 		for _, rel := range releases {
 			fps = append(fps, rel.Fingerprints...)
@@ -111,6 +143,7 @@ func (m *Manager) executeFollow(ctx context.Context, job *Job, spec JobSpec) (ru
 			measured: measured,
 			stats:    total,
 			anonFrac: m.anonymizability(ctx, lastSnap, spec),
+			linkage:  m.crossWindowLinkage(ctx, lastSnap, d, indices, releases, spec),
 		}
 		if len(releases) == 1 {
 			outcome.result = releases[0]
@@ -118,9 +151,9 @@ func (m *Manager) executeFollow(ctx context.Context, job *Job, spec JobSpec) (ru
 		return outcome, nil
 	}
 
-	if limit > 0 && committed >= limit {
+	if limit > 0 && len(releases) >= limit {
 		// The recovered prefix already meets the window budget: finish
-		// without touching the feed, exactly where the pre-crash run
+		// without consuming the feed, exactly where the pre-crash run
 		// would have stopped.
 		return finish()
 	}
@@ -130,9 +163,13 @@ func (m *Manager) executeFollow(ctx context.Context, job *Job, spec JobSpec) (ru
 		// Watch before snapshot: an append racing the snapshot closes
 		// this (pre-append) channel, so blocking on it below can never
 		// miss records the snapshot didn't show.
-		wake, ok := m.reg.Watch(spec.DatasetID)
-		if !ok {
-			return runOutcome{}, fmt.Errorf("service: dataset %q disappeared", spec.DatasetID)
+		var wake <-chan struct{}
+		if !frozen {
+			w, ok := m.reg.Watch(spec.DatasetID)
+			if !ok {
+				return runOutcome{}, fmt.Errorf("service: dataset %q disappeared", spec.DatasetID)
+			}
+			wake = w
 		}
 		snap, info, ok := m.reg.SnapshotSource(spec.DatasetID)
 		if !ok {
@@ -162,7 +199,7 @@ func (m *Manager) executeFollow(ctx context.Context, job *Job, spec JobSpec) (ru
 						"service: append delivered %d records for window %d (minutes [%g, %g)) after its release was committed; a follow feed must only move forward",
 						f.Source.NumRecords(), f.Index, f.StartMinute, f.EndMinute)
 				}
-				if f.Index > lastCommitted+maxFollowGap {
+				if !frozen && f.Index > lastCommitted+maxFollowGap {
 					return runOutcome{}, fmt.Errorf(
 						"service: append jumped to window %d, %d windows past the last committed release — refusing to flood the job with empty windows",
 						f.Index, f.Index-lastCommitted)
@@ -175,15 +212,45 @@ func (m *Manager) executeFollow(ctx context.Context, job *Job, spec JobSpec) (ru
 		}
 		setLag(float64(maxSeen - 1 - lastCommitted))
 
-		// Every window strictly below maxSeen is closed; commit them in
-		// order. Window maxSeen itself stays open — the feed may still
-		// append into it.
-		for idx := lastCommitted + 1; idx < maxSeen; idx++ {
+		// closed lists the windows this pass commits, in order.
+		var closed []int
+		if frozen {
+			for idx := range pending {
+				closed = append(closed, idx)
+			}
+			sort.Ints(closed)
+			// The layout is known up front: register every window as
+			// pending, so progress is weighted over the whole run, and
+			// fail a too-sparse window before any quadratic work runs or
+			// any release is published.
+			var tooSparse error
+			for _, idx := range closed {
+				src := pending[idx][0]
+				users := src.NumUsers()
+				job.appendWindow(idx, float64(idx)*wmin, float64(idx+1)*wmin, src.NumRecords(), users)
+				if tooSparse == nil {
+					tooSparse = sparse(idx, users)
+				}
+			}
+			if tooSparse != nil {
+				return runOutcome{}, tooSparse
+			}
+		} else {
+			// Every window strictly below maxSeen is closed; window
+			// maxSeen itself stays open — the feed may still append into
+			// it.
+			for idx := lastCommitted + 1; idx < maxSeen; idx++ {
+				closed = append(closed, idx)
+			}
+		}
+
+		for _, idx := range closed {
 			if err := ctx.Err(); err != nil {
 				return runOutcome{}, err
 			}
 			start, end := float64(idx)*wmin, float64(idx+1)*wmin
 			frags := pending[idx]
+			delete(pending, idx)
 			if len(frags) == 0 {
 				// Journal the empty window as a (release-less) result so
 				// the resume floor advances over it: skipped intervals are
@@ -198,38 +265,38 @@ func (m *Manager) executeFollow(ctx context.Context, job *Job, spec JobSpec) (ru
 				setLag(float64(maxSeen - 1 - lastCommitted))
 				continue
 			}
-			delete(pending, idx)
-			table, err := cdr.MaterializeTable(frags...)
-			if err != nil {
+			// A window that arrived in one fragment runs on it directly;
+			// only a window spread over several appends is copied into
+			// one table.
+			src := frags[0]
+			if len(frags) > 1 {
+				table, err := cdr.MaterializeTable(frags...)
+				if err != nil {
+					return runOutcome{}, err
+				}
+				src = table
+			}
+			users := src.NumUsers()
+			if err := sparse(idx, users); err != nil {
 				return runOutcome{}, err
 			}
-			users := table.NumUsers()
-			if users < spec.K {
-				return runOutcome{}, fmt.Errorf(
-					"service: window %d (minutes [%g, %g)) hides %d users, cannot %d-anonymize; use a longer window",
-					idx, start, end, users, spec.K)
+			var shards []cdr.Source
+			if planned {
+				shards = planShards(src, users, spec.K, spec.Shards, m.opt.ShardSeed)
+			} else {
+				// The first runnable window's plan is the one the job
+				// reports.
+				var err error
+				if shards, err = m.planJob(job, root, src, users, spec); err != nil {
+					return runOutcome{}, err
+				}
+				planned = true
 			}
 			wname := fmt.Sprintf("w%d", idx)
 			wspan := root.Child(obs.SpanWindow, wname)
-			wspan.SetAttr("records", table.NumRecords())
+			wspan.SetAttr("records", src.NumRecords())
 			wspan.SetAttr("users", users)
-			shards := planShards(table, users, spec.K, spec.Shards, m.opt.ShardSeed)
-			if !planned {
-				// First runnable window: resolve and publish the plan its
-				// largest shard gets, the closest a feed-driven job comes
-				// to the upfront plan of a snapshot-driven one.
-				plan, perr := core.PlanFor(maxShardUsers(shards), anonymizeOptions(spec, spec.Workers, nil))
-				if perr != nil {
-					wspan.End()
-					return runOutcome{}, perr
-				}
-				m.tel.jobPlanned(&plan)
-				job.mu.Lock()
-				job.plan = &plan
-				job.mu.Unlock()
-				planned = true
-			}
-			wpos := job.appendWindow(idx, start, end, table.NumRecords(), users)
+			wpos := job.appendWindow(idx, start, end, src.NumRecords(), users)
 			job.startWindow(wpos, len(shards))
 			out, stats, err := runShards(ctx, shards, spec, pool, m.tel, wspan, func(shard int, frac float64) {
 				job.setWindowShardProgress(wpos, shard, frac)
@@ -246,7 +313,7 @@ func (m *Manager) executeFollow(ctx context.Context, job *Job, spec JobSpec) (ru
 				return runOutcome{}, fmt.Errorf("service: window %d failed validation: %w", idx, verr)
 			}
 			wspan.SetAttr("groups", out.Len())
-			// THE commit point of the streaming pipeline: the release is
+			// THE commit point of the release pipeline: the release is
 			// journaled and fsynced BEFORE it is published. A crash before
 			// this returns re-runs the window (nothing was published); a
 			// crash after it republishes exactly these bytes from the
@@ -256,7 +323,7 @@ func (m *Manager) executeFollow(ctx context.Context, job *Job, spec JobSpec) (ru
 				Index:       idx,
 				StartMinute: start,
 				EndMinute:   end,
-				Records:     table.NumRecords(),
+				Records:     src.NumRecords(),
 				Users:       users,
 				Groups:      out.Len(),
 				Stats:       stats,
@@ -272,13 +339,16 @@ func (m *Manager) executeFollow(ctx context.Context, job *Job, spec JobSpec) (ru
 			m.agg.windowReleases++
 			m.agg.Unlock()
 			total.Add(stats)
+			indices = append(indices, idx)
 			releases = append(releases, out)
-			committed++
 			lastCommitted = idx
 			setLag(float64(maxSeen - 1 - lastCommitted))
-			if limit > 0 && committed >= limit {
+			if limit > 0 && len(releases) >= limit {
 				return finish()
 			}
+		}
+		if frozen {
+			return finish()
 		}
 
 		select {
@@ -287,4 +357,65 @@ func (m *Manager) executeFollow(ctx context.Context, job *Job, spec JobSpec) (ru
 		case <-wake:
 		}
 	}
+}
+
+// Cross-window linkage probe budget: h samples of adversary knowledge
+// per window, and how many shared subscribers are attacked per
+// consecutive release pair.
+const (
+	linkageKnownSamples = 4
+	linkageProbes       = 200
+)
+
+// crossWindowLinkage measures residual cross-release linkability of a
+// finished windowed run: the originals are the committed windows of the
+// last snapshot, re-bucketed, so nothing is retained during the run.
+// nil for runs with fewer than two releases, on cancellation, or for
+// inputs above the analysis cap.
+func (m *Manager) crossWindowLinkage(ctx context.Context, snap cdr.Source, d time.Duration, indices []int, releases []*core.Dataset, spec JobSpec) *analysis.LinkageResult {
+	if len(releases) < 2 || snap == nil || ctx.Err() != nil {
+		return nil
+	}
+	wins, err := snap.TailWindows(0, d)
+	if err != nil {
+		return nil
+	}
+	byIndex := make(map[int]cdr.Source, len(wins))
+	for _, w := range wins {
+		byIndex[w.Index] = w.Source
+	}
+	srcs := make([]cdr.Source, len(indices))
+	totalUsers := 0
+	for i, idx := range indices {
+		src, ok := byIndex[idx]
+		if !ok {
+			return nil
+		}
+		srcs[i] = src
+		totalUsers += src.NumUsers()
+	}
+	if totalUsers > m.opt.AnalysisMaxFingerprints {
+		return nil
+	}
+	originals := make([]*core.Dataset, len(srcs))
+	for i, src := range srcs {
+		if originals[i], err = src.BuildDataset(); err != nil {
+			return nil
+		}
+	}
+	// Seeded deterministically so repeated identical jobs report the
+	// same measurement.
+	rng := rand.New(rand.NewSource(int64(m.opt.ShardSeed) + 1))
+	res, err := analysis.CrossWindowLinkage(originals, releases, linkageKnownSamples, linkageProbes, rng, spec.Workers)
+	if err != nil {
+		return nil
+	}
+	// Relabel pairs with the absolute window indices the rest of the
+	// API uses (WindowStatus.Index, /windows/{w}/result); consecutive
+	// releases may span a gap of empty windows, which the relabeled
+	// indices make visible.
+	for i := range res.Pairs {
+		res.Pairs[i].Window = indices[i]
+	}
+	return &res
 }

@@ -38,12 +38,14 @@ func releaseCSV(t *testing.T, mgr *Manager, jobID string, w int) []byte {
 }
 
 // A follow job's committed releases must be byte-identical to the
-// corresponding windows of a cold windowed job over the final feed —
+// corresponding windows of a cold windowed run over the final feed —
 // the streaming pipeline is a strict incrementalization of the batch
-// one, never a different algorithm. The feed grows concurrently with
-// the running job (exercising the append/snapshot race under -race),
-// window 1 stays empty, and the job finishes on its follow_windows
-// bound. Runs on both storage backends.
+// one, never a different algorithm. The reference is the engine's own
+// windowed driver (core.AnonymizeWindows over SplitByWindow), not the
+// service executor the follow job itself runs on. The feed grows
+// concurrently with the running job (exercising the append/snapshot
+// race under -race), window 1 stays empty, and the job finishes on its
+// follow_windows bound. Runs on both storage backends.
 func TestFollowEqualsColdWindows(t *testing.T) {
 	for _, columnar := range []bool{false, true} {
 		name := "table"
@@ -124,19 +126,39 @@ func TestFollowEqualsColdWindows(t *testing.T) {
 				t.Error("no empty-window event for the gap window")
 			}
 
-			// Cold reference: a windowed job over the finished feed. Its
-			// windows 0 and 2 must match the follow releases byte for byte.
-			cold, err := mgr.Submit(JobSpec{DatasetID: info.ID, K: 2, Workers: 1, Shards: 1, WindowHours: 1})
+			// Cold reference over the finished feed, outside the service:
+			// split the feed, build each window, anonymize the windows in
+			// sequence. Windows 0 and 2 must match the follow releases byte
+			// for byte.
+			src, _, _ := reg.SnapshotSource(info.ID)
+			feed, err := cdr.MaterializeTable(src)
 			if err != nil {
 				t.Fatal(err)
 			}
-			cfinal := waitForState(t, mgr, cold.ID, func(s JobStatus) bool { return s.State.Terminal() })
-			if cfinal.State != JobDone {
-				t.Fatalf("cold job finished %s: %s", cfinal.State, cfinal.Error)
+			wins, err := feed.SplitByWindow(time.Hour)
+			if err != nil {
+				t.Fatal(err)
 			}
-			for _, w := range []int{0, 2} {
-				if !bytes.Equal(releaseCSV(t, mgr, st.ID, w), releaseCSV(t, mgr, cold.ID, w)) {
-					t.Errorf("follow release for window %d differs from the cold windowed release", w)
+			originals := make([]*core.Dataset, len(wins))
+			for i, w := range wins {
+				if originals[i], err = w.Table.BuildDataset(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			cold, err := core.AnonymizeWindows(originals, anonymizeOptions(final.Spec, 1, nil))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, w := range wins {
+				if w.Index != 0 && w.Index != 2 {
+					continue
+				}
+				var want bytes.Buffer
+				if err := cdr.WriteAnonymizedCSV(&want, cold[i].Output); err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(releaseCSV(t, mgr, st.ID, w.Index), want.Bytes()) {
+					t.Errorf("follow release for window %d differs from the cold windowed release", w.Index)
 				}
 			}
 			// The empty window has no downloadable release.
@@ -331,46 +353,5 @@ func TestFollowSpecValidation(t *testing.T) {
 	}
 	if _, err := mgr.Submit(JobSpec{DatasetID: info.ID, K: 2}); err == nil {
 		t.Error("batch job on a below-k dataset accepted")
-	}
-}
-
-// sizeShards must predict planShards exactly — same effective shard
-// count, same largest-shard size — across sizes, k, requested counts,
-// and seeds; the windowed dry plan relies on the equivalence.
-func TestSizeShardsMatchesPlanShards(t *testing.T) {
-	tables := []*cdr.Table{
-		synthTable(t, 10, 1),
-		synthTable(t, 40, 2),
-		synthTable(t, 120, 3),
-	}
-	for ti, table := range tables {
-		users := table.Users()
-		for _, k := range []int{2, 3, 5} {
-			for _, requested := range []int{0, 1, 2, 4, 16} {
-				for _, seed := range []uint64{1, 7} {
-					shards := planShards(table, users, k, requested, seed)
-					wantN, wantMax := len(shards), maxShardUsers(shards)
-					gotN, gotMax := sizeShards(table, users, k, requested, seed)
-					if gotN != wantN || gotMax != wantMax {
-						t.Errorf("table %d k=%d req=%d seed=%d: sizeShards = (%d, %d), planShards = (%d, %d)",
-							ti, k, requested, seed, gotN, gotMax, wantN, wantMax)
-					}
-				}
-			}
-		}
-	}
-	// Window slices too: the dry plan sizes window sources, not tables.
-	wins, err := tables[2].WindowSplit(24 * time.Hour)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, win := range wins {
-		users := win.Source.NumUsers()
-		shards := planShards(win.Source, users, 2, 4, 1)
-		gotN, gotMax := sizeShards(win.Source, users, 2, 4, 1)
-		if gotN != len(shards) || gotMax != maxShardUsers(shards) {
-			t.Errorf("window %d: sizeShards = (%d, %d), planShards = (%d, %d)",
-				win.Index, gotN, gotMax, len(shards), maxShardUsers(shards))
-		}
 	}
 }

@@ -97,9 +97,9 @@ type Job struct {
 	onEvent         func(api.JobEvent)
 	suppressJournal bool
 
-	// resume carries a recovered follow job's committed prefix into
-	// executeFollow; consumed once by takeResume.
-	resume *followResume
+	// resume carries a recovered windowed job's committed prefix into
+	// executeWindows; consumed once by takeResume.
+	resume *windowResume
 
 	// trace is the job's span recorder, created when the run starts;
 	// nil for jobs that never ran (the trace_not_found condition).
@@ -164,8 +164,8 @@ func (j *Job) appendEventLocked(e api.JobEvent) {
 	j.eventCh = make(chan struct{})
 }
 
-// takeResume hands the run its recovered follow prefix, at most once.
-func (j *Job) takeResume() *followResume {
+// takeResume hands the run its recovered window prefix, at most once.
+func (j *Job) takeResume() *windowResume {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	r := j.resume
@@ -221,31 +221,19 @@ type jobWindow struct {
 	result *core.Dataset
 }
 
-// initWindows records the windowed job's layout; called once when the
-// run has split its snapshot.
-func (j *Job) initWindows(wins []cdr.SourceWindow) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	j.windows = make([]*jobWindow, len(wins))
-	for i, w := range wins {
-		j.windows[i] = &jobWindow{
-			index:       w.Index,
-			startMinute: w.StartMinute,
-			endMinute:   w.EndMinute,
-			records:     w.Source.NumRecords(),
-			users:       w.Source.NumUsers(),
-			state:       WindowPending,
-		}
-	}
-}
-
-// appendWindow adds one window discovered at runtime — follow jobs
-// learn their windows from the feed instead of an upfront split — and
-// returns its position in j.windows (the index the per-window mutators
-// take, distinct from the window's feed index).
+// appendWindow registers a window as pending, or finds it when it is
+// already registered (a frozen run registers its whole layout before
+// the first window runs), and returns its position in j.windows (the
+// index the per-window mutators take, distinct from the window's feed
+// index). Windows are registered in index order.
 func (j *Job) appendWindow(index int, startMinute, endMinute float64, records, users int) int {
 	j.mu.Lock()
 	defer j.mu.Unlock()
+	for pos := len(j.windows) - 1; pos >= 0 && j.windows[pos].index >= index; pos-- {
+		if j.windows[pos].index == index {
+			return pos
+		}
+	}
 	j.windows = append(j.windows, &jobWindow{
 		index:       index,
 		startMinute: startMinute,
@@ -431,8 +419,14 @@ func (j *Job) progressLocked() float64 {
 	return 0
 }
 
-// progressLocked is the window's mean shard fraction; the caller holds
-// the owning job's mutex.
+// uncommittedProgress caps the progress of a window that has not
+// committed: its shards may all have finished while validation and the
+// journal commit are still to come, and a window — hence a windowed
+// job — reads complete only once its release is committed.
+const uncommittedProgress = 0.99
+
+// progressLocked is the window's mean shard fraction, capped below 1
+// until the window commits; the caller holds the owning job's mutex.
 func (w *jobWindow) progressLocked() float64 {
 	if w.state == WindowDone || w.state == WindowEmpty {
 		return 1
@@ -444,7 +438,7 @@ func (w *jobWindow) progressLocked() float64 {
 	for _, p := range w.shardProgress {
 		sum += p
 	}
-	return sum / float64(len(w.shardProgress))
+	return min(sum/float64(len(w.shardProgress)), uncommittedProgress)
 }
 
 // encodeRelease serializes a published dataset through the canonical
@@ -482,53 +476,42 @@ func (j *Job) captureWindowLocked(w *jobWindow) (RecoveredResult, error) {
 	return RecoveredResult{Window: jw, CSV: csv}, nil
 }
 
-// capture converts the job into its checkpoint form. Terminal jobs
-// (except drain-cancelled ones, whose cancellation the journal
-// deliberately never saw) are captured verbatim — status, full event
-// log, every release. Interrupted jobs are captured as submissions plus
-// (for follow jobs) their committed windows, exactly the shape a
-// journal replay produces for them, so restarting from a checkpoint and
-// restarting from a raw journal converge to the same state.
+// capture converts the job into its checkpoint form: every committed
+// window, plus — for terminal jobs, except drain-cancelled ones whose
+// cancellation the journal deliberately never saw — the status, the
+// full event log and the batch result. An interrupted job is thus
+// captured as its submission plus its committed windows, exactly the
+// shape a journal replay produces for it, so restarting from a
+// checkpoint and restarting from a raw journal converge to the same
+// state.
 func (j *Job) capture() (*RecoveredJob, error) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	rj := &RecoveredJob{ID: j.id, Spec: j.spec, CreatedAt: j.created}
-	if j.state.Terminal() && !j.suppressJournal {
-		st := j.statusLocked()
-		rj.Status = &st
-		rj.Events = append([]api.JobEvent(nil), j.events...)
-		for _, w := range j.windows {
-			if w.state != WindowDone && w.state != WindowEmpty {
-				continue
-			}
-			r, err := j.captureWindowLocked(w)
-			if err != nil {
-				return nil, err
-			}
-			rj.Results = append(rj.Results, r)
+	for _, w := range j.windows {
+		if w.state != WindowDone && w.state != WindowEmpty {
+			continue
 		}
-		if j.result != nil {
-			csv, err := encodeRelease(j.result)
-			if err != nil {
-				return nil, err
-			}
-			rj.Results = append(rj.Results, RecoveredResult{
-				Window: journalWindow{Batch: true, Stats: j.stats}, CSV: csv,
-			})
+		r, err := j.captureWindowLocked(w)
+		if err != nil {
+			return nil, err
 		}
+		rj.Results = append(rj.Results, r)
+	}
+	if !j.state.Terminal() || j.suppressJournal {
 		return rj, nil
 	}
-	if j.spec.Follow {
-		for _, w := range j.windows {
-			if w.state != WindowDone && w.state != WindowEmpty {
-				continue
-			}
-			r, err := j.captureWindowLocked(w)
-			if err != nil {
-				return nil, err
-			}
-			rj.Results = append(rj.Results, r)
+	st := j.statusLocked()
+	rj.Status = &st
+	rj.Events = append([]api.JobEvent(nil), j.events...)
+	if j.result != nil {
+		csv, err := encodeRelease(j.result)
+		if err != nil {
+			return nil, err
 		}
+		rj.Results = append(rj.Results, RecoveredResult{
+			Window: journalWindow{Batch: true, Stats: j.stats}, CSV: csv,
+		})
 	}
 	return rj, nil
 }

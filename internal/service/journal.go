@@ -69,7 +69,8 @@ type journalWindow struct {
 	Groups      int              `json:"groups,omitempty"`
 	Stats       *core.GloveStats `json:"stats,omitempty"`
 	// Empty marks a window the feed skipped (committed with no release);
-	// Batch marks the merged result of a non-windowed job.
+	// Batch marks the job result served by /v1/jobs/{id}/result,
+	// journaled at the terminal transition.
 	Empty bool `json:"empty,omitempty"`
 	Batch bool `json:"batch,omitempty"`
 }
@@ -101,7 +102,7 @@ type RecoveredDataset struct {
 // RecoveredJob is a job rebuilt from the journal. Status non-nil means
 // the job reached a terminal state and is restored verbatim; otherwise
 // the job died queued/running and normalizeRecovered rewrote it into
-// requeue-ready form (Requeue true, fresh event log, committed follow
+// requeue-ready form (Requeue true, fresh event log, committed window
 // releases kept in Results).
 //
 //lint:ignore dtoplace journal snapshot schema, persisted to the WAL and never sent over the wire
@@ -323,14 +324,15 @@ func removeID(order []string, id string) []string {
 }
 
 // normalizeRecovered rewrites every interrupted (non-terminal) job into
-// the exact shape the restarted daemon will install and serve: a fresh
-// queued event log — clients reconnecting after a restart get a fresh
-// replay, not a continuation of a log whose run died — plus, for follow
-// jobs, one window event per recovered committed window. Batch and
-// windowed jobs restart from scratch, so their partial results are
-// dropped. Running the normalization before the boot compaction keeps
-// the snapshot and the in-memory restore identical, which is what makes
-// a crash-after-boot replay converge to the same state.
+// the exact shape the restarted daemon will install and serve: its
+// committed windows (a batch result journaled by a run that died before
+// its terminal status is dropped — the rerun recomputes it) and a fresh
+// queued event log with one window event per committed window — clients
+// reconnecting after a restart get a fresh replay, not a continuation
+// of a log whose run died. Running the normalization before the boot
+// compaction keeps the snapshot and the in-memory restore identical,
+// which is what makes a crash-after-boot replay converge to the same
+// state.
 func normalizeRecovered(st *RecoveredState) {
 	for _, j := range st.Jobs {
 		if j.Status != nil {
@@ -338,9 +340,13 @@ func normalizeRecovered(st *RecoveredState) {
 			continue
 		}
 		j.Requeue = true
-		if !j.Spec.Follow {
-			j.Results = nil
+		windows := j.Results[:0]
+		for _, r := range j.Results {
+			if !r.Window.Batch {
+				windows = append(windows, r)
+			}
 		}
+		j.Results = windows
 		sort.Slice(j.Results, func(a, b int) bool {
 			return j.Results[a].Window.Index < j.Results[b].Window.Index
 		})
@@ -415,9 +421,9 @@ func e2entry(id string, e api.JobEvent) journalEntry {
 }
 
 // jobResult journals a committed release (or empty-window marker) and
-// fsyncs: this is THE commit point of the streaming pipeline. A window
+// fsyncs: this is THE commit point of the release pipeline. A window
 // whose result frame is durable is committed — replay derives the
-// follow resume floor from the highest journaled result — and a crash
+// resume floor from the highest journaled result — and a crash
 // any time after this call re-publishes exactly these bytes.
 func (jl *Journal) jobResult(id string, w journalWindow, out *core.Dataset) error {
 	if jl == nil {
@@ -425,11 +431,10 @@ func (jl *Journal) jobResult(id string, w journalWindow, out *core.Dataset) erro
 	}
 	var csv []byte
 	if out != nil {
-		var buf bytes.Buffer
-		if err := cdr.WriteAnonymizedCSV(&buf, out); err != nil {
+		var err error
+		if csv, err = encodeRelease(out); err != nil {
 			return err
 		}
-		csv = buf.Bytes()
 	}
 	if err := jl.append(journalEntry{Kind: jeJobResult, ID: id, Window: &w, CSV: csv}); err != nil {
 		return err

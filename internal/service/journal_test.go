@@ -3,10 +3,14 @@ package service
 import (
 	"bytes"
 	"encoding/json"
+	"net/http"
+	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/api"
 	"repro/internal/cdr"
 	"repro/internal/geo"
 )
@@ -128,6 +132,76 @@ func TestJournalDatasetRoundTrip(t *testing.T) {
 	}
 }
 
+// TestRegistryRejectsOutOfRangeMinutes pins the ingest boundary: a
+// non-finite or out-of-range minute is refused with the invalid_argument
+// envelope on both backends, and the refusal is atomic — no dataset, no
+// appended record, no version bump, and nothing in the journal for a
+// restart to replay, even when valid records precede the bad one.
+func TestRegistryRejectsOutOfRangeMinutes(t *testing.T) {
+	for _, columnar := range []bool{false, true} {
+		name := "table"
+		if columnar {
+			name = "columnar"
+		}
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			center := geo.LatLon{Lat: 7.54, Lon: -5.55}
+			setup := func(g *Registry) { g.Columnar = columnar }
+			jrnl, reg, mgr, _ := bootService(t, dir, ManagerOptions{}, setup)
+			srv := httptest.NewServer(NewServer(reg, mgr))
+			defer srv.Close()
+
+			info, err := reg.Ingest(strings.NewReader(windowCSV(0, "a", "b", "c")), "feed", center, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := sourceCSV(t, reg, info.ID)
+			for _, minute := range []string{"NaN", "+Inf", "-Inf", "1e300"} {
+				body := windowCSV(1, "d") + "e,7.5,-5.5," + minute + "\n"
+				if _, err := reg.Ingest(strings.NewReader(body), "bad", center, 1); err == nil {
+					t.Errorf("ingest with minute %s accepted", minute)
+				}
+				if _, err := reg.Append(info.ID, strings.NewReader(body)); err == nil {
+					t.Errorf("append with minute %s accepted", minute)
+				}
+				for _, path := range []string{"/v1/datasets?lat=7.54&lon=-5.55&days=1", "/v1/datasets/" + info.ID + "/records"} {
+					resp, err := http.Post(srv.URL+path, "text/csv", strings.NewReader(body))
+					if err != nil {
+						t.Fatal(err)
+					}
+					var env api.Error
+					json.NewDecoder(resp.Body).Decode(&env)
+					resp.Body.Close()
+					if resp.StatusCode != http.StatusBadRequest || env.Code != api.CodeInvalidArgument {
+						t.Errorf("POST %s with minute %s: status %d code %q, want 400 %q",
+							path, minute, resp.StatusCode, env.Code, api.CodeInvalidArgument)
+					}
+				}
+			}
+			if list := reg.List(); len(list) != 1 {
+				t.Errorf("rejected ingests registered datasets: %+v", list)
+			}
+			if got, _ := reg.Get(info.ID); got.Records != 3 || got.Version != 1 {
+				t.Errorf("rejected appends mutated the dataset: %+v", got)
+			}
+			if !bytes.Equal(sourceCSV(t, reg, info.ID), want) {
+				t.Error("rejected appends changed the dataset records")
+			}
+			crashClose(mgr, reg, jrnl)
+
+			jrnl2, rec, err := OpenJournal(dir, false, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer jrnl2.Close()
+			if len(rec.Datasets) != 1 || len(rec.Datasets[0].Ops) != 1 {
+				t.Errorf("journal holds rejected mutations: %d datasets, ops %d",
+					len(rec.Datasets), len(rec.Datasets[0].Ops))
+			}
+		})
+	}
+}
+
 // TestJournalTerminalJobRestored pins the verbatim half of job
 // recovery: a finished batch job comes back with an identical status,
 // an identical event log, and a byte-identical downloadable release.
@@ -199,100 +273,263 @@ func TestJournalTerminalJobRestored(t *testing.T) {
 	}
 }
 
-// TestJournalFollowResumeByteIdentity is the streaming crash-recovery
-// acceptance test: a follow job is killed between windows, the restart
-// resumes it at the last committed window, the committed release is
-// never re-run or re-published, the in-flight window published nothing
-// partial, and the continuation's output is byte-identical to a cold
-// windowed run over the final feed.
+// stallAtWindow parks a job's executor on the running event of window
+// w until the manager shuts down, and closes the returned channel when
+// it gets there: a deterministic "killed mid-run" point at which every
+// earlier window has committed and window w has published nothing. The
+// job must not have started yet. Events are appended under the job's
+// lock, so nothing may read the job between the stall and the
+// shutdown.
+func stallAtWindow(t *testing.T, mgr *Manager, jobID string, w int) <-chan struct{} {
+	t.Helper()
+	mgr.mu.Lock()
+	job := mgr.jobs[jobID]
+	mgr.mu.Unlock()
+	reached := make(chan struct{})
+	job.mu.Lock()
+	defer job.mu.Unlock()
+	if job.state != JobQueued {
+		t.Fatalf("job %s already %s", jobID, job.state)
+	}
+	journal := job.onEvent
+	job.onEvent = func(e api.JobEvent) {
+		journal(e)
+		if e.Window != nil && e.Window.Index == w && e.Window.State == WindowRunning {
+			close(reached)
+			<-mgr.baseCtx.Done()
+		}
+	}
+	return reached
+}
+
+// TestJournalFollowResumeByteIdentity is the crash-recovery acceptance
+// test of the window executor, for follow and windowed jobs alike: the
+// daemon dies between windows, the restart resumes the job after its
+// last committed window, committed releases are never re-run or
+// re-published, the in-flight window published nothing partial, and
+// the continuation's releases and cross-window linkage are identical
+// to an uninterrupted control run over the final feed.
 func TestJournalFollowResumeByteIdentity(t *testing.T) {
-	dir := t.TempDir()
 	center := geo.LatLon{Lat: 7.54, Lon: -5.55}
-	jrnl, reg, mgr, _ := bootService(t, dir, ManagerOptions{}, nil)
+	cases := []struct {
+		name string
+		spec JobSpec
+		// ingest is the feed at submission. advance drives the first
+		// life until the windows in committed have committed and the job
+		// waits on window inflight; without it the job is parked on the
+		// running event of window inflight. finish drives the resumed run
+		// to its end.
+		ingest   []string
+		advance  func(t *testing.T, mgr *Manager, reg *Registry, dsID, jobID string)
+		finish   func(t *testing.T, reg *Registry, dsID string)
+		inflight int
+		// committed are the windows journaled before the crash, empty
+		// ones included; releases are every window with a release at
+		// the end, and pairs the linkage pair labels.
+		committed, releases, pairs []int
+	}{
+		{
+			name:   "follow",
+			spec:   JobSpec{K: 2, Workers: 1, Shards: 1, WindowHours: 1, Follow: true, FollowWindows: 3},
+			ingest: []string{windowCSV(0, "a", "b", "c", "d")},
+			advance: func(t *testing.T, mgr *Manager, reg *Registry, dsID, jobID string) {
+				// Window-2 records close window 0 and the empty window 1;
+				// the job commits both, then waits for window 2 to close.
+				if _, err := reg.Append(dsID, strings.NewReader(windowCSV(2, "a", "b"))); err != nil {
+					t.Fatal(err)
+				}
+				waitForState(t, mgr, jobID, func(s JobStatus) bool {
+					return len(s.Windows) == 2 && s.Windows[1].State == WindowEmpty
+				})
+			},
+			finish: func(t *testing.T, reg *Registry, dsID string) {
+				// Window 2's records were re-ingested by the dataset
+				// restore; window-3 records close it, window-4 records
+				// close window 3, whose commit meets the 3-release budget.
+				for _, body := range []string{windowCSV(3, "c", "d"), windowCSV(4, "a", "b")} {
+					if _, err := reg.Append(dsID, strings.NewReader(body)); err != nil {
+						t.Fatal(err)
+					}
+				}
+			},
+			inflight:  2,
+			committed: []int{0, 1},
+			releases:  []int{0, 2, 3},
+			pairs:     []int{0, 2},
+		},
+		{
+			name: "windowed",
+			spec: JobSpec{K: 2, Workers: 1, Shards: 1, WindowHours: 1},
+			ingest: []string{
+				windowCSV(0, "a", "b", "c", "d"), windowCSV(1, "a", "b", "c"),
+				windowCSV(3, "a", "b", "c", "d"), windowCSV(4, "b", "c", "d"),
+			},
+			inflight:  3,
+			committed: []int{0, 1},
+			releases:  []int{0, 1, 3, 4},
+			pairs:     []int{0, 1, 3},
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			jrnl, reg, mgr, _ := bootService(t, dir, ManagerOptions{}, nil)
+			info, err := reg.Ingest(strings.NewReader(tc.ingest[0]), "feed", center, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, body := range tc.ingest[1:] {
+				if _, err := reg.Append(info.ID, strings.NewReader(body)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			var blocker JobStatus
+			if tc.advance == nil {
+				// A follow job on a feed that never closes a window holds
+				// the only executor, so the job queues behind it and its
+				// stall point is in place before it starts.
+				if blocker, err = mgr.Submit(JobSpec{DatasetID: info.ID, K: 2, WindowHours: 1000, Follow: true}); err != nil {
+					t.Fatal(err)
+				}
+				waitForState(t, mgr, blocker.ID, func(s JobStatus) bool { return s.State == JobRunning })
+			}
+			spec := tc.spec
+			spec.DatasetID = info.ID
+			st, err := mgr.Submit(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tc.advance != nil {
+				tc.advance(t, mgr, reg, info.ID, st.ID)
+			} else {
+				reached := stallAtWindow(t, mgr, st.ID, tc.inflight)
+				if _, err := mgr.Cancel(blocker.ID); err != nil {
+					t.Fatal(err)
+				}
+				<-reached
+			}
+			// Drain with a zero budget cancels the running job suppressed
+			// from the journal (crash-equivalent); no checkpoint is written.
+			mgr.Drain(0)
+			before := map[int][]byte{}
+			for _, w := range tc.committed {
+				if _, err := mgr.WindowResult(st.ID, w); err == nil {
+					before[w] = releaseCSV(t, mgr, st.ID, w)
+				}
+			}
+			if len(before) == 0 {
+				t.Fatal("no release committed before the crash")
+			}
+			if _, err := mgr.WindowResult(st.ID, tc.inflight); err == nil {
+				t.Fatal("the in-flight window served a release before the crash")
+			}
+			crashClose(mgr, reg, jrnl)
 
-	info, err := reg.Ingest(strings.NewReader(windowCSV(0, "a", "b", "c", "d")), "feed", center, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st, err := mgr.Submit(JobSpec{DatasetID: info.ID, K: 2, Workers: 1, Shards: 1,
-		WindowHours: 1, Follow: true, FollowWindows: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Window-1 records close window 0; the job commits it and then
-	// blocks waiting for window 1 to close.
-	if _, err := reg.Append(info.ID, strings.NewReader(windowCSV(1, "a", "b"))); err != nil {
-		t.Fatal(err)
-	}
-	waitForState(t, mgr, st.ID, func(s JobStatus) bool {
-		return len(s.Windows) > 0 && s.Windows[0].State == WindowDone
-	})
-	want0 := releaseCSV(t, mgr, st.ID, 0)
-	// Kill the daemon mid-run: drain with a zero budget cancels the
-	// running job suppressed from the journal (crash-equivalent), and no
-	// checkpoint is written.
-	mgr.Drain(0)
-	// The open window published nothing partial.
-	if _, err := mgr.WindowResult(st.ID, 1); err == nil {
-		t.Fatal("uncommitted window served a release before the crash")
-	}
-	crashClose(mgr, reg, jrnl)
+			jrnl2, reg2, mgr2, rec := bootService(t, dir, ManagerOptions{MaxConcurrentJobs: 2}, nil)
+			defer crashClose(mgr2, reg2, jrnl2)
+			var recovered *RecoveredJob
+			for _, rj := range rec.Jobs {
+				if rj.ID == st.ID {
+					recovered = rj
+				}
+			}
+			if recovered == nil || !recovered.Requeue || len(recovered.Results) != len(tc.committed) {
+				t.Fatalf("recovered job: %+v", recovered)
+			}
+			// Committed releases are downloadable before the resumed run
+			// does anything, and are exactly the pre-crash bytes.
+			for w, want := range before {
+				if got := releaseCSV(t, mgr2, st.ID, w); !bytes.Equal(got, want) {
+					t.Errorf("recovered window-%d release differs from the committed bytes", w)
+				}
+			}
+			if r := jrnl2.Report(); r.RecoveredJobs["resumed"] != 1 {
+				t.Errorf("durability report: %+v", r.RecoveredJobs)
+			}
 
-	jrnl2, reg2, mgr2, rec := bootService(t, dir, ManagerOptions{MaxConcurrentJobs: 2}, nil)
-	defer crashClose(mgr2, reg2, jrnl2)
-	if len(rec.Jobs) != 1 || !rec.Jobs[0].Requeue || len(rec.Jobs[0].Results) != 1 {
-		t.Fatalf("recovered jobs: %+v", rec.Jobs)
-	}
-	// The committed release is downloadable before the resumed run does
-	// anything, and is exactly the pre-crash bytes.
-	if got := releaseCSV(t, mgr2, st.ID, 0); !bytes.Equal(got, want0) {
-		t.Error("recovered window-0 release differs from the committed bytes")
-	}
-	if r := jrnl2.Report(); r.RecoveredJobs["resumed"] != 1 {
-		t.Errorf("durability report: %+v", r.RecoveredJobs)
-	}
+			if tc.finish != nil {
+				tc.finish(t, reg2, info.ID)
+			}
+			final := waitForState(t, mgr2, st.ID, func(s JobStatus) bool { return s.State.Terminal() })
+			if final.State != JobDone {
+				t.Fatalf("resumed job finished %s: %s", final.State, final.Error)
+			}
+			for w, want := range before {
+				if got := releaseCSV(t, mgr2, st.ID, w); !bytes.Equal(got, want) {
+					t.Errorf("window-%d release changed after the resumed run finished", w)
+				}
+			}
+			// Exactly one done event per release across both lives of the
+			// job, and no committed window ran again.
+			evs, _, _ := mgr2.EventsSince(st.ID, 0)
+			done, ran := map[int]int{}, map[int]bool{}
+			for _, e := range evs {
+				if e.Window == nil {
+					continue
+				}
+				switch e.Window.State {
+				case WindowDone:
+					done[e.Window.Index]++
+				case WindowRunning:
+					ran[e.Window.Index] = true
+				}
+			}
+			for _, w := range tc.releases {
+				if done[w] != 1 {
+					t.Errorf("window %d has %d done events, want exactly one", w, done[w])
+				}
+			}
+			for _, w := range tc.committed {
+				if ran[w] {
+					t.Errorf("committed window %d ran again after the restart", w)
+				}
+			}
 
-	// Window-2 records close window 1 (whose records were re-ingested by
-	// the dataset restore); that second commit meets the 2-window budget.
-	if _, err := reg2.Append(info.ID, strings.NewReader(windowCSV(2, "c", "d"))); err != nil {
-		t.Fatal(err)
-	}
-	final := waitForState(t, mgr2, st.ID, func(s JobStatus) bool { return s.State.Terminal() })
-	if final.State != JobDone {
-		t.Fatalf("resumed job finished %s: %s", final.State, final.Error)
-	}
-	if len(final.Windows) != 2 {
-		t.Fatalf("resumed job windows: %+v", final.Windows)
-	}
-	if got := releaseCSV(t, mgr2, st.ID, 0); !bytes.Equal(got, want0) {
-		t.Error("window-0 release changed after the resumed run finished")
-	}
-	// Exactly one done event per window across both lives of the job.
-	evs, _, _ := mgr2.EventsSince(st.ID, 0)
-	doneEvents := map[int]int{}
-	for _, e := range evs {
-		if e.Window != nil && e.Window.State == WindowDone {
-			doneEvents[e.Window.Index]++
-		}
-	}
-	if doneEvents[0] != 1 || doneEvents[1] != 1 {
-		t.Errorf("window done events: %v, want exactly one per window", doneEvents)
-	}
+			// Uninterrupted control over the final feed on a fresh daemon:
+			// every release and the linkage must match — a crash plus
+			// resume is invisible in the output.
+			creg := NewRegistry()
+			cmgr := NewManager(creg, ManagerOptions{})
+			defer cmgr.Close()
+			cinfo, err := creg.Ingest(bytes.NewReader(sourceCSV(t, reg2, info.ID)), "control", center, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cspec := tc.spec
+			cspec.DatasetID = cinfo.ID
+			cst, err := cmgr.Submit(cspec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfinal := waitForState(t, cmgr, cst.ID, func(s JobStatus) bool { return s.State.Terminal() })
+			if cfinal.State != JobDone {
+				t.Fatalf("control job finished %s: %s", cfinal.State, cfinal.Error)
+			}
+			for _, w := range tc.releases {
+				if !bytes.Equal(releaseCSV(t, mgr2, st.ID, w), releaseCSV(t, cmgr, cst.ID, w)) {
+					t.Errorf("resumed release for window %d differs from the uninterrupted control", w)
+				}
+			}
 
-	// Cold reference over the final feed: both releases must match byte
-	// for byte — a crash plus resume is invisible in the output.
-	cold, err := mgr2.Submit(JobSpec{DatasetID: info.ID, K: 2, Workers: 1, Shards: 1, WindowHours: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfinal := waitForState(t, mgr2, cold.ID, func(s JobStatus) bool { return s.State.Terminal() })
-	if cfinal.State != JobDone {
-		t.Fatalf("cold job finished %s: %s", cfinal.State, cfinal.Error)
-	}
-	for _, w := range []int{0, 1} {
-		if !bytes.Equal(releaseCSV(t, mgr2, st.ID, w), releaseCSV(t, mgr2, cold.ID, w)) {
-			t.Errorf("resumed release for window %d differs from the cold windowed release", w)
-		}
+			// Cross-window linkage over every release, pairs labeled with
+			// absolute window indices, counted in the metrics mean.
+			if final.Linkage == nil {
+				t.Fatal("resumed job reports no cross-window linkage")
+			}
+			var labels []int
+			for _, p := range final.Linkage.Pairs {
+				labels = append(labels, p.Window)
+			}
+			if !reflect.DeepEqual(labels, tc.pairs) {
+				t.Errorf("linkage pair windows = %v, want %v", labels, tc.pairs)
+			}
+			if !reflect.DeepEqual(final.Linkage, cfinal.Linkage) {
+				t.Errorf("resumed linkage %+v differs from the control's %+v", final.Linkage, cfinal.Linkage)
+			}
+			if mean := mgr2.Report().MeanCrossWindowLinkage; mean == nil || *mean != final.Linkage.LinkedFraction {
+				t.Errorf("mean_cross_window_linkage = %v, want the job's %g", mean, final.Linkage.LinkedFraction)
+			}
+		})
 	}
 }
 

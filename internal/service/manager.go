@@ -11,7 +11,6 @@ import (
 	"context"
 	"fmt"
 	"log/slog"
-	"math/rand"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -694,11 +693,11 @@ func (m *Manager) runJob(job *Job) {
 	m.mu.Unlock()
 }
 
-// journalTerminal makes a job's terminal state durable: for non-follow
-// jobs every committed release (follow jobs journaled theirs at each
-// window commit), then the full terminal status — the record that turns
-// a replayed job from "interrupted, requeue" into "finished, restore
-// verbatim". Drain-cancelled jobs are skipped on purpose.
+// journalTerminal makes a job's terminal state durable: the result
+// served by /v1/jobs/{id}/result, if any (every window release was
+// journaled at its commit), then the full terminal status — the record
+// that turns a replayed job from "interrupted, requeue" into "finished,
+// restore verbatim". Drain-cancelled jobs are skipped on purpose.
 func (m *Manager) journalTerminal(job *Job) {
 	if m.jrnl == nil {
 		return
@@ -709,37 +708,11 @@ func (m *Manager) journalTerminal(job *Job) {
 		return
 	}
 	st := job.statusLocked()
-	type rel struct {
-		w   journalWindow
-		out *core.Dataset
-	}
-	var rels []rel
-	if !job.spec.Follow {
-		for _, w := range job.windows {
-			if w.state != WindowDone {
-				continue
-			}
-			rels = append(rels, rel{
-				w: journalWindow{
-					Index:       w.index,
-					StartMinute: w.startMinute,
-					EndMinute:   w.endMinute,
-					Records:     w.records,
-					Users:       w.users,
-					Groups:      w.groups,
-					Stats:       w.stats,
-				},
-				out: w.result,
-			})
-		}
-		if job.result != nil {
-			rels = append(rels, rel{w: journalWindow{Batch: true, Stats: job.stats}, out: job.result})
-		}
-	}
+	result := job.result
 	job.mu.Unlock()
 
-	for _, r := range rels {
-		if err := m.jrnl.jobResult(job.id, r.w, r.out); err != nil {
+	if result != nil {
+		if err := m.jrnl.jobResult(job.id, journalWindow{Batch: true, Stats: st.Stats}, result); err != nil {
 			if m.log != nil {
 				m.log.Error("journaling job result failed", "job_id", job.id, "error", err.Error())
 			}
@@ -831,10 +804,10 @@ func (m *Manager) seqNum() int {
 
 // Restore rebuilds the manager's jobs from a journal replay. Terminal
 // jobs come back verbatim — status, event log, downloadable releases.
-// Interrupted jobs are re-enqueued: batch and windowed jobs restart
-// from scratch (their runs are deterministic, so the rerun publishes
-// the same bytes), and follow jobs resume at their last committed
-// window, with every already-committed release immutable. Call before
+// Interrupted jobs are re-enqueued: batch jobs restart from scratch
+// (their runs are deterministic, so the rerun publishes the same
+// bytes), and windowed jobs resume after their last committed window,
+// with every already-committed release immutable. Call before
 // the daemon serves traffic; requeued jobs may start executing
 // immediately.
 func (m *Manager) Restore(st *RecoveredState) error {
@@ -880,15 +853,13 @@ func (m *Manager) requeueRecovered(rj *RecoveredJob) error {
 		job.events = append([]api.JobEvent(nil), rj.Events...)
 	}
 	outcome := "requeued"
-	if rj.Spec.Follow {
-		resume, err := buildFollowResume(job, rj)
-		if err != nil {
-			return err
-		}
-		if resume != nil {
-			job.resume = resume
-			outcome = "resumed"
-		}
+	resume, err := buildWindowResume(job, rj)
+	if err != nil {
+		return err
+	}
+	if resume != nil {
+		job.resume = resume
+		outcome = "resumed"
 	}
 	m.attachJobJournal(job)
 
@@ -913,17 +884,14 @@ func (m *Manager) requeueRecovered(rj *RecoveredJob) error {
 	return nil
 }
 
-// buildFollowResume reconstructs a follow job's committed prefix: the
+// buildWindowResume reconstructs a windowed job's committed prefix: the
 // jobWindow entries (so recovered releases stay downloadable), and the
-// resume state executeFollow seeds its loop with — floor, committed
-// count, releases, aggregate stats — so the continuation is
-// byte-identical to a run that never crashed. nil when nothing was
+// resume state executeWindows seeds its loop with — floor, releases and
+// their window indices, aggregate stats — so the continuation is
+// byte-identical to a run that never crashed. nil when no window was
 // committed (the job simply restarts).
-func buildFollowResume(job *Job, rj *RecoveredJob) (*followResume, error) {
-	if len(rj.Results) == 0 {
-		return nil, nil
-	}
-	resume := &followResume{floor: -1, stats: &core.GloveStats{}}
+func buildWindowResume(job *Job, rj *RecoveredJob) (*windowResume, error) {
+	resume := &windowResume{floor: -1, stats: &core.GloveStats{}}
 	for _, r := range rj.Results {
 		w := r.Window
 		if w.Batch {
@@ -949,8 +917,8 @@ func buildFollowResume(job *Job, rj *RecoveredJob) (*followResume, error) {
 			jw.result = out
 			jw.groups = w.Groups
 			jw.stats = w.Stats
+			resume.indices = append(resume.indices, w.Index)
 			resume.releases = append(resume.releases, out)
-			resume.committed++
 			resume.stats.Add(w.Stats)
 		}
 		job.windows = append(job.windows, jw)
@@ -1044,14 +1012,13 @@ type runOutcome struct {
 	linkage  *analysis.LinkageResult
 }
 
-// execute performs the anonymization pipeline of one job against a
-// frozen snapshot of the dataset: appends racing the run bump the
-// registry version but never change what this job anonymizes.
+// execute performs the anonymization pipeline of one job. A batch job
+// runs against a frozen snapshot of the dataset: appends racing the run
+// bump the registry version but never change what this job anonymizes.
+// Windowed jobs take their snapshots inside executeWindows.
 func (m *Manager) execute(ctx context.Context, job *Job, spec JobSpec) (runOutcome, error) {
-	if spec.Follow {
-		// Follow jobs are not frozen at submission: the run re-snapshots
-		// the feed on every append wake-up inside its own loop.
-		return m.executeFollow(ctx, job, spec)
+	if spec.WindowHours > 0 {
+		return m.executeWindows(ctx, job, spec)
 	}
 	table, info, ok := m.reg.SnapshotSource(spec.DatasetID)
 	if !ok {
@@ -1061,28 +1028,13 @@ func (m *Manager) execute(ctx context.Context, job *Job, spec JobSpec) (runOutco
 	job.datasetVersion = info.Version
 	job.mu.Unlock()
 
-	if spec.WindowHours > 0 {
-		return m.executeWindowed(ctx, job, spec, table, info)
-	}
 	root := job.traceRoot()
-
-	planSpan := root.Child(obs.SpanPlan, "")
-	shards := planShards(table, info.Users, spec.K, spec.Shards, m.opt.ShardSeed)
-	// Resolve and publish the execution plan for the largest shard (one
-	// fingerprint per subscriber) so clients can see what the auto
-	// rules picked before the run finishes.
-	plan, err := core.PlanFor(maxShardUsers(shards), anonymizeOptions(spec, spec.Workers, nil))
+	shards, err := m.planJob(job, root, table, info.Users, spec)
 	if err != nil {
 		return runOutcome{}, err
 	}
-	planSpan.SetAttr("strategy", string(plan.Strategy))
-	planSpan.SetAttr("index", string(plan.Index))
-	planSpan.SetAttr("shards", len(shards))
-	job.emitSpan(obs.SpanPlan, "", planSpan.End())
-	m.tel.jobPlanned(&plan)
 	job.mu.Lock()
 	job.shardProgress = make([]float64, len(shards))
-	job.plan = &plan
 	job.mu.Unlock()
 
 	result, stats, err := runShards(ctx, shards, spec, nil, m.tel, root, job.setShardProgress)
@@ -1100,114 +1052,27 @@ func (m *Manager) execute(ctx context.Context, job *Job, spec JobSpec) (runOutco
 	return runOutcome{result: result, measured: result, stats: stats, anonFrac: anonFrac}, nil
 }
 
-// executeWindowed drives the continuous-release pipeline: the snapshot
-// is partitioned into time windows, each window runs the same sharded
-// pipeline a batch job uses (so a one-window job is byte-identical to
-// the batch run), and every completed window is committed — and
-// downloadable — before the next one starts. A failure or cancellation
-// mid-window never publishes that window.
-func (m *Manager) executeWindowed(ctx context.Context, job *Job, spec JobSpec, table cdr.Source, info DatasetInfo) (runOutcome, error) {
-	wins, err := table.WindowSplit(spec.WindowDuration())
+// planJob partitions src into shards under a plan span, then resolves
+// and publishes the execution plan of the largest shard (one
+// fingerprint per subscriber), so clients can see what the auto rules
+// picked before the run finishes.
+func (m *Manager) planJob(job *Job, root obs.ActiveSpan, src cdr.Source, users int, spec JobSpec) ([]cdr.Source, error) {
+	span := root.Child(obs.SpanPlan, "")
+	shards := planShards(src, users, spec.K, spec.Shards, m.opt.ShardSeed)
+	plan, err := core.PlanFor(maxShardUsers(shards), anonymizeOptions(spec, spec.Workers, nil))
 	if err != nil {
-		return runOutcome{}, err
+		span.End()
+		return nil, err
 	}
-	job.initWindows(wins)
-	root := job.traceRoot()
-	planSpan := root.Child(obs.SpanPlan, "")
-
-	// Dry-plan every window up front: publishes the plan of the largest
-	// run before work starts and rejects a window too sparse to
-	// k-anonymize before burning any quadratic time. sizeShards walks
-	// only distinct-user counts — no window's records are cloned into
-	// shard tables just to be measured and thrown away; each window
-	// materializes its shards lazily when its turn comes. The sizing
-	// replays planShards' clamp and back-off exactly, so the dry run and
-	// the real run agree (TestSizeShardsMatchesPlanShards).
-	userCounts := make([]int, len(wins))
-	maxUsers := 0
-	for wi, win := range wins {
-		users := win.Source.NumUsers()
-		if users < spec.K {
-			return runOutcome{}, fmt.Errorf(
-				"service: window %d (minutes [%g, %g)) hides %d users, cannot %d-anonymize; use a longer window",
-				win.Index, win.StartMinute, win.EndMinute, users, spec.K)
-		}
-		userCounts[wi] = users
-		if _, u := sizeShards(win.Source, users, spec.K, spec.Shards, m.opt.ShardSeed); u > maxUsers {
-			maxUsers = u
-		}
-	}
-	plan, err := core.PlanFor(maxUsers, anonymizeOptions(spec, spec.Workers, nil))
-	if err != nil {
-		return runOutcome{}, err
-	}
-	planSpan.SetAttr("strategy", string(plan.Strategy))
-	planSpan.SetAttr("index", string(plan.Index))
-	planSpan.SetAttr("windows", len(wins))
-	job.emitSpan(obs.SpanPlan, "", planSpan.End())
+	span.SetAttr("strategy", string(plan.Strategy))
+	span.SetAttr("index", string(plan.Index))
+	span.SetAttr("shards", len(shards))
+	job.emitSpan(obs.SpanPlan, "", span.End())
 	m.tel.jobPlanned(&plan)
 	job.mu.Lock()
 	job.plan = &plan
 	job.mu.Unlock()
-
-	total := &core.GloveStats{}
-	releases := make([]*core.Dataset, 0, len(wins))
-	// Consecutive windows reuse warm engine sessions: the pool recycles
-	// each shard worker's index storage into the next window.
-	pool := core.NewSessionPool()
-	for wi, win := range wins {
-		if err := ctx.Err(); err != nil {
-			return runOutcome{}, err
-		}
-		wname := fmt.Sprintf("w%d", win.Index)
-		wspan := root.Child(obs.SpanWindow, wname)
-		wspan.SetAttr("records", win.Source.NumRecords())
-		wspan.SetAttr("users", userCounts[wi])
-		shards := planShards(win.Source, userCounts[wi], spec.K, spec.Shards, m.opt.ShardSeed)
-		job.startWindow(wi, len(shards))
-		out, stats, err := runShards(ctx, shards, spec, pool, m.tel, wspan, func(shard int, frac float64) {
-			job.setWindowShardProgress(wi, shard, frac)
-		})
-		if err != nil {
-			wspan.End()
-			return runOutcome{}, fmt.Errorf("service: window %d: %w", wins[wi].Index, err)
-		}
-		vspan := wspan.Child(obs.SpanValidate, "")
-		verr := core.ValidateKAnonymity(out, spec.K)
-		vspan.End()
-		if verr != nil {
-			wspan.End()
-			return runOutcome{}, fmt.Errorf("service: window %d failed validation: %w", wins[wi].Index, verr)
-		}
-		wspan.SetAttr("groups", out.Len())
-		job.commitWindow(wi, out, stats)
-		job.emitSpan(obs.SpanWindow, wname, wspan.End())
-		m.tel.windowCommitted(wspan.End())
-		m.agg.Lock()
-		m.agg.windowReleases++
-		m.agg.Unlock()
-		total.Add(stats)
-		releases = append(releases, out)
-	}
-
-	var fps []*core.Fingerprint
-	for _, rel := range releases {
-		fps = append(fps, rel.Fingerprints...)
-	}
-	measured := &core.Dataset{Fingerprints: fps}
-	total.OutputFingerprints = measured.Len()
-	total.OutputSamples = measured.TotalSamples()
-
-	outcome := runOutcome{
-		measured: measured,
-		stats:    total,
-		anonFrac: m.anonymizability(ctx, table, spec),
-		linkage:  m.crossWindowLinkage(ctx, wins, releases, spec),
-	}
-	if len(releases) == 1 {
-		outcome.result = releases[0]
-	}
-	return outcome, nil
+	return shards, nil
 }
 
 // maxShardUsers returns the subscriber count of the largest shard.
@@ -1219,51 +1084,6 @@ func maxShardUsers(shards []cdr.Source) int {
 		}
 	}
 	return max
-}
-
-// Cross-window linkage probe budget: h samples of adversary knowledge
-// per window, and how many shared subscribers are attacked per
-// consecutive release pair.
-const (
-	linkageKnownSamples = 4
-	linkageProbes       = 200
-)
-
-// crossWindowLinkage measures residual cross-release linkability of a
-// finished windowed run (nil for single-window runs, on cancellation,
-// or for inputs above the analysis cap).
-func (m *Manager) crossWindowLinkage(ctx context.Context, wins []cdr.SourceWindow, releases []*core.Dataset, spec JobSpec) *analysis.LinkageResult {
-	if len(releases) < 2 || ctx.Err() != nil {
-		return nil
-	}
-	originals := make([]*core.Dataset, len(wins))
-	totalUsers := 0
-	for i, win := range wins {
-		ds, err := win.Source.BuildDataset()
-		if err != nil {
-			return nil
-		}
-		originals[i] = ds
-		totalUsers += ds.Len()
-	}
-	if totalUsers > m.opt.AnalysisMaxFingerprints {
-		return nil
-	}
-	// Seeded deterministically so repeated identical jobs report the
-	// same measurement.
-	rng := rand.New(rand.NewSource(int64(m.opt.ShardSeed) + 1))
-	res, err := analysis.CrossWindowLinkage(originals, releases, linkageKnownSamples, linkageProbes, rng, spec.Workers)
-	if err != nil {
-		return nil
-	}
-	// Relabel pairs with the absolute window indices the rest of the
-	// API uses (WindowStatus.Index, /windows/{w}/result); consecutive
-	// releases may span a gap of empty windows, which the relabeled
-	// indices make visible.
-	for i := range res.Pairs {
-		res.Pairs[i].Window = wins[i].Index
-	}
-	return &res
 }
 
 // completedDetailCap bounds the per-job detail list of the JSON metrics
@@ -1348,8 +1168,8 @@ func (m *Manager) Trace(id string) (api.JobTrace, error) {
 // GLOVE ran. The pass is quadratic, so it is skipped (nil) for inputs
 // above the configured cap or when the analysis fails.
 func (m *Manager) anonymizability(ctx context.Context, table cdr.Source, spec JobSpec) *float64 {
-	// table is nil when a recovered follow job finishes before taking a
-	// fresh snapshot (its window budget was already met at restore).
+	// table is nil when a windowed job's dataset disappeared before its
+	// run could snapshot it.
 	if table == nil || ctx.Err() != nil {
 		return nil
 	}

@@ -50,64 +50,6 @@ func planShards(t cdr.Source, users, k, requested int, seed uint64) []cdr.Source
 	return t.UserShards(1, seed)
 }
 
-// sizeShards predicts planShards' outcome without materializing any
-// shard: the same clamp and geometric back-off, evaluated over per-shard
-// distinct-user COUNTS (one pass collecting user names, then
-// cdr.ShardOfUser per candidate count) instead of full record-cloned
-// shard tables. The windowed dry-plan loop uses it to size every window
-// up front — previously that loop cloned each window's records once per
-// halving attempt and threw all of it away. Returns the effective shard
-// count (empty shards dropped, as planShards drops them) and the
-// subscriber count of the largest shard (the planner's sizing input).
-// sizeShards(t, ...) == (len(s), maxShardUsers(s)) for s := planShards(t, ...)
-// — pinned by TestSizeShardsMatchesPlanShards.
-func sizeShards(t cdr.Source, users, k, requested int, seed uint64) (shards, maxUsers int) {
-	max := users / (2 * k)
-	if max < 1 {
-		max = 1
-	}
-	n := requested
-	if n <= 0 {
-		n = parallel.DefaultWorkers()
-	}
-	if n > max {
-		n = max
-	}
-	if n <= 1 {
-		return 1, users
-	}
-	names := make(map[string]struct{}, users)
-	_ = t.EachRecord(func(r cdr.Record) error {
-		names[r.User] = struct{}{}
-		return nil
-	})
-	for ; n > 1; n /= 2 {
-		counts := make([]int, n)
-		for u := range names {
-			counts[cdr.ShardOfUser(u, n, seed)]++
-		}
-		ok := true
-		nonEmpty, largest := 0, 0
-		for _, c := range counts {
-			if c == 0 {
-				continue
-			}
-			nonEmpty++
-			if c > largest {
-				largest = c
-			}
-			if c < k {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			return nonEmpty, largest
-		}
-	}
-	return 1, users
-}
-
 // shardResult is the outcome of anonymizing one shard.
 type shardResult struct {
 	out   *core.Dataset

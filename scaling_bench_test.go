@@ -118,7 +118,7 @@ func BenchmarkScalingColstore(b *testing.B) {
 		}); err != nil {
 			b.Fatal(err)
 		}
-		wins, err := v.WindowSplit(24 * time.Hour)
+		wins, err := v.TailWindows(0, 24*time.Hour)
 		if err != nil {
 			b.Fatal(err)
 		}
