@@ -60,8 +60,10 @@ bench:
 # window's new-data volume, not the total feed size (DESIGN.md Sec. 12).
 # BenchmarkWALAppend pins the durability tax: the per-record journal
 # append/commit cost every mutation now pays (DESIGN.md Sec. 13).
+# BenchmarkAnonymizability pins the finish-time k-gap analysis: the full
+# pass against the thresholded one gloved runs (DESIGN.md Sec. 8).
 bench-json:
-	$(GO) test -run=^$$ -bench='BenchmarkAblation|BenchmarkFingerprintEffortKernel|BenchmarkEffortKernel|BenchmarkScaling|BenchmarkWindowCommit|BenchmarkWAL' \
+	$(GO) test -run=^$$ -bench='BenchmarkAblation|BenchmarkAnonymizability|BenchmarkFingerprintEffortKernel|BenchmarkEffortKernel|BenchmarkScaling|BenchmarkWindowCommit|BenchmarkWAL' \
 		-benchtime=1x -timeout=30m -json . ./internal/core ./internal/wal > BENCH_glove.json
 
 # profile writes a CPU pprof of the k=2 civ GLOVE run (the

@@ -15,9 +15,11 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/analysis"
 	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/obs"
+	"repro/internal/synth"
 )
 
 // benchScale is the fixed workload used by the figure/table benchmarks.
@@ -279,6 +281,40 @@ func BenchmarkAblationPruning(b *testing.B) {
 	b.Run("exhaustive", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if _, err := core.KGapAllNoPruning(p, d, 2, 0); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
+// gloved's anonymizability question on a windowed-week-sized input
+// (250 CIV subscribers over 7 days): the full k-gap pass the experiments
+// run for the CDF of Figs. 3-4, then the anonymous fraction, against the
+// thresholded pass that decides only whether each k-gap is zero.
+func BenchmarkAnonymizability(b *testing.B) {
+	cfg := synth.CIV(250)
+	cfg.Days = 7
+	table, _, _, err := synth.Generate(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	d, err := table.BuildDataset()
+	if err != nil {
+		b.Fatal(err)
+	}
+	p := core.DefaultParams()
+	b.Run("full", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			_, rs, err := analysis.KGapCDF(p, d, 2, 0)
+			if err != nil {
+				b.Fatal(err)
+			}
+			analysis.AnonymousFraction(rs)
+		}
+	})
+	b.Run("thresholded", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, err := core.KGapAnonymousFraction(p, d, 2, 0); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -169,15 +169,15 @@ func KGapCDF(p core.Params, d *core.Dataset, k, workers int) (*stats.ECDF, []cor
 }
 
 // AnonymousFraction returns the fraction of fingerprints whose k-gap is
-// (numerically) zero, i.e. already k-anonymous — what Fig. 4 reports
-// under increasing generalization.
+// (numerically) zero, at most core.AnonymousKGap, i.e. already
+// k-anonymous — what Fig. 4 reports under increasing generalization.
 func AnonymousFraction(rs []core.KGapResult) float64 {
 	if len(rs) == 0 {
 		return 0
 	}
 	var n int
 	for _, r := range rs {
-		if r.KGap <= 1e-12 {
+		if r.KGap <= core.AnonymousKGap {
 			n++
 		}
 	}

@@ -252,8 +252,12 @@ type JobStatus struct {
 	Stats    *core.GloveStats `json:"stats,omitempty"`
 	Accuracy *metrics.Summary `json:"accuracy,omitempty"`
 	// AnonymousFraction is the fraction of input fingerprints that were
-	// already k-anonymous (Sec. 5 k-gap analysis); nil when the input
-	// was too large for the quadratic analysis pass.
+	// already k-anonymous (Sec. 5 k-gap analysis), computed by a
+	// thresholded pass that decides only whether each k-gap is zero; it
+	// equals the full pass's fraction bit for bit. A windowed job's
+	// input is its committed windows, so a follow job's fraction
+	// excludes the window still open when it stopped. nil when the input
+	// was too large for the quadratic pass.
 	AnonymousFraction *float64 `json:"anonymous_fraction,omitempty"`
 }
 

@@ -57,8 +57,9 @@ type WindowEvent struct {
 }
 
 // SpanEvent summarizes one completed trace span in the event log. Only
-// coarse per-job phases are summarized (plan, each window, validate) —
-// per-shard spans stay in the trace tree so the event log stays small.
+// coarse per-job phases are summarized (plan, each window, validate,
+// analysis) — per-shard spans stay in the trace tree so the event log
+// stays small.
 type SpanEvent struct {
 	// Kind is the span vocabulary entry (obs.SpanKinds); append-only.
 	Kind string `json:"kind"`

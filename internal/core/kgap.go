@@ -25,16 +25,46 @@ type KGapResult struct {
 //
 // k must be at least 2 and at most the number of fingerprints.
 func KGapAll(p Params, d *Dataset, k, workers int) ([]KGapResult, error) {
-	return kGapAll(p, d, k, workers, true)
+	return kGapAll(p, d, k, workers, true, math.Inf(1))
 }
 
 // KGapAllNoPruning is KGapAll with the bounding-volume pruning disabled;
 // it exists for the pruning ablation and must return identical results.
 func KGapAllNoPruning(p Params, d *Dataset, k, workers int) ([]KGapResult, error) {
-	return kGapAll(p, d, k, workers, false)
+	return kGapAll(p, d, k, workers, false, math.Inf(1))
 }
 
-func kGapAll(p Params, d *Dataset, k, workers int, prune bool) ([]KGapResult, error) {
+// AnonymousKGap is the k-gap at or below which a fingerprint counts as
+// already k-anonymous: (numerically) zero, the anonymous share Fig. 4
+// reports under increasing generalization.
+const AnonymousKGap = 1e-12
+
+// KGapAnonymousFraction returns the fraction of fingerprints whose k-gap is
+// at most AnonymousKGap — bit for bit the fraction KGapAll's results
+// give — without computing any k-gap above it. The mean of the k-1
+// lowest efforts stays at or below AnonymousKGap only if every one of
+// them does, so the scan admits only efforts below a ceiling of
+// k·AnonymousKGap (the margin absorbs rounding) and early-exits every
+// other pair: a fingerprint with fewer than k-1 admitted neighbours is
+// not anonymous, and one with a full list has exactly KGapAll's list,
+// k-gap and verdict.
+//
+// Arguments are those of KGapAll.
+func KGapAnonymousFraction(p Params, d *Dataset, k, workers int) (float64, error) {
+	rs, err := kGapAll(p, d, k, workers, true, float64(k)*AnonymousKGap)
+	if err != nil {
+		return 0, err
+	}
+	var n int
+	for _, r := range rs {
+		if len(r.Nearest) == k-1 && r.KGap <= AnonymousKGap {
+			n++
+		}
+	}
+	return float64(n) / float64(len(rs)), nil
+}
+
+func kGapAll(p Params, d *Dataset, k, workers int, prune bool, ceiling float64) ([]KGapResult, error) {
 	n := d.Len()
 	if k < 2 {
 		return nil, fmt.Errorf("core: k = %d, need k >= 2", k)
@@ -56,60 +86,53 @@ func kGapAll(p Params, d *Dataset, k, workers int, prune bool) ([]KGapResult, er
 		})
 	}
 	results := parallel.Map(n, workers, func(i int) KGapResult {
-		return kGapOne(p, d, i, k, views)
+		return kGapOne(p, d, i, k, views, ceiling)
 	})
 	return results, nil
 }
 
 // kGapOne computes Δ^k_a for fingerprint i by scanning all other
-// fingerprints and keeping the k-1 lowest efforts. If views is non-nil,
-// pairs whose bounding-volume effort lower bound already exceeds the
-// current k-1-th best are skipped outright, and the remaining pairs run
-// the pruned kernel thresholded at that best, early-exiting provably
-// worse pairs mid-evaluation; the result is unchanged because only
-// pairs that cannot enter the top k-1 are pruned.
-func kGapOne(p Params, d *Dataset, i, k int, views []*fpView) KGapResult {
+// fingerprints and keeping the k-1 lowest efforts strictly below
+// ceiling (+Inf admits every pair). A pair must beat the bound min(ceiling,
+// current k-1-th best), the latter only once the list is full. If views
+// is non-nil, pairs whose bounding-volume effort lower bound already
+// reaches that bound are skipped outright, and the remaining pairs run
+// the pruned kernel thresholded at it, early-exiting provably worse
+// pairs mid-evaluation; the result is unchanged because only pairs that
+// cannot enter the list are pruned.
+func kGapOne(p Params, d *Dataset, i, k int, views []*fpView, ceiling float64) KGapResult {
 	a := d.Fingerprints[i]
 	type pair struct {
 		idx    int
 		effort float64
 	}
 	best := make([]pair, 0, k) // kept sorted ascending by effort, max k-1 entries
-	worst := func() float64 {
-		if len(best) < k-1 {
-			return 2 // efforts are <= 1, so 2 means "accept anything"
-		}
-		return best[len(best)-1].effort
-	}
 	for j, b := range d.Fingerprints {
 		if j == i {
 			continue
 		}
-		w := worst()
+		// While the list is still filling, only the ceiling bounds the
+		// kernel: every effort below it must be admitted exactly.
+		bound := ceiling
+		if len(best) == k-1 {
+			bound = math.Min(bound, best[len(best)-1].effort)
+		}
 		var e float64
 		if views != nil {
-			thr := math.Inf(1)
-			if len(best) == k-1 {
-				if p.EffortLowerBound(views[i].bounds, views[j].bounds) >= w {
-					continue
-				}
-				// Only a full list bounds the kernel: while it is still
-				// filling, every effort must be admitted exactly (the
-				// w = 2 sentinel is no true bound for non-normalized
-				// weights, where efforts may exceed it).
-				thr = w
+			if p.EffortLowerBound(views[i].bounds, views[j].bounds) >= bound {
+				continue
 			}
 			var below bool
-			e, below = p.effortBelowViews(views[i], views[j], thr)
+			e, below = p.effortBelowViews(views[i], views[j], bound)
 			if !below {
-				// True effort strictly above the k-1-th best: it cannot
-				// enter the list.
+				// True effort strictly above the bound: it cannot enter
+				// the list.
 				continue
 			}
 		} else {
 			e = p.FingerprintEffort(a, b)
 		}
-		if e >= w && len(best) == k-1 {
+		if e >= bound {
 			continue
 		}
 		pos := sort.Search(len(best), func(m int) bool { return best[m].effort > e })

@@ -18,12 +18,13 @@ const (
 	SpanIndexBuild SpanKind = "index_build"
 	SpanMerge      SpanKind = "merge"
 	SpanValidate   SpanKind = "validate"
+	SpanAnalysis   SpanKind = "analysis"
 )
 
 // SpanKinds lists every registered kind; tests pin that emitted spans
 // stay within this vocabulary.
 func SpanKinds() []SpanKind {
-	return []SpanKind{SpanJob, SpanPlan, SpanWindow, SpanShard, SpanIndexBuild, SpanMerge, SpanValidate}
+	return []SpanKind{SpanJob, SpanPlan, SpanWindow, SpanShard, SpanIndexBuild, SpanMerge, SpanValidate, SpanAnalysis}
 }
 
 // Span is an immutable snapshot of one recorded span, JSON-shaped for

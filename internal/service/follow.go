@@ -139,12 +139,24 @@ func (m *Manager) executeWindows(ctx context.Context, job *Job, spec JobSpec) (r
 		measured := &core.Dataset{Fingerprints: fps}
 		total.OutputFingerprints = measured.Len()
 		total.OutputSamples = measured.TotalSamples()
+		// Both measurements cover exactly the released windows: a live
+		// feed's last snapshot also holds the open window, and after a
+		// restart records appended since, none of which were released.
+		aspan := root.Child(obs.SpanAnalysis, "")
+		srcs := committedWindows(lastSnap, d, indices)
+		var input cdr.Source
+		if len(srcs) > 0 {
+			if table, err := cdr.MaterializeTable(srcs...); err == nil {
+				input = table
+			}
+		}
 		outcome := runOutcome{
 			measured: measured,
 			stats:    total,
-			anonFrac: m.anonymizability(ctx, lastSnap, spec),
-			linkage:  m.crossWindowLinkage(ctx, lastSnap, d, indices, releases, spec),
+			anonFrac: m.anonymizability(ctx, aspan, input, spec),
+			linkage:  m.crossWindowLinkage(ctx, srcs, indices, releases, spec),
 		}
+		job.emitSpan(obs.SpanAnalysis, "", aspan.End())
 		if len(releases) == 1 {
 			outcome.result = releases[0]
 		}
@@ -367,13 +379,12 @@ const (
 	linkageProbes       = 200
 )
 
-// crossWindowLinkage measures residual cross-release linkability of a
-// finished windowed run: the originals are the committed windows of the
-// last snapshot, re-bucketed, so nothing is retained during the run.
-// nil for runs with fewer than two releases, on cancellation, or for
-// inputs above the analysis cap.
-func (m *Manager) crossWindowLinkage(ctx context.Context, snap cdr.Source, d time.Duration, indices []int, releases []*core.Dataset, spec JobSpec) *analysis.LinkageResult {
-	if len(releases) < 2 || snap == nil || ctx.Err() != nil {
+// committedWindows buckets snap once and returns the source of each
+// committed window, in release order (indices). nil when there is no
+// snapshot, the bucketing fails, or the snapshot lacks a committed
+// window.
+func committedWindows(snap cdr.Source, d time.Duration, indices []int) []cdr.Source {
+	if snap == nil {
 		return nil
 	}
 	wins, err := snap.TailWindows(0, d)
@@ -385,13 +396,27 @@ func (m *Manager) crossWindowLinkage(ctx context.Context, snap cdr.Source, d tim
 		byIndex[w.Index] = w.Source
 	}
 	srcs := make([]cdr.Source, len(indices))
-	totalUsers := 0
 	for i, idx := range indices {
 		src, ok := byIndex[idx]
 		if !ok {
 			return nil
 		}
 		srcs[i] = src
+	}
+	return srcs
+}
+
+// crossWindowLinkage measures residual cross-release linkability of a
+// finished windowed run: srcs are the originals of the committed
+// windows (committedWindows), so nothing is retained during the run.
+// nil for runs with fewer than two releases, on cancellation, or for
+// inputs above the analysis cap.
+func (m *Manager) crossWindowLinkage(ctx context.Context, srcs []cdr.Source, indices []int, releases []*core.Dataset, spec JobSpec) *analysis.LinkageResult {
+	if len(releases) < 2 || len(srcs) != len(releases) || ctx.Err() != nil {
+		return nil
+	}
+	totalUsers := 0
+	for _, src := range srcs {
 		totalUsers += src.NumUsers()
 	}
 	if totalUsers > m.opt.AnalysisMaxFingerprints {
@@ -399,6 +424,7 @@ func (m *Manager) crossWindowLinkage(ctx context.Context, snap cdr.Source, d tim
 	}
 	originals := make([]*core.Dataset, len(srcs))
 	for i, src := range srcs {
+		var err error
 		if originals[i], err = src.BuildDataset(); err != nil {
 			return nil
 		}

@@ -120,8 +120,8 @@ func (j *Job) traceRoot() obs.ActiveSpan {
 	return j.trace.Root()
 }
 
-// emitSpan appends a span summary event (plan, window, validate) to the
-// job's event log.
+// emitSpan appends a span summary event (plan, window, validate,
+// analysis) to the job's event log.
 func (j *Job) emitSpan(kind obs.SpanKind, name string, d time.Duration) {
 	j.mu.Lock()
 	defer j.mu.Unlock()

@@ -1048,7 +1048,9 @@ func (m *Manager) execute(ctx context.Context, job *Job, spec JobSpec) (runOutco
 		return runOutcome{}, fmt.Errorf("service: published dataset failed validation: %w", verr)
 	}
 
-	anonFrac := m.anonymizability(ctx, table, spec)
+	aspan := root.Child(obs.SpanAnalysis, "")
+	anonFrac := m.anonymizability(ctx, aspan, table, spec)
+	job.emitSpan(obs.SpanAnalysis, "", aspan.End())
 	return runOutcome{result: result, measured: result, stats: stats, anonFrac: anonFrac}, nil
 }
 
@@ -1163,24 +1165,40 @@ func (m *Manager) Trace(id string) (api.JobTrace, error) {
 	return api.JobTrace{JobID: id, State: state, Root: tr.Snapshot()}, nil
 }
 
-// anonymizability runs the k-gap analysis of Sec. 5 on the job's input,
-// reporting the fraction of fingerprints that were k-anonymous before
-// GLOVE ran. The pass is quadratic, so it is skipped (nil) for inputs
-// above the configured cap or when the analysis fails.
-func (m *Manager) anonymizability(ctx context.Context, table cdr.Source, spec JobSpec) *float64 {
-	// table is nil when a windowed job's dataset disappeared before its
-	// run could snapshot it.
-	if table == nil || ctx.Err() != nil {
+// anonymizability measures the fraction of the input's fingerprints
+// that were k-anonymous before GLOVE ran: the k-gap analysis of Sec. 5,
+// by its thresholded pass (core.KGapAnonymousFraction). It records on
+// span how many fingerprints the input holds and, when the pass does
+// not run, why: "cancelled", "too_small" (fewer than k fingerprints, or
+// no input — a dataset that disappeared before the run could snapshot
+// it) or "cap" (above AnalysisMaxFingerprints). nil when skipped or
+// when the analysis fails.
+func (m *Manager) anonymizability(ctx context.Context, span obs.ActiveSpan, src cdr.Source, spec JobSpec) *float64 {
+	users := 0
+	if src != nil {
+		users = src.NumUsers()
+	}
+	span.SetAttr("fingerprints", users)
+	skip := ""
+	switch {
+	case ctx.Err() != nil:
+		skip = "cancelled"
+	case users < spec.K:
+		skip = "too_small"
+	case users > m.opt.AnalysisMaxFingerprints:
+		skip = "cap"
+	}
+	if skip != "" {
+		span.SetAttr("skipped", skip)
 		return nil
 	}
-	ds, err := table.BuildDataset()
-	if err != nil || ds.Len() < spec.K || ds.Len() > m.opt.AnalysisMaxFingerprints {
-		return nil
-	}
-	_, kgaps, err := analysis.KGapCDF(core.DefaultParams(), ds, spec.K, spec.Workers)
+	ds, err := src.BuildDataset()
 	if err != nil {
 		return nil
 	}
-	frac := analysis.AnonymousFraction(kgaps)
+	frac, err := core.KGapAnonymousFraction(core.DefaultParams(), ds, spec.K, spec.Workers)
+	if err != nil {
+		return nil
+	}
 	return &frac
 }

@@ -220,6 +220,33 @@ func TestJobTraceEndpoint(t *testing.T) {
 	if kinds[obs.SpanValidate] < 1 {
 		t.Errorf("validate spans = %d, want >= 1", kinds[obs.SpanValidate])
 	}
+
+	// The finish-time measurements run under exactly one analysis span,
+	// a child of the root opened after the last window.
+	lastWindow, analysisAt := -1, -1
+	for i, c := range root.Children {
+		switch c.Kind {
+		case obs.SpanWindow:
+			lastWindow = i
+		case obs.SpanAnalysis:
+			if analysisAt >= 0 {
+				t.Error("more than one analysis span under the root")
+			}
+			analysisAt = i
+			if _, ok := c.Attrs["fingerprints"]; !ok {
+				t.Error("analysis span has no fingerprints attr")
+			}
+			if skipped, ok := c.Attrs["skipped"]; ok {
+				t.Errorf("analysis of a 40-user job skipped: %v", skipped)
+			}
+		}
+	}
+	if kinds[obs.SpanAnalysis] != 1 || analysisAt < 0 {
+		t.Fatalf("analysis spans = %d (root child at %d), want exactly one root child", kinds[obs.SpanAnalysis], analysisAt)
+	}
+	if analysisAt < lastWindow {
+		t.Errorf("analysis span is root child %d, before the last window span at %d", analysisAt, lastWindow)
+	}
 }
 
 // TestJobTraceNotFound pins the stable error code for a job that never
@@ -258,7 +285,7 @@ func TestJobTraceNotFound(t *testing.T) {
 }
 
 // TestSpanEventsInStream verifies the SSE stream summarizes the coarse
-// trace phases as span events: plan and every window.
+// trace phases as span events: plan, every window and the analysis.
 func TestSpanEventsInStream(t *testing.T) {
 	srv, _ := newTestServer(t)
 	table := synthTable(t, 40, 2)
@@ -272,7 +299,7 @@ func TestSpanEventsInStream(t *testing.T) {
 	}
 	defer resp.Body.Close()
 	spanFrames := 0
-	planSeen := false
+	planSeen, analysisSeen := false, false
 	sc := bufio.NewScanner(resp.Body)
 	for sc.Scan() {
 		line := sc.Text()
@@ -282,12 +309,18 @@ func TestSpanEventsInStream(t *testing.T) {
 		if strings.HasPrefix(line, "data: ") && strings.Contains(line, `"kind":"plan"`) {
 			planSeen = true
 		}
+		if strings.HasPrefix(line, "data: ") && strings.Contains(line, `"kind":"analysis"`) {
+			analysisSeen = true
+		}
 	}
 	if !planSeen {
 		t.Error("no plan span event in the stream")
 	}
-	if want := 1 + len(final.Windows); spanFrames != want {
-		t.Errorf("span events = %d, want %d (plan + one per window)", spanFrames, want)
+	if !analysisSeen {
+		t.Error("no analysis span event in the stream")
+	}
+	if want := 2 + len(final.Windows); spanFrames != want {
+		t.Errorf("span events = %d, want %d (plan + one per window + analysis)", spanFrames, want)
 	}
 }
 
