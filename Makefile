@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet fmt lint lint-vocab test race crash-e2e bench bench-json profile profile-1m expolint check
+.PHONY: all build vet fmt lint lint-vocab test race race-repeat crash-e2e bench bench-json profile profile-1m expolint check
 
 all: check
 
@@ -32,6 +32,14 @@ test:
 
 race:
 	$(GO) test -race ./internal/service/ ./internal/parallel/ ./internal/core/ ./internal/obs/ ./internal/colstore/ ./internal/cdr/ ./internal/wal/ ./internal/faultinject/ ./internal/lint/ ./pkg/client/ ./cmd/glovectl/
+
+# race-repeat reruns, 20 times under the race detector, the tests that
+# once passed or failed by scheduling luck: warm == cold kernel
+# accounting at Workers: 2, and registry appends that a concurrent
+# snapshot or a refused journal write must not observe.
+race-repeat:
+	$(GO) test -race -count=20 -run 'TestSessionWarmEqualsCold' ./internal/core/
+	$(GO) test -race -count=20 -run 'TestAppendInvisibleToMidStreamSnapshot|TestAppendJournalFailureLeavesDatasetUnchanged' ./internal/service/
 
 # crash-e2e runs the kill/restart fault-injection matrix against a real
 # gloved binary built with the faultinject tag: torn WAL writes,

@@ -30,8 +30,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		queueLimit  = fs.Int("queue-limit", 256, "queued job limit")
 		workers     = fs.Int("workers", 0, "per-job worker count (0 = all CPUs)")
 		maxRecords  = fs.Int("max-records", 0, "per-dataset record limit (0 = unlimited)")
-		columnar    = fs.Bool("columnar", false, "store datasets in the memory-bounded columnar backend")
-		colBudget   = fs.Int64("columnar-budget-mb", 0, "resident column bytes per columnar dataset, in MiB; overflow spills to disk (0 = unbounded)")
+		colBudget   = fs.Int64("columnar-budget-mb", 0, "resident column bytes per dataset, in MiB; overflow spills to disk (0 = unbounded)")
 		colSpillDir = fs.String("columnar-spill-dir", "", "directory for columnar spill files (empty = system temp)")
 		maxBody     = fs.Int64("max-body-bytes", 0, "per-ingestion body byte limit (0 = unlimited)")
 		analysisCap = fs.Int("analysis-cap", 2000, "max input fingerprints for the k-gap analysis pass")
@@ -132,7 +131,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 
 	reg := service.NewRegistry()
 	reg.MaxRecords = *maxRecords
-	reg.Columnar = *columnar
 	reg.ColumnarByteBudget = *colBudget << 20
 	reg.ColumnarSpillDir = spillDir
 	// Deferred before mgr.Close so the spill files outlive job shutdown.

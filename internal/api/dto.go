@@ -303,19 +303,19 @@ type MetricsReport struct {
 	// Runtime snapshots process health (goroutines, heap, GC, uptime,
 	// boot id) so restarts and leaks are visible without a scraper.
 	Runtime obs.RuntimeInfo `json:"runtime"`
-	// Colstore snapshots the memory-bounded columnar storage tier;
-	// omitted entirely on daemons running the in-memory table backend.
+	// Colstore snapshots the memory-bounded columnar store that holds
+	// every dataset.
 	Colstore *ColstoreInfo `json:"colstore,omitempty"`
 	// Durability snapshots the write-ahead journal behind gloved
 	// -data-dir; omitted entirely on daemons running without one.
 	Durability *DurabilityInfo `json:"durability,omitempty"`
 }
 
-// ColstoreInfo snapshots the columnar storage tier of the dataset
-// registry (gloved -columnar): the live resident/spilled footprint and
-// the cumulative spill-path traffic since boot.
+// ColstoreInfo snapshots the columnar store of the dataset registry:
+// the live resident/spilled footprint and the cumulative spill-path
+// traffic since boot.
 type ColstoreInfo struct {
-	// Datasets counts the registered columnar-backed datasets.
+	// Datasets counts the registered datasets.
 	Datasets int `json:"datasets"`
 	// ResidentBytes is the column bytes currently held in memory across
 	// all columnar stores; bounded by the per-dataset byte budget.

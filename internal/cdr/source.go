@@ -12,12 +12,13 @@ import (
 )
 
 // Source is the read seam between dataset storage and the anonymization
-// pipeline. The service historically handed *Table values around; the
-// columnar store (internal/colstore) serves the same operations by
-// streaming over column chunks without ever materializing []Record, so
-// everything downstream of a registry snapshot — planning, sharding,
-// window splitting, fingerprint building — consumes this interface
-// instead of a concrete table.
+// pipeline. Registry snapshots are views of the columnar store
+// (internal/colstore), which serves every operation by streaming over
+// column chunks without ever materializing []Record; *Table implements
+// it too, as the type of windows fused from several fragments by
+// MaterializeTable. Everything downstream of a registry snapshot —
+// planning, sharding, window splitting, fingerprint building — consumes
+// this interface instead of a concrete type.
 //
 // Implementations must be safe for concurrent readers: a snapshot is
 // shared by every shard worker of a job. All derived sources (windows,
@@ -85,7 +86,7 @@ type SourceWindow struct {
 
 // ShardOfUser returns the shard a subscriber is assigned to by the
 // user-hash sharding scheme — shared by Table.ShardByUser and the
-// columnar store so both backends produce identical shard assignments.
+// columnar store so both produce identical shard assignments.
 func ShardOfUser(user string, shards int, seed uint64) int {
 	return int(userHash(user, seed) % uint64(shards))
 }

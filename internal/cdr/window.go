@@ -12,9 +12,8 @@ import (
 // Continuous publication (the operator workflow the paper's Sec. 1
 // motivates) releases a long record feed as a sequence of time-windowed
 // datasets, each anonymized independently. This file provides the
-// building blocks: incremental appends to a growing table, cheap
-// copy-on-write snapshots so releases run against a frozen version of
-// the feed, and the time-window partitioner itself.
+// building blocks: incremental appends to a growing table and the
+// time-window partitioner itself.
 
 // Append validates and appends records to the table in place. The table
 // is left unchanged when any record is invalid, so a partially bad batch
@@ -27,16 +26,6 @@ func (t *Table) Append(recs ...Record) error {
 	}
 	t.Records = append(t.Records, recs...)
 	return nil
-}
-
-// Snapshot returns a frozen view of the table at its current length.
-// The record slice is shared, not copied, with its capacity clamped to
-// its length: a later Append to the parent table reallocates (or writes
-// past the snapshot's reach) instead of mutating records the snapshot
-// can see, so snapshots are safe to read concurrently with appends.
-func (t *Table) Snapshot() *Table {
-	n := len(t.Records)
-	return &Table{Records: t.Records[:n:n], Center: t.Center, SpanDays: t.SpanDays}
 }
 
 // Window is one time slice of a table produced by SplitByWindow.

@@ -34,26 +34,6 @@ func TestAppend(t *testing.T) {
 	}
 }
 
-func TestSnapshotIsolation(t *testing.T) {
-	tab := windowTable(nil)
-	if err := tab.Append(windowRec("a", 0), windowRec("b", 10)); err != nil {
-		t.Fatal(err)
-	}
-	snap := tab.Snapshot()
-	if err := tab.Append(windowRec("c", 20), windowRec("d", 30), windowRec("e", 40)); err != nil {
-		t.Fatal(err)
-	}
-	if len(snap.Records) != 2 {
-		t.Fatalf("snapshot grew to %d records after parent append", len(snap.Records))
-	}
-	if snap.Records[0].User != "a" || snap.Records[1].User != "b" {
-		t.Fatalf("snapshot records changed: %+v", snap.Records)
-	}
-	if len(tab.Records) != 5 {
-		t.Fatalf("parent has %d records, want 5", len(tab.Records))
-	}
-}
-
 func TestSplitByWindow(t *testing.T) {
 	// Two records in window 0, one exactly on the boundary (goes to
 	// window 1), none in window 2, one in window 3.

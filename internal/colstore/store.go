@@ -104,10 +104,16 @@ type Store struct {
 	// the duration of a stream.
 	appendMu sync.Mutex
 
-	mu       sync.Mutex
-	chunks   []*chunk
-	n        int      // committed records
-	dict     []string // user id -> identifier
+	mu     sync.Mutex
+	chunks []*chunk
+	// n and users are the published record count and dictionary length:
+	// everything readers (Snapshot, Len, Users, Stats) see. An append in
+	// flight writes rows and dictionary entries beyond them and publishes
+	// both at once when it ends, so a rollback only ever touches rows no
+	// reader can reference.
+	n        int
+	users    int
+	dict     []string // user id -> identifier, including staged entries
 	dictIdx  map[string]uint32
 	resident int64 // resident column bytes
 	clock    int64 // LRU clock
@@ -154,7 +160,7 @@ func (s *Store) Len() int {
 func (s *Store) Users() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return len(s.dict)
+	return s.users
 }
 
 // Stats is a point-in-time snapshot of the store's footprint.
@@ -173,7 +179,7 @@ func (s *Store) Stats() Stats {
 	defer s.mu.Unlock()
 	st := Stats{
 		Records:       s.n,
-		Users:         len(s.dict),
+		Users:         s.users,
 		Chunks:        len(s.chunks),
 		ResidentBytes: s.resident,
 	}
@@ -207,69 +213,110 @@ func (s *Store) Close() error {
 // or exceeding room rolls the store back to its pre-call state. room
 // caps the records admitted by this call (< 0 means unlimited); when
 // the stream holds more, the call fails with ErrTooManyRecords without
-// buffering past the cap. Because the cap check runs against the
-// store's committed count inside the same critical path that commits,
-// it is authoritative: concurrent appends cannot double-admit.
+// buffering past the cap. Readers see none of the records until the
+// stream has ended and all of them at once afterwards.
 func (s *Store) AppendStream(next func() (cdr.Record, error), room int) (added int, err error) {
 	s.appendMu.Lock()
-	defer s.appendMu.Unlock()
-	return s.appendStream(next, room)
-}
-
-// AppendStreamMax is AppendStream with the cap expressed as a bound on
-// the committed total (< 0 = unbounded) instead of per-call room. The
-// room is derived from the committed count after append serialization,
-// so the bound holds under concurrent appends: this is the registry's
-// record-cap enforcement point, accounted against the store's own
-// authoritative count rather than a metadata copy that may lag.
-func (s *Store) AppendStreamMax(next func() (cdr.Record, error), max int) (added int, err error) {
-	s.appendMu.Lock()
-	defer s.appendMu.Unlock()
-	room := -1
-	if max >= 0 {
-		s.mu.Lock()
-		room = max - s.n
-		s.mu.Unlock()
-		if room < 0 {
-			room = 0
-		}
+	p, err := s.stage(next, room)
+	if err != nil {
+		return 0, err
 	}
-	return s.appendStream(next, room)
+	p.Publish()
+	return p.Added, nil
 }
 
-// appendStream is the body of the append entry points; the caller holds
-// s.appendMu.
-func (s *Store) appendStream(next func() (cdr.Record, error), room int) (added int, err error) {
-	s.mu.Lock()
-	n0, dict0 := s.n, len(s.dict)
-	s.mu.Unlock()
+// Pending is an append staged by Stage: its rows are in the store but
+// invisible to every reader until Publish, and Discard removes them.
+// Exactly one of the two must be called; other appends to the store
+// wait until then.
+type Pending struct {
+	s         *Store
+	n0, dict0 int
+	tail      *chunk // pre-append partial tail, pinned while staged
+	Added     int    // records the append holds
+	Records   int    // store records once published
+	Users     int    // store subscribers once published
+}
 
-	defer func() {
-		if err != nil {
+// Stage streams records from next until io.EOF into the store without
+// publishing them, so the caller can make the append durable elsewhere
+// first and then Publish or Discard it. limit bounds the published
+// total (< 0 = unbounded); the room is derived from the published count
+// after appends are serialized, so the bound holds under concurrent
+// appends. On any error the store is already rolled back and nothing is
+// pending.
+func (s *Store) Stage(next func() (cdr.Record, error), limit int) (*Pending, error) {
+	s.appendMu.Lock()
+	room := -1
+	if limit >= 0 {
+		s.mu.Lock()
+		room = max(0, limit-s.n)
+		s.mu.Unlock()
+	}
+	return s.stage(next, room)
+}
+
+// stage is the body of the append entry points. The caller holds
+// s.appendMu; stage releases it on error, the returned Pending when it
+// is published or discarded.
+func (s *Store) stage(next func() (cdr.Record, error), room int) (*Pending, error) {
+	s.mu.Lock()
+	p := &Pending{s: s, n0: s.n, dict0: s.users}
+	if s.n%s.opt.ChunkRecords != 0 {
+		// The partial tail may fill and seal under this append; pinning it
+		// keeps it resident, so a rollback can truncate it in place.
+		p.tail = s.chunks[len(s.chunks)-1]
+		p.tail.pins++
+	}
+	s.mu.Unlock()
+	for {
+		rec, err := next()
+		if err == io.EOF {
+			break
+		}
+		if err == nil && room >= 0 && p.Added >= room {
+			err = ErrTooManyRecords
+		}
+		if err == nil {
 			s.mu.Lock()
-			s.rollbackLocked(n0, dict0)
+			err = s.appendLocked(rec)
 			s.mu.Unlock()
 		}
-	}()
+		if err != nil {
+			p.Discard()
+			return nil, err
+		}
+		p.Added++
+	}
+	s.mu.Lock()
+	p.Records, p.Users = p.n0+p.Added, len(s.dict)
+	s.mu.Unlock()
+	return p, nil
+}
 
-	for {
-		rec, rerr := next()
-		if rerr == io.EOF {
-			return added, nil
-		}
-		if rerr != nil {
-			return 0, rerr
-		}
-		if room >= 0 && added >= room {
-			return 0, ErrTooManyRecords
-		}
-		s.mu.Lock()
-		aerr := s.appendLocked(rec)
-		s.mu.Unlock()
-		if aerr != nil {
-			return 0, aerr
-		}
-		added++
+// Publish makes the staged records visible to readers.
+func (p *Pending) Publish() {
+	s := p.s
+	s.mu.Lock()
+	s.n, s.users = p.Records, p.Users
+	p.unpinLocked()
+	s.mu.Unlock()
+	s.appendMu.Unlock()
+}
+
+// Discard rolls the store back to its state before the staged append.
+func (p *Pending) Discard() {
+	s := p.s
+	s.mu.Lock()
+	s.rollbackLocked(p.n0, p.dict0)
+	p.unpinLocked()
+	s.mu.Unlock()
+	s.appendMu.Unlock()
+}
+
+func (p *Pending) unpinLocked() {
+	if p.tail != nil {
+		p.tail.pins--
 	}
 }
 
@@ -333,7 +380,6 @@ func (s *Store) appendLocked(r cdr.Record) error {
 	tail.minute = append(tail.minute, r.Minute)
 	tail.user = append(tail.user, id)
 	tail.n++
-	s.n++
 	if tail.n == s.opt.ChunkRecords {
 		tail.sealed = true
 		return s.evictLocked()
@@ -341,11 +387,10 @@ func (s *Store) appendLocked(r cdr.Record) error {
 	return nil
 }
 
-// rollbackLocked restores the store to exactly n0 committed records and
-// dict0 dictionary entries, undoing a failed append. Views can only
-// reference rows below their snapshot length <= n0, so dropping the
-// newer chunks and truncating the tail never invalidates a reader.
-// Caller holds s.mu.
+// rollbackLocked restores the store to exactly n0 records and dict0
+// dictionary entries, undoing a staged append. Nothing beyond the
+// published n0 rows was ever visible, so dropping the newer chunks and
+// truncating the tail never invalidates a reader. Caller holds s.mu.
 func (s *Store) rollbackLocked(n0, dict0 int) {
 	keepChunks := (n0 + s.opt.ChunkRecords - 1) / s.opt.ChunkRecords
 	for _, c := range s.chunks[keepChunks:] {
@@ -359,8 +404,8 @@ func (s *Store) rollbackLocked(n0, dict0 int) {
 	s.chunks = s.chunks[:keepChunks]
 	if k := n0 % s.opt.ChunkRecords; k != 0 || n0 == 0 {
 		if len(s.chunks) > 0 {
-			// The pre-append tail was partial, hence unsealed, hence never
-			// evicted: it is resident and truncatable in place.
+			// The pre-append tail was partial and stayed pinned while the
+			// append was staged, so it is resident and truncatable in place.
 			c := s.chunks[len(s.chunks)-1]
 			c.lat = c.lat[:k]
 			c.lon = c.lon[:k]
@@ -374,7 +419,6 @@ func (s *Store) rollbackLocked(n0, dict0 int) {
 		delete(s.dictIdx, u)
 	}
 	s.dict = s.dict[:dict0]
-	s.n = n0
 }
 
 // chunkBytes is the resident footprint of one chunk's columns. Chunks

@@ -255,6 +255,47 @@ func TestAppendStreamRoom(t *testing.T) {
 	}
 }
 
+// TestStageInvisibleAndDiscardable pins the staged-append contract: a
+// staged append is invisible to every reader until it is published, and
+// discarding it restores the store even when it filled the partial tail
+// chunk past a budget that spills every other sealed chunk.
+func TestStageInvisibleAndDiscardable(t *testing.T) {
+	recs := testRecords(120, 9)
+	s := newTestStore(t, recs[:40], Options{ChunkRecords: 16, ByteBudget: 16 * bytesPerRecord})
+	before := sourceCSV(t, s.Snapshot())
+	i := 40
+	p, err := s.Stage(func() (cdr.Record, error) {
+		if i == len(recs) {
+			return cdr.Record{}, io.EOF
+		}
+		i++
+		return recs[i-1], nil
+	}, -1)
+	if err != nil {
+		t.Fatalf("Stage: %v", err)
+	}
+	if p.Added != 80 || p.Records != 120 {
+		t.Fatalf("staged added=%d records=%d, want 80 and 120", p.Added, p.Records)
+	}
+	snap := s.Snapshot()
+	if s.Len() != 40 || s.Stats().Records != 40 || snap.NumRecords() != 40 {
+		t.Fatalf("staged rows visible: Len %d, Stats %d, snapshot %d", s.Len(), s.Stats().Records, snap.NumRecords())
+	}
+	p.Discard()
+	if got := sourceCSV(t, s.Snapshot()); !bytes.Equal(got, before) {
+		t.Fatal("records differ after discard")
+	}
+	if err := s.Append(recs[40:]...); err != nil {
+		t.Fatalf("Append after discard: %v", err)
+	}
+	if got := sourceCSV(t, snap); !bytes.Equal(got, before) {
+		t.Fatal("snapshot taken while staged observed later rows")
+	}
+	if got, want := sourceCSV(t, s.Snapshot()), sourceCSV(t, newTestStore(t, recs, Options{}).Snapshot()); !bytes.Equal(got, want) {
+		t.Fatal("store differs from a fresh one after discard and re-append")
+	}
+}
+
 // TestSnapshotIsolation pins the copy-on-write contract: a snapshot
 // taken before an append never observes the appended rows, even while
 // chunks spill and fault underneath it.

@@ -34,14 +34,14 @@ type View struct {
 	fail error
 }
 
-// Snapshot returns a frozen view of the store's committed records. The
-// snapshot observes exactly the rows committed before the call,
-// regardless of concurrent appends — the registry's copy-on-write
-// contract, at O(1) cost.
+// Snapshot returns a frozen view of the store's published records. The
+// snapshot observes exactly the rows published before the call; rows of
+// an append still in flight stay invisible even if it publishes later —
+// the registry's copy-on-write contract, at O(1) cost.
 func (s *Store) Snapshot() *View {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	d := len(s.dict)
+	d := s.users
 	return &View{
 		s:     s,
 		meta:  s.meta,

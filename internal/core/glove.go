@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/parallel"
@@ -415,12 +414,12 @@ func (st *gloveState) merge(i, j int) {
 
 // foldIntoDone merges the last active fingerprint into the anonymized
 // group at minimum effort, so no subscriber is discarded. Groups are
-// evaluated in parallel against a shared running best that feeds the
-// kernel threshold: a stale read only weakens the threshold (the best
-// never increases), and a pruned group's true effort strictly exceeds
-// the best at its evaluation time, so it can never be — or tie — the
-// minimum. The selected group is therefore exactly the sequential
-// exhaustive scan's first minimum.
+// evaluated in parallel, one fixed stripe of candidates per worker, each
+// stripe against its own running best as the kernel threshold. A pruned
+// group's true effort strictly exceeds an earlier group's effort in its
+// stripe, so it can never be — or tie — the first minimum: the selected
+// group is exactly the sequential exhaustive scan's, and the kernel
+// accounting depends only on the worker count.
 func (st *gloveState) foldIntoDone(i int) {
 	ws := st.ws
 	f := ws.fps[i]
@@ -431,37 +430,35 @@ func (st *gloveState) foldIntoDone(i int) {
 	st.idx.Remove(i)
 
 	p := st.opt.Params
-	var bestBits atomic.Uint64
-	bestBits.Store(math.Float64bits(math.Inf(1)))
-	type cand struct {
-		e  float64
-		ok bool
+	n := len(st.done)
+	stripes := st.opt.Workers
+	if stripes <= 0 {
+		stripes = parallel.DefaultWorkers()
 	}
-	res := parallel.Map(len(st.done), st.opt.Workers, func(c int) cand {
-		thr := math.Float64frombits(bestBits.Load())
-		// Per-group views come from the shared pool (bounds included in
-		// the fill pass — no separate BoundsOf sweep per candidate).
-		dv := ws.borrowView(st.done[c])
-		e, below := p.effortBelowViews(fv, dv, thr)
-		ws.returnView(dv)
-		ws.kc.calls.Add(1)
-		if !below {
-			ws.kc.pruned.Add(1)
-			return cand{}
-		}
-		for {
-			cur := bestBits.Load()
-			if math.Float64frombits(cur) <= e || bestBits.CompareAndSwap(cur, math.Float64bits(e)) {
-				break
+	stripes = max(1, min(stripes, n))
+	effort := make([]float64, n) // +Inf marks a pruned group
+	parallel.For(stripes, stripes, func(s int) {
+		best := math.Inf(1)
+		for c := s; c < n; c += stripes {
+			// Per-group views come from the shared pool (bounds included
+			// in the fill pass — no separate BoundsOf sweep per candidate).
+			dv := ws.borrowView(st.done[c])
+			e, below := p.effortBelowViews(fv, dv, best)
+			ws.returnView(dv)
+			ws.kc.calls.Add(1)
+			if !below {
+				ws.kc.pruned.Add(1)
+				e = math.Inf(1)
 			}
+			effort[c] = e
+			best = min(best, e)
 		}
-		return cand{e: e, ok: true}
 	})
 	best := math.Inf(1)
 	bestIdx := 0
-	for c, r := range res {
-		if r.ok && r.e < best {
-			best = r.e
+	for c, e := range effort {
+		if e < best {
+			best = e
 			bestIdx = c
 		}
 	}

@@ -45,128 +45,121 @@ func releaseCSV(t *testing.T, mgr *Manager, jobID string, w int) []byte {
 // service executor the follow job itself runs on. The feed grows
 // concurrently with the running job (exercising the append/snapshot
 // race under -race), window 1 stays empty, and the job finishes on its
-// follow_windows bound. Runs on both storage backends.
+// follow_windows bound.
 func TestFollowEqualsColdWindows(t *testing.T) {
-	for _, columnar := range []bool{false, true} {
-		name := "table"
-		if columnar {
-			name = "columnar"
+	t.Run("columnar", func(t *testing.T) {
+		center := geo.LatLon{Lat: 7.54, Lon: -5.55}
+		reg := NewRegistry()
+		mgr := NewManager(reg, ManagerOptions{MaxConcurrentJobs: 2})
+		defer mgr.Close()
+
+		info, err := reg.Ingest(strings.NewReader(windowCSV(0, "a", "b", "c", "d")), "feed", center, 1)
+		if err != nil {
+			t.Fatal(err)
 		}
-		t.Run(name, func(t *testing.T) {
-			center := geo.LatLon{Lat: 7.54, Lon: -5.55}
-			reg := NewRegistry()
-			reg.Columnar = columnar
-			mgr := NewManager(reg, ManagerOptions{MaxConcurrentJobs: 2})
-			defer mgr.Close()
+		st, err := mgr.Submit(JobSpec{DatasetID: info.ID, K: 2, Workers: 1, Shards: 1,
+			WindowHours: 1, Follow: true, FollowWindows: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
 
-			info, err := reg.Ingest(strings.NewReader(windowCSV(0, "a", "b", "c", "d")), "feed", center, 1)
-			if err != nil {
-				t.Fatal(err)
+		// Grow the feed from a separate goroutine while the job runs:
+		// more window-0 records, nothing in window 1, window 2, and
+		// finally window 3 (which closes window 2 and ends the job at
+		// its 2-release bound; empty window 1 must not count).
+		appendErr := make(chan error, 1)
+		go func() {
+			for _, body := range []string{
+				windowCSV(0, "e", "f"),
+				windowCSV(2, "a", "b", "e", "g"),
+				windowCSV(3, "c", "d"),
+			} {
+				if _, err := reg.Append(info.ID, strings.NewReader(body)); err != nil {
+					appendErr <- err
+					return
+				}
 			}
-			st, err := mgr.Submit(JobSpec{DatasetID: info.ID, K: 2, Workers: 1, Shards: 1,
-				WindowHours: 1, Follow: true, FollowWindows: 2})
-			if err != nil {
-				t.Fatal(err)
-			}
+			appendErr <- nil
+		}()
+		if err := <-appendErr; err != nil {
+			t.Fatal(err)
+		}
 
-			// Grow the feed from a separate goroutine while the job runs:
-			// more window-0 records, nothing in window 1, window 2, and
-			// finally window 3 (which closes window 2 and ends the job at
-			// its 2-release bound; empty window 1 must not count).
-			appendErr := make(chan error, 1)
-			go func() {
-				for _, body := range []string{
-					windowCSV(0, "e", "f"),
-					windowCSV(2, "a", "b", "e", "g"),
-					windowCSV(3, "c", "d"),
-				} {
-					if _, err := reg.Append(info.ID, strings.NewReader(body)); err != nil {
-						appendErr <- err
-						return
-					}
-				}
-				appendErr <- nil
-			}()
-			if err := <-appendErr; err != nil {
-				t.Fatal(err)
+		final := waitForState(t, mgr, st.ID, func(s JobStatus) bool { return s.State.Terminal() })
+		if final.State != JobDone {
+			t.Fatalf("follow job finished %s: %s", final.State, final.Error)
+		}
+		if len(final.Windows) != 3 {
+			t.Fatalf("follow windows: %+v", final.Windows)
+		}
+		wantStates := map[int]WindowState{0: WindowDone, 1: WindowEmpty, 2: WindowDone}
+		for _, w := range final.Windows {
+			if w.State != wantStates[w.Index] {
+				t.Errorf("window %d is %q, want %q", w.Index, w.State, wantStates[w.Index])
 			}
+			if w.Progress != 1 {
+				t.Errorf("terminal window %d progress %g, want 1", w.Index, w.Progress)
+			}
+		}
+		if final.Progress != 1 {
+			t.Errorf("done follow job progress %g, want 1", final.Progress)
+		}
+		// The explicit empty event reached the log, so a streaming
+		// consumer can distinguish "no data" from "release pending".
+		evs, _, ok := mgr.EventsSince(st.ID, 0)
+		if !ok {
+			t.Fatal("event log gone")
+		}
+		sawEmpty := false
+		for _, e := range evs {
+			if e.Window != nil && e.Window.Index == 1 && e.Window.State == WindowEmpty {
+				sawEmpty = true
+			}
+		}
+		if !sawEmpty {
+			t.Error("no empty-window event for the gap window")
+		}
 
-			final := waitForState(t, mgr, st.ID, func(s JobStatus) bool { return s.State.Terminal() })
-			if final.State != JobDone {
-				t.Fatalf("follow job finished %s: %s", final.State, final.Error)
-			}
-			if len(final.Windows) != 3 {
-				t.Fatalf("follow windows: %+v", final.Windows)
-			}
-			wantStates := map[int]WindowState{0: WindowDone, 1: WindowEmpty, 2: WindowDone}
-			for _, w := range final.Windows {
-				if w.State != wantStates[w.Index] {
-					t.Errorf("window %d is %q, want %q", w.Index, w.State, wantStates[w.Index])
-				}
-				if w.Progress != 1 {
-					t.Errorf("terminal window %d progress %g, want 1", w.Index, w.Progress)
-				}
-			}
-			if final.Progress != 1 {
-				t.Errorf("done follow job progress %g, want 1", final.Progress)
-			}
-			// The explicit empty event reached the log, so a streaming
-			// consumer can distinguish "no data" from "release pending".
-			evs, _, ok := mgr.EventsSince(st.ID, 0)
-			if !ok {
-				t.Fatal("event log gone")
-			}
-			sawEmpty := false
-			for _, e := range evs {
-				if e.Window != nil && e.Window.Index == 1 && e.Window.State == WindowEmpty {
-					sawEmpty = true
-				}
-			}
-			if !sawEmpty {
-				t.Error("no empty-window event for the gap window")
-			}
-
-			// Cold reference over the finished feed, outside the service:
-			// split the feed, build each window, anonymize the windows in
-			// sequence. Windows 0 and 2 must match the follow releases byte
-			// for byte.
-			src, _, _ := reg.SnapshotSource(info.ID)
-			feed, err := cdr.MaterializeTable(src)
-			if err != nil {
+		// Cold reference over the finished feed, outside the service:
+		// split the feed, build each window, anonymize the windows in
+		// sequence. Windows 0 and 2 must match the follow releases byte
+		// for byte.
+		src, _, _ := reg.SnapshotSource(info.ID)
+		feed, err := cdr.MaterializeTable(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wins, err := feed.SplitByWindow(time.Hour)
+		if err != nil {
+			t.Fatal(err)
+		}
+		originals := make([]*core.Dataset, len(wins))
+		for i, w := range wins {
+			if originals[i], err = w.Table.BuildDataset(); err != nil {
 				t.Fatal(err)
 			}
-			wins, err := feed.SplitByWindow(time.Hour)
-			if err != nil {
+		}
+		cold, err := core.AnonymizeWindows(originals, anonymizeOptions(final.Spec, 1, nil))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, w := range wins {
+			if w.Index != 0 && w.Index != 2 {
+				continue
+			}
+			var want bytes.Buffer
+			if err := cdr.WriteAnonymizedCSV(&want, cold[i].Output); err != nil {
 				t.Fatal(err)
 			}
-			originals := make([]*core.Dataset, len(wins))
-			for i, w := range wins {
-				if originals[i], err = w.Table.BuildDataset(); err != nil {
-					t.Fatal(err)
-				}
+			if !bytes.Equal(releaseCSV(t, mgr, st.ID, w.Index), want.Bytes()) {
+				t.Errorf("follow release for window %d differs from the cold windowed release", w.Index)
 			}
-			cold, err := core.AnonymizeWindows(originals, anonymizeOptions(final.Spec, 1, nil))
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i, w := range wins {
-				if w.Index != 0 && w.Index != 2 {
-					continue
-				}
-				var want bytes.Buffer
-				if err := cdr.WriteAnonymizedCSV(&want, cold[i].Output); err != nil {
-					t.Fatal(err)
-				}
-				if !bytes.Equal(releaseCSV(t, mgr, st.ID, w.Index), want.Bytes()) {
-					t.Errorf("follow release for window %d differs from the cold windowed release", w.Index)
-				}
-			}
-			// The empty window has no downloadable release.
-			if _, err := mgr.WindowResult(st.ID, 1); err == nil {
-				t.Error("empty window served a release")
-			}
-		})
-	}
+		}
+		// The empty window has no downloadable release.
+		if _, err := mgr.WindowResult(st.ID, 1); err == nil {
+			t.Error("empty window served a release")
+		}
+	})
 }
 
 // Cancelling a follow job keeps every committed release downloadable

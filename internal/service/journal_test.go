@@ -18,18 +18,14 @@ import (
 // bootService wires one daemon "life" against dir, in the exact order
 // cmd/gloved does: open+replay the journal, restore the registry,
 // construct the manager (journal attached at construction), restore
-// jobs, then attach the registry journal. setup configures the registry
-// before the restore (storage backend flags).
-func bootService(t *testing.T, dir string, mopt ManagerOptions, setup func(*Registry)) (*Journal, *Registry, *Manager, *RecoveredState) {
+// jobs, then attach the registry journal.
+func bootService(t *testing.T, dir string, mopt ManagerOptions) (*Journal, *Registry, *Manager, *RecoveredState) {
 	t.Helper()
 	jrnl, rec, err := OpenJournal(dir, false, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	reg := NewRegistry()
-	if setup != nil {
-		setup(reg)
-	}
 	if err := reg.Restore(rec); err != nil {
 		t.Fatal(err)
 	}
@@ -68,138 +64,123 @@ func sourceCSV(t *testing.T, reg *Registry, id string) []byte {
 
 // TestJournalDatasetRoundTrip pins the registry half of recovery:
 // create + append + delete survive an unclean shutdown byte-for-byte,
-// on both storage backends, and the ID sequence never reissues a dead
-// dataset's ID.
+// and the ID sequence never reissues a dead dataset's ID.
 func TestJournalDatasetRoundTrip(t *testing.T) {
-	for _, columnar := range []bool{false, true} {
-		name := "table"
-		if columnar {
-			name = "columnar"
+	t.Run("columnar", func(t *testing.T) {
+		dir := t.TempDir()
+		center := geo.LatLon{Lat: 7.54, Lon: -5.55}
+
+		jrnl, reg, mgr, _ := bootService(t, dir, ManagerOptions{})
+		info, err := reg.Ingest(strings.NewReader(windowCSV(0, "a", "b", "c")), "feed", center, 1)
+		if err != nil {
+			t.Fatal(err)
 		}
-		t.Run(name, func(t *testing.T) {
-			dir := t.TempDir()
-			center := geo.LatLon{Lat: 7.54, Lon: -5.55}
-			setup := func(g *Registry) { g.Columnar = columnar }
+		if _, err := reg.Append(info.ID, strings.NewReader(windowCSV(1, "a", "d"))); err != nil {
+			t.Fatal(err)
+		}
+		doomed, err := reg.Ingest(strings.NewReader(windowCSV(0, "x", "y")), "doomed", center, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reg.Delete(doomed.ID) {
+			t.Fatal("delete failed")
+		}
+		want := sourceCSV(t, reg, info.ID)
+		wantInfo, _ := reg.Get(info.ID)
+		crashClose(mgr, reg, jrnl)
 
-			jrnl, reg, mgr, _ := bootService(t, dir, ManagerOptions{}, setup)
-			info, err := reg.Ingest(strings.NewReader(windowCSV(0, "a", "b", "c")), "feed", center, 1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := reg.Append(info.ID, strings.NewReader(windowCSV(1, "a", "d"))); err != nil {
-				t.Fatal(err)
-			}
-			doomed, err := reg.Ingest(strings.NewReader(windowCSV(0, "x", "y")), "doomed", center, 1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reg.Delete(doomed.ID) {
-				t.Fatal("delete failed")
-			}
-			want := sourceCSV(t, reg, info.ID)
-			wantInfo, _ := reg.Get(info.ID)
-			crashClose(mgr, reg, jrnl)
-
-			jrnl2, reg2, mgr2, rec := bootService(t, dir, ManagerOptions{}, setup)
-			defer crashClose(mgr2, reg2, jrnl2)
-			if rec.CleanShutdown {
-				t.Error("unclean shutdown reported as clean")
-			}
-			list := reg2.List()
-			if len(list) != 1 || list[0].ID != info.ID {
-				t.Fatalf("recovered datasets: %+v", list)
-			}
-			got, _ := reg2.Get(info.ID)
-			if got.Name != wantInfo.Name || got.Records != wantInfo.Records ||
-				got.Users != wantInfo.Users || got.SpanDays != wantInfo.SpanDays {
-				t.Errorf("recovered dataset %+v, want %+v", got, wantInfo)
-			}
-			if !bytes.Equal(sourceCSV(t, reg2, info.ID), want) {
-				t.Error("recovered dataset records differ from the originals")
-			}
-			// The deleted dataset stays dead, and its ID is never reissued.
-			if _, ok := reg2.Get(doomed.ID); ok {
-				t.Error("deleted dataset came back")
-			}
-			next, err := reg2.Ingest(strings.NewReader(windowCSV(0, "p", "q")), "next", center, 1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if next.ID <= doomed.ID {
-				t.Errorf("post-recovery ingest got ID %s, must be past %s", next.ID, doomed.ID)
-			}
-		})
-	}
+		jrnl2, reg2, mgr2, rec := bootService(t, dir, ManagerOptions{})
+		defer crashClose(mgr2, reg2, jrnl2)
+		if rec.CleanShutdown {
+			t.Error("unclean shutdown reported as clean")
+		}
+		list := reg2.List()
+		if len(list) != 1 || list[0].ID != info.ID {
+			t.Fatalf("recovered datasets: %+v", list)
+		}
+		got, _ := reg2.Get(info.ID)
+		if got.Name != wantInfo.Name || got.Records != wantInfo.Records ||
+			got.Users != wantInfo.Users || got.SpanDays != wantInfo.SpanDays {
+			t.Errorf("recovered dataset %+v, want %+v", got, wantInfo)
+		}
+		if !bytes.Equal(sourceCSV(t, reg2, info.ID), want) {
+			t.Error("recovered dataset records differ from the originals")
+		}
+		// The deleted dataset stays dead, and its ID is never reissued.
+		if _, ok := reg2.Get(doomed.ID); ok {
+			t.Error("deleted dataset came back")
+		}
+		next, err := reg2.Ingest(strings.NewReader(windowCSV(0, "p", "q")), "next", center, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if next.ID <= doomed.ID {
+			t.Errorf("post-recovery ingest got ID %s, must be past %s", next.ID, doomed.ID)
+		}
+	})
 }
 
 // TestRegistryRejectsOutOfRangeMinutes pins the ingest boundary: a
 // non-finite or out-of-range minute is refused with the invalid_argument
-// envelope on both backends, and the refusal is atomic — no dataset, no
-// appended record, no version bump, and nothing in the journal for a
-// restart to replay, even when valid records precede the bad one.
+// envelope, and the refusal is atomic — no dataset, no appended record,
+// no version bump, and nothing in the journal for a restart to replay,
+// even when valid records precede the bad one.
 func TestRegistryRejectsOutOfRangeMinutes(t *testing.T) {
-	for _, columnar := range []bool{false, true} {
-		name := "table"
-		if columnar {
-			name = "columnar"
+	t.Run("columnar", func(t *testing.T) {
+		dir := t.TempDir()
+		center := geo.LatLon{Lat: 7.54, Lon: -5.55}
+		jrnl, reg, mgr, _ := bootService(t, dir, ManagerOptions{})
+		srv := httptest.NewServer(NewServer(reg, mgr))
+		defer srv.Close()
+
+		info, err := reg.Ingest(strings.NewReader(windowCSV(0, "a", "b", "c")), "feed", center, 1)
+		if err != nil {
+			t.Fatal(err)
 		}
-		t.Run(name, func(t *testing.T) {
-			dir := t.TempDir()
-			center := geo.LatLon{Lat: 7.54, Lon: -5.55}
-			setup := func(g *Registry) { g.Columnar = columnar }
-			jrnl, reg, mgr, _ := bootService(t, dir, ManagerOptions{}, setup)
-			srv := httptest.NewServer(NewServer(reg, mgr))
-			defer srv.Close()
+		want := sourceCSV(t, reg, info.ID)
+		for _, minute := range []string{"NaN", "+Inf", "-Inf", "1e300"} {
+			body := windowCSV(1, "d") + "e,7.5,-5.5," + minute + "\n"
+			if _, err := reg.Ingest(strings.NewReader(body), "bad", center, 1); err == nil {
+				t.Errorf("ingest with minute %s accepted", minute)
+			}
+			if _, err := reg.Append(info.ID, strings.NewReader(body)); err == nil {
+				t.Errorf("append with minute %s accepted", minute)
+			}
+			for _, path := range []string{"/v1/datasets?lat=7.54&lon=-5.55&days=1", "/v1/datasets/" + info.ID + "/records"} {
+				resp, err := http.Post(srv.URL+path, "text/csv", strings.NewReader(body))
+				if err != nil {
+					t.Fatal(err)
+				}
+				var env api.Error
+				json.NewDecoder(resp.Body).Decode(&env)
+				resp.Body.Close()
+				if resp.StatusCode != http.StatusBadRequest || env.Code != api.CodeInvalidArgument {
+					t.Errorf("POST %s with minute %s: status %d code %q, want 400 %q",
+						path, minute, resp.StatusCode, env.Code, api.CodeInvalidArgument)
+				}
+			}
+		}
+		if list := reg.List(); len(list) != 1 {
+			t.Errorf("rejected ingests registered datasets: %+v", list)
+		}
+		if got, _ := reg.Get(info.ID); got.Records != 3 || got.Version != 1 {
+			t.Errorf("rejected appends mutated the dataset: %+v", got)
+		}
+		if !bytes.Equal(sourceCSV(t, reg, info.ID), want) {
+			t.Error("rejected appends changed the dataset records")
+		}
+		crashClose(mgr, reg, jrnl)
 
-			info, err := reg.Ingest(strings.NewReader(windowCSV(0, "a", "b", "c")), "feed", center, 1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want := sourceCSV(t, reg, info.ID)
-			for _, minute := range []string{"NaN", "+Inf", "-Inf", "1e300"} {
-				body := windowCSV(1, "d") + "e,7.5,-5.5," + minute + "\n"
-				if _, err := reg.Ingest(strings.NewReader(body), "bad", center, 1); err == nil {
-					t.Errorf("ingest with minute %s accepted", minute)
-				}
-				if _, err := reg.Append(info.ID, strings.NewReader(body)); err == nil {
-					t.Errorf("append with minute %s accepted", minute)
-				}
-				for _, path := range []string{"/v1/datasets?lat=7.54&lon=-5.55&days=1", "/v1/datasets/" + info.ID + "/records"} {
-					resp, err := http.Post(srv.URL+path, "text/csv", strings.NewReader(body))
-					if err != nil {
-						t.Fatal(err)
-					}
-					var env api.Error
-					json.NewDecoder(resp.Body).Decode(&env)
-					resp.Body.Close()
-					if resp.StatusCode != http.StatusBadRequest || env.Code != api.CodeInvalidArgument {
-						t.Errorf("POST %s with minute %s: status %d code %q, want 400 %q",
-							path, minute, resp.StatusCode, env.Code, api.CodeInvalidArgument)
-					}
-				}
-			}
-			if list := reg.List(); len(list) != 1 {
-				t.Errorf("rejected ingests registered datasets: %+v", list)
-			}
-			if got, _ := reg.Get(info.ID); got.Records != 3 || got.Version != 1 {
-				t.Errorf("rejected appends mutated the dataset: %+v", got)
-			}
-			if !bytes.Equal(sourceCSV(t, reg, info.ID), want) {
-				t.Error("rejected appends changed the dataset records")
-			}
-			crashClose(mgr, reg, jrnl)
-
-			jrnl2, rec, err := OpenJournal(dir, false, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer jrnl2.Close()
-			if len(rec.Datasets) != 1 || len(rec.Datasets[0].Ops) != 1 {
-				t.Errorf("journal holds rejected mutations: %d datasets, ops %d",
-					len(rec.Datasets), len(rec.Datasets[0].Ops))
-			}
-		})
-	}
+		jrnl2, rec, err := OpenJournal(dir, false, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer jrnl2.Close()
+		if len(rec.Datasets) != 1 || len(rec.Datasets[0].Ops) != 1 {
+			t.Errorf("journal holds rejected mutations: %d datasets, ops %d",
+				len(rec.Datasets), len(rec.Datasets[0].Ops))
+		}
+	})
 }
 
 // TestJournalTerminalJobRestored pins the verbatim half of job
@@ -207,7 +188,7 @@ func TestRegistryRejectsOutOfRangeMinutes(t *testing.T) {
 // an identical event log, and a byte-identical downloadable release.
 func TestJournalTerminalJobRestored(t *testing.T) {
 	dir := t.TempDir()
-	jrnl, reg, mgr, _ := bootService(t, dir, ManagerOptions{}, nil)
+	jrnl, reg, mgr, _ := bootService(t, dir, ManagerOptions{})
 
 	table := synthTable(t, 30, 2)
 	var csv bytes.Buffer
@@ -238,7 +219,7 @@ func TestJournalTerminalJobRestored(t *testing.T) {
 	}
 	crashClose(mgr, reg, jrnl)
 
-	jrnl2, reg2, mgr2, _ := bootService(t, dir, ManagerOptions{}, nil)
+	jrnl2, reg2, mgr2, _ := bootService(t, dir, ManagerOptions{})
 	defer crashClose(mgr2, reg2, jrnl2)
 	got, ok := mgr2.Get(st.ID)
 	if !ok {
@@ -373,7 +354,7 @@ func TestJournalFollowResumeByteIdentity(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
-			jrnl, reg, mgr, _ := bootService(t, dir, ManagerOptions{}, nil)
+			jrnl, reg, mgr, _ := bootService(t, dir, ManagerOptions{})
 			info, err := reg.Ingest(strings.NewReader(tc.ingest[0]), "feed", center, 1)
 			if err != nil {
 				t.Fatal(err)
@@ -425,7 +406,7 @@ func TestJournalFollowResumeByteIdentity(t *testing.T) {
 			}
 			crashClose(mgr, reg, jrnl)
 
-			jrnl2, reg2, mgr2, rec := bootService(t, dir, ManagerOptions{MaxConcurrentJobs: 2}, nil)
+			jrnl2, reg2, mgr2, rec := bootService(t, dir, ManagerOptions{MaxConcurrentJobs: 2})
 			defer crashClose(mgr2, reg2, jrnl2)
 			var recovered *RecoveredJob
 			for _, rj := range rec.Jobs {
@@ -539,7 +520,7 @@ func TestJournalFollowResumeByteIdentity(t *testing.T) {
 func TestJournalDrainKeepsQueuedJobs(t *testing.T) {
 	dir := t.TempDir()
 	center := geo.LatLon{Lat: 7.54, Lon: -5.55}
-	jrnl, reg, mgr, _ := bootService(t, dir, ManagerOptions{MaxConcurrentJobs: 1}, nil)
+	jrnl, reg, mgr, _ := bootService(t, dir, ManagerOptions{MaxConcurrentJobs: 1})
 
 	feed, err := reg.Ingest(strings.NewReader(windowCSV(0, "a", "b", "c")), "feed", center, 1)
 	if err != nil {
@@ -560,7 +541,7 @@ func TestJournalDrainKeepsQueuedJobs(t *testing.T) {
 	mgr.Drain(0)
 	crashClose(mgr, reg, jrnl)
 
-	jrnl2, reg2, mgr2, _ := bootService(t, dir, ManagerOptions{MaxConcurrentJobs: 2}, nil)
+	jrnl2, reg2, mgr2, _ := bootService(t, dir, ManagerOptions{MaxConcurrentJobs: 2})
 	defer crashClose(mgr2, reg2, jrnl2)
 	final := waitForState(t, mgr2, queued.ID, func(s JobStatus) bool { return s.State.Terminal() })
 	if final.State != JobDone {
@@ -577,7 +558,7 @@ func TestJournalDrainKeepsQueuedJobs(t *testing.T) {
 func TestJournalCheckpointCleanShutdown(t *testing.T) {
 	dir := t.TempDir()
 	center := geo.LatLon{Lat: 7.54, Lon: -5.55}
-	jrnl, reg, mgr, _ := bootService(t, dir, ManagerOptions{}, nil)
+	jrnl, reg, mgr, _ := bootService(t, dir, ManagerOptions{})
 	if _, err := reg.Ingest(strings.NewReader(windowCSV(0, "a", "b")), "feed", center, 1); err != nil {
 		t.Fatal(err)
 	}
@@ -587,7 +568,7 @@ func TestJournalCheckpointCleanShutdown(t *testing.T) {
 	}
 	crashClose(mgr, reg, jrnl)
 
-	jrnl2, reg2, mgr2, rec := bootService(t, dir, ManagerOptions{}, nil)
+	jrnl2, reg2, mgr2, rec := bootService(t, dir, ManagerOptions{})
 	if !rec.CleanShutdown {
 		t.Error("checkpointed shutdown not reported clean")
 	}
@@ -599,7 +580,7 @@ func TestJournalCheckpointCleanShutdown(t *testing.T) {
 	}
 	// No checkpoint this time: the marker must not linger.
 	crashClose(mgr2, reg2, jrnl2)
-	jrnl3, reg3, mgr3, rec3 := bootService(t, dir, ManagerOptions{}, nil)
+	jrnl3, reg3, mgr3, rec3 := bootService(t, dir, ManagerOptions{})
 	defer crashClose(mgr3, reg3, jrnl3)
 	if rec3.CleanShutdown {
 		t.Error("stale clean-shutdown marker survived an unclean boot")
@@ -613,7 +594,7 @@ func TestJournalCheckpointCleanShutdown(t *testing.T) {
 func TestJournalReplayIdempotent(t *testing.T) {
 	dir := t.TempDir()
 	center := geo.LatLon{Lat: 7.54, Lon: -5.55}
-	jrnl, reg, mgr, _ := bootService(t, dir, ManagerOptions{}, nil)
+	jrnl, reg, mgr, _ := bootService(t, dir, ManagerOptions{})
 	info, err := reg.Ingest(strings.NewReader(windowCSV(0, "a", "b", "c", "d")), "feed", center, 1)
 	if err != nil {
 		t.Fatal(err)

@@ -15,31 +15,25 @@ import (
 	"repro/internal/geo"
 )
 
-// Registry holds the datasets the service can anonymize. Ingestion is
-// streaming: records are decoded and validated one at a time off the
-// wire, so a multi-gigabyte operator feed never forces a second
-// in-memory copy of the raw body. Datasets are append-only after
+// Registry holds the datasets the service can anonymize, each in its own
+// columnar store (internal/colstore). Ingestion is streaming: records
+// are decoded and validated one at a time off the wire straight into the
+// store's column chunks, so a multi-gigabyte operator feed never forces a
+// []Record or a second copy of the raw body. Datasets are append-only after
 // creation (POST /v1/datasets/{id}/records), modeling a continuous
 // operator feed; running jobs read copy-on-write snapshots and are
 // never affected by appends.
 type Registry struct {
 	// MaxRecords bounds a dataset's total record count (0 = unlimited).
-	// The bound is enforced during streaming and before any record is
-	// committed, so an oversized upload fails early and never buffers
-	// past the cap. For columnar datasets it is additionally enforced
-	// against the store's own committed count inside its append critical
-	// section, so concurrent appends cannot double-admit.
+	// The bound is enforced while streaming, against the store's own
+	// committed count inside its append critical section, so an oversized
+	// upload fails early, never buffers past the cap, and concurrent
+	// appends cannot double-admit.
 	MaxRecords int
 
-	// Columnar switches new datasets to the memory-bounded columnar
-	// backend (internal/colstore): records stream directly into column
-	// chunks, never materializing a []Record, and jobs read the store
-	// through cdr.Source views. Existing table-backed datasets are
-	// unaffected; the two backends produce bit-identical pipelines.
-	Columnar bool
-	// ColumnarByteBudget caps the resident column bytes of each columnar
-	// dataset; chunks beyond the budget spill to disk (0 = everything
-	// stays resident).
+	// ColumnarByteBudget caps the resident column bytes of each dataset;
+	// chunks beyond the budget spill to disk (0 = everything stays
+	// resident).
 	ColumnarByteBudget int64
 	// ColumnarSpillDir holds the columnar spill files ("" = system temp
 	// directory).
@@ -48,9 +42,7 @@ type Registry struct {
 	mu     sync.Mutex
 	seq    int
 	infos  map[string]DatasetInfo
-	data   map[string]*cdr.Table
 	stores map[string]*colstore.Store
-	users  map[string]map[string]struct{}
 	order  []string
 	tel    *Telemetry
 	jrnl   *Journal
@@ -60,8 +52,8 @@ type Registry struct {
 	// primitive behind follow jobs. Lazily created by Watch.
 	watch map[string]chan struct{}
 
-	// colCounters accumulates spill-path activity across every columnar
-	// store ever owned by this registry; shared so the exported fault and
+	// colCounters accumulates spill-path activity across every store ever
+	// owned by this registry; shared so the exported fault and
 	// spill counters stay monotone as datasets come and go.
 	colCounters colstore.Counters
 }
@@ -106,8 +98,8 @@ func (g *Registry) seqNum() int {
 
 // Restore rebuilds the registry from a journal replay by streaming each
 // recovered dataset's CSV ops through the normal ingest and append
-// paths (so columnar/table dispatch, span extension, and validation all
-// behave exactly as they did when the bytes first arrived). Must run
+// paths (so span extension and validation behave exactly as they did
+// when the bytes first arrived). Must run
 // before AttachJournal and before the daemon serves traffic.
 func (g *Registry) Restore(st *RecoveredState) error {
 	for _, d := range st.Datasets {
@@ -146,8 +138,8 @@ func (g *Registry) restoreDataset(d *RecoveredDataset) error {
 	return nil
 }
 
-// colstoreStats sums the live columnar stores' footprints for the
-// exported gauges.
+// colstoreStats sums the live stores' footprints for the exported
+// gauges.
 func (g *Registry) colstoreStats() colstore.Stats {
 	g.mu.Lock()
 	defer g.mu.Unlock()
@@ -164,16 +156,11 @@ func (g *Registry) colstoreStats() colstore.Stats {
 }
 
 // ColstoreReport summarizes the columnar storage tier for the JSON
-// metrics report; nil when the registry is not running columnar and has
-// no columnar dataset, so table-only daemons omit the block entirely.
+// metrics report.
 func (g *Registry) ColstoreReport() *api.ColstoreInfo {
 	g.mu.Lock()
-	columnar := g.Columnar || len(g.stores) > 0
 	datasets := len(g.stores)
 	g.mu.Unlock()
-	if !columnar {
-		return nil
-	}
 	st := g.colstoreStats()
 	return &api.ColstoreInfo{
 		Datasets:       datasets,
@@ -220,9 +207,7 @@ func (c *countingReader) Read(p []byte) (int, error) {
 func NewRegistry() *Registry {
 	return &Registry{
 		infos:  make(map[string]DatasetInfo),
-		data:   make(map[string]*cdr.Table),
 		stores: make(map[string]*colstore.Store),
-		users:  make(map[string]map[string]struct{}),
 		watch:  make(map[string]chan struct{}),
 	}
 }
@@ -256,7 +241,7 @@ func (g *Registry) wakeLocked(id string) {
 	}
 }
 
-// Close releases every columnar store's spill file; called at daemon
+// Close releases every store's spill file; called at daemon
 // shutdown after the manager has stopped all jobs.
 func (g *Registry) Close() error {
 	g.mu.Lock()
@@ -268,29 +253,6 @@ func (g *Registry) Close() error {
 		}
 	}
 	return first
-}
-
-// readRecords streams a record CSV, enforcing the record cap before
-// each append: the reader errors out as soon as the stream would exceed
-// `room` records, without buffering the offending record.
-func (g *Registry) readRecords(r io.Reader, room int) ([]cdr.Record, map[string]struct{}, error) {
-	var recs []cdr.Record
-	users := make(map[string]struct{})
-	rr := cdr.NewRecordReader(r)
-	for {
-		rec, err := rr.Next()
-		if err == io.EOF {
-			return recs, users, nil
-		}
-		if err != nil {
-			return nil, nil, err
-		}
-		if g.MaxRecords > 0 && len(recs) >= room {
-			return nil, nil, fmt.Errorf("service: dataset exceeds %d records", g.MaxRecords)
-		}
-		recs = append(recs, rec)
-		users[rec.User] = struct{}{}
-	}
 }
 
 // Ingest streams a raw record CSV into a new registered dataset. center
@@ -322,112 +284,11 @@ func (g *Registry) ingest(r io.Reader, name string, center geo.LatLon, spanDays 
 	if spanDays <= 0 {
 		return DatasetInfo{}, fmt.Errorf("service: span_days = %d, need > 0", spanDays)
 	}
-	if g.Columnar {
-		return g.ingestColumnar(r, name, center, spanDays, forcedID)
-	}
-	r, raw := g.journalTee(r)
-	cr := &countingReader{r: r}
-	recs, users, err := g.readRecords(cr, g.MaxRecords)
-	if err != nil {
-		return DatasetInfo{}, err
-	}
-	if len(recs) == 0 {
-		return DatasetInfo{}, fmt.Errorf("service: dataset is empty")
-	}
-	table := &cdr.Table{Records: recs, Center: center, SpanDays: spanDays}
-
-	g.mu.Lock()
-	now := time.Now().UTC()
-	info := DatasetInfo{
-		ID:        g.nextIDLocked(forcedID),
-		Name:      name,
-		Records:   len(table.Records),
-		Users:     len(users),
-		SpanDays:  spanDays,
-		Version:   1,
-		Center:    center,
-		CreatedAt: now,
-		UpdatedAt: now,
-	}
-	g.infos[info.ID] = info
-	g.data[info.ID] = table
-	g.users[info.ID] = users
-	g.order = append(g.order, info.ID)
-	if err := g.journalCreateLocked(info, raw); err != nil {
-		delete(g.infos, info.ID)
-		delete(g.data, info.ID)
-		delete(g.users, info.ID)
-		g.order = g.order[:len(g.order)-1]
-		g.mu.Unlock()
-		return DatasetInfo{}, err
-	}
-	g.tel.ingested(len(recs), cr.n)
-	g.publishTotalsLocked()
-	jl := g.jrnl
-	g.mu.Unlock()
-	if err := jl.commit(); err != nil {
-		return DatasetInfo{}, err
-	}
-	return info, nil
-}
-
-// nextIDLocked issues the next dataset ID, or adopts a forced one
-// (journal restore) while keeping the counter ahead of it.
-func (g *Registry) nextIDLocked(forced string) string {
-	if forced == "" {
-		g.seq++
-		return fmt.Sprintf("ds-%06d", g.seq)
-	}
-	if n := idNum("ds-%06d", forced); n > g.seq {
-		g.seq = n
-	}
-	return forced
-}
-
-// journalCreateLocked journals a dataset creation inside the registry
-// critical section, so journal order always matches ID issue order even
-// under concurrent ingests. Caller holds g.mu and fsyncs after release.
-func (g *Registry) journalCreateLocked(info DatasetInfo, raw *bytes.Buffer) error {
-	if g.jrnl == nil || raw == nil {
-		return nil
-	}
-	return g.jrnl.datasetCreated(info, raw.Bytes())
-}
-
-// colstoreOptions assembles the per-store options of a new columnar
-// dataset.
-func (g *Registry) colstoreOptions() colstore.Options {
-	return colstore.Options{
-		ByteBudget: g.ColumnarByteBudget,
-		SpillDir:   g.ColumnarSpillDir,
-		Counters:   &g.colCounters,
-	}
-}
-
-// capErr translates the columnar store's cap violation into the same
-// error the table path's streaming reader reports.
-func (g *Registry) capErr(err error) error {
-	if errors.Is(err, colstore.ErrTooManyRecords) {
-		return fmt.Errorf("service: dataset exceeds %d records", g.MaxRecords)
-	}
-	return err
-}
-
-// ingestColumnar streams a record CSV straight into a fresh columnar
-// store: no []Record is ever materialized, so ingestion memory is the
-// store's resident budget plus one CSV row. The store enforces the
-// record cap against its own committed count and rolls back on any
-// decode error.
-func (g *Registry) ingestColumnar(r io.Reader, name string, center geo.LatLon, spanDays int, forcedID string) (DatasetInfo, error) {
 	r, raw := g.journalTee(r)
 	cr := &countingReader{r: r}
 	rr := cdr.NewRecordReader(cr)
 	store := colstore.New(cdr.Meta{Center: center, SpanDays: spanDays}, g.colstoreOptions())
-	max := -1
-	if g.MaxRecords > 0 {
-		max = g.MaxRecords
-	}
-	added, err := store.AppendStreamMax(rr.Next, max)
+	added, err := store.AppendStream(rr.Next, g.recordCap())
 	if err != nil {
 		return DatasetInfo{}, g.capErr(err)
 	}
@@ -468,67 +329,54 @@ func (g *Registry) ingestColumnar(r io.Reader, name string, center geo.LatLon, s
 	return info, nil
 }
 
-// appendColumnar streams additional records into a columnar dataset's
-// store. Atomicity and the record cap live inside the store's append
-// critical section; the registry only refreshes the metadata afterwards
-// from the store's authoritative counts.
-func (g *Registry) appendColumnar(id string, store *colstore.Store, r io.Reader) (DatasetInfo, error) {
-	r, raw := g.journalTee(r)
-	cr := &countingReader{r: r}
-	rr := cdr.NewRecordReader(cr)
-	maxMinute := 0.0
-	next := func() (cdr.Record, error) {
-		rec, err := rr.Next()
-		if err == nil && rec.Minute > maxMinute {
-			maxMinute = rec.Minute
-		}
-		return rec, err
+// nextIDLocked issues the next dataset ID, or adopts a forced one
+// (journal restore) while keeping the counter ahead of it.
+func (g *Registry) nextIDLocked(forced string) string {
+	if forced == "" {
+		g.seq++
+		return fmt.Sprintf("ds-%06d", g.seq)
 	}
-	max := -1
-	if g.MaxRecords > 0 {
-		max = g.MaxRecords
+	if n := idNum("ds-%06d", forced); n > g.seq {
+		g.seq = n
 	}
-	added, err := store.AppendStreamMax(next, max)
-	if err != nil {
-		return DatasetInfo{}, g.capErr(err)
-	}
-	if added == 0 {
-		return DatasetInfo{}, fmt.Errorf("service: append without records")
-	}
+	return forced
+}
 
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	info, ok := g.infos[id]
-	if !ok {
-		// Deleted while the stream was in flight; the store the caller
-		// resolved keeps the records, but it is no longer registered.
-		return DatasetInfo{}, fmt.Errorf("service: unknown dataset %q", id)
+// journalCreateLocked journals a dataset creation inside the registry
+// critical section, so journal order always matches ID issue order even
+// under concurrent ingests. Caller holds g.mu and fsyncs after release.
+func (g *Registry) journalCreateLocked(info DatasetInfo, raw *bytes.Buffer) error {
+	if g.jrnl == nil || raw == nil {
+		return nil
 	}
-	// Records may extend the recording period; keep the nominal span
-	// covering the feed (it feeds rate-based screening downstream).
-	if days := int(maxMinute/cdr.MinutesPerDay) + 1; days > info.SpanDays {
-		info.SpanDays = days
-		store.SetSpanDays(days)
+	return g.jrnl.datasetCreated(info, raw.Bytes())
+}
+
+// colstoreOptions assembles the per-store options of a new dataset.
+func (g *Registry) colstoreOptions() colstore.Options {
+	return colstore.Options{
+		ByteBudget: g.ColumnarByteBudget,
+		SpillDir:   g.ColumnarSpillDir,
+		Counters:   &g.colCounters,
 	}
-	info.Records = store.Len()
-	info.Users = store.Users()
-	info.Version++
-	info.UpdatedAt = time.Now().UTC()
-	g.infos[id] = info
-	if err := g.journalAppendLocked(id, raw, info.UpdatedAt); err != nil {
-		return DatasetInfo{}, err
+}
+
+// recordCap is MaxRecords as the store's bound on its published total
+// (< 0 = unbounded).
+func (g *Registry) recordCap() int {
+	if g.MaxRecords > 0 {
+		return g.MaxRecords
 	}
-	g.tel.ingested(added, cr.n)
-	g.publishTotalsLocked()
-	g.wakeLocked(id)
-	jl := g.jrnl
-	g.mu.Unlock()
-	err = g.commitAppend(jl)
-	g.mu.Lock() // re-acquire for the deferred unlock
-	if err != nil {
-		return DatasetInfo{}, err
+	return -1
+}
+
+// capErr translates the store's cap violation into the registry's
+// record-cap error.
+func (g *Registry) capErr(err error) error {
+	if errors.Is(err, colstore.ErrTooManyRecords) {
+		return fmt.Errorf("service: dataset exceeds %d records", g.MaxRecords)
 	}
-	return info, nil
+	return err
 }
 
 // journalAppendLocked journals an append inside the registry critical
@@ -557,82 +405,77 @@ func (g *Registry) commitAppend(jl *Journal) error {
 }
 
 // Append streams additional records onto a registered dataset and bumps
-// its version. The append is atomic: a decode error or a record-cap
-// violation leaves the dataset untouched. Snapshots taken by running
-// jobs never observe the new records.
+// its version. The append is atomic: the records are staged invisibly in
+// the dataset's store and published only once the whole body has
+// decoded and the journal holds it. A decode error, a record-cap
+// violation or a journal failure discards them and leaves the dataset,
+// its metadata and every snapshot untouched.
 func (g *Registry) Append(id string, r io.Reader) (DatasetInfo, error) {
-	// Pre-check outside the lock with whatever room the cap allows at
-	// most, so a grossly oversized body fails while streaming; the exact
-	// bound against the current size is re-checked under the lock.
 	g.mu.Lock()
-	info, ok := g.infos[id]
-	store := g.stores[id]
+	store, ok := g.stores[id]
 	g.mu.Unlock()
 	if !ok {
 		return DatasetInfo{}, fmt.Errorf("service: unknown dataset %q", id)
-	}
-	if store != nil {
-		return g.appendColumnar(id, store, r)
-	}
-	room := g.MaxRecords - info.Records
-	if room < 0 {
-		room = 0
 	}
 	r, raw := g.journalTee(r)
 	cr := &countingReader{r: r}
-	recs, newUsers, err := g.readRecords(cr, room)
-	if err != nil {
-		return DatasetInfo{}, err
+	rr := cdr.NewRecordReader(cr)
+	maxMinute := 0.0
+	next := func() (cdr.Record, error) {
+		rec, err := rr.Next()
+		if err == nil && rec.Minute > maxMinute {
+			maxMinute = rec.Minute
+		}
+		return rec, err
 	}
-	if len(recs) == 0 {
+	p, err := store.Stage(next, g.recordCap())
+	if err != nil {
+		return DatasetInfo{}, g.capErr(err)
+	}
+	if p.Added == 0 {
+		p.Discard()
 		return DatasetInfo{}, fmt.Errorf("service: append without records")
 	}
 
+	// Journal, then publish or discard, all under g.mu: SnapshotSource
+	// always returns a view and an info of the same version.
 	g.mu.Lock()
-	defer g.mu.Unlock()
-	info, ok = g.infos[id]
+	info, ok := g.infos[id]
 	if !ok {
+		// Deleted while the stream was in flight.
+		p.Discard()
+		g.mu.Unlock()
 		return DatasetInfo{}, fmt.Errorf("service: unknown dataset %q", id)
 	}
-	table := g.data[id]
-	if g.MaxRecords > 0 && len(table.Records)+len(recs) > g.MaxRecords {
-		return DatasetInfo{}, fmt.Errorf("service: dataset exceeds %d records", g.MaxRecords)
-	}
-	// Direct append, not cdr.Table.Append: the streaming reader already
-	// validated every record, and an O(n) re-validation would stall all
-	// registry operations (including job Snapshots) behind g.mu.
-	table.Records = append(table.Records, recs...)
-	users := g.users[id]
-	for u := range newUsers {
-		users[u] = struct{}{}
+	info.Records = p.Records
+	info.Users = p.Users
+	info.Version++
+	info.UpdatedAt = time.Now().UTC()
+	if err := g.journalAppendLocked(id, raw, info.UpdatedAt); err != nil {
+		p.Discard()
+		g.mu.Unlock()
+		return DatasetInfo{}, err
 	}
 	// Records may extend the recording period; keep the nominal span
 	// covering the feed (it feeds rate-based screening downstream).
-	maxMinute := 0.0
-	for _, r := range recs {
-		if r.Minute > maxMinute {
-			maxMinute = r.Minute
-		}
-	}
 	if days := int(maxMinute/cdr.MinutesPerDay) + 1; days > info.SpanDays {
 		info.SpanDays = days
-		table.SpanDays = days
+		store.SetSpanDays(days)
 	}
-	info.Records = len(table.Records)
-	info.Users = len(users)
-	info.Version++
-	info.UpdatedAt = time.Now().UTC()
+	p.Publish()
 	g.infos[id] = info
-	if err := g.journalAppendLocked(id, raw, info.UpdatedAt); err != nil {
-		return DatasetInfo{}, err
-	}
-	g.tel.ingested(len(recs), cr.n)
+	g.tel.ingested(p.Added, cr.n)
 	g.publishTotalsLocked()
-	g.wakeLocked(id)
 	jl := g.jrnl
 	g.mu.Unlock()
 	err = g.commitAppend(jl)
-	g.mu.Lock() // re-acquire for the deferred unlock
+	// Wake watchers only once the append is durable, so a woken follow
+	// job does not compete with the fsync for CPUs. Watchers subscribe
+	// before they snapshot, so a late wake costs at most one spurious
+	// re-snapshot and never a missed record.
+	g.mu.Lock()
+	g.wakeLocked(id)
+	g.mu.Unlock()
 	if err != nil {
 		return DatasetInfo{}, err
 	}
@@ -648,29 +491,25 @@ func (g *Registry) Get(id string) (DatasetInfo, bool) {
 }
 
 // SnapshotSource returns a frozen read view of the dataset's records
-// together with the metadata of that version. Later appends never
-// mutate records the snapshot can see, so jobs anonymize exactly the
-// version they started from. Table-backed datasets return a
-// copy-on-write table clone; columnar datasets return an O(1) view
-// bounded to the rows committed so far.
+// together with the metadata of that version: an O(1) view bounded to
+// the rows published so far. Later appends never mutate records the
+// snapshot can see, so jobs anonymize exactly the version they started
+// from.
 func (g *Registry) SnapshotSource(id string) (cdr.Source, DatasetInfo, bool) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	if st, ok := g.stores[id]; ok {
-		return st.Snapshot(), g.infos[id], true
-	}
-	t, ok := g.data[id]
+	st, ok := g.stores[id]
 	if !ok {
 		return nil, DatasetInfo{}, false
 	}
-	return t.Snapshot(), g.infos[id], true
+	return st.Snapshot(), g.infos[id], true
 }
 
-// Delete removes a dataset, releasing its record table. Jobs already
-// holding a snapshot keep running; queued jobs referencing the ID fail
-// when they start. A columnar store is unregistered but not closed —
-// running jobs may still fault its spilled chunks; the unlinked spill
-// file is reclaimed once the last view is garbage collected.
+// Delete removes a dataset. Jobs already holding a snapshot keep
+// running; queued jobs referencing the ID fail when they start. The
+// store is unregistered but not closed — running jobs may still fault
+// its spilled chunks; the unlinked spill file is reclaimed once the last
+// view is garbage collected.
 func (g *Registry) Delete(id string) bool {
 	g.mu.Lock()
 	defer g.mu.Unlock()
@@ -678,9 +517,7 @@ func (g *Registry) Delete(id string) bool {
 		return false
 	}
 	delete(g.infos, id)
-	delete(g.data, id)
 	delete(g.stores, id)
-	delete(g.users, id)
 	for i, oid := range g.order {
 		if oid == id {
 			g.order = append(g.order[:i], g.order[i+1:]...)

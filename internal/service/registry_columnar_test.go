@@ -5,23 +5,23 @@ import (
 	"fmt"
 	"io"
 	"net/http/httptest"
-	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/api"
 	"repro/internal/cdr"
 	"repro/internal/colstore"
+	"repro/internal/core"
 	"repro/internal/geo"
+	"repro/internal/obs"
 )
 
-// columnarRegistry returns a registry running the columnar backend with
-// a small chunk budget so spilling is exercised even by test-sized
-// datasets.
+// columnarRegistry returns a registry with a small chunk budget so
+// spilling is exercised even by test-sized datasets.
 func columnarRegistry(t *testing.T) *Registry {
 	t.Helper()
 	reg := NewRegistry()
-	reg.Columnar = true
 	reg.ColumnarByteBudget = 4 * colstore.DefaultChunkRecords * 28
 	reg.ColumnarSpillDir = t.TempDir()
 	t.Cleanup(func() { reg.Close() })
@@ -91,10 +91,11 @@ func TestColumnarRecordCapBoundary(t *testing.T) {
 	}
 }
 
-// TestColumnarRegistryEquivalence runs the same feed and the same job
-// through a table-backed and a columnar registry and requires identical
-// results end to end: dataset metadata, streamed CSV bytes, and the
-// anonymized output of a sharded windowed job.
+// TestColumnarRegistryEquivalence runs a feed through a spilling
+// registry and a sharded windowed job, and requires both to match the
+// engine reference: the snapshot streams back the ingested CSV byte for
+// byte, and every window release equals planShards + runShards over the
+// table's own SplitByWindow.
 func TestColumnarRegistryEquivalence(t *testing.T) {
 	table := synthTable(t, 40, 2)
 	var raw bytes.Buffer
@@ -102,79 +103,170 @@ func TestColumnarRegistryEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	plain := NewRegistry()
-	col := columnarRegistry(t)
-	infoP, err := plain.Ingest(bytes.NewReader(raw.Bytes()), "d", table.Center, table.SpanDays)
+	reg := columnarRegistry(t)
+	if rep := reg.ColstoreReport(); rep == nil || rep.Datasets != 0 {
+		t.Fatalf("fresh registry colstore report: %+v, want Datasets: 0", rep)
+	}
+	info, err := reg.Ingest(bytes.NewReader(raw.Bytes()), "d", table.Center, table.SpanDays)
 	if err != nil {
 		t.Fatal(err)
 	}
-	infoC, err := col.Ingest(bytes.NewReader(raw.Bytes()), "d", table.Center, table.SpanDays)
+	if info.Records != len(table.Records) || info.Users != table.Users() {
+		t.Fatalf("metadata diverges: registry %+v, table %d records %d users",
+			info, len(table.Records), table.Users())
+	}
+	src, _, _ := reg.SnapshotSource(info.ID)
+	var snap bytes.Buffer
+	if err := cdr.WriteSourceCSV(&snap, src); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(snap.Bytes(), raw.Bytes()) {
+		t.Fatal("snapshot CSV differs from the ingested CSV")
+	}
+
+	mgr := NewManager(reg, ManagerOptions{})
+	defer mgr.Close()
+	st, err := mgr.Submit(JobSpec{DatasetID: info.ID, K: 2, Shards: 2, WindowHours: 24})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if infoP.Records != infoC.Records || infoP.Users != infoC.Users {
-		t.Fatalf("metadata diverges: table %+v, columnar %+v", infoP, infoC)
+	final := waitForState(t, mgr, st.ID, func(s JobStatus) bool { return s.State.Terminal() })
+	if final.State != JobDone {
+		t.Fatalf("job finished %s: %s", final.State, final.Error)
 	}
 
-	srcP, _, _ := plain.SnapshotSource(infoP.ID)
-	srcC, _, _ := col.SnapshotSource(infoC.ID)
-	var csvP, csvC bytes.Buffer
-	if err := cdr.WriteSourceCSV(&csvP, srcP); err != nil {
+	wins, err := table.SplitByWindow(24 * time.Hour)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := cdr.WriteSourceCSV(&csvC, srcC); err != nil {
-		t.Fatal(err)
+	if len(final.Windows) != len(wins) {
+		t.Fatalf("window counts diverge: job %d, reference %d", len(final.Windows), len(wins))
 	}
-	if !bytes.Equal(csvP.Bytes(), csvC.Bytes()) {
-		t.Fatal("columnar snapshot CSV differs from the table snapshot")
-	}
-
-	spec := JobSpec{K: 2, Shards: 2, WindowHours: 24}
-	run := func(reg *Registry, id string) *JobStatus {
-		mgr := NewManager(reg, ManagerOptions{})
-		defer mgr.Close()
-		s := spec
-		s.DatasetID = id
-		st, err := mgr.Submit(s)
+	var want core.GloveStats
+	for i, w := range wins {
+		shards := planShards(w.Table, w.Table.NumUsers(), final.Spec.K, final.Spec.Shards, 0)
+		out, stats, err := runShards(t.Context(), shards, final.Spec, nil, nil, obs.ActiveSpan{}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		final := waitForState(t, mgr, st.ID, func(s JobStatus) bool { return s.State.Terminal() })
-		if final.State != JobDone {
-			t.Fatalf("job finished %s: %s", final.State, final.Error)
+		want.Add(stats)
+		got := final.Windows[i]
+		if got.Index != w.Index || got.Records != len(w.Table.Records) ||
+			got.Users != w.Table.Users() || got.Groups != out.Len() {
+			t.Errorf("window %d diverges: job %+v, reference %d records %d users %d groups",
+				w.Index, got, len(w.Table.Records), w.Table.Users(), out.Len())
 		}
-		return &final
-	}
-	finalP := run(plain, infoP.ID)
-	finalC := run(col, infoC.ID)
-
-	if len(finalP.Windows) != len(finalC.Windows) {
-		t.Fatalf("window counts diverge: %d vs %d", len(finalP.Windows), len(finalC.Windows))
-	}
-	for i := range finalP.Windows {
-		wp, wc := finalP.Windows[i], finalC.Windows[i]
-		if wp.Records != wc.Records || wp.Users != wc.Users || wp.Groups != wc.Groups {
-			t.Errorf("window %d diverges: table %+v, columnar %+v", i, wp, wc)
+		var ref bytes.Buffer
+		if err := cdr.WriteAnonymizedCSV(&ref, out); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(releaseCSV(t, mgr, st.ID, w.Index), ref.Bytes()) {
+			t.Errorf("window %d release differs from the engine reference", w.Index)
 		}
 	}
-	// The engine-level accounting (merges, kernel calls are
-	// nondeterministic across workers — compare the deterministic parts).
-	if finalP.Stats.Merges != finalC.Stats.Merges ||
-		finalP.Stats.OutputFingerprints != finalC.Stats.OutputFingerprints ||
-		finalP.Stats.SuppressedSamples != finalC.Stats.SuppressedSamples {
-		t.Errorf("stats diverge: table %+v, columnar %+v", finalP.Stats, finalC.Stats)
-	}
-	if !reflect.DeepEqual(finalP.Accuracy, finalC.Accuracy) {
-		t.Errorf("accuracy diverges: %+v vs %+v", finalP.Accuracy, finalC.Accuracy)
+	// Kernel call counts depend on worker counts; compare the
+	// deterministic parts of the accounting.
+	if final.Stats.Merges != want.Merges ||
+		final.Stats.SuppressedSamples != want.SuppressedSamples {
+		t.Errorf("stats diverge: job %+v, reference %+v", final.Stats, want)
 	}
 
-	// The columnar tier reports its footprint in the metrics block.
-	rep := col.ColstoreReport()
-	if rep == nil || rep.Datasets != 1 {
+	// The store reports its footprint in the metrics block.
+	if rep := reg.ColstoreReport(); rep == nil || rep.Datasets != 1 {
 		t.Fatalf("colstore report missing or wrong: %+v", rep)
 	}
-	if plain.ColstoreReport() != nil {
-		t.Error("table-backed registry reports a colstore block")
+}
+
+// TestAppendInvisibleToMidStreamSnapshot pins append atomicity against
+// concurrent snapshots: rows of an append still streaming are not in a
+// snapshot taken meanwhile, so when the stream then fails its rollback
+// cannot pull rows out from under that snapshot, and neither can a later
+// append reuse their slots.
+func TestAppendInvisibleToMidStreamSnapshot(t *testing.T) {
+	center := geo.LatLon{Lat: 7.54, Lon: -5.55}
+	reg := NewRegistry()
+	info, err := reg.Ingest(strings.NewReader(capCSV(40)), "feed", center, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := sourceCSV(t, reg, info.ID)
+
+	pr, pw := io.Pipe()
+	appendErr := make(chan error, 1)
+	go func() {
+		_, err := reg.Append(info.ID, pr)
+		appendErr <- err
+	}()
+	var rows strings.Builder
+	rows.WriteString("user,lat,lon,minute\n")
+	for i := 0; i < 10; i++ {
+		fmt.Fprintf(&rows, "v%d,7.5,-5.5,%d\n", i, 200+i)
+	}
+	if _, err := io.WriteString(pw, rows.String()); err != nil {
+		t.Fatal(err)
+	}
+	// The reader takes this partial row only after it has decoded and
+	// appended all ten rows above.
+	if _, err := io.WriteString(pw, "bad,7.5,-5.5,"); err != nil {
+		t.Fatal(err)
+	}
+	snap, snapInfo, ok := reg.SnapshotSource(info.ID)
+	if !ok {
+		t.Fatal("snapshot failed")
+	}
+	if snap.NumRecords() != 40 || snapInfo.Records != 40 || snapInfo.Version != 1 {
+		t.Fatalf("mid-stream snapshot holds %d records (info %+v), want the 40 published",
+			snap.NumRecords(), snapInfo)
+	}
+	io.WriteString(pw, "NaN\n")
+	pw.Close()
+	if err := <-appendErr; err == nil {
+		t.Fatal("append with a NaN minute accepted")
+	}
+	if got, _ := reg.Get(info.ID); got != info {
+		t.Fatalf("failed append changed the dataset: %+v, want %+v", got, info)
+	}
+
+	if _, err := reg.Append(info.ID, strings.NewReader(capCSV(10))); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := cdr.WriteSourceCSV(&buf, snap); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf.Bytes(), want) {
+		t.Fatal("a later append changed the mid-stream snapshot's records")
+	}
+	if got, _ := reg.Get(info.ID); got.Records != 50 || got.Version != 2 {
+		t.Fatalf("append after the failed one: %+v, want 50 records at version 2", got)
+	}
+}
+
+// TestAppendJournalFailureLeavesDatasetUnchanged pins that an append the
+// journal refuses is not applied: the client's error means nothing
+// changed, so a retry cannot apply the rows twice.
+func TestAppendJournalFailureLeavesDatasetUnchanged(t *testing.T) {
+	center := geo.LatLon{Lat: 7.54, Lon: -5.55}
+	jrnl, reg, mgr, _ := bootService(t, t.TempDir(), ManagerOptions{})
+	defer crashClose(mgr, reg, jrnl)
+	info, err := reg.Ingest(strings.NewReader(capCSV(40)), "feed", center, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := sourceCSV(t, reg, info.ID)
+
+	jrnl.Close()
+	if _, err := reg.Append(info.ID, strings.NewReader(capCSV(10))); err == nil {
+		t.Fatal("append accepted with the journal closed")
+	}
+	if got, _ := reg.Get(info.ID); got != info {
+		t.Fatalf("refused append changed the dataset: %+v, want %+v", got, info)
+	}
+	if _, snapInfo, _ := reg.SnapshotSource(info.ID); snapInfo != info {
+		t.Fatalf("snapshot info after refused append: %+v, want %+v", snapInfo, info)
+	}
+	if !bytes.Equal(sourceCSV(t, reg, info.ID), want) {
+		t.Fatal("refused append changed the dataset records")
 	}
 }
 
@@ -184,7 +276,6 @@ func TestColumnarRegistryEquivalence(t *testing.T) {
 // show real traffic on /metrics and in the /v1/metrics colstore block.
 func TestColstoreMetricsExposition(t *testing.T) {
 	reg := NewRegistry()
-	reg.Columnar = true
 	reg.ColumnarByteBudget = 1
 	reg.ColumnarSpillDir = t.TempDir()
 	t.Cleanup(func() { reg.Close() })

@@ -17,9 +17,9 @@ import (
 // subscribers, then lowered further if the hash assignment leaves any
 // shard below k (the minimum a shard needs to anonymize on its own).
 // The result always has at least one shard and covers every record
-// exactly once. The source may be an in-memory table or a columnar
-// view; both shard by the same user hash, so the plan is identical
-// across backends.
+// exactly once. The source may be a store view or a fused in-memory
+// window table; both shard by the same user hash, so the plan does not
+// depend on which one a window runs on.
 func planShards(t cdr.Source, users, k, requested int, seed uint64) []cdr.Source {
 	max := users / (2 * k)
 	if max < 1 {
