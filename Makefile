@@ -34,12 +34,13 @@ race:
 	$(GO) test -race ./internal/service/ ./internal/parallel/ ./internal/core/ ./internal/obs/ ./internal/colstore/ ./internal/cdr/ ./internal/wal/ ./internal/faultinject/ ./internal/lint/ ./pkg/client/ ./cmd/glovectl/
 
 # race-repeat reruns, 20 times under the race detector, the tests that
-# once passed or failed by scheduling luck: warm == cold kernel
-# accounting at Workers: 2, and registry appends that a concurrent
-# snapshot or a refused journal write must not observe.
+# once passed or failed by scheduling luck: deterministic kernel
+# accounting of repeated parallel runs, registry appends that a
+# concurrent snapshot or a refused journal write must not observe, and
+# the queued status Submit returns while an idle executor starts the job.
 race-repeat:
-	$(GO) test -race -count=20 -run 'TestSessionWarmEqualsCold' ./internal/core/
-	$(GO) test -race -count=20 -run 'TestAppendInvisibleToMidStreamSnapshot|TestAppendJournalFailureLeavesDatasetUnchanged' ./internal/service/
+	$(GO) test -race -count=20 -run 'TestSerialParallelEquivalence' ./internal/core/
+	$(GO) test -race -count=20 -run 'TestAppendInvisibleToMidStreamSnapshot|TestAppendJournalFailureLeavesDatasetUnchanged|TestManagerJobLifecycle' ./internal/service/
 
 # crash-e2e runs the kill/restart fault-injection matrix against a real
 # gloved binary built with the faultinject tag: torn WAL writes,

@@ -40,9 +40,9 @@ func followFeed(windows, users, samples int) *cdr.Table {
 
 // benchWindowCommit replays the incremental commit loop of a follow
 // job: advance a record cursor over the growing feed with TailWindows,
-// fuse each closed window's fragments, and anonymize it on a warm
-// session. The reported ns/commit is the close-to-commit latency of one
-// window release.
+// fuse each closed window's fragments, and anonymize it in a cold
+// engine run. The reported ns/commit is the close-to-commit latency of
+// one window release.
 func benchWindowCommit(b *testing.B, windows, users, samples int) {
 	feed := followFeed(windows, users, samples)
 	perWindow := users * samples
@@ -50,7 +50,6 @@ func benchWindowCommit(b *testing.B, windows, users, samples int) {
 	ctx := context.Background()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sess := core.NewWindowedSession()
 		cursor := 0
 		for w := 0; w < windows; w++ {
 			// The feed as a follow job sees it after window w's appends.
@@ -76,7 +75,7 @@ func benchWindowCommit(b *testing.B, windows, users, samples int) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			if _, _, err := sess.Anonymize(ctx, ds, opt); err != nil {
+			if _, _, err := core.AnonymizeContext(ctx, ds, opt); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -154,8 +154,8 @@ func TestMaterializeTable(t *testing.T) {
 	}
 	// Fragments carry per-window metadata (a 1-hour window spans 1 day,
 	// not the feed's 3), exactly like cold SplitByWindow windows — the
-	// materialized window must preserve it so warm and cold runs build
-	// fingerprints from identical tables.
+	// materialized window must preserve it so follow and cold windowed
+	// runs build fingerprints from identical tables.
 	if m.Center != tab.Center || m.SpanDays != frags[0].Source.TableMeta().SpanDays {
 		t.Fatalf("metadata lost: %+v", m)
 	}

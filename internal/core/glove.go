@@ -175,16 +175,6 @@ func Glove(d *Dataset, opt GloveOptions) (*Dataset, *GloveStats, error) {
 // dataset is never modified, so an interrupted run leaves no partial
 // state behind.
 func GloveContext(ctx context.Context, d *Dataset, opt GloveOptions) (*Dataset, *GloveStats, error) {
-	return gloveRun(ctx, d, opt, nil)
-}
-
-// gloveRun is GloveContext with an optional warm session: a non-nil sess
-// donates (and receives back) recycled working-set, arena and index
-// storage, which across the windows of a feed eliminates nearly all
-// per-window allocation. The run itself is byte-identical either way —
-// warm storage only changes where slices live, never what the merge
-// loop observes (the "warm == cold" pin of TestSessionWarmEqualsCold).
-func gloveRun(ctx context.Context, d *Dataset, opt GloveOptions, sess *WindowedSession) (*Dataset, *GloveStats, error) {
 	opt = opt.withDefaults()
 	if opt.K < 2 {
 		return nil, nil, fmt.Errorf("core: glove k = %d, need k >= 2", opt.K)
@@ -209,20 +199,12 @@ func gloveRun(ctx context.Context, d *Dataset, opt GloveOptions, sess *WindowedS
 	}
 
 	buildStart := time.Now()
-	st, err := newGloveState(ctx, d, opt, sess)
+	st, err := newGloveState(ctx, d, opt)
 	if err != nil {
 		return nil, nil, err
 	}
 	stats.IndexBuildNanos = time.Since(buildStart).Nanoseconds()
-	return finishRun(ctx, st, stats)
-}
 
-// finishRun drives a staged state to completion: the merge loop, the
-// leftover fold, suppression, and the output accounting. Shared by the
-// one-shot paths (GloveContext, session Anonymize) and the staged
-// Push/Commit path, whose state was built across several stage calls.
-func finishRun(ctx context.Context, st *gloveState, stats *GloveStats) (*Dataset, *GloveStats, error) {
-	opt := st.opt
 	// Progress accounting: step 0 -> 1 is the index build, then one
 	// step per merge (at most one merge per initially-active
 	// fingerprint, counting the leftover fold).
@@ -292,60 +274,40 @@ type gloveState struct {
 	done []*Fingerprint // anonymized fingerprints (count >= K)
 }
 
-func newGloveState(ctx context.Context, d *Dataset, opt GloveOptions, sess *WindowedSession) (*gloveState, error) {
+func newGloveState(ctx context.Context, d *Dataset, opt GloveOptions) (*gloveState, error) {
 	n := d.Len()
-	var ws *workingSet
-	if sess != nil && sess.ws != nil {
-		ws = sess.ws
-		ws.reset(opt.Params, opt.Workers, n)
-	} else {
-		ws = &workingSet{
-			params:  opt.Params,
-			workers: opt.Workers,
-			fps:     make([]*Fingerprint, n),
-			alive:   make([]bool, n),
-			views:   make([]*fpView, n),
-			n:       n,
-		}
-		if sess != nil {
-			sess.ws = ws
-		}
+	ws := &workingSet{
+		params:  opt.Params,
+		workers: opt.Workers,
+		fps:     make([]*Fingerprint, n),
+		alive:   make([]bool, n),
+		views:   make([]*fpView, n),
+		n:       n,
 	}
 	st := &gloveState{opt: opt, ws: ws}
-	var offsets []int
-	var arena []float64
-	if sess != nil {
-		offsets, arena = sess.offsets, sess.arena
-	}
-	offsets, arena = st.stage(d, 0, offsets, arena)
-	if sess != nil {
-		sess.offsets, sess.arena = offsets, arena
-	}
+	st.stage(d)
 	kind, err := opt.resolveIndex(n)
 	if err != nil {
 		return nil, err
 	}
 	opt.Index = kind
-	st.idx = sessionEffortIndex(sess, ws, opt)
+	st.idx = newEffortIndex(ws, opt)
 	if err := st.idx.Build(ctx); err != nil {
 		return nil, err
 	}
 	return st, nil
 }
 
-// stage admits d's fingerprints into slots [base, base+d.Len()) of the
-// state: already-anonymous inputs retire straight to done in input
-// order, the rest become alive slots. SoA kernel views for the staged
-// slots are built in bulk into one shared column arena: a single
-// allocation sized by a prefix sum over sample counts, filled in
-// parallel (each slot owns a disjoint segment). Each view is immutable
-// until its slot is merged away, so the indexes built next can share
-// them freely across goroutines; at 1M fingerprints this replaces 1M
-// small allocations with one. The offsets/arena scratch is reused when
-// capacity allows and returned for the caller to recycle; a staged
-// push passes a nil arena because the previous pushes' views still own
-// theirs.
-func (st *gloveState) stage(d *Dataset, base int, offsets []int, arena []float64) ([]int, []float64) {
+// stage admits d's fingerprints into the state's slots: already-
+// anonymous inputs retire straight to done in input order, the rest
+// become alive slots. SoA kernel views for the alive slots are built in
+// bulk into one shared column arena: a single allocation sized by a
+// prefix sum over sample counts, filled in parallel (each slot owns a
+// disjoint segment). Each view is immutable until its slot is merged
+// away, so the indexes built next can share them freely across
+// goroutines; at 1M fingerprints this replaces 1M small allocations
+// with one.
+func (st *gloveState) stage(d *Dataset) {
 	ws := st.ws
 	n := d.Len()
 	for i, f := range d.Fingerprints {
@@ -355,27 +317,25 @@ func (st *gloveState) stage(d *Dataset, base int, offsets []int, arena []float64
 			st.done = append(st.done, fc)
 			continue
 		}
-		ws.fps[base+i] = fc
-		ws.alive[base+i] = true
+		ws.fps[i] = fc
+		ws.alive[i] = true
 		st.active++
 	}
-	offsets = growKeep(offsets, n+1)
-	offsets[0] = 0
+	offsets := make([]int, n+1)
 	for i := 0; i < n; i++ {
 		offsets[i+1] = offsets[i]
-		if ws.alive[base+i] {
-			offsets[i+1] += 7 * len(ws.fps[base+i].Samples)
+		if ws.alive[i] {
+			offsets[i+1] += 7 * len(ws.fps[i].Samples)
 		}
 	}
-	arena = growKeep(arena, offsets[n])
+	arena := make([]float64, offsets[n])
 	parallel.For(n, ws.workers, func(i int) {
-		if ws.alive[base+i] {
+		if ws.alive[i] {
 			v := &fpView{}
-			v.fill(ws.fps[base+i], arena[offsets[i]:offsets[i+1]:offsets[i+1]])
-			ws.views[base+i] = v
+			v.fill(ws.fps[i], arena[offsets[i]:offsets[i+1]:offsets[i+1]])
+			ws.views[i] = v
 		}
 	})
-	return offsets, arena
 }
 
 func (st *gloveState) activeCount() int { return st.active }

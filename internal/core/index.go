@@ -35,54 +35,6 @@ type workingSet struct {
 	kc kernelCounters // pruned-kernel accounting for GloveStats
 }
 
-// growKeep returns s with length n, reusing the backing array when its
-// capacity allows and copying retained elements over on reallocation.
-// The warm-state reset paths are built on it: slices grow, never
-// shrink, so across the windows of a feed each structure allocates at
-// most a handful of times. Callers clear whatever stale contents matter
-// to them — the cap-reuse path exposes old values.
-func growKeep[T any](s []T, n int) []T {
-	if cap(s) >= n {
-		return s[:n]
-	}
-	ns := make([]T, n)
-	copy(ns, s)
-	return ns
-}
-
-// reset re-arms a recycled working set for a fresh run over n slots.
-// Slot storage keeps its capacity, kernel counters restart at zero, and
-// the view pool is dropped: pooled backings may alias the previous
-// run's column arena, which the next run overwrites in place — reusing
-// one would let two live views share memory.
-func (ws *workingSet) reset(params Params, workers, n int) {
-	ws.params = params
-	ws.workers = workers
-	ws.n = n
-	ws.fps = growKeep(ws.fps, n)
-	clear(ws.fps)
-	ws.alive = growKeep(ws.alive, n)
-	clear(ws.alive)
-	ws.views = growKeep(ws.views, n)
-	clear(ws.views)
-	ws.viewPool = sync.Pool{}
-	ws.kc.calls.Store(0)
-	ws.kc.pruned.Store(0)
-}
-
-// extend grows the slot table to n slots for a staged push, leaving the
-// existing slots untouched.
-func (ws *workingSet) extend(n int) {
-	old := ws.n
-	ws.fps = growKeep(ws.fps, n)
-	clear(ws.fps[old:])
-	ws.alive = growKeep(ws.alive, n)
-	clear(ws.alive[old:])
-	ws.views = growKeep(ws.views, n)
-	clear(ws.views[old:])
-	ws.n = n
-}
-
 // borrowView builds a kernel view for f from pooled storage. The caller
 // owns the view until it recycles it (returnView) or hands it to a slot
 // (put does both ends internally).

@@ -88,30 +88,15 @@ func (x *denseIndex) Build(ctx context.Context) error {
 	return nil
 }
 
-// prepare sizes the matrix and caches for n slots, reusing recycled
-// capacity (a WindowedSession keeps the quadratic matrix across the
-// windows of a feed). Stale matrix entries at dead or self positions
-// are never read — every consumer skips !alive slots first — but the
-// trunc flags are cleared wholesale: buildRow only ever sets them, and
-// a stale "truncated" flag on an exact entry would cost a pointless
-// refinement on first read.
+// prepare allocates the matrix and caches for n slots. Matrix entries
+// at dead or self positions are never read — every consumer skips
+// !alive slots first.
 func (x *denseIndex) prepare(n int) {
-	x.matrix = growKeep(x.matrix, n*n)
-	x.trunc = growKeep(x.trunc, n*n)
-	clear(x.trunc)
-	x.nearest = growKeep(x.nearest, n)
-	x.reE = growKeep(x.reE, n)
-	x.reTrunc = growKeep(x.reTrunc, n)
-}
-
-// Extend brings freshly staged slots into a built index. At dense scale
-// (the planner caps this index at DenseIndexMaxN fingerprints) there is
-// no structure worth preserving incrementally — the matrix is quadratic
-// either way — so extension is a full warm rebuild over the recycled
-// storage, exact by construction. The sparse index is the one with a
-// true incremental path; staged sessions resolve IndexAuto to it.
-func (x *denseIndex) Extend(ctx context.Context, _ int) error {
-	return x.Build(ctx)
+	x.matrix = make([]float64, n*n)
+	x.trunc = make([]bool, n*n)
+	x.nearest = make([]int, n)
+	x.reE = make([]float64, n)
+	x.reTrunc = make([]bool, n)
 }
 
 // buildRow fills row i, passing the running row minimum to the kernel

@@ -87,38 +87,19 @@ func newSparseIndex(ws *workingSet, neighbors int) *sparseIndex {
 	}
 }
 
-// prepare sizes the per-slot structures for n slots. On a fresh index
-// everything is allocated; on one recycled through a WindowedSession
-// every slice — including each per-slot candidate list and each grid
-// cell — keeps its capacity, which is the bulk of the warm-build win.
-// Cross-run state that influences pruning (grid membership, envelope,
-// maxReach) is cleared; slot generations deliberately survive, because
-// entry validity only compares a stored generation against the current
-// one, so any consistent starting point is as good as zero. Everything
-// else stale (bounds, cutoffs, dead slots' lists) is either overwritten
-// for alive slots during Build or never read for dead ones.
+// prepare allocates the per-slot structures and an empty grid for n
+// slots. Per-slot geometry, lists and cutoffs of alive slots are filled
+// by Build; dead slots' entries are never read.
 func (x *sparseIndex) prepare(n int) {
-	x.gen = growKeep(x.gen, n)
-	x.bounds = growKeep(x.bounds, n)
-	x.cellOf = growKeep(x.cellOf, n)
-	x.reach = growKeep(x.reach, n)
-	x.lists = growKeep(x.lists, n)
-	x.cutE = growKeep(x.cutE, n)
-	x.cutS = growKeep(x.cutS, n)
-	x.offers = growKeep(x.offers, n)
-	if x.grid == nil {
-		x.grid = make(map[[2]int32][]int32)
-	} else {
-		// Keep the keys (and so each cell's slice capacity); a truncated
-		// cell behaves exactly like a missing one for ring scans. The map
-		// retains the union of cells ever seen, which for a feed over one
-		// region is bounded and exactly the set about to be refilled.
-		for cell, slots := range x.grid {
-			x.grid[cell] = slots[:0]
-		}
-	}
-	x.gridMin, x.gridMax = [2]int32{}, [2]int32{}
-	x.maxReach = 0
+	x.gen = make([]uint32, n)
+	x.bounds = make([]FingerprintBounds, n)
+	x.cellOf = make([][2]int32, n)
+	x.reach = make([]float64, n)
+	x.lists = make([][]candidate, n)
+	x.cutE = make([]float64, n)
+	x.cutS = make([]int32, n)
+	x.offers = make([]float64, n)
+	x.grid = make(map[[2]int32][]int32)
 }
 
 func (x *sparseIndex) Build(ctx context.Context) error {
@@ -173,7 +154,9 @@ func (x *sparseIndex) Build(ctx context.Context) error {
 			if x.reach[i] > sg.maxReach {
 				sg.maxReach = x.reach[i]
 			}
-			x.lists[i] = emptyList(x.lists[i], x.m)
+			// Pre-sized to the m+1 overflow capacity so
+			// insertCandidate never grows it.
+			x.lists[i] = make([]candidate, 0, x.m+1)
 		}
 	}); err != nil {
 		return err
@@ -493,84 +476,21 @@ func (x *sparseIndex) Reinsert(i int) {
 	// The merged fingerprint's own list comes from a fresh (pruned)
 	// grid scan.
 	x.rebuild(i)
-	x.offer(i, x.ws.n)
+	x.offer(i)
 }
 
-// Extend incorporates freshly staged slots [from, ws.n) into a built
-// index — the incremental-append path of a staged window. New slots are
-// registered in the grid serially in ascending order (so per-cell slot
-// order matches a cold build's stripe concatenation over the same slot
-// sequence), their candidate lists then come from fresh ring scans run
-// in parallel — the grid already holds every new slot, so new-new pairs
-// are discovered there — and finally each new slot is offered to the
-// pre-existing slots' lists, exactly Reinsert's cutoff-bounded offer
-// pass. Every per-slot list invariant ("entries < cutoff <= every
-// excluded alive candidate") therefore holds over the extended slot
-// set, and MinPair stays exact: a subsequent Commit merges in exactly
-// the sequence a cold build over the concatenated input produces (the
-// "staged == cold" pin of TestSessionStagedEqualsCold).
-func (x *sparseIndex) Extend(ctx context.Context, from int) error {
-	ws := x.ws
-	n := ws.n
-	x.gen = growKeep(x.gen, n)
-	x.bounds = growKeep(x.bounds, n)
-	x.cellOf = growKeep(x.cellOf, n)
-	x.reach = growKeep(x.reach, n)
-	x.lists = growKeep(x.lists, n)
-	x.cutE = growKeep(x.cutE, n)
-	x.cutS = growKeep(x.cutS, n)
-	x.offers = growKeep(x.offers, n)
-	for i := from; i < n; i++ {
-		if ws.alive[i] {
-			x.place(i)
-			x.expandEnvelope(x.cellOf[i])
-			x.lists[i] = emptyList(x.lists[i], x.m)
-		}
-	}
-	if err := parallel.ForContext(ctx, n-from, ws.workers, func(k int) {
-		if i := from + k; ws.alive[i] {
-			x.rebuild(i)
-		}
-	}); err != nil {
-		return err
-	}
-	// Offers go only to slots below `from`: the new slots already hold
-	// each other through their ring scans above, and an ascending offer
-	// order keeps multiple insertions into one list deterministic.
-	for i := from; i < n; i++ {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		if ws.alive[i] {
-			x.offer(i, from)
-		}
-	}
-	return nil
-}
-
-// emptyList resets a per-slot candidate list to empty, keeping its
-// backing when recycled and pre-sizing fresh ones to the m+1 overflow
-// capacity so insertCandidate never grows them.
-func emptyList(list []candidate, m int) []candidate {
-	if list == nil {
-		return make([]candidate, 0, m+1)
-	}
-	return list[:0]
-}
-
-// offer proposes slot i to the candidate lists of the alive slots in
-// [0, limit) — Reinsert's fan-out (limit == ws.n), reused by Extend with
-// the staged boundary as the limit. The exact effort is computed in
+// offer proposes slot i to the candidate lists of every other alive
+// slot — Reinsert's fan-out. The exact effort is computed in
 // parallel, and only where the bounding-volume lower bound does not
 // already prove the offer falls at or beyond the target's cutoff (in
 // which case skipping it preserves the list invariant: the excluded
 // candidate is >= the cutoff by construction).
-func (x *sparseIndex) offer(i, limit int) {
+func (x *sparseIndex) offer(i int) {
 	ws := x.ws
 	p := ws.params
 	i32 := int32(i)
 	row := x.offers
-	parallel.For(limit, ws.workers, func(c int) {
+	parallel.For(ws.n, ws.workers, func(c int) {
 		if c == i || !ws.alive[c] {
 			row[c] = math.NaN()
 			return
@@ -590,7 +510,7 @@ func (x *sparseIndex) offer(i, limit int) {
 		}
 		row[c] = e
 	})
-	for c, e := range row[:limit] {
+	for c, e := range row {
 		if math.IsNaN(e) || !lexLess(e, i32, x.cutE[c], x.cutS[c]) {
 			continue
 		}

@@ -125,7 +125,7 @@ func TestSparseIndexBoundedMemory(t *testing.T) {
 	const n, m = 40, 3
 	d := randDataset(rng, n, 5)
 	opt := GloveOptions{K: 2, Index: IndexSparse, IndexNeighbors: m}.withDefaults()
-	st, err := newGloveState(t.Context(), d, opt, nil)
+	st, err := newGloveState(t.Context(), d, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +157,7 @@ func TestIndexAutoResolution(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	d := randDataset(rng, 10, 4)
 	opt := GloveOptions{K: 2}.withDefaults()
-	st, err := newGloveState(t.Context(), d, opt, nil)
+	st, err := newGloveState(t.Context(), d, opt)
 	if err != nil {
 		t.Fatal(err)
 	}

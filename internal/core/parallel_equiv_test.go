@@ -13,21 +13,29 @@ import (
 // datasets. These tests force the parallel MinPair path on small
 // datasets by lowering its activation cut.
 
+// zeroTimings clears the wall-clock fields — the only
+// non-deterministic stats — so otherwise-identical runs compare exactly.
+func zeroTimings(s *GloveStats) *GloveStats {
+	s.IndexBuildNanos = 0
+	s.MergeNanos = 0
+	return s
+}
+
 func gloveOut(t *testing.T, d *Dataset, opt GloveOptions) (*Dataset, *GloveStats) {
 	t.Helper()
 	out, stats, err := Glove(d, opt)
 	if err != nil {
 		t.Fatalf("Glove(%+v): %v", opt, err)
 	}
-	// Wall-clock fields are the only non-deterministic stats; zero them
-	// so the comparison pins everything else.
-	stats.IndexBuildNanos = 0
-	stats.MergeNanos = 0
-	return out, stats
+	return out, zeroTimings(stats)
 }
 
 // TestSerialParallelEquivalence pins serial == parallel bit-identity
-// for both index implementations across several random datasets.
+// for both index implementations across several random datasets. It
+// also runs the parallel case twice: at a fixed worker count the kernel
+// accounting must be deterministic too (the fixed-stripe leftover fold
+// and the per-slot index rebuilds leave no scheduling-dependent
+// pruning threshold).
 func TestSerialParallelEquivalence(t *testing.T) {
 	oldCut := minPairParallelCut
 	minPairParallelCut = 8
@@ -42,15 +50,20 @@ func TestSerialParallelEquivalence(t *testing.T) {
 
 			serialOut, serialStats := gloveOut(t, d, GloveOptions{K: k, Index: kind, Workers: 1})
 			parOut, parStats := gloveOut(t, d, GloveOptions{K: k, Index: kind, Workers: 8})
+			againOut, againStats := gloveOut(t, d, GloveOptions{K: k, Index: kind, Workers: 8})
 
 			if !reflect.DeepEqual(serialOut, parOut) {
 				t.Fatalf("%s seed %d: parallel output differs from serial", kind, seed)
 			}
-			// Kernel call counts may differ (pruning thresholds race
-			// benignly across workers); the merge trace may not.
+			// Kernel counters depend on the worker count (pruning
+			// thresholds are per stripe); the merge trace may not.
 			if serialStats.Merges != parStats.Merges {
 				t.Fatalf("%s seed %d: merges %d (serial) != %d (parallel)",
 					kind, seed, serialStats.Merges, parStats.Merges)
+			}
+			if !reflect.DeepEqual(parOut, againOut) || *parStats != *againStats {
+				t.Fatalf("%s seed %d: repeated parallel run differs:\nfirst  %+v\nsecond %+v",
+					kind, seed, parStats, againStats)
 			}
 		}
 	}

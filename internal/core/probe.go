@@ -38,7 +38,7 @@ func IndexMergeProbe(ctx context.Context, d *Dataset, opt GloveOptions, maxMerge
 
 	var ps ProbeStats
 	buildStart := time.Now()
-	st, err := newGloveState(ctx, d, opt, nil)
+	st, err := newGloveState(ctx, d, opt)
 	if err != nil {
 		return ProbeStats{}, err
 	}

@@ -44,7 +44,7 @@ const maxFollowGap = 4096
 // windows are committed in order: a window's fragments are fused into
 // one source (reproducing exactly the record order a cold split of the
 // final feed gives that window) and run through the same sharded
-// pipeline a batch job uses, warm across windows via a session pool.
+// pipeline a batch job uses, each window a cold engine run.
 // Each release is journaled before it is published, so a restarted job
 // resumes after its last committed window.
 //
@@ -170,7 +170,6 @@ func (m *Manager) executeWindows(ctx context.Context, job *Job, spec JobSpec) (r
 		return finish()
 	}
 
-	pool := core.NewSessionPool()
 	for {
 		// Watch before snapshot: an append racing the snapshot closes
 		// this (pre-append) channel, so blocking on it below can never
@@ -310,7 +309,7 @@ func (m *Manager) executeWindows(ctx context.Context, job *Job, spec JobSpec) (r
 			wspan.SetAttr("users", users)
 			wpos := job.appendWindow(idx, start, end, src.NumRecords(), users)
 			job.startWindow(wpos, len(shards))
-			out, stats, err := runShards(ctx, shards, spec, pool, m.tel, wspan, func(shard int, frac float64) {
+			out, stats, err := runShards(ctx, shards, spec, m.tel, wspan, func(shard int, frac float64) {
 				job.setWindowShardProgress(wpos, shard, frac)
 			})
 			if err != nil {

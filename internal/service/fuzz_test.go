@@ -1,0 +1,71 @@
+package service
+
+import (
+	"math"
+	"testing"
+
+	"repro/internal/core"
+)
+
+// FuzzJobSpecValidate pins the submission gate against hostile specs:
+// JobSpec.Validate never panics, and every spec it accepts plans
+// cleanly — core.PlanFor returns no error for any dataset size a
+// k-anonymization can run on (n >= 2k), so a job can never pass
+// validation only to fail at its first shard's plan.
+func FuzzJobSpecValidate(f *testing.F) {
+	seeds := []JobSpec{
+		{},
+		{DatasetID: "ds-1", K: 2},
+		{DatasetID: "ds-1", K: 1},
+		{DatasetID: "ds-1", K: 2, Shards: 2, Workers: 1},
+		{DatasetID: "ds-1", K: 2, Strategy: "auto"},
+		{DatasetID: "ds-1", K: 2, Strategy: "single", Index: "dense"},
+		{DatasetID: "ds-1", K: 2, Strategy: "chunked", ChunkSize: 10, Index: "sparse"},
+		{DatasetID: "ds-1", K: 3, ChunkSize: 6},
+		{DatasetID: "ds-1", K: 2, Strategy: "gpu"},
+		{DatasetID: "ds-1", K: 2, Index: "matrix"},
+		{DatasetID: "ds-1", K: 2, ChunkSize: -5},
+		{DatasetID: "ds-1", K: 5, ChunkSize: 9},
+		{DatasetID: "ds-1", K: 2, Strategy: "single", ChunkSize: 10},
+		{DatasetID: "ds-1", K: 2, SuppressKm: 5, SuppressMin: 120},
+		{DatasetID: "ds-1", K: 2, SuppressKm: -1},
+		{DatasetID: "ds-1", K: 2, WindowHours: 12.5},
+		{DatasetID: "ds-1", K: 2, WindowHours: -1},
+		{DatasetID: "d", K: 2, WindowHours: 1, Follow: true, FollowWindows: 3},
+		{DatasetID: "d", K: 2, WindowHours: 1, Follow: true, FollowWindows: -1},
+		{DatasetID: "d", K: 2, FollowWindows: 3},
+		{DatasetID: "d", K: 2, Follow: true},
+	}
+	for _, s := range seeds {
+		f.Add(s.DatasetID, s.K, s.SuppressKm, s.SuppressMin, s.Shards, s.Workers,
+			s.Strategy, s.ChunkSize, s.Index, s.WindowHours, s.Follow, s.FollowWindows)
+	}
+
+	f.Fuzz(func(t *testing.T, id string, k int, supKm, supMin float64, shards, workers int,
+		strategy string, chunk int, index string, windowHours float64, follow bool, followWindows int) {
+		spec := JobSpec{
+			DatasetID: id, K: k, SuppressKm: supKm, SuppressMin: supMin,
+			Shards: shards, Workers: workers, Strategy: strategy, ChunkSize: chunk,
+			Index: index, WindowHours: windowHours, Follow: follow, FollowWindows: followWindows,
+		}
+		if spec.Validate() != nil {
+			return
+		}
+		if k > math.MaxInt/2-1 {
+			return // no dataset size reaches 2k
+		}
+		opt := anonymizeOptions(spec, 0, nil)
+		for _, n := range []int{
+			2 * k, 2*k + 1, chunk, chunk + 1,
+			core.DenseIndexMaxN, core.DenseIndexMaxN + 1,
+			core.DefaultChunkSize + 1, core.SingleRunMaxN, core.SingleRunMaxN + 1,
+		} {
+			if n < 2*k {
+				continue
+			}
+			if _, err := core.PlanFor(n, opt); err != nil {
+				t.Fatalf("accepted spec %+v fails to plan n=%d: %v", spec, n, err)
+			}
+		}
+	})
+}

@@ -317,6 +317,11 @@ func (m *Manager) Submit(spec JobSpec) (JobStatus, error) {
 		return JobStatus{}, err
 	}
 	m.attachJobJournal(job)
+	// Snapshot the status before the enqueue: once the job is on the
+	// queue an idle executor may start it, and the caller must see the
+	// state it submitted, not a racing "running" (m.mu -> job.mu is the
+	// lock order evictFinishedLocked also takes).
+	status := job.Status()
 	// The enqueue happens under m.mu so Close (which also takes m.mu)
 	// cannot close the channel between the closed check and the send.
 	// The send is non-blocking: a full queue rejects the submission.
@@ -346,7 +351,7 @@ func (m *Manager) Submit(spec JobSpec) (JobStatus, error) {
 		m.log.Info("job submitted", "job_id", job.id,
 			"dataset_id", spec.DatasetID, "k", spec.K, "window_hours", spec.WindowHours)
 	}
-	return job.Status(), nil
+	return status, nil
 }
 
 // Get returns the status of a job.
@@ -1037,7 +1042,7 @@ func (m *Manager) execute(ctx context.Context, job *Job, spec JobSpec) (runOutco
 	job.shardProgress = make([]float64, len(shards))
 	job.mu.Unlock()
 
-	result, stats, err := runShards(ctx, shards, spec, nil, m.tel, root, job.setShardProgress)
+	result, stats, err := runShards(ctx, shards, spec, m.tel, root, job.setShardProgress)
 	if err != nil {
 		return runOutcome{}, err
 	}

@@ -145,7 +145,7 @@ func TestColumnarRegistryEquivalence(t *testing.T) {
 	var want core.GloveStats
 	for i, w := range wins {
 		shards := planShards(w.Table, w.Table.NumUsers(), final.Spec.K, final.Spec.Shards, 0)
-		out, stats, err := runShards(t.Context(), shards, final.Spec, nil, nil, obs.ActiveSpan{}, nil)
+		out, stats, err := runShards(t.Context(), shards, final.Spec, nil, obs.ActiveSpan{}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

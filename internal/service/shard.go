@@ -67,11 +67,7 @@ type shardResult struct {
 // and merge phases grafted in from GloveStats — no locks in the hot
 // loop) and moves the shard-pool telemetry gauges; tel may be nil and
 // parent may be the zero ActiveSpan.
-//
-// pool, when non-nil, lends warm engine sessions to the shard runs so
-// repeated windows reuse index storage instead of reallocating it; a
-// nil pool degrades every shard to a cold run (batch jobs pass nil).
-func runShards(ctx context.Context, shards []cdr.Source, spec JobSpec, pool *core.SessionPool, tel *Telemetry, parent obs.ActiveSpan, onProgress func(shard int, frac float64)) (*core.Dataset, *core.GloveStats, error) {
+func runShards(ctx context.Context, shards []cdr.Source, spec JobSpec, tel *Telemetry, parent obs.ActiveSpan, onProgress func(shard int, frac float64)) (*core.Dataset, *core.GloveStats, error) {
 	workers := spec.Workers
 	if workers <= 0 {
 		workers = parallel.DefaultWorkers()
@@ -98,7 +94,7 @@ func runShards(ctx context.Context, shards []cdr.Source, spec JobSpec, pool *cor
 		span := parent.Child(obs.SpanShard, fmt.Sprintf("shard %d", i))
 		tel.shardStarted()
 		start := time.Now()
-		results[i] = runShard(runCtx, shards[i], spec, pool, innerWorkers, func(done, total int) {
+		results[i] = runShard(runCtx, shards[i], spec, innerWorkers, func(done, total int) {
 			if onProgress != nil && total > 0 {
 				onProgress(i, float64(done)/float64(total))
 			}
@@ -158,18 +154,13 @@ func annotateShardSpan(span obs.ActiveSpan, start time.Time, r shardResult) {
 
 // runShard converts one shard source into a fingerprint dataset and
 // anonymizes it through the core planner, which resolves the spec's
-// strategy/index (or the auto rules) for this shard's size. With a
-// warm pool the run borrows a session (recycled index storage; output
-// pinned byte-identical to cold by the engine's warm==cold tests) and
-// returns it for the next window's shards.
-func runShard(ctx context.Context, t cdr.Source, spec JobSpec, pool *core.SessionPool, workers int, progress func(done, total int)) shardResult {
+// strategy/index (or the auto rules) for this shard's size.
+func runShard(ctx context.Context, t cdr.Source, spec JobSpec, workers int, progress func(done, total int)) shardResult {
 	ds, err := t.BuildDataset()
 	if err != nil {
 		return shardResult{err: err}
 	}
-	sess := pool.Get()
-	out, stats, err := sess.Anonymize(ctx, ds, anonymizeOptions(spec, workers, progress))
-	pool.Put(sess)
+	out, stats, err := core.AnonymizeContext(ctx, ds, anonymizeOptions(spec, workers, progress))
 	if err != nil {
 		return shardResult{err: err}
 	}
