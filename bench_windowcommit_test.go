@@ -8,16 +8,17 @@ import (
 	"time"
 
 	"repro/internal/cdr"
+	"repro/internal/colstore"
 	"repro/internal/core"
 	"repro/internal/geo"
 )
 
 // followFeed synthesizes a feed whose records arrive window by window:
 // the same subscriber population reappears in every one-hour window
-// with jittered positions and timestamps. Slicing the record list at a
-// window boundary reproduces exactly what a follow job's registry
+// with jittered positions and timestamps. Appending the records one
+// window at a time reproduces exactly what a follow job's registry
 // snapshot shows after that window's appends.
-func followFeed(windows, users, samples int) *cdr.Table {
+func followFeed(windows, users, samples int) (cdr.Meta, []cdr.Record) {
 	rng := rand.New(rand.NewSource(7))
 	recs := make([]cdr.Record, 0, windows*users*samples)
 	for w := 0; w < windows; w++ {
@@ -31,53 +32,49 @@ func followFeed(windows, users, samples int) *cdr.Table {
 			}
 		}
 	}
-	return &cdr.Table{
-		Records:  recs,
-		Center:   geo.LatLon{Lat: 7.54, Lon: -5.55},
-		SpanDays: (windows*60)/1440 + 1,
-	}
+	meta := cdr.Meta{Center: geo.LatLon{Lat: 7.54, Lon: -5.55}, SpanDays: (windows*60)/1440 + 1}
+	return meta, recs
 }
 
 // benchWindowCommit replays the incremental commit loop of a follow
-// job: advance a record cursor over the growing feed with TailWindows,
-// fuse each closed window's fragments, and anonymize it in a cold
-// engine run. The reported ns/commit is the close-to-commit latency of
-// one window release.
+// job on the production path: append one window's records to a column
+// store, snapshot it, advance a record cursor with TailWindows, fuse
+// each closed window's fragments with Concat, and anonymize the window
+// in a cold engine run. The reported ns/commit is the close-to-commit
+// latency of one window release.
 func benchWindowCommit(b *testing.B, windows, users, samples int) {
-	feed := followFeed(windows, users, samples)
+	meta, recs := followFeed(windows, users, samples)
 	perWindow := users * samples
 	opt := core.AnonymizeOptions{Glove: core.GloveOptions{K: 2, Workers: 1}}
 	ctx := context.Background()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		store := colstore.New(meta, colstore.Options{})
 		cursor := 0
 		for w := 0; w < windows; w++ {
-			// The feed as a follow job sees it after window w's appends.
-			snap := &cdr.Table{
-				Records:  feed.Records[:(w+1)*perWindow],
-				Center:   feed.Center,
-				SpanDays: feed.SpanDays,
+			if err := store.Append(recs[w*perWindow : (w+1)*perWindow]...); err != nil {
+				b.Fatal(err)
 			}
+			snap := store.Snapshot()
 			frags, err := snap.TailWindows(cursor, time.Hour)
 			if err != nil {
 				b.Fatal(err)
 			}
 			cursor = snap.NumRecords()
-			srcs := make([]cdr.Source, len(frags))
+			views := make([]*colstore.View, len(frags))
 			for j, f := range frags {
-				srcs[j] = f.Source
+				views[j] = f.View
 			}
-			table, err := cdr.MaterializeTable(srcs...)
-			if err != nil {
-				b.Fatal(err)
-			}
-			ds, err := table.BuildDataset()
+			ds, err := colstore.Concat(views...).BuildDataset()
 			if err != nil {
 				b.Fatal(err)
 			}
 			if _, _, err := core.AnonymizeContext(ctx, ds, opt); err != nil {
 				b.Fatal(err)
 			}
+		}
+		if err := store.Close(); err != nil {
+			b.Fatal(err)
 		}
 	}
 	b.StopTimer()

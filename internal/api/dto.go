@@ -1,6 +1,7 @@
 package api
 
 import (
+	"math"
 	"time"
 
 	"repro/internal/analysis"
@@ -132,8 +133,9 @@ func (s JobSpec) Validate() error {
 	if s.K < 2 {
 		return Errorf(CodeInvalidSpec, "job k = %d, need k >= 2", s.K)
 	}
-	if s.SuppressKm < 0 || s.SuppressMin < 0 {
-		return Errorf(CodeInvalidSpec, "negative suppression thresholds")
+	if !finiteNonNegative(s.SuppressKm) || !finiteNonNegative(s.SuppressMin) {
+		return Errorf(CodeInvalidSpec, "suppression thresholds %g km, %g min: need finite and >= 0",
+			s.SuppressKm, s.SuppressMin)
 	}
 	strategy, err := core.ParseStrategy(s.Strategy)
 	if err != nil {
@@ -150,8 +152,13 @@ func (s JobSpec) Validate() error {
 	case s.ChunkSize > 0 && strategy == core.StrategySingle:
 		return Errorf(CodeInvalidSpec, "chunk_size %d set but strategy is single", s.ChunkSize)
 	}
-	if s.WindowHours < 0 {
-		return Errorf(CodeInvalidSpec, "negative window_hours %g", s.WindowHours)
+	if !finiteNonNegative(s.WindowHours) {
+		return Errorf(CodeInvalidSpec, "window_hours %g, need finite and >= 0", s.WindowHours)
+	}
+	// WindowDuration must neither truncate to zero nor overflow.
+	if ns := s.WindowHours * float64(time.Hour); s.WindowHours > 0 && !(ns >= 1 && ns < math.MaxInt64) {
+		return Errorf(CodeInvalidSpec, "window_hours %g is not a duration between 1 ns and %.0f hours",
+			s.WindowHours, float64(math.MaxInt64)/float64(time.Hour))
 	}
 	if s.Follow && s.WindowHours == 0 {
 		return Errorf(CodeInvalidSpec, "follow requires window_hours > 0")
@@ -163,6 +170,11 @@ func (s JobSpec) Validate() error {
 		return Errorf(CodeInvalidSpec, "follow_windows %d set without follow", s.FollowWindows)
 	}
 	return nil
+}
+
+// finiteNonNegative reports whether x is a number in [0, +Inf).
+func finiteNonNegative(x float64) bool {
+	return x >= 0 && !math.IsInf(x, 1)
 }
 
 // WindowDuration converts the spec's window length for the partitioner.

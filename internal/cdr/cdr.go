@@ -49,6 +49,14 @@ func (r Record) Validate() error {
 	return nil
 }
 
+// Meta is the dataset metadata the per-record formats do not carry.
+type Meta struct {
+	// Center is the projection center used when building fingerprints.
+	Center geo.LatLon
+	// SpanDays is the nominal duration of the recording period.
+	SpanDays int
+}
+
 // Table is an ordered collection of records with the metadata needed to
 // interpret them.
 type Table struct {
@@ -244,6 +252,14 @@ func (t *Table) clone(records []Record) *Table {
 	rs := make([]Record, len(records))
 	copy(rs, records)
 	return &Table{Records: rs, Center: t.Center, SpanDays: t.SpanDays}
+}
+
+// ShardOfUser returns the shard a subscriber is assigned to by the
+// service's user-hash sharding: whole subscribers, never split, by a
+// stable hash of the identifier mixed with the seed, so assignment is
+// deterministic across runs and processes.
+func ShardOfUser(user string, shards int, seed uint64) int {
+	return int(userHash(user, seed) % uint64(shards))
 }
 
 // userHash is a 64-bit FNV-1a hash of the user ID mixed with a seed,

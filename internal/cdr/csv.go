@@ -21,11 +21,40 @@ import (
 // with planar coordinates in meters and times in minutes, one row per
 // published sample, plus a `count` column carrying the group size.
 
-// WriteCSV writes the raw record table. It is WriteSourceCSV over the
-// in-memory backend; both spellings stay because callers predate the
-// Source seam.
+// WriteCSV writes the raw record table.
 func WriteCSV(w io.Writer, t *Table) error {
-	return WriteSourceCSV(w, t)
+	return WriteRecordsCSV(w, func(fn func(Record) error) error {
+		for _, r := range t.Records {
+			if err := fn(r); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+}
+
+// WriteRecordsCSV writes a record stream in the raw 4-column format.
+// each hands every record to its argument in order and returns the
+// first error, the shape of colstore.View.EachRecord. Floats use
+// strconv's shortest exact representation, so any backend storing
+// positions and times as float64 round-trips byte-identically.
+func WriteRecordsCSV(w io.Writer, each func(func(Record) error) error) error {
+	cw := csv.NewWriter(w)
+	if err := cw.Write([]string{"user", "lat", "lon", "minute"}); err != nil {
+		return err
+	}
+	row := make([]string, 4)
+	if err := each(func(r Record) error {
+		row[0] = r.User
+		row[1] = strconv.FormatFloat(r.Pos.Lat, 'f', -1, 64)
+		row[2] = strconv.FormatFloat(r.Pos.Lon, 'f', -1, 64)
+		row[3] = strconv.FormatFloat(r.Minute, 'f', -1, 64)
+		return cw.Write(row)
+	}); err != nil {
+		return err
+	}
+	cw.Flush()
+	return cw.Error()
 }
 
 // ReadCSV reads a raw record table written by WriteCSV. Center and

@@ -164,47 +164,6 @@ func TestReadCSVStillWorks(t *testing.T) {
 	}
 }
 
-func TestShardByUser(t *testing.T) {
-	table := streamTestTable()
-	shards := table.ShardByUser(2, 42)
-	if len(shards) == 0 || len(shards) > 2 {
-		t.Fatalf("got %d shards", len(shards))
-	}
-	// Every record lands in exactly one shard, whole users together.
-	userShard := make(map[string]int)
-	var total int
-	for si, s := range shards {
-		if s.Center != table.Center || s.SpanDays != table.SpanDays {
-			t.Errorf("shard %d lost metadata", si)
-		}
-		for _, r := range s.Records {
-			if prev, ok := userShard[r.User]; ok && prev != si {
-				t.Errorf("user %s split across shards %d and %d", r.User, prev, si)
-			}
-			userShard[r.User] = si
-			total++
-		}
-	}
-	if total != len(table.Records) {
-		t.Errorf("shards hold %d records, want %d", total, len(table.Records))
-	}
-	// Deterministic.
-	again := table.ShardByUser(2, 42)
-	if len(again) != len(shards) {
-		t.Fatalf("resharding changed shard count")
-	}
-	for i := range shards {
-		if len(again[i].Records) != len(shards[i].Records) {
-			t.Errorf("shard %d not deterministic", i)
-		}
-	}
-	// shards <= 1 returns a single clone.
-	one := table.ShardByUser(1, 42)
-	if len(one) != 1 || len(one[0].Records) != len(table.Records) {
-		t.Errorf("ShardByUser(1) = %d shards", len(one))
-	}
-}
-
 func TestReadAnonymizedCSVRoundTrip(t *testing.T) {
 	table := streamTestTable()
 	ds, err := table.BuildDataset()

@@ -5,8 +5,6 @@ import (
 	"math"
 	"sort"
 	"time"
-
-	"repro/internal/geo"
 )
 
 // Continuous publication (the operator workflow the paper's Sec. 1
@@ -47,22 +45,15 @@ type Window struct {
 // table whose whole span fits one window yields exactly one window with
 // the records unchanged — the property the windowed release driver's
 // byte-identity guarantee rests on. Empty windows are omitted; the
-// returned windows are sorted by index and partition the records.
+// returned windows are sorted by index and partition the records. It is
+// the reference colstore.View.TailWindows is tested against.
 func (t *Table) SplitByWindow(d time.Duration) ([]Window, error) {
-	return splitWindows(t.Records, t.Center, d)
-}
-
-// splitWindows is the shared bucketing core of SplitByWindow and the
-// TailWindows cursor: it partitions one record run into windows. Both
-// callers go through the same index arithmetic and ordering, which is
-// what makes fragment concatenation reproduce a full split exactly.
-func splitWindows(records []Record, center geo.LatLon, d time.Duration) ([]Window, error) {
 	w := d.Minutes()
 	if w <= 0 {
 		return nil, fmt.Errorf("cdr: window duration %v, need > 0", d)
 	}
 	buckets := make(map[int][]Record)
-	for _, r := range records {
+	for _, r := range t.Records {
 		idx := int(r.Minute / w)
 		buckets[idx] = append(buckets[idx], r)
 	}
@@ -72,9 +63,7 @@ func splitWindows(records []Record, center geo.LatLon, d time.Duration) ([]Windo
 	}
 	sort.Ints(idxs)
 
-	// A window's nominal span feeds rate-based screening
-	// (FilterMinRate); round the duration up to whole days.
-	spanDays := windowSpanDays(w)
+	spanDays := WindowSpanDays(w)
 	out := make([]Window, 0, len(idxs))
 	for _, i := range idxs {
 		rs := make([]Record, len(buckets[i]))
@@ -83,15 +72,16 @@ func splitWindows(records []Record, center geo.LatLon, d time.Duration) ([]Windo
 			Index:       i,
 			StartMinute: float64(i) * w,
 			EndMinute:   float64(i+1) * w,
-			Table:       &Table{Records: rs, Center: center, SpanDays: spanDays},
+			Table:       &Table{Records: rs, Center: t.Center, SpanDays: spanDays},
 		})
 	}
 	return out, nil
 }
 
-// windowSpanDays converts a window width in minutes to the nominal
-// SpanDays stamped on every window table (rounded up, at least one day).
-func windowSpanDays(w float64) int {
+// WindowSpanDays converts a window width in minutes to the nominal
+// SpanDays stamped on every window, which feeds rate-based screening
+// (FilterMinRate): the width rounded up to whole days, at least one.
+func WindowSpanDays(w float64) int {
 	spanDays := int(math.Ceil(w / MinutesPerDay))
 	if spanDays < 1 {
 		spanDays = 1

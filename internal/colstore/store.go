@@ -7,14 +7,14 @@
 // with LRU replacement, so a nation-scale feed streams through a small,
 // configurable working set instead of a []Record that must fit in RAM.
 //
-// The store is exposed to the pipeline through cdr.Source views:
-// snapshots are O(1) and frozen (appends never mutate rows a view can
-// see), window splits and user shards are row-index selections over the
+// The store is exposed to the pipeline only through Views: snapshots are
+// O(1) and frozen (appends never mutate rows a view can see), window
+// splits, user shards and Concat are row-index selections over the
 // shared columns, and fingerprint building streams straight from the
-// columns. Every derived operation is bit-identical to the in-memory
-// cdr.Table path — positions and timestamps are stored as the exact
-// float64 values that arrived, so CSV round-trips are byte-identical
-// (pinned by the equivalence tests).
+// columns. Every derived operation is bit-identical to its cdr.Table
+// reference (SplitByWindow, BuildDataset, cdr.ShardOfUser) — positions
+// and timestamps are stored as the exact float64 values that arrived, so
+// CSV round-trips are byte-identical (pinned by the equivalence tests).
 package colstore
 
 import (

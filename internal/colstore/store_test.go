@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math/rand"
 	"reflect"
 	"sync"
 	"testing"
@@ -46,19 +47,50 @@ func newTestStore(t *testing.T, recs []cdr.Record, opt Options) *Store {
 	return s
 }
 
-func sourceCSV(t *testing.T, s cdr.Source) []byte {
+func viewCSV(t *testing.T, v *View) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := cdr.WriteSourceCSV(&buf, s); err != nil {
-		t.Fatalf("WriteSourceCSV: %v", err)
+	if err := cdr.WriteRecordsCSV(&buf, v.EachRecord); err != nil {
+		t.Fatalf("WriteRecordsCSV: %v", err)
 	}
 	return buf.Bytes()
 }
 
-// TestEquivalenceWithTable pins the tentpole invariant: the columnar
-// backend is bit-identical to the in-memory table for every Source
-// operation — record streams, CSV bytes, fingerprint datasets, window
-// splits, and user shards.
+func tableCSV(t *testing.T, tab *cdr.Table) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := cdr.WriteCSV(&buf, tab); err != nil {
+		t.Fatalf("WriteCSV: %v", err)
+	}
+	return buf.Bytes()
+}
+
+func tableMeta(tab *cdr.Table) cdr.Meta {
+	return cdr.Meta{Center: tab.Center, SpanDays: tab.SpanDays}
+}
+
+// shardTable is the table-side reference of View.UserShards: every
+// record goes to the shard cdr.ShardOfUser assigns its subscriber, in
+// record order, and empty shards are dropped.
+func shardTable(tab *cdr.Table, n int, seed uint64) []*cdr.Table {
+	buckets := make([][]cdr.Record, n)
+	for _, r := range tab.Records {
+		b := cdr.ShardOfUser(r.User, n, seed)
+		buckets[b] = append(buckets[b], r)
+	}
+	var out []*cdr.Table
+	for _, recs := range buckets {
+		if len(recs) > 0 {
+			out = append(out, &cdr.Table{Records: recs, Center: tab.Center, SpanDays: tab.SpanDays})
+		}
+	}
+	return out
+}
+
+// TestEquivalenceWithTable pins the tentpole invariant: every view
+// operation is bit-identical to its in-memory table reference — record
+// streams, CSV bytes, fingerprint datasets, window splits
+// (SplitByWindow), and user shards (cdr.ShardOfUser).
 func TestEquivalenceWithTable(t *testing.T) {
 	recs := testRecords(1000, 37)
 	meta := testMeta()
@@ -73,16 +105,16 @@ func TestEquivalenceWithTable(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			view := newTestStore(t, recs, tc.opt).Snapshot()
 
-			if got, want := view.NumRecords(), table.NumRecords(); got != want {
+			if got, want := view.NumRecords(), len(table.Records); got != want {
 				t.Fatalf("NumRecords = %d, want %d", got, want)
 			}
-			if got, want := view.NumUsers(), table.NumUsers(); got != want {
+			if got, want := view.NumUsers(), table.Users(); got != want {
 				t.Fatalf("NumUsers = %d, want %d", got, want)
 			}
-			if got, want := view.TableMeta(), table.TableMeta(); got != want {
+			if got, want := view.TableMeta(), tableMeta(table); got != want {
 				t.Fatalf("TableMeta = %+v, want %+v", got, want)
 			}
-			if got, want := sourceCSV(t, view), sourceCSV(t, table); !bytes.Equal(got, want) {
+			if got, want := viewCSV(t, view), tableCSV(t, table); !bytes.Equal(got, want) {
 				t.Fatalf("CSV round-trip differs between columnar and in-RAM paths")
 			}
 
@@ -103,9 +135,9 @@ func TestEquivalenceWithTable(t *testing.T) {
 			if err != nil {
 				t.Fatalf("view TailWindows: %v", err)
 			}
-			tw, err := table.TailWindows(0, win)
+			tw, err := table.SplitByWindow(win)
 			if err != nil {
-				t.Fatalf("table TailWindows: %v", err)
+				t.Fatalf("table SplitByWindow: %v", err)
 			}
 			if len(vw) != len(tw) {
 				t.Fatalf("TailWindows yields %d windows, want %d", len(vw), len(tw))
@@ -114,27 +146,27 @@ func TestEquivalenceWithTable(t *testing.T) {
 				if vw[i].Index != tw[i].Index || vw[i].StartMinute != tw[i].StartMinute || vw[i].EndMinute != tw[i].EndMinute {
 					t.Fatalf("window %d bounds differ: %+v vs %+v", i, vw[i], tw[i])
 				}
-				if got, want := vw[i].Source.TableMeta(), tw[i].Source.TableMeta(); got != want {
+				if got, want := vw[i].View.TableMeta(), tableMeta(tw[i].Table); got != want {
 					t.Fatalf("window %d meta = %+v, want %+v", i, got, want)
 				}
-				if got, want := vw[i].Source.NumUsers(), tw[i].Source.NumUsers(); got != want {
+				if got, want := vw[i].View.NumUsers(), tw[i].Table.Users(); got != want {
 					t.Fatalf("window %d users = %d, want %d", i, got, want)
 				}
-				if got, want := sourceCSV(t, vw[i].Source), sourceCSV(t, tw[i].Source); !bytes.Equal(got, want) {
+				if got, want := viewCSV(t, vw[i].View), tableCSV(t, tw[i].Table); !bytes.Equal(got, want) {
 					t.Fatalf("window %d records differ", i)
 				}
 			}
 
 			vs := view.UserShards(4, 99)
-			ts := table.UserShards(4, 99)
+			ts := shardTable(table, 4, 99)
 			if len(vs) != len(ts) {
 				t.Fatalf("UserShards yields %d shards, want %d", len(vs), len(ts))
 			}
 			for i := range vs {
-				if got, want := vs[i].NumUsers(), ts[i].NumUsers(); got != want {
+				if got, want := vs[i].NumUsers(), ts[i].Users(); got != want {
 					t.Fatalf("shard %d users = %d, want %d", i, got, want)
 				}
-				if got, want := sourceCSV(t, vs[i]), sourceCSV(t, ts[i]); !bytes.Equal(got, want) {
+				if got, want := viewCSV(t, vs[i]), tableCSV(t, ts[i]); !bytes.Equal(got, want) {
 					t.Fatalf("shard %d records differ", i)
 				}
 			}
@@ -190,7 +222,7 @@ func TestSpillRespectsBudget(t *testing.T) {
 func TestAppendStreamRollback(t *testing.T) {
 	recs := testRecords(150, 7)
 	s := newTestStore(t, recs, Options{ChunkRecords: 64})
-	before := sourceCSV(t, s.Snapshot())
+	before := viewCSV(t, s.Snapshot())
 	usersBefore := s.Users()
 
 	boom := errors.New("boom")
@@ -213,7 +245,7 @@ func TestAppendStreamRollback(t *testing.T) {
 	if got := s.Users(); got != usersBefore {
 		t.Fatalf("Users after rollback = %d, want %d", got, usersBefore)
 	}
-	if got := sourceCSV(t, s.Snapshot()); !bytes.Equal(got, before) {
+	if got := viewCSV(t, s.Snapshot()); !bytes.Equal(got, before) {
 		t.Fatalf("records differ after rollback")
 	}
 
@@ -262,7 +294,7 @@ func TestAppendStreamRoom(t *testing.T) {
 func TestStageInvisibleAndDiscardable(t *testing.T) {
 	recs := testRecords(120, 9)
 	s := newTestStore(t, recs[:40], Options{ChunkRecords: 16, ByteBudget: 16 * bytesPerRecord})
-	before := sourceCSV(t, s.Snapshot())
+	before := viewCSV(t, s.Snapshot())
 	i := 40
 	p, err := s.Stage(func() (cdr.Record, error) {
 		if i == len(recs) {
@@ -282,16 +314,16 @@ func TestStageInvisibleAndDiscardable(t *testing.T) {
 		t.Fatalf("staged rows visible: Len %d, Stats %d, snapshot %d", s.Len(), s.Stats().Records, snap.NumRecords())
 	}
 	p.Discard()
-	if got := sourceCSV(t, s.Snapshot()); !bytes.Equal(got, before) {
+	if got := viewCSV(t, s.Snapshot()); !bytes.Equal(got, before) {
 		t.Fatal("records differ after discard")
 	}
 	if err := s.Append(recs[40:]...); err != nil {
 		t.Fatalf("Append after discard: %v", err)
 	}
-	if got := sourceCSV(t, snap); !bytes.Equal(got, before) {
+	if got := viewCSV(t, snap); !bytes.Equal(got, before) {
 		t.Fatal("snapshot taken while staged observed later rows")
 	}
-	if got, want := sourceCSV(t, s.Snapshot()), sourceCSV(t, newTestStore(t, recs, Options{}).Snapshot()); !bytes.Equal(got, want) {
+	if got, want := viewCSV(t, s.Snapshot()), viewCSV(t, newTestStore(t, recs, Options{}).Snapshot()); !bytes.Equal(got, want) {
 		t.Fatal("store differs from a fresh one after discard and re-append")
 	}
 }
@@ -303,11 +335,11 @@ func TestSnapshotIsolation(t *testing.T) {
 	recs := testRecords(200, 9)
 	s := newTestStore(t, recs[:120], Options{ChunkRecords: 32, ByteBudget: 2 * 32 * bytesPerRecord})
 	snap := s.Snapshot()
-	want := sourceCSV(t, snap)
+	want := viewCSV(t, snap)
 	if err := s.Append(recs[120:]...); err != nil {
 		t.Fatalf("Append: %v", err)
 	}
-	if got := sourceCSV(t, snap); !bytes.Equal(got, want) {
+	if got := viewCSV(t, snap); !bytes.Equal(got, want) {
 		t.Fatalf("snapshot observed appended rows")
 	}
 	if got, want := snap.NumRecords(), 120; got != want {
@@ -346,8 +378,17 @@ func TestConcurrentReadersAndAppends(t *testing.T) {
 					t.Errorf("scan saw %d records, want %d", n, wantLen)
 					return
 				}
-				if _, err := snap.TailWindows(0, 24*time.Hour); err != nil {
+				wins, err := snap.TailWindows(0, 24*time.Hour)
+				if err != nil {
 					t.Errorf("TailWindows: %v", err)
+					return
+				}
+				views := make([]*View, len(wins))
+				for i, w := range wins {
+					views[i] = w.View
+				}
+				if got := Concat(views...).NumRecords(); got != wantLen {
+					t.Errorf("Concat of windows holds %d records, want %d", got, wantLen)
 					return
 				}
 				snap.UserShards(3, 7)
@@ -370,14 +411,15 @@ func TestConcurrentReadersAndAppends(t *testing.T) {
 	}
 }
 
-// TestTailWindowsEquivalence pins the columnar tail cursor to the
-// in-memory table's: identical fragments for every cursor position,
+// TestTailWindowsEquivalence pins the tail cursor to its reference:
+// TailWindows(from, d) is SplitByWindow over Records[from:] — same
+// windows, records, users and metadata — for every cursor position,
 // including cursors that land mid-chunk (the offset arithmetic of the
-// chunk-pinning row scan), for both resident and spilling stores.
+// chunk-pinning row scan), for both resident and spilling stores. Bad
+// cursors and durations are rejected.
 func TestTailWindowsEquivalence(t *testing.T) {
 	recs := testRecords(500, 23)
 	meta := testMeta()
-	table := &cdr.Table{Records: recs, Center: meta.Center, SpanDays: meta.SpanDays}
 	for _, tc := range []struct {
 		name string
 		opt  Options
@@ -395,9 +437,10 @@ func TestTailWindowsEquivalence(t *testing.T) {
 				if err != nil {
 					t.Fatalf("view tail from %d: %v", from, err)
 				}
-				tf, err := table.TailWindows(from, win)
+				tail := &cdr.Table{Records: recs[from:], Center: meta.Center, SpanDays: meta.SpanDays}
+				tf, err := tail.SplitByWindow(win)
 				if err != nil {
-					t.Fatalf("table tail from %d: %v", from, err)
+					t.Fatalf("table split from %d: %v", from, err)
 				}
 				if len(vf) != len(tf) {
 					t.Fatalf("tail from %d: %d fragments, want %d", from, len(vf), len(tf))
@@ -406,8 +449,14 @@ func TestTailWindowsEquivalence(t *testing.T) {
 					if vf[i].Index != tf[i].Index || vf[i].StartMinute != tf[i].StartMinute || vf[i].EndMinute != tf[i].EndMinute {
 						t.Fatalf("tail from %d fragment %d bounds differ: %+v vs %+v", from, i, vf[i], tf[i])
 					}
-					if got, want := sourceCSV(t, vf[i].Source), sourceCSV(t, tf[i].Source); !bytes.Equal(got, want) {
+					if got, want := viewCSV(t, vf[i].View), tableCSV(t, tf[i].Table); !bytes.Equal(got, want) {
 						t.Fatalf("tail from %d fragment %d records differ", from, i)
+					}
+					if got, want := vf[i].View.NumUsers(), tf[i].Table.Users(); got != want {
+						t.Fatalf("tail from %d fragment %d users = %d, want %d", from, i, got, want)
+					}
+					if got, want := vf[i].View.TableMeta(), tableMeta(tf[i].Table); got != want {
+						t.Fatalf("tail from %d fragment %d meta = %+v, want %+v", from, i, got, want)
 					}
 				}
 			}
@@ -417,6 +466,132 @@ func TestTailWindowsEquivalence(t *testing.T) {
 			if _, err := view.TailWindows(len(recs)+1, win); err == nil {
 				t.Error("cursor past end accepted")
 			}
+			if _, err := view.TailWindows(0, 0); err == nil {
+				t.Error("zero duration accepted")
+			}
 		})
+	}
+}
+
+// feedRecords builds a feed whose timestamps jump back and forth across
+// 6-hour windows and whose subscriber population grows as it goes, so
+// fragments of one window span several appends and later snapshots
+// carry longer user dictionaries than earlier ones.
+func feedRecords(n int) []cdr.Record {
+	rng := rand.New(rand.NewSource(5))
+	recs := make([]cdr.Record, n)
+	for i := range recs {
+		recs[i] = cdr.Record{
+			User:   fmt.Sprintf("u%03d", rng.Intn(5+i/10)),
+			Pos:    geo.LatLon{Lat: 7.5 + rng.Float64()*0.2, Lon: -5.6 + rng.Float64()*0.2},
+			Minute: float64(rng.Intn(48 * 60)),
+		}
+	}
+	return recs
+}
+
+// TestTailWindowsFragmentsReassemble pins the follow executor's fusion
+// step: fragments a tail cursor hands out across a sequence of appends
+// and snapshots, fused per window with Concat in arrival order, are the
+// window a cold SplitByWindow of the final feed gives — same records,
+// users and metadata, and bit-identical fingerprints. Concat keeps
+// argument order even against store order: the union of every window
+// in descending index order builds the fingerprints of those records in
+// that order.
+func TestTailWindowsFragmentsReassemble(t *testing.T) {
+	recs := feedRecords(400)
+	meta := testMeta()
+	feed := &cdr.Table{Records: recs, Center: meta.Center, SpanDays: meta.SpanDays}
+	const win = 6 * time.Hour
+	full, err := feed.SplitByWindow(win)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		opt  Options
+	}{
+		{"resident", Options{ChunkRecords: 64}},
+		{"spilling", Options{ChunkRecords: 64, ByteBudget: 2 * 64 * bytesPerRecord}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := newTestStore(t, nil, tc.opt)
+			// Appends of 37, 0, 113, 140 and 110 records; cuts land
+			// mid-chunk, and one append is empty.
+			cursors := []int{0, 37, 37, 150, 290, len(recs)}
+			frags := map[int][]*View{}
+			for c := 0; c+1 < len(cursors); c++ {
+				from, to := cursors[c], cursors[c+1]
+				if err := s.Append(recs[from:to]...); err != nil {
+					t.Fatal(err)
+				}
+				tail, err := s.Snapshot().TailWindows(from, win)
+				if err != nil {
+					t.Fatalf("tail from %d: %v", from, err)
+				}
+				if from == to && len(tail) != 0 {
+					t.Fatalf("empty append produced %d fragments", len(tail))
+				}
+				last := -1
+				for _, f := range tail {
+					if f.Index <= last {
+						t.Fatalf("fragments not sorted by index: %d after %d", f.Index, last)
+					}
+					last = f.Index
+					if f.View.NumRecords() == 0 {
+						t.Fatalf("tail from %d emitted empty fragment %d", from, f.Index)
+					}
+					frags[f.Index] = append(frags[f.Index], f.View)
+				}
+			}
+			if len(frags) != len(full) {
+				t.Fatalf("reassembled %d windows, want %d", len(frags), len(full))
+			}
+			var union []*View
+			reversed := &cdr.Table{Center: meta.Center, SpanDays: cdr.WindowSpanDays(win.Minutes())}
+			for i := len(full) - 1; i >= 0; i-- {
+				w := full[i]
+				if len(frags[w.Index]) < 2 {
+					t.Fatalf("window %d arrived in %d fragment(s); the feed must spread it", w.Index, len(frags[w.Index]))
+				}
+				fused := Concat(frags[w.Index]...)
+				assertViewEqualsTable(t, fmt.Sprintf("window %d", w.Index), fused, w.Table)
+				union = append(union, fused)
+				reversed.Records = append(reversed.Records, w.Table.Records...)
+			}
+			assertViewEqualsTable(t, "union", Concat(union...), reversed)
+		})
+	}
+	if Concat() != nil {
+		t.Error("Concat of no views is not nil")
+	}
+}
+
+// assertViewEqualsTable requires a view to hold exactly the table's
+// records, users and metadata, and to build bit-identical fingerprints.
+func assertViewEqualsTable(t *testing.T, what string, v *View, tab *cdr.Table) {
+	t.Helper()
+	if got, want := viewCSV(t, v), tableCSV(t, tab); !bytes.Equal(got, want) {
+		t.Fatalf("%s: records differ", what)
+	}
+	if got, want := v.NumRecords(), len(tab.Records); got != want {
+		t.Fatalf("%s: %d records, want %d", what, got, want)
+	}
+	if got, want := v.NumUsers(), tab.Users(); got != want {
+		t.Fatalf("%s: %d users, want %d", what, got, want)
+	}
+	if got, want := v.TableMeta(), tableMeta(tab); got != want {
+		t.Fatalf("%s: meta %+v, want %+v", what, got, want)
+	}
+	vd, err := v.BuildDataset()
+	if err != nil {
+		t.Fatalf("%s: view BuildDataset: %v", what, err)
+	}
+	td, err := tab.BuildDataset()
+	if err != nil {
+		t.Fatalf("%s: table BuildDataset: %v", what, err)
+	}
+	if !reflect.DeepEqual(vd, td) {
+		t.Fatalf("%s: BuildDataset differs", what)
 	}
 }

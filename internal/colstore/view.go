@@ -2,7 +2,6 @@ package colstore
 
 import (
 	"fmt"
-	"math"
 	"sort"
 	"time"
 
@@ -11,11 +10,12 @@ import (
 	"repro/internal/geo"
 )
 
-// View is a frozen cdr.Source over a store: a snapshot of the first n
-// committed rows, or a row selection derived from one (a time window or
-// a user shard). Snapshots are O(1) — no rows are copied; appends only
-// ever add rows beyond n and never move committed columns, so a view's
-// rows are immutable. Views are safe for concurrent readers; they pin
+// View is a frozen read view of a store, the one dataset source of the
+// anonymization pipeline: a snapshot of the first n committed rows, or
+// a row selection derived from snapshots (a time window, a user shard,
+// or a Concat of either). Snapshots are O(1) — no rows are copied;
+// appends only ever add rows beyond n and never move committed columns,
+// so a view's rows are immutable. Views are safe for concurrent readers; they pin
 // chunks while scanning so the budget-driven eviction never frees
 // columns mid-read.
 type View struct {
@@ -24,13 +24,15 @@ type View struct {
 	// dict is the frozen dictionary prefix covering every user id a row
 	// of this view can reference.
 	dict []string
-	// rows selects the view's records (ascending); nil means the prefix
-	// [0, n).
+	// rows selects the view's records as absolute store rows, in view
+	// order (not necessarily ascending: a Concat appends selections);
+	// nil means the prefix [0, n).
 	rows  []int64
 	n     int // record count
 	users int // distinct subscribers among the view's rows
 	// fail is a sticky error from the row scan that derived this view
-	// (UserShards cannot report one directly); every read surfaces it.
+	// (UserShards and Concat cannot report one directly); every read
+	// surfaces it.
 	fail error
 }
 
@@ -145,9 +147,9 @@ func (v *View) EachRecord(fn func(cdr.Record) error) error {
 // BuildDataset converts the view into a core fingerprint dataset with
 // exactly the arithmetic of cdr.Table.BuildDataset — same projection,
 // same grid snapping, same per-user sample order (record order), users
-// emitted in sorted identifier order — so both backends produce
-// bit-identical fingerprints. The conversion streams over the columns;
-// no []cdr.Record is ever materialized.
+// emitted in sorted identifier order — so a view and a table of the
+// same records produce bit-identical fingerprints. The conversion
+// streams over the columns; no []cdr.Record is ever materialized.
 func (v *View) BuildDataset() (*core.Dataset, error) {
 	proj, err := geo.NewProjection(v.meta.Center)
 	if err != nil {
@@ -190,12 +192,28 @@ func (v *View) BuildDataset() (*core.Dataset, error) {
 	return core.NewDataset(fps), nil
 }
 
-// TailWindows implements the window cursor: only the view's rows at
-// positions [fromRecord, NumRecords()) are bucketed, mirroring
-// cdr.Table.TailWindows — windows align at multiples of d from minute
-// 0, rows keep their order, empty windows are omitted, and each
-// window's nominal span rounds the duration up to whole days.
-func (v *View) TailWindows(fromRecord int, d time.Duration) ([]cdr.SourceWindow, error) {
+// Window is one time slice of a view produced by TailWindows.
+type Window struct {
+	// Index is the window's position on the absolute time axis: window i
+	// covers minutes [i*w, (i+1)*w).
+	Index int
+	// StartMinute and EndMinute delimit the half-open window interval.
+	StartMinute, EndMinute float64
+	// View holds the window's records in the parent's order.
+	View *View
+}
+
+// TailWindows is the window cursor of the release pipeline: it buckets
+// only the view's rows at positions [fromRecord, NumRecords()) into
+// windows of duration d, with the semantics of cdr.Table.SplitByWindow
+// over those records — windows align at multiples of d from minute 0,
+// rows keep their order, empty windows are omitted, windows are sorted
+// by index, and each window's nominal span rounds d up to whole days.
+// TailWindows(0, d) is the full split. The windows of a later cursor are
+// fragments: because appends only extend the record sequence, the
+// Concat of one index's fragments, in arrival order, holds exactly the
+// records a full split of the final feed assigns that window.
+func (v *View) TailWindows(fromRecord int, d time.Duration) ([]Window, error) {
 	if fromRecord < 0 || fromRecord > v.n {
 		return nil, fmt.Errorf("colstore: tail cursor %d out of range [0, %d]", fromRecord, v.n)
 	}
@@ -220,21 +238,17 @@ func (v *View) TailWindows(fromRecord int, d time.Duration) ([]cdr.SourceWindow,
 	}
 	sort.Ints(idxs)
 
-	spanDays := int(math.Ceil(w / cdr.MinutesPerDay))
-	if spanDays < 1 {
-		spanDays = 1
-	}
-	out := make([]cdr.SourceWindow, 0, len(idxs))
+	wm := v.meta
+	wm.SpanDays = cdr.WindowSpanDays(w)
+	out := make([]Window, 0, len(idxs))
 	seen := make([]int32, len(v.dict))
 	for stamp, i := range idxs {
 		rows := buckets[i]
-		wm := v.meta
-		wm.SpanDays = spanDays
-		out = append(out, cdr.SourceWindow{
+		out = append(out, Window{
 			Index:       i,
 			StartMinute: float64(i) * w,
 			EndMinute:   float64(i+1) * w,
-			Source: &View{
+			View: &View{
 				s:     v.s,
 				meta:  wm,
 				dict:  v.dict,
@@ -245,6 +259,48 @@ func (v *View) TailWindows(fromRecord int, d time.Duration) ([]cdr.SourceWindow,
 		})
 	}
 	return out, nil
+}
+
+// Concat fuses views of one store into a single view holding their rows
+// in argument order: a window spread over several appends, or the union
+// of a job's committed windows. No row is copied out of the columns. The
+// result carries the first view's metadata and the longest dictionary
+// (each snapshot's dictionary is a prefix of every later one's), counts
+// its distinct users afresh, and keeps the first sticky scan error.
+// Concat of one view is that view; of none, nil.
+func Concat(views ...*View) *View {
+	switch len(views) {
+	case 0:
+		return nil
+	case 1:
+		return views[0]
+	}
+	first := views[0]
+	out := &View{s: first.s, meta: first.meta, dict: first.dict}
+	for _, v := range views {
+		if v.s != first.s {
+			panic("colstore: Concat of views over different stores")
+		}
+		if len(v.dict) > len(out.dict) {
+			out.dict = v.dict
+		}
+		if out.fail == nil {
+			out.fail = v.fail
+		}
+		out.n += v.n
+	}
+	out.rows = make([]int64, 0, out.n)
+	for _, v := range views {
+		if v.rows != nil {
+			out.rows = append(out.rows, v.rows...)
+			continue
+		}
+		for i := 0; i < v.n; i++ {
+			out.rows = append(out.rows, int64(i))
+		}
+	}
+	out.users = out.countUsers(out.rows, make([]int32, len(out.dict)), 1)
+	return out
 }
 
 // rowAt maps a view-relative row position to an absolute store row.
@@ -273,13 +329,13 @@ func (v *View) countUsers(rows []int64, seen []int32, stamp int32) int {
 	return users
 }
 
-// UserShards partitions the view into at most n disjoint sources by the
-// stable user hash shared with cdr.Table.ShardByUser, never splitting a
-// subscriber. Empty shards are dropped.
-func (v *View) UserShards(n int, seed uint64) []cdr.Source {
+// UserShards partitions the view into at most n disjoint views by the
+// stable user hash of cdr.ShardOfUser, never splitting a subscriber.
+// Each shard keeps the view's record order. Empty shards are dropped.
+func (v *View) UserShards(n int, seed uint64) []*View {
 	if n <= 1 {
 		c := *v
-		return []cdr.Source{&c}
+		return []*View{&c}
 	}
 	assigned := make([]int32, len(v.dict))
 	for i := range assigned {
@@ -299,7 +355,7 @@ func (v *View) UserShards(n int, seed uint64) []cdr.Source {
 		row++
 		return nil
 	})
-	out := make([]cdr.Source, 0, n)
+	out := make([]*View, 0, n)
 	for b, rows := range buckets {
 		if len(rows) == 0 {
 			continue

@@ -17,7 +17,7 @@ import (
 
 // fullPassFraction is the reference anonymous fraction of src: the full
 // k-gap pass of the experiments, not the thresholded one jobs run.
-func fullPassFraction(t *testing.T, src cdr.Source, k int) float64 {
+func fullPassFraction(t *testing.T, src *cdr.Table, k int) float64 {
 	t.Helper()
 	ds, err := src.BuildDataset()
 	if err != nil {
@@ -108,7 +108,7 @@ func TestBatchAnonymousFractionEqualsFullPass(t *testing.T) {
 				t.Errorf("analysis span skipped = %v", span.Attrs["skipped"])
 			}
 			src, _, _ := reg.SnapshotSource(info.ID)
-			want := fullPassFraction(t, src, 2)
+			want := fullPassFraction(t, viewTable(t, src), 2)
 			if want <= 0 || want >= 1 {
 				t.Fatalf("reference fraction %g, want strictly between 0 and 1", want)
 			}
@@ -162,10 +162,7 @@ func TestFollowAnonymousFractionCoversCommittedWindows(t *testing.T) {
 
 	// Reference: the committed windows of the final feed, fused.
 	src, _, _ := reg.SnapshotSource(info.ID)
-	feed, err := cdr.MaterializeTable(src)
-	if err != nil {
-		t.Fatal(err)
-	}
+	feed := viewTable(t, src)
 	wins, err := feed.SplitByWindow(time.Hour)
 	if err != nil {
 		t.Fatal(err)
@@ -180,7 +177,7 @@ func TestFollowAnonymousFractionCoversCommittedWindows(t *testing.T) {
 	if want != 1 {
 		t.Fatalf("committed-window reference fraction %g, want 1", want)
 	}
-	if whole := fullPassFraction(t, src, 2); whole == want {
+	if whole := fullPassFraction(t, feed, 2); whole == want {
 		t.Fatalf("whole-feed fraction %g equals the committed one; the feed does not tell them apart", whole)
 	}
 	if final.AnonymousFraction == nil {

@@ -8,7 +8,7 @@ import (
 	"time"
 
 	"repro/internal/analysis"
-	"repro/internal/cdr"
+	"repro/internal/colstore"
 	"repro/internal/core"
 	"repro/internal/faultinject"
 	"repro/internal/obs"
@@ -42,9 +42,9 @@ const maxFollowGap = 4096
 // job with window_hours > 0. A record cursor advances over the feed and
 // buckets new records into window fragments (TailWindows); closed
 // windows are committed in order: a window's fragments are fused into
-// one source (reproducing exactly the record order a cold split of the
-// final feed gives that window) and run through the same sharded
-// pipeline a batch job uses, each window a cold engine run.
+// one view by colstore.Concat (reproducing exactly the record order a
+// cold split of the final feed gives that window) and run through the
+// same sharded pipeline a batch job uses, each window a cold engine run.
 // Each release is journaled before it is published, so a restarted job
 // resumes after its last committed window.
 //
@@ -77,14 +77,14 @@ func (m *Manager) executeWindows(ctx context.Context, job *Job, spec JobSpec) (r
 	root := job.traceRoot()
 
 	var (
-		cursor        int                      // feed records consumed so far
-		pending       = map[int][]cdr.Source{} // open windows: fragments in arrival order
+		cursor        int                          // feed records consumed so far
+		pending       = map[int][]*colstore.View{} // open windows: fragments in arrival order
 		lastCommitted = -1
 		maxSeen       = -1 // highest window index any record landed in
 		total         = &core.GloveStats{}
 		indices       []int // window index of each release
 		releases      []*core.Dataset
-		lastSnap      cdr.Source
+		lastSnap      *colstore.View
 		lag           float64
 		planned       bool
 		resumeFloor   = -1
@@ -144,16 +144,10 @@ func (m *Manager) executeWindows(ctx context.Context, job *Job, spec JobSpec) (r
 		// restart records appended since, none of which were released.
 		aspan := root.Child(obs.SpanAnalysis, "")
 		srcs := committedWindows(lastSnap, d, indices)
-		var input cdr.Source
-		if len(srcs) > 0 {
-			if table, err := cdr.MaterializeTable(srcs...); err == nil {
-				input = table
-			}
-		}
 		outcome := runOutcome{
 			measured: measured,
 			stats:    total,
-			anonFrac: m.anonymizability(ctx, aspan, input, spec),
+			anonFrac: m.anonymizability(ctx, aspan, colstore.Concat(srcs...), spec),
 			linkage:  m.crossWindowLinkage(ctx, srcs, indices, releases, spec),
 		}
 		job.emitSpan(obs.SpanAnalysis, "", aspan.End())
@@ -208,14 +202,14 @@ func (m *Manager) executeWindows(ctx context.Context, job *Job, spec JobSpec) (r
 				if f.Index <= lastCommitted {
 					return runOutcome{}, fmt.Errorf(
 						"service: append delivered %d records for window %d (minutes [%g, %g)) after its release was committed; a follow feed must only move forward",
-						f.Source.NumRecords(), f.Index, f.StartMinute, f.EndMinute)
+						f.View.NumRecords(), f.Index, f.StartMinute, f.EndMinute)
 				}
 				if !frozen && f.Index > lastCommitted+maxFollowGap {
 					return runOutcome{}, fmt.Errorf(
 						"service: append jumped to window %d, %d windows past the last committed release — refusing to flood the job with empty windows",
 						f.Index, f.Index-lastCommitted)
 				}
-				pending[f.Index] = append(pending[f.Index], f.Source)
+				pending[f.Index] = append(pending[f.Index], f.View)
 				if f.Index > maxSeen {
 					maxSeen = f.Index
 				}
@@ -276,22 +270,14 @@ func (m *Manager) executeWindows(ctx context.Context, job *Job, spec JobSpec) (r
 				setLag(float64(maxSeen - 1 - lastCommitted))
 				continue
 			}
-			// A window that arrived in one fragment runs on it directly;
-			// only a window spread over several appends is copied into
-			// one table.
-			src := frags[0]
-			if len(frags) > 1 {
-				table, err := cdr.MaterializeTable(frags...)
-				if err != nil {
-					return runOutcome{}, err
-				}
-				src = table
-			}
+			// A window spread over several appends runs on the
+			// concatenation of its fragments.
+			src := colstore.Concat(frags...)
 			users := src.NumUsers()
 			if err := sparse(idx, users); err != nil {
 				return runOutcome{}, err
 			}
-			var shards []cdr.Source
+			var shards []*colstore.View
 			if planned {
 				shards = planShards(src, users, spec.K, spec.Shards, m.opt.ShardSeed)
 			} else {
@@ -378,11 +364,11 @@ const (
 	linkageProbes       = 200
 )
 
-// committedWindows buckets snap once and returns the source of each
+// committedWindows buckets snap once and returns the view of each
 // committed window, in release order (indices). nil when there is no
 // snapshot, the bucketing fails, or the snapshot lacks a committed
 // window.
-func committedWindows(snap cdr.Source, d time.Duration, indices []int) []cdr.Source {
+func committedWindows(snap *colstore.View, d time.Duration, indices []int) []*colstore.View {
 	if snap == nil {
 		return nil
 	}
@@ -390,11 +376,11 @@ func committedWindows(snap cdr.Source, d time.Duration, indices []int) []cdr.Sou
 	if err != nil {
 		return nil
 	}
-	byIndex := make(map[int]cdr.Source, len(wins))
+	byIndex := make(map[int]*colstore.View, len(wins))
 	for _, w := range wins {
-		byIndex[w.Index] = w.Source
+		byIndex[w.Index] = w.View
 	}
-	srcs := make([]cdr.Source, len(indices))
+	srcs := make([]*colstore.View, len(indices))
 	for i, idx := range indices {
 		src, ok := byIndex[idx]
 		if !ok {
@@ -410,7 +396,7 @@ func committedWindows(snap cdr.Source, d time.Duration, indices []int) []cdr.Sou
 // windows (committedWindows), so nothing is retained during the run.
 // nil for runs with fewer than two releases, on cancellation, or for
 // inputs above the analysis cap.
-func (m *Manager) crossWindowLinkage(ctx context.Context, srcs []cdr.Source, indices []int, releases []*core.Dataset, spec JobSpec) *analysis.LinkageResult {
+func (m *Manager) crossWindowLinkage(ctx context.Context, srcs []*colstore.View, indices []int, releases []*core.Dataset, spec JobSpec) *analysis.LinkageResult {
 	if len(releases) < 2 || len(srcs) != len(releases) || ctx.Err() != nil {
 		return nil
 	}

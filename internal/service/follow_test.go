@@ -125,11 +125,7 @@ func TestFollowEqualsColdWindows(t *testing.T) {
 		// sequence. Windows 0 and 2 must match the follow releases byte
 		// for byte.
 		src, _, _ := reg.SnapshotSource(info.ID)
-		feed, err := cdr.MaterializeTable(src)
-		if err != nil {
-			t.Fatal(err)
-		}
-		wins, err := feed.SplitByWindow(time.Hour)
+		wins, err := viewTable(t, src).SplitByWindow(time.Hour)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -160,6 +156,66 @@ func TestFollowEqualsColdWindows(t *testing.T) {
 			t.Error("empty window served a release")
 		}
 	})
+}
+
+// A window the job reads over several appends is fused from its
+// fragments (colstore.Concat) and released exactly as the cold windowed
+// run over the final feed releases it. Each append waits until the job
+// has snapshotted the previous one, so window 0 reaches the executor as
+// three fragments, the later ones bringing subscribers the first
+// snapshot's dictionary lacks.
+func TestFollowFusesWindowFragments(t *testing.T) {
+	reg := NewRegistry()
+	mgr := NewManager(reg, ManagerOptions{})
+	defer mgr.Close()
+
+	info, err := reg.Ingest(strings.NewReader(windowCSV(0, "a", "b")), "feed", geo.LatLon{Lat: 7.54, Lon: -5.55}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := mgr.Submit(JobSpec{DatasetID: info.ID, K: 2, Workers: 1, Shards: 1,
+		WindowHours: 1, Follow: true, FollowWindows: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for version, body := range []string{
+		windowCSV(0, "c", "d", "a"),
+		windowCSV(0, "e", "b"),
+		windowCSV(1, "a", "b"), // closes window 0
+	} {
+		waitForState(t, mgr, st.ID, func(s JobStatus) bool { return s.DatasetVersion == version+1 || s.State.Terminal() })
+		if _, err := reg.Append(info.ID, strings.NewReader(body)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	final := waitForState(t, mgr, st.ID, func(s JobStatus) bool { return s.State.Terminal() })
+	if final.State != JobDone {
+		t.Fatalf("follow job finished %s: %s", final.State, final.Error)
+	}
+	if len(final.Windows) != 1 || final.Windows[0].Records != 7 || final.Windows[0].Users != 5 {
+		t.Fatalf("fused window 0: %+v, want 7 records of 5 users", final.Windows)
+	}
+
+	src, _, _ := reg.SnapshotSource(info.ID)
+	wins, err := viewTable(t, src).SplitByWindow(time.Hour)
+	if err != nil {
+		t.Fatal(err)
+	}
+	original, err := wins[0].Table.BuildDataset()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cold, err := core.AnonymizeWindows([]*core.Dataset{original}, anonymizeOptions(final.Spec, 1, nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want bytes.Buffer
+	if err := cdr.WriteAnonymizedCSV(&want, cold[0].Output); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(releaseCSV(t, mgr, st.ID, 0), want.Bytes()) {
+		t.Error("fused window 0 release differs from the cold windowed release")
+	}
 }
 
 // Cancelling a follow job keeps every committed release downloadable

@@ -8,10 +8,12 @@ import (
 )
 
 // FuzzJobSpecValidate pins the submission gate against hostile specs:
-// JobSpec.Validate never panics, and every spec it accepts plans
-// cleanly — core.PlanFor returns no error for any dataset size a
-// k-anonymization can run on (n >= 2k), so a job can never pass
-// validation only to fail at its first shard's plan.
+// JobSpec.Validate never panics, every spec it accepts has finite
+// suppression thresholds and a windowed spec's WindowDuration is
+// positive, and every accepted spec plans cleanly — core.PlanFor returns
+// no error for any dataset size a k-anonymization can run on (n >= 2k),
+// so a job can never pass validation only to fail at its first shard's
+// plan.
 func FuzzJobSpecValidate(f *testing.F) {
 	seeds := []JobSpec{
 		{},
@@ -35,6 +37,17 @@ func FuzzJobSpecValidate(f *testing.F) {
 		{DatasetID: "d", K: 2, WindowHours: 1, Follow: true, FollowWindows: -1},
 		{DatasetID: "d", K: 2, FollowWindows: 3},
 		{DatasetID: "d", K: 2, Follow: true},
+		{DatasetID: "d", K: 2, SuppressKm: math.NaN()},
+		{DatasetID: "d", K: 2, SuppressMin: math.NaN()},
+		{DatasetID: "d", K: 2, SuppressKm: math.Inf(1)},
+		{DatasetID: "d", K: 2, SuppressMin: math.Inf(-1)},
+		{DatasetID: "d", K: 2, SuppressKm: 1e300, SuppressMin: 1e300},
+		{DatasetID: "d", K: 2, WindowHours: math.NaN()},
+		{DatasetID: "d", K: 2, WindowHours: math.Inf(1)},
+		{DatasetID: "d", K: 2, WindowHours: math.Inf(-1)},
+		{DatasetID: "d", K: 2, WindowHours: 1e300},
+		{DatasetID: "d", K: 2, WindowHours: 2.6e6},
+		{DatasetID: "d", K: 2, WindowHours: 1e-300},
 	}
 	for _, s := range seeds {
 		f.Add(s.DatasetID, s.K, s.SuppressKm, s.SuppressMin, s.Shards, s.Workers,
@@ -50,6 +63,12 @@ func FuzzJobSpecValidate(f *testing.F) {
 		}
 		if spec.Validate() != nil {
 			return
+		}
+		if math.IsNaN(supKm) || math.IsInf(supKm, 0) || math.IsNaN(supMin) || math.IsInf(supMin, 0) {
+			t.Fatalf("accepted spec %+v has non-finite suppression thresholds", spec)
+		}
+		if windowHours > 0 && spec.WindowDuration() <= 0 {
+			t.Fatalf("accepted spec %+v has window duration %v", spec, spec.WindowDuration())
 		}
 		if k > math.MaxInt/2-1 {
 			return // no dataset size reaches 2k

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/cdr"
+	"repro/internal/colstore"
 	"repro/internal/core"
 	"repro/internal/synth"
 )
@@ -84,11 +85,40 @@ func synthTable(t *testing.T, users, days int) *cdr.Table {
 	return table
 }
 
+// tableView loads a table into a fresh resident store and returns its
+// snapshot: a table-side reference enters the view-typed pipeline
+// stages (planShards, runShards) this way.
+func tableView(t *testing.T, table *cdr.Table) *colstore.View {
+	t.Helper()
+	s := colstore.New(cdr.Meta{Center: table.Center, SpanDays: table.SpanDays}, colstore.Options{})
+	t.Cleanup(func() { s.Close() })
+	if err := s.Append(table.Records...); err != nil {
+		t.Fatal(err)
+	}
+	return s.Snapshot()
+}
+
+// viewTable copies a view's records into a table, the reference side of
+// the window-split and analysis comparisons.
+func viewTable(t *testing.T, v *colstore.View) *cdr.Table {
+	t.Helper()
+	meta := v.TableMeta()
+	table := &cdr.Table{Center: meta.Center, SpanDays: meta.SpanDays}
+	if err := v.EachRecord(func(r cdr.Record) error {
+		table.Records = append(table.Records, r)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return table
+}
+
 func TestPlanShards(t *testing.T) {
 	table := synthTable(t, 40, 2)
 	users := table.Users()
+	view := tableView(t, table)
 
-	shards := planShards(table, users, 2, 4, 1)
+	shards := planShards(view, users, 2, 4, 1)
 	if len(shards) < 1 || len(shards) > 4 {
 		t.Fatalf("got %d shards", len(shards))
 	}
@@ -104,13 +134,13 @@ func TestPlanShards(t *testing.T) {
 	}
 
 	// Requesting more shards than 2k-sized groups exist clamps.
-	shards = planShards(table, users, 10, 100, 1)
+	shards = planShards(view, users, 10, 100, 1)
 	if max := users / 20; len(shards) > max {
 		t.Errorf("%d shards for %d users at k=10, max %d", len(shards), users, max)
 	}
 
 	// Tiny dataset: single shard.
-	shards = planShards(table, users, users/2+1, 8, 1)
+	shards = planShards(view, users, users/2+1, 8, 1)
 	if len(shards) != 1 {
 		t.Errorf("got %d shards for k > users/4, want 1", len(shards))
 	}

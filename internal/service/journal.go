@@ -550,7 +550,7 @@ func captureState(reg *Registry, m *Manager) (*RecoveredState, error) {
 				continue
 			}
 			var buf bytes.Buffer
-			if err := cdr.WriteSourceCSV(&buf, src); err != nil {
+			if err := cdr.WriteRecordsCSV(&buf, src.EachRecord); err != nil {
 				return nil, err
 			}
 			st.Datasets = append(st.Datasets, &RecoveredDataset{

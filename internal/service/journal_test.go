@@ -56,7 +56,7 @@ func sourceCSV(t *testing.T, reg *Registry, id string) []byte {
 		t.Fatalf("dataset %s gone", id)
 	}
 	var buf bytes.Buffer
-	if err := cdr.WriteSourceCSV(&buf, src); err != nil {
+	if err := cdr.WriteRecordsCSV(&buf, src.EachRecord); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()

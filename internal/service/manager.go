@@ -19,6 +19,7 @@ import (
 	"repro/internal/analysis"
 	"repro/internal/api"
 	"repro/internal/cdr"
+	"repro/internal/colstore"
 	"repro/internal/core"
 	"repro/internal/metrics"
 	"repro/internal/obs"
@@ -1063,7 +1064,7 @@ func (m *Manager) execute(ctx context.Context, job *Job, spec JobSpec) (runOutco
 // and publishes the execution plan of the largest shard (one
 // fingerprint per subscriber), so clients can see what the auto rules
 // picked before the run finishes.
-func (m *Manager) planJob(job *Job, root obs.ActiveSpan, src cdr.Source, users int, spec JobSpec) ([]cdr.Source, error) {
+func (m *Manager) planJob(job *Job, root obs.ActiveSpan, src *colstore.View, users int, spec JobSpec) ([]*colstore.View, error) {
 	span := root.Child(obs.SpanPlan, "")
 	shards := planShards(src, users, spec.K, spec.Shards, m.opt.ShardSeed)
 	plan, err := core.PlanFor(maxShardUsers(shards), anonymizeOptions(spec, spec.Workers, nil))
@@ -1083,7 +1084,7 @@ func (m *Manager) planJob(job *Job, root obs.ActiveSpan, src cdr.Source, users i
 }
 
 // maxShardUsers returns the subscriber count of the largest shard.
-func maxShardUsers(shards []cdr.Source) int {
+func maxShardUsers(shards []*colstore.View) int {
 	max := 0
 	for _, s := range shards {
 		if u := s.NumUsers(); u > max {
@@ -1178,7 +1179,7 @@ func (m *Manager) Trace(id string) (api.JobTrace, error) {
 // no input — a dataset that disappeared before the run could snapshot
 // it) or "cap" (above AnalysisMaxFingerprints). nil when skipped or
 // when the analysis fails.
-func (m *Manager) anonymizability(ctx context.Context, span obs.ActiveSpan, src cdr.Source, spec JobSpec) *float64 {
+func (m *Manager) anonymizability(ctx context.Context, span obs.ActiveSpan, src *colstore.View, spec JobSpec) *float64 {
 	users := 0
 	if src != nil {
 		users = src.NumUsers()

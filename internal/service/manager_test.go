@@ -263,12 +263,17 @@ func TestManagerRemove(t *testing.T) {
 	defer mgr.Close()
 
 	info := ingestSynth(t, reg, 30, 1)
-	st, err := mgr.Submit(JobSpec{DatasetID: info.ID, K: 2})
+	// An unbounded follow job stays non-terminal until cancelled, so the
+	// first Remove cannot race the job to completion.
+	st, err := mgr.Submit(JobSpec{DatasetID: info.ID, K: 2, WindowHours: 24, Follow: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := mgr.Remove(st.ID); err == nil {
 		t.Error("removed a non-terminal job")
+	}
+	if _, err := mgr.Cancel(st.ID); err != nil {
+		t.Fatal(err)
 	}
 	waitForState(t, mgr, st.ID, func(s JobStatus) bool { return s.State.Terminal() })
 	if err := mgr.Remove(st.ID); err != nil {

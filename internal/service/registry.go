@@ -495,7 +495,7 @@ func (g *Registry) Get(id string) (DatasetInfo, bool) {
 // the rows published so far. Later appends never mutate records the
 // snapshot can see, so jobs anonymize exactly the version they started
 // from.
-func (g *Registry) SnapshotSource(id string) (cdr.Source, DatasetInfo, bool) {
+func (g *Registry) SnapshotSource(id string) (*colstore.View, DatasetInfo, bool) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	st, ok := g.stores[id]

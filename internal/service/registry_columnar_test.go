@@ -117,7 +117,7 @@ func TestColumnarRegistryEquivalence(t *testing.T) {
 	}
 	src, _, _ := reg.SnapshotSource(info.ID)
 	var snap bytes.Buffer
-	if err := cdr.WriteSourceCSV(&snap, src); err != nil {
+	if err := cdr.WriteRecordsCSV(&snap, src.EachRecord); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(snap.Bytes(), raw.Bytes()) {
@@ -144,7 +144,7 @@ func TestColumnarRegistryEquivalence(t *testing.T) {
 	}
 	var want core.GloveStats
 	for i, w := range wins {
-		shards := planShards(w.Table, w.Table.NumUsers(), final.Spec.K, final.Spec.Shards, 0)
+		shards := planShards(tableView(t, w.Table), w.Table.Users(), final.Spec.K, final.Spec.Shards, 0)
 		out, stats, err := runShards(t.Context(), shards, final.Spec, nil, obs.ActiveSpan{}, nil)
 		if err != nil {
 			t.Fatal(err)
@@ -231,7 +231,7 @@ func TestAppendInvisibleToMidStreamSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := cdr.WriteSourceCSV(&buf, snap); err != nil {
+	if err := cdr.WriteRecordsCSV(&buf, snap.EachRecord); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(buf.Bytes(), want) {
@@ -307,7 +307,7 @@ func TestColstoreMetricsExposition(t *testing.T) {
 	if !ok {
 		t.Fatal("snapshot failed")
 	}
-	if err := cdr.WriteSourceCSV(io.Discard, src); err != nil {
+	if err := cdr.WriteRecordsCSV(io.Discard, src.EachRecord); err != nil {
 		t.Fatal(err)
 	}
 	fams = scrape(t, srv.URL)

@@ -6,7 +6,7 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/cdr"
+	"repro/internal/colstore"
 	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/parallel"
@@ -17,10 +17,8 @@ import (
 // subscribers, then lowered further if the hash assignment leaves any
 // shard below k (the minimum a shard needs to anonymize on its own).
 // The result always has at least one shard and covers every record
-// exactly once. The source may be a store view or a fused in-memory
-// window table; both shard by the same user hash, so the plan does not
-// depend on which one a window runs on.
-func planShards(t cdr.Source, users, k, requested int, seed uint64) []cdr.Source {
+// exactly once.
+func planShards(t *colstore.View, users, k, requested int, seed uint64) []*colstore.View {
 	max := users / (2 * k)
 	if max < 1 {
 		max = 1
@@ -67,7 +65,7 @@ type shardResult struct {
 // and merge phases grafted in from GloveStats — no locks in the hot
 // loop) and moves the shard-pool telemetry gauges; tel may be nil and
 // parent may be the zero ActiveSpan.
-func runShards(ctx context.Context, shards []cdr.Source, spec JobSpec, tel *Telemetry, parent obs.ActiveSpan, onProgress func(shard int, frac float64)) (*core.Dataset, *core.GloveStats, error) {
+func runShards(ctx context.Context, shards []*colstore.View, spec JobSpec, tel *Telemetry, parent obs.ActiveSpan, onProgress func(shard int, frac float64)) (*core.Dataset, *core.GloveStats, error) {
 	workers := spec.Workers
 	if workers <= 0 {
 		workers = parallel.DefaultWorkers()
@@ -152,10 +150,10 @@ func annotateShardSpan(span obs.ActiveSpan, start time.Time, r shardResult) {
 		map[string]any{"merges": st.Merges})
 }
 
-// runShard converts one shard source into a fingerprint dataset and
+// runShard converts one shard view into a fingerprint dataset and
 // anonymizes it through the core planner, which resolves the spec's
 // strategy/index (or the auto rules) for this shard's size.
-func runShard(ctx context.Context, t cdr.Source, spec JobSpec, workers int, progress func(done, total int)) shardResult {
+func runShard(ctx context.Context, t *colstore.View, spec JobSpec, workers int, progress func(done, total int)) shardResult {
 	ds, err := t.BuildDataset()
 	if err != nil {
 		return shardResult{err: err}
