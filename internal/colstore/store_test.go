@@ -415,8 +415,7 @@ func TestConcurrentReadersAndAppends(t *testing.T) {
 // TailWindows(from, d) is SplitByWindow over Records[from:] — same
 // windows, records, users and metadata — for every cursor position,
 // including cursors that land mid-chunk (the offset arithmetic of the
-// chunk-pinning row scan), for both resident and spilling stores. Bad
-// cursors and durations are rejected.
+// chunk-pinning row scan), for both resident and spilling stores.
 func TestTailWindowsEquivalence(t *testing.T) {
 	recs := testRecords(500, 23)
 	meta := testMeta()
@@ -460,10 +459,79 @@ func TestTailWindowsEquivalence(t *testing.T) {
 					}
 				}
 			}
-			if _, err := view.TailWindows(-1, win); err == nil {
+		})
+	}
+}
+
+// A cursor at record zero is the full split: TailWindows(0, d) is the
+// partition SplitByWindow gives, window for window and record for
+// record — the windowed executor's frozen mode buckets its snapshot
+// this way. A cursor at the end yields no fragments and no error.
+func TestTailWindowsFullRangeMatchesWindowSplit(t *testing.T) {
+	meta := testMeta()
+	rec := func(user string, minute float64) cdr.Record {
+		return cdr.Record{User: user, Pos: meta.Center, Minute: minute}
+	}
+	recs := []cdr.Record{rec("a", 5), rec("b", 65), rec("c", 185), rec("d", 70)}
+	tab := &cdr.Table{Records: recs, Center: meta.Center, SpanDays: meta.SpanDays}
+	split, err := tab.SplitByWindow(time.Hour)
+	if err != nil {
+		t.Fatal(err)
+	}
+	view := newTestStore(t, recs, Options{}).Snapshot()
+	tail, err := view.TailWindows(0, time.Hour)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(tail) != len(split) {
+		t.Fatalf("%d tail windows vs %d split windows", len(tail), len(split))
+	}
+	for i := range split {
+		if tail[i].Index != split[i].Index ||
+			tail[i].StartMinute != split[i].StartMinute ||
+			tail[i].EndMinute != split[i].EndMinute {
+			t.Fatalf("window %d header differs: %+v vs %+v", i, tail[i], split[i])
+		}
+		var got []cdr.Record
+		if err := tail[i].View.EachRecord(func(r cdr.Record) error {
+			got = append(got, r)
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, split[i].Table.Records) {
+			t.Fatalf("window %d records differ: %+v vs %+v", i, got, split[i].Table.Records)
+		}
+		if got, want := tail[i].View.TableMeta(), tableMeta(split[i].Table); got != want {
+			t.Fatalf("window %d meta = %+v, want %+v", i, got, want)
+		}
+	}
+	empty, err := view.TailWindows(len(recs), time.Hour)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(empty) != 0 {
+		t.Fatalf("cursor at end produced %d fragments", len(empty))
+	}
+}
+
+// Negative and past-end cursors and a zero window length are rejected,
+// for both resident and spilling stores.
+func TestTailWindowsErrors(t *testing.T) {
+	recs := testRecords(200, 7)
+	for _, tc := range []struct {
+		name string
+		opt  Options
+	}{
+		{"resident", Options{ChunkRecords: 64}},
+		{"spilling", Options{ChunkRecords: 64, ByteBudget: 2 * 64 * bytesPerRecord}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			view := newTestStore(t, recs, tc.opt).Snapshot()
+			if _, err := view.TailWindows(-1, time.Hour); err == nil {
 				t.Error("negative cursor accepted")
 			}
-			if _, err := view.TailWindows(len(recs)+1, win); err == nil {
+			if _, err := view.TailWindows(len(recs)+1, time.Hour); err == nil {
 				t.Error("cursor past end accepted")
 			}
 			if _, err := view.TailWindows(0, 0); err == nil {
