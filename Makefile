@@ -35,11 +35,13 @@ race:
 
 # race-repeat reruns, 20 times under the race detector, the tests that
 # once passed or failed by scheduling luck: deterministic kernel
-# accounting of repeated parallel runs, registry appends that a
-# concurrent snapshot or a refused journal write must not observe, and
-# the queued status Submit returns while an idle executor starts the job.
+# accounting of repeated parallel runs, the dense build's mirrored
+# matrix writes from concurrent workers (with counters equal at every
+# worker count), registry appends that a concurrent snapshot or a
+# refused journal write must not observe, and the queued status Submit
+# returns while an idle executor starts the job.
 race-repeat:
-	$(GO) test -race -count=20 -run 'TestSerialParallelEquivalence' ./internal/core/
+	$(GO) test -race -count=20 -run 'TestSerialParallelEquivalence|TestDenseBuildEvaluatesPairsOnce' ./internal/core/
 	$(GO) test -race -count=20 -run 'TestAppendInvisibleToMidStreamSnapshot|TestAppendJournalFailureLeavesDatasetUnchanged|TestManagerJobLifecycle' ./internal/service/
 
 # crash-e2e runs the kill/restart fault-injection matrix against a real

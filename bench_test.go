@@ -352,8 +352,34 @@ func BenchmarkAblationChunked(b *testing.B) {
 // EffortIndex implementations behind core.Anonymize produce identical
 // output (asserted by the core equivalence property test); this ablation
 // tracks the time cost of trading the O(n²) matrix for O(n·m) candidate
-// lists across candidate budgets.
+// lists across candidate budgets. The n=<N> series sweep one-day CIV
+// inputs of N subscribers on one worker, which locates the size at
+// which sparse overtakes dense (DenseIndexMaxN, DESIGN.md Sec. 4).
 func BenchmarkAblationIndex(b *testing.B) {
+	for _, users := range []int{125, 500, 1000, 2000, 4000} {
+		b.Run(fmt.Sprintf("n=%d", users), func(b *testing.B) {
+			cfg := synth.CIV(users)
+			cfg.Days = 1
+			table, _, _, err := synth.Generate(cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			d, err := table.BuildDataset()
+			if err != nil {
+				b.Fatal(err)
+			}
+			for _, kind := range []core.IndexKind{core.IndexDense, core.IndexSparse} {
+				b.Run(string(kind), func(b *testing.B) {
+					for i := 0; i < b.N; i++ {
+						_, _, err := core.Glove(d, core.GloveOptions{K: 2, Index: kind, Workers: 1})
+						if err != nil {
+							b.Fatal(err)
+						}
+					}
+				})
+			}
+		})
+	}
 	d := benchDataset(b)
 	b.Run("dense", func(b *testing.B) {
 		b.ReportAllocs()

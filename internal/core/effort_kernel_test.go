@@ -193,8 +193,11 @@ func TestEffortKernelPruneCounters(t *testing.T) {
 // BenchmarkEffortKernelViews measures the kernel in its production
 // shape — over cached SoA views, as the dense/sparse indexes, the fold
 // and the k-gap analysis run it, with no per-call view construction.
-// One op is one row scan with a running-minimum threshold (the dense
-// build's access pattern) against the naive exhaustive evaluation, on
+// One op is one row scan with a running-minimum threshold (the access
+// pattern of the leftover fold and of the k=2 k-gap pass; the dense
+// build no longer scans whole rows, it thresholds each pair at seeds
+// from a few bounding-box neighbours) against the naive exhaustive
+// evaluation, on
 // two geometries: tight city-like clusters (the paper's locality
 // observation, where both lower bounds bite) and a uniform 60 km
 // spread (the adversarial case: the spatial term saturates for most

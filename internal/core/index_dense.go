@@ -14,9 +14,10 @@ import (
 // bytes), which is why the planner switches to sparseIndex above
 // DenseIndexMaxN fingerprints.
 //
-// The matrix is filled by the pruned effort kernel: a row scan carries
-// its running minimum as the kernel threshold, so most entries abort
-// after a few samples and store only a lower bound, flagged in trunc.
+// The matrix is filled by the pruned effort kernel, one evaluation per
+// unordered pair, thresholded at per-row seeds from bounding-box
+// neighbours (Build): most entries abort after a few samples, or never
+// reach the kernel, and store only a lower bound, flagged in trunc.
 // Exactness is preserved lazily (DESIGN.md Sec. 8): nearest[i] always
 // points at an entry whose exact effort is stored, and rescanNearest
 // refines truncated winners on demand — a truncated entry's true effort
@@ -48,18 +49,21 @@ func newDenseIndex(ws *workingSet, naive bool) *denseIndex {
 
 // Build computes the pairwise effort matrix. The O(n²) build dominates
 // start-up cost; it runs under ctx so a cancelled job does not have to
-// wait it out. Rows are scanned independently in parallel, each pruning
-// against its own running minimum; a pair is therefore visited once per
-// side, but both visits usually abort within a few samples, which is
-// far cheaper than one exhaustive evaluation.
+// wait it out. It evaluates each unordered pair at most once, in two
+// parallel passes: seedRow bounds every row minimum from a few
+// bounding-box neighbours, and buildPairs then visits the upper
+// triangle with thresholds taken from those seeds. Both passes depend
+// only on the data, never on scheduling, so the kernel counters are the
+// same at every worker count.
 func (x *denseIndex) Build(ctx context.Context) error {
 	ws := x.ws
 	n := ws.n
 	x.prepare(n)
+	var err error
 	if x.naive {
 		// The ablation's full-matrix rescans read every entry, so build
 		// the exact matrix, one evaluation per unordered pair.
-		err := parallel.ForPairsContext(ctx, n, ws.workers, func(i, j int) {
+		err = parallel.ForPairsContext(ctx, n, ws.workers, func(i, j int) {
 			if !ws.alive[i] || !ws.alive[j] {
 				return
 			}
@@ -67,18 +71,25 @@ func (x *denseIndex) Build(ctx context.Context) error {
 			x.matrix[i*n+j] = e
 			x.matrix[j*n+i] = e
 		})
-		if err != nil {
-			return err
-		}
 	} else {
-		err := parallel.ForContext(ctx, n, ws.workers, func(i int) {
+		seed := make([]float64, n)
+		err = parallel.ForContext(ctx, n, ws.workers, func(i int) {
 			if ws.alive[i] {
-				x.buildRow(i)
+				seed[i] = x.seedRow(i)
 			}
 		})
-		if err != nil {
-			return err
+		if err == nil {
+			// Row i owns the pairs (i, j>i): every entry has exactly one
+			// writer, and the long early rows are dispatched first.
+			err = parallel.ForContext(ctx, n, ws.workers, func(i int) {
+				if ws.alive[i] {
+					x.buildPairs(i, seed)
+				}
+			})
 		}
+	}
+	if err != nil {
+		return err
 	}
 	for i := 0; i < n; i++ {
 		if ws.alive[i] {
@@ -99,31 +110,70 @@ func (x *denseIndex) prepare(n int) {
 	x.reTrunc = make([]bool, n)
 }
 
-// buildRow fills row i, passing the running row minimum to the kernel
-// as the abort threshold. Truncated entries store the kernel's lower
-// bound; since every such bound exceeds the row minimum at the time it
-// was skipped — and the minimum only decreases during the scan — the
-// final row minimum is always stored exactly, so the first
-// rescanNearest of a fresh row never refines.
-func (x *denseIndex) buildRow(i int) {
+// seedRow returns an upper bound on row i's minimum effort: the exact
+// minimum over its DefaultIndexNeighbors nearest live slots by
+// EffortLowerBound (ties towards the lower slot), evaluated in bound
+// order with the running minimum as the kernel threshold. Once the next
+// bound exceeds that minimum, so do all later ones, and the scan stops.
+// Returns +Inf when i has no live neighbour.
+func (x *denseIndex) seedRow(i int) float64 {
 	ws := x.ws
-	n := ws.n
-	row := x.matrix[i*n : (i+1)*n]
-	tr := x.trunc[i*n : (i+1)*n]
-	thr := math.Inf(1)
-	for j := 0; j < n; j++ {
+	p := ws.params
+	bi := ws.views[i].bounds
+	var buf [DefaultIndexNeighbors + 1]candidate
+	near := buf[:0] // sorted by (bound, slot); e holds the bound
+	for j := 0; j < ws.n; j++ {
 		if j == i || !ws.alive[j] {
 			continue
 		}
-		e, below := ws.effortBelow(i, j, thr)
-		row[j] = e
-		if below {
-			if e < thr {
-				thr = e
-			}
-		} else {
-			tr[j] = true
+		lb := p.EffortLowerBound(bi, ws.views[j].bounds)
+		if len(near) == DefaultIndexNeighbors && !lexLess(lb, int32(j), near[len(near)-1].e, near[len(near)-1].slot) {
+			continue
 		}
+		near = insertCandidate(near, candidate{e: lb, slot: int32(j)})
+		if len(near) > DefaultIndexNeighbors {
+			near = near[:DefaultIndexNeighbors]
+		}
+	}
+	thr := math.Inf(1)
+	for _, c := range near {
+		if c.e > thr {
+			break
+		}
+		if e, below := ws.effortBelow(i, int(c.slot), thr); below && e < thr {
+			thr = e
+		}
+	}
+	return thr
+}
+
+// buildPairs fills the pairs (i, j>i) and their mirrors (j, i). Each
+// pair is thresholded at the larger of its two row seeds, so a
+// truncated entry's bound exceeds both row minima: every row minimum is
+// stored exactly and the first rescanNearest of a fresh row never
+// refines. A pair whose bounding-box bound already exceeds the
+// threshold stores that bound, truncated, without a kernel call.
+func (x *denseIndex) buildPairs(i int, seed []float64) {
+	ws := x.ws
+	p := ws.params
+	n := ws.n
+	bi := ws.views[i].bounds
+	for j := i + 1; j < n; j++ {
+		if !ws.alive[j] {
+			continue
+		}
+		thr := math.Max(seed[i], seed[j])
+		e := p.EffortLowerBound(bi, ws.views[j].bounds)
+		tr := true
+		if e <= thr {
+			var below bool
+			e, below = ws.effortBelow(i, j, thr)
+			tr = !below
+		}
+		x.matrix[i*n+j] = e
+		x.matrix[j*n+i] = e
+		x.trunc[i*n+j] = tr
+		x.trunc[j*n+i] = tr
 	}
 }
 
@@ -241,12 +291,15 @@ func (x *denseIndex) Remove(i int) {
 
 // Reinsert recomputes row i against all active slots in parallel and
 // offers the new row to the other slots' caches. Each evaluation
-// carries the target slot's current nearest effort as the kernel
-// threshold: a truncated result proves the merged fingerprint cannot
-// improve that slot's cache, and row i's own minimum is settled by
-// rescanNearest's refinement.
+// carries the target slot's current nearest effort as the threshold: a
+// truncated result proves the merged fingerprint cannot improve that
+// slot's cache, and row i's own minimum is settled by rescanNearest's
+// refinement. As in Build, a slot whose bounding-box bound already
+// exceeds the threshold stores that bound, truncated, without a kernel
+// call.
 func (x *denseIndex) Reinsert(i int) {
 	ws := x.ws
+	p := ws.params
 	n := ws.n
 	parallel.For(n, ws.workers, func(c int) {
 		if c == i || !ws.alive[c] {
@@ -257,6 +310,11 @@ func (x *denseIndex) Reinsert(i int) {
 		if !x.naive {
 			if cur := x.nearest[c]; cur >= 0 {
 				thr = x.matrix[c*n+cur]
+			}
+			if lb := p.EffortLowerBound(ws.views[i].bounds, ws.views[c].bounds); lb > thr {
+				x.reE[c] = lb
+				x.reTrunc[c] = true
+				return
 			}
 		}
 		e, below := ws.effortBelow(i, c, thr)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -176,5 +177,127 @@ func TestIndexAutoResolution(t *testing.T) {
 	}
 	if _, _, err := Glove(d, GloveOptions{K: 2, Index: IndexKind("bogus")}); err == nil {
 		t.Fatal("bogus index kind accepted")
+	}
+}
+
+// The dense build evaluates each unordered live pair at most once, plus
+// at most DefaultIndexNeighbors seed evaluations per row, and its
+// thresholds come from the data alone, so the kernel counters do not
+// depend on the worker count. Whatever the thresholds truncate, the
+// built index must hold the canonical exact row minima, every exact
+// entry must equal FingerprintEffort and every truncated one must lower
+// bound it, in both triangles. The inputs cover clustered towns (where
+// bounding boxes skip most pairs), saturated effort-1.0 ties, and
+// already-anonymous inputs that leave dead slots.
+func TestDenseBuildEvaluatesPairsOnce(t *testing.T) {
+	p := DefaultParams()
+	shift := func(f *Fingerprint, dx, dy, dt float64) *Fingerprint {
+		for s := range f.Samples {
+			f.Samples[s].X += dx
+			f.Samples[s].Y += dy
+			f.Samples[s].T += dt
+		}
+		return f
+	}
+	clustered := func(rng *rand.Rand) []*Fingerprint {
+		var fps []*Fingerprint
+		for c, off := range [][2]float64{{0, 0}, {150000, 0}, {0, 150000}, {220000, 220000}} {
+			for u := 0; u < 12; u++ {
+				f := randFingerprint(rng, fmt.Sprintf("c%d-%d", c, u), 1+rng.Intn(8))
+				fps = append(fps, shift(f, off[0], off[1], 0))
+			}
+		}
+		return fps
+	}
+	saturated := func(rng *rand.Rand) []*Fingerprint {
+		// Single-sample fingerprints more than MaxSpatial and MaxTemporal
+		// apart: every pair among them costs exactly 1.0. A few close
+		// pairs sit among them.
+		var fps []*Fingerprint
+		for u := 0; u < 30; u++ {
+			s := Sample{X: float64(u) * 50000, DX: 100, Y: 0, DY: 100, T: float64(u) * 1000, DT: 1, Weight: 1}
+			fps = append(fps, NewFingerprint(fmt.Sprintf("s%d", u), []Sample{s}))
+			if u%7 == 3 {
+				s.X += 500
+				s.T += 10
+				fps = append(fps, NewFingerprint(fmt.Sprintf("s%d-near", u), []Sample{s}))
+			}
+		}
+		return fps
+	}
+	withDead := func(rng *rand.Rand) []*Fingerprint {
+		fps := randDataset(rng, 40, 8).Fingerprints
+		for i := 0; i < len(fps); i += 3 {
+			fps[i].Count = 2
+			fps[i].Members = append(fps[i].Members, fps[i].ID+"-b")
+		}
+		return fps
+	}
+	for _, tc := range []struct {
+		name string
+		gen  func(*rand.Rand) []*Fingerprint
+	}{
+		{"clustered", clustered},
+		{"saturated", saturated},
+		{"dead-slots", withDead},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			d := NewDataset(tc.gen(rand.New(rand.NewSource(31))))
+			var calls, pruned []int64
+			for _, workers := range []int{1, 2, 8} {
+				opt := GloveOptions{K: 2, Index: IndexDense, Workers: workers}.withDefaults()
+				st, err := newGloveState(t.Context(), d, opt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				x := st.idx.(*denseIndex)
+				ws := st.ws
+				live := st.activeCount()
+				if live == d.Len() && tc.name == "dead-slots" {
+					t.Fatal("no dead slots staged")
+				}
+				c := ws.kc.calls.Load()
+				if limit := int64(DefaultIndexNeighbors*live + live*(live-1)/2); c > limit {
+					t.Fatalf("workers=%d: %d kernel calls for %d live slots, want <= %d", workers, c, live, limit)
+				}
+				calls = append(calls, c)
+				pruned = append(pruned, ws.kc.pruned.Load())
+
+				n := ws.n
+				for i := 0; i < n; i++ {
+					if !ws.alive[i] {
+						continue
+					}
+					best, bestIdx := math.Inf(1), -1
+					for j := 0; j < n; j++ {
+						if j == i || !ws.alive[j] {
+							continue
+						}
+						e := p.FingerprintEffort(ws.fps[i], ws.fps[j])
+						if e < best {
+							best, bestIdx = e, j
+						}
+						got := x.matrix[i*n+j]
+						if x.trunc[i*n+j] {
+							if got > e {
+								t.Fatalf("workers=%d: truncated (%d,%d) = %v above true effort %v", workers, i, j, got, e)
+							}
+						} else if got != e {
+							t.Fatalf("workers=%d: exact (%d,%d) = %v, true effort %v", workers, i, j, got, e)
+						}
+					}
+					if x.nearest[i] != bestIdx || x.matrix[i*n+bestIdx] != best {
+						t.Fatalf("workers=%d: row %d nearest %d (%v), want %d (%v)",
+							workers, i, x.nearest[i], x.matrix[i*n+x.nearest[i]], bestIdx, best)
+					}
+				}
+			}
+			for w := 1; w < len(calls); w++ {
+				if calls[w] != calls[0] || pruned[w] != pruned[0] {
+					t.Fatalf("kernel counters depend on workers: calls %v, pruned %v", calls, pruned)
+				}
+			}
+			t.Logf("%d fingerprints: %d kernel calls, %d pruned", d.Len(), calls[0], pruned[0])
+		})
 	}
 }

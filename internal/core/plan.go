@@ -41,8 +41,11 @@ const (
 // documented (README, DESIGN.md Sec. 4) so operators can predict them.
 const (
 	// DenseIndexMaxN is the largest run the auto rule gives the dense
-	// index: at the cutover the matrix is 8·n² = 128 MiB; at n = 100k it
-	// would be ~80 GB, which is the memory wall the sparse index removes.
+	// index. BenchmarkAblationIndex's size sweep (k=2, one worker,
+	// one-day CIV inputs; DESIGN.md Sec. 4) has dense faster than
+	// sparse at every measured size up to ~4000 fingerprints (8.5 s
+	// against 12.1 s there), so the speed crossover lies at or above
+	// this cut, where the matrix reaches 8·n² = 128 MiB.
 	DenseIndexMaxN = 4096
 
 	// SingleRunMaxN is the largest dataset the auto rule anonymizes in
