@@ -186,25 +186,21 @@ func TestIndexAutoResolution(t *testing.T) {
 // depend on the worker count. Whatever the thresholds truncate, the
 // built index must hold the canonical exact row minima, every exact
 // entry must equal FingerprintEffort and every truncated one must lower
-// bound it, in both triangles. The inputs cover clustered towns (where
-// bounding boxes skip most pairs), saturated effort-1.0 ties, and
-// already-anonymous inputs that leave dead slots.
+// bound it, in both triangles. The inputs cover far-apart towns (whose
+// cross-town pairs have large bounding-box gaps), saturated effort-1.0
+// ties, and already-anonymous inputs that leave dead slots.
 func TestDenseBuildEvaluatesPairsOnce(t *testing.T) {
 	p := DefaultParams()
-	shift := func(f *Fingerprint, dx, dy, dt float64) *Fingerprint {
-		for s := range f.Samples {
-			f.Samples[s].X += dx
-			f.Samples[s].Y += dy
-			f.Samples[s].T += dt
-		}
-		return f
-	}
 	clustered := func(rng *rand.Rand) []*Fingerprint {
 		var fps []*Fingerprint
 		for c, off := range [][2]float64{{0, 0}, {150000, 0}, {0, 150000}, {220000, 220000}} {
 			for u := 0; u < 12; u++ {
 				f := randFingerprint(rng, fmt.Sprintf("c%d-%d", c, u), 1+rng.Intn(8))
-				fps = append(fps, shift(f, off[0], off[1], 0))
+				for s := range f.Samples {
+					f.Samples[s].X += off[0]
+					f.Samples[s].Y += off[1]
+				}
+				fps = append(fps, f)
 			}
 		}
 		return fps
