@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet fmt lint lint-vocab test race race-repeat crash-e2e bench bench-json profile profile-1m expolint check
+.PHONY: all build vet fmt lint lint-vocab test race race-repeat crash-e2e bench bench-json profile profile-1m expolint examples check
 
 all: check
 
@@ -57,6 +57,13 @@ crash-e2e:
 # scrape of a server that has done real work.
 expolint:
 	$(GO) test -run Exposition ./internal/obs/ ./internal/service/
+
+# examples runs every program under examples/. `go build ./...` only
+# compiles them; each one exits non-zero when a step of the workflow it
+# demonstrates fails (a release fails validation, the daemon rejects a
+# call).
+examples:
+	@set -e; for d in examples/*/; do echo "== $$d"; $(GO) run ./$$d; done
 
 bench:
 	$(GO) test -run=^$$ -bench=. -benchtime=1x ./...

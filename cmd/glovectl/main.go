@@ -1,8 +1,11 @@
-// Command glovectl k-anonymizes a CDR dataset with GLOVE: it reads raw
-// records, builds mobile fingerprints (projecting positions onto the
-// 100 m grid), runs the GLOVE algorithm with optional suppression,
-// validates the result (k-anonymity + truthfulness), reports the
-// accuracy of the published data, and writes the anonymized dataset.
+// Command glovectl k-anonymizes a CDR dataset with GLOVE through the
+// gloved release pipeline — served in process, or a resident daemon
+// named by -server: it ingests raw records, builds mobile fingerprints
+// (projecting positions onto the 100 m grid), runs the GLOVE algorithm
+// with optional suppression as one batch release or one release per
+// time window, validates every release (k-anonymity + truthfulness),
+// reports the accuracy of the published data, and writes the
+// anonymized dataset.
 //
 // SIGINT/SIGTERM cancel the run gracefully: the GLOVE loop stops at the
 // next iteration and no partial -out file is left behind (output is

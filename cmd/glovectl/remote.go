@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -17,7 +18,7 @@ import (
 	"repro/pkg/client"
 )
 
-// remoteJob carries the parsed flags of a remote-mode invocation.
+// remoteJob carries the parsed flags of one invocation, local or remote.
 type remoteJob struct {
 	in          string
 	lat, lon    float64
@@ -42,14 +43,18 @@ type remoteJob struct {
 	dataset       string
 }
 
-// runRemote drives a resident gloved through the pkg/client SDK: it
-// ingests the input CSV as a fresh dataset, submits the job, follows
-// the Server-Sent-Events stream for progress, downloads the batch
-// release (or one CSV per window), validates every release locally
-// exactly as local mode does, and cleans up after itself. The job is
-// submitted with one shard and the explicit batch spelling
-// (window_hours = -1) when -window is unset, so the downloaded bytes
-// are identical to what local mode writes for the same input.
+// errInterrupted reports a run cancelled (SIGINT) before any release
+// was written.
+var errInterrupted = errors.New("interrupted, no output written")
+
+// runRemote drives a gloved — resident, or served in process by local
+// mode — through the pkg/client SDK: it ingests the input CSV as a
+// fresh dataset, submits the job, follows the Server-Sent-Events stream
+// for progress, downloads the batch release (or one CSV per window),
+// validates every release, and cleans up after itself. The job is
+// submitted with one shard (the paper's single global run) and the
+// explicit batch spelling (window_hours = -1) when -window is unset, so
+// a daemon's -window-hours default cannot turn it into a windowed run.
 func runRemote(ctx context.Context, server string, job remoteJob, stdout, stderr io.Writer) error {
 	c, err := client.New(server)
 	if err != nil {
@@ -78,6 +83,9 @@ func runRemote(ctx context.Context, server string, job remoteJob, stdout, stderr
 		// request, so its error is meaningless.
 		f.Close()
 		if err != nil {
+			if ctx.Err() != nil {
+				return errInterrupted
+			}
 			return fmt.Errorf("glovectl: ingesting into %s: %w", server, err)
 		}
 		// One-shot CLI runs should not accumulate state on the daemon:
@@ -98,9 +106,8 @@ func runRemote(ctx context.Context, server string, job remoteJob, stdout, stderr
 		K:           job.k,
 		SuppressKm:  job.suppressKm,
 		SuppressMin: job.suppressMin,
-		// One shard: sharding trades accuracy for throughput and would
-		// diverge from the local single-table run; remote mode promises
-		// byte-identical releases instead.
+		// One shard: sharding trades accuracy for throughput; the CLI
+		// publishes the paper's single global run, local or remote.
 		Shards:    1,
 		Workers:   job.workers,
 		Strategy:  job.strategy,
@@ -119,6 +126,9 @@ func runRemote(ctx context.Context, server string, job remoteJob, stdout, stderr
 	}
 	st, err := c.SubmitJob(ctx, spec)
 	if err != nil {
+		if ctx.Err() != nil {
+			return errInterrupted
+		}
 		return fmt.Errorf("glovectl: submit: %w", err)
 	}
 	fmt.Fprintf(stderr, "glovectl: submitted %s (dataset %s v%d)\n", st.ID, ds.ID, ds.Version)
@@ -184,7 +194,7 @@ func runRemote(ctx context.Context, server string, job remoteJob, stdout, stderr
 			if streamed > 0 {
 				return fmt.Errorf("interrupted, %d window release(s) already written", streamed)
 			}
-			return fmt.Errorf("interrupted, no output written")
+			return errInterrupted
 		}
 		return err
 	}
@@ -238,8 +248,7 @@ func streamWindow(ctx context.Context, c *client.Client, jobID string, index int
 }
 
 // downloadBatch fetches and validates the single release of a batch
-// run, writing it to -out (atomically) or stdout — the same contract
-// as local mode.
+// run, writing it to -out (atomically) or stdout.
 func downloadBatch(ctx context.Context, c *client.Client, final client.JobStatus, job remoteJob, stdout, stderr io.Writer) error {
 	raw, err := fetchCSV(func() (io.ReadCloser, error) { return c.JobResult(ctx, final.ID) })
 	if err != nil {
@@ -261,8 +270,8 @@ func downloadBatch(ctx context.Context, c *client.Client, final client.JobStatus
 }
 
 // downloadWindows fetches every window release the moment the job is
-// done, validating each independently and writing the same
-// "out.wN.csv" series local mode produces.
+// done, validating each independently and writing them as the
+// "out.wN.csv" series.
 func downloadWindows(ctx context.Context, c *client.Client, final client.JobStatus, job remoteJob, stderr io.Writer) error {
 	type release struct {
 		path string
@@ -286,8 +295,8 @@ func downloadWindows(ctx context.Context, c *client.Client, final client.JobStat
 			w.Index, w.StartMinute, w.EndMinute, w.Users, rel.Len(), path)
 		releases = append(releases, release{path, raw})
 	}
-	// Like local mode, nothing is written until every release
-	// validated, so a failed run leaves no partial series behind.
+	// Nothing is written until every release validated, so a failed
+	// run leaves no partial series behind.
 	for _, r := range releases {
 		if err := writeBytesAtomic(r.path, r.raw); err != nil {
 			return err
@@ -342,9 +351,9 @@ func fetchCSV(open func() (io.ReadCloser, error)) ([]byte, error) {
 	return io.ReadAll(body)
 }
 
-// validateRelease applies the local-mode gates to a downloaded release:
-// k-anonymity, and the truthfulness accounting that every missing
-// subscriber is explained by suppression discards.
+// validateRelease gates a downloaded release on k-anonymity, and on
+// the truthfulness accounting that every missing subscriber is
+// explained by suppression discards.
 func validateRelease(ds *core.Dataset, stats *core.GloveStats, k, window int) error {
 	where := "release"
 	if window >= 0 {
@@ -363,9 +372,18 @@ func validateRelease(ds *core.Dataset, stats *core.GloveStats, k, window int) er
 	return nil
 }
 
-// printRemoteSummary mirrors the local-mode diagnostics from the
-// server-computed statistics.
+// printRemoteSummary prints the run's diagnostics from the
+// server-computed status: the resolved plan, the run statistics, the
+// accuracy of the published data and the input's k-gap
+// anonymizability.
 func printRemoteSummary(stderr io.Writer, final client.JobStatus, k int) {
+	if p := final.Plan; p != nil {
+		if p.Strategy == core.StrategyChunked {
+			fmt.Fprintf(stderr, "glovectl: plan: strategy=%s chunk=%d index=%s\n", p.Strategy, p.ChunkSize, p.Index)
+		} else {
+			fmt.Fprintf(stderr, "glovectl: plan: strategy=%s index=%s\n", p.Strategy, p.Index)
+		}
+	}
 	if s := final.Stats; s != nil {
 		fmt.Fprintf(stderr,
 			"glovectl: %d-anonymized into %d groups (%d merges); suppressed %d samples (%d users discarded)\n",
@@ -375,5 +393,8 @@ func printRemoteSummary(stderr io.Writer, final client.JobStatus, k int) {
 		fmt.Fprintf(stderr,
 			"glovectl: accuracy: position mean %.0f m / median %.0f m; time mean %.0f min / median %.0f min\n",
 			a.MeanPositionM, a.MedianPositionM, a.MeanTimeMin, a.MedianTimeMin)
+	}
+	if f := final.AnonymousFraction; f != nil {
+		fmt.Fprintf(stderr, "glovectl: k-gap: %.1f%% of input fingerprints were already %d-anonymous\n", *f*100, k)
 	}
 }

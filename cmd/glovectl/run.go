@@ -5,24 +5,23 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"math/rand"
+	"math"
+	"net"
+	"net/http"
 	"os"
 	"path/filepath"
 	"strings"
-	"time"
 
-	"repro/internal/analysis"
-	"repro/internal/cdr"
-	"repro/internal/core"
-	"repro/internal/geo"
-	"repro/internal/metrics"
+	"repro/internal/service"
 	"repro/internal/version"
 )
 
 // run executes glovectl with the given arguments, writing the anonymized
-// CSV to stdout (or -out) and diagnostics to stderr. A cancelled ctx
-// (SIGINT) aborts the GLOVE run and leaves no partial output file.
-// Extracted from main for testability.
+// CSV to stdout (or -out) and diagnostics to stderr. Without -server it
+// serves the daemon's pipeline in process and drives it exactly as
+// remote mode drives a resident gloved. A cancelled ctx (SIGINT) aborts
+// the GLOVE run and leaves no partial output file. Extracted from main
+// for testability.
 func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("glovectl", flag.ContinueOnError)
 	fs.SetOutput(stderr)
@@ -43,8 +42,8 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		follow      = fs.Bool("follow", false, "streaming mode: subscribe to the dataset's appends and download each window release as the feed closes it (requires -server and -window)")
 		followWin   = fs.Int("follow-windows", 0, "stop -follow after this many committed window releases (0 = run until interrupted)")
 		datasetID   = fs.String("dataset", "", "remote mode: run against this existing dataset on the daemon instead of ingesting -in (requires -server)")
-		server      = fs.String("server", "", "remote mode: drive a resident gloved at this base URL (e.g. http://localhost:8080) instead of anonymizing in-process")
-		trace       = fs.Bool("trace", false, "remote mode: print the job's span tree after it finishes (requires -server)")
+		server      = fs.String("server", "", "remote mode: drive a resident gloved at this base URL (e.g. http://localhost:8080) instead of a private in-process one")
+		trace       = fs.Bool("trace", false, "print the job's span tree after it finishes")
 		showVersion = fs.Bool("version", false, "print version and exit")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -65,9 +64,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		return fmt.Errorf("glovectl: -window needs -out (one CSV per window release)")
 	}
 
-	if *trace && *server == "" {
-		return fmt.Errorf("glovectl: -trace needs -server (the span tree is recorded by the daemon)")
-	}
 	if *datasetID != "" && *server == "" {
 		return fmt.Errorf("glovectl: -dataset needs -server (it names a dataset resident on the daemon)")
 	}
@@ -83,180 +79,49 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	if *followWin > 0 && !*follow {
 		return fmt.Errorf("glovectl: -follow-windows needs -follow")
 	}
-	if *server != "" {
-		return runRemote(ctx, *server, remoteJob{
-			in: *in, lat: *lat, lon: *lon, days: *days,
-			k: *k, suppressKm: *suppressKm, suppressMin: *suppressMin,
-			workers: *workers, strategy: *strategy, chunkSize: *chunkSize, index: *index,
-			window: *window, out: *out, trace: *trace,
-			follow: *follow, followWindows: *followWin, dataset: *datasetID,
-		}, stdout, stderr)
-	}
-
-	f, err := os.Open(*in)
-	if err != nil {
-		return err
-	}
-	records, err := cdr.ReadCSV(f)
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		return err
-	}
-	table := &cdr.Table{
-		Records:  records,
-		Center:   geo.LatLon{Lat: *lat, Lon: *lon},
-		SpanDays: *days,
-	}
-	if err := table.Validate(); err != nil {
-		return err
-	}
-
-	strategyKind, err := core.ParseStrategy(*strategy)
-	if err != nil {
-		return fmt.Errorf("glovectl: -strategy: %w", err)
-	}
-	indexKind, err := core.ParseIndexKind(*index)
-	if err != nil {
-		return fmt.Errorf("glovectl: -index: %w", err)
-	}
-	aopt := core.AnonymizeOptions{
-		Glove: core.GloveOptions{
-			K: *k,
-			Suppress: core.SuppressionThresholds{
-				MaxSpatialMeters:   *suppressKm * 1000,
-				MaxTemporalMinutes: *suppressMin,
-			},
-			Workers: *workers,
-			Index:   indexKind,
-		},
-		Strategy:  strategyKind,
-		ChunkSize: *chunkSize,
-	}
-
-	if *window > 0 {
-		return runWindowed(ctx, table, aopt, *window, *out, stderr)
-	}
-
-	dataset, err := table.BuildDataset()
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(stderr, "glovectl: %d fingerprints, %d samples, mean length %.1f\n",
-		dataset.Len(), dataset.TotalSamples(), dataset.MeanFingerprintLen())
-
-	plan, err := core.PlanFor(dataset.Len(), aopt)
-	if err != nil {
-		return err
-	}
-	if plan.Strategy == core.StrategyChunked {
-		fmt.Fprintf(stderr, "glovectl: plan: strategy=%s chunk=%d index=%s\n",
-			plan.Strategy, plan.ChunkSize, plan.Index)
-	} else {
-		fmt.Fprintf(stderr, "glovectl: plan: strategy=%s index=%s\n", plan.Strategy, plan.Index)
-	}
-
-	published, stats, err := core.RunPlan(ctx, dataset, aopt, plan)
-	if err != nil {
-		if ctx.Err() != nil {
-			return fmt.Errorf("interrupted, no output written")
-		}
-		return err
-	}
-
-	if err := core.ValidateKAnonymity(published, *k); err != nil {
-		return fmt.Errorf("glovectl: validation failed: %w", err)
-	}
-	rep := core.CheckTruthfulness(dataset, published)
-	if rep.MissingFP != stats.DiscardedUsers {
-		return fmt.Errorf("glovectl: %d subscribers missing but %d accounted as discarded",
-			rep.MissingFP, stats.DiscardedUsers)
-	}
-
-	acc := metrics.Measure(published)
-	sum, err := acc.Summarize()
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(stderr,
-		"glovectl: %d-anonymized into %d groups (%d merges); suppressed %d samples (%d users discarded)\n",
-		*k, stats.OutputFingerprints, stats.Merges, stats.SuppressedSamples, stats.DiscardedUsers)
-	fmt.Fprintf(stderr,
-		"glovectl: accuracy: position mean %.0f m / median %.0f m; time mean %.0f min / median %.0f min\n",
-		sum.MeanPositionM, sum.MedianPositionM, sum.MeanTimeMin, sum.MedianTimeMin)
-
-	if *out == "" {
-		return cdr.WriteAnonymizedCSV(stdout, published)
-	}
-	return writeFileAtomic(*out, published)
-}
-
-// runWindowed is the continuous-release mode: the input is partitioned
-// into time windows of `hours`, each window is anonymized independently
-// (every release is k-anonymous on its own), one CSV is written per
-// window, and the residual cross-window linkage is reported.
-func runWindowed(ctx context.Context, table *cdr.Table, aopt core.AnonymizeOptions, hours float64, out string, stderr io.Writer) error {
-	wins, err := table.SplitByWindow(time.Duration(hours * float64(time.Hour)))
-	if err != nil {
-		return err
-	}
-	originals := make([]*core.Dataset, len(wins))
-	for i, w := range wins {
-		if originals[i], err = w.Table.BuildDataset(); err != nil {
-			return err
-		}
-	}
-	fmt.Fprintf(stderr, "glovectl: %d windows of %g h over %d records\n",
-		len(wins), hours, len(table.Records))
-
-	releases, err := core.AnonymizeWindowsContext(ctx, originals, aopt, nil)
-	if err != nil {
-		if ctx.Err() != nil {
-			return fmt.Errorf("interrupted, no output written")
-		}
-		return err
-	}
-	k := aopt.Glove.K
-	paths := make([]string, len(releases))
-	for i, rel := range releases {
-		if err := core.ValidateKAnonymity(rel.Output, k); err != nil {
-			return fmt.Errorf("glovectl: window %d validation failed: %w", wins[i].Index, err)
-		}
-		// Same truthfulness gate as the batch path: a subscriber may only
-		// go missing from a release when accounted as suppression-discarded.
-		rep := core.CheckTruthfulness(originals[i], rel.Output)
-		if rep.MissingFP != rel.Stats.DiscardedUsers {
-			return fmt.Errorf("glovectl: window %d: %d subscribers missing but %d accounted as discarded",
-				wins[i].Index, rep.MissingFP, rel.Stats.DiscardedUsers)
-		}
-		paths[i] = windowOutPath(out, wins[i].Index)
-		fmt.Fprintf(stderr,
-			"glovectl: window %d [%.0f, %.0f) min: %d users -> %d groups (%d merges) -> %s\n",
-			wins[i].Index, wins[i].StartMinute, wins[i].EndMinute,
-			originals[i].Len(), rel.Output.Len(), rel.Stats.Merges, paths[i])
-	}
-	// Releases are written only after every window validated, so an
-	// interrupted run leaves no partial release sequence behind.
-	published := make([]*core.Dataset, len(releases))
-	for i, rel := range releases {
-		published[i] = rel.Output
-		if err := writeFileAtomic(paths[i], rel.Output); err != nil {
-			return err
-		}
-	}
-	if len(releases) >= 2 {
-		link, err := analysis.CrossWindowLinkage(originals, published, 4, 200,
-			rand.New(rand.NewSource(1)), aopt.Glove.Workers)
+	if *server == "" {
+		base, stop, err := serveInProcess()
 		if err != nil {
 			return err
 		}
-		for i := range link.Pairs {
-			link.Pairs[i].Window = wins[i].Index
-		}
-		fmt.Fprintf(stderr, "glovectl: cross-window linkage: %s\n", link)
+		defer stop()
+		*server = base
 	}
-	return nil
+	return runRemote(ctx, *server, remoteJob{
+		in: *in, lat: *lat, lon: *lon, days: *days,
+		k: *k, suppressKm: *suppressKm, suppressMin: *suppressMin,
+		workers: *workers, strategy: *strategy, chunkSize: *chunkSize, index: *index,
+		window: *window, out: *out, trace: *trace,
+		follow: *follow, followWindows: *followWin, dataset: *datasetID,
+	}, stdout, stderr)
+}
+
+// serveInProcess starts the gloved service pipeline — registry, job
+// manager and HTTP surface — on a loopback listener, so local mode is
+// remote mode against a private daemon and publishes exactly what a
+// resident gloved would. The finish-time analysis is uncapped: a local
+// run reports the k-gap fraction and cross-window linkage at any size,
+// as a single-user command can afford the quadratic pass. stop shuts
+// the listener and the manager down.
+func serveInProcess() (base string, stop func(), err error) {
+	reg := service.NewRegistry()
+	mgr := service.NewManager(reg, service.ManagerOptions{AnalysisMaxFingerprints: math.MaxInt})
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		mgr.Close()
+		return "", nil, err
+	}
+	srv := &http.Server{Handler: service.NewServer(reg, mgr)}
+	served := make(chan struct{})
+	go func() {
+		defer close(served)
+		srv.Serve(ln)
+	}()
+	return "http://" + ln.Addr().String(), func() {
+		srv.Close()
+		<-served
+		mgr.Close()
+	}, nil
 }
 
 // windowOutPath derives the per-window output path: "anon.csv" with
@@ -266,34 +131,16 @@ func windowOutPath(out string, index int) string {
 	return fmt.Sprintf("%s.w%d%s", strings.TrimSuffix(out, ext), index, ext)
 }
 
-// writeFileAtomic writes the anonymized dataset to path via a temporary
+// writeBytesAtomic writes a downloaded release to path via a temporary
 // sibling file and a rename, so an interrupted or failed run never
 // leaves a truncated output behind.
-func writeFileAtomic(path string, d *core.Dataset) error {
-	return writeAtomic(path, func(w io.Writer) error {
-		return cdr.WriteAnonymizedCSV(w, d)
-	})
-}
-
-// writeBytesAtomic is the raw-bytes flavor used by remote mode, where
-// the release arrives pre-rendered off the wire.
 func writeBytesAtomic(path string, raw []byte) error {
-	return writeAtomic(path, func(w io.Writer) error {
-		_, err := w.Write(raw)
-		return err
-	})
-}
-
-// writeAtomic runs the produce function against a temporary sibling
-// file and renames it into place only on success, so no failure mode
-// leaves a truncated output behind.
-func writeAtomic(path string, produce func(io.Writer) error) error {
 	tmp := path + ".tmp"
 	of, err := os.Create(tmp)
 	if err != nil {
 		return err
 	}
-	if err := produce(of); err != nil {
+	if _, err := of.Write(raw); err != nil {
 		of.Close()
 		os.Remove(tmp)
 		return err

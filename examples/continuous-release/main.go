@@ -18,6 +18,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -66,40 +67,43 @@ func main() {
 	}
 	fmt.Printf("windows         %6d releases of %d h each\n", len(wins), windowHours)
 
-	// 4. Anonymize each window independently.
+	// 4+5. Anonymize each window independently — the planner picks
+	//      each window's strategy from its size — then validate and
+	//      publish its release.
 	const k = 2
-	releases, err := core.AnonymizeWindows(originals, core.AnonymizeOptions{
-		Glove: core.GloveOptions{K: k},
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
-
-	// 5. Validate and publish every release.
+	opt := core.AnonymizeOptions{Glove: core.GloveOptions{K: k}}
 	dir, err := os.MkdirTemp("", "glove-continuous-")
 	if err != nil {
 		log.Fatal(err)
 	}
-	published := make([]*core.Dataset, len(releases))
-	for i, rel := range releases {
-		if err := core.ValidateKAnonymity(rel.Output, k); err != nil {
+	published := make([]*core.Dataset, len(wins))
+	for i, original := range originals {
+		plan, err := core.PlanFor(original.Len(), opt)
+		if err != nil {
+			log.Fatal(err)
+		}
+		out, stats, err := core.RunPlan(context.Background(), original, opt, plan)
+		if err != nil {
+			log.Fatalf("window %d: %v", wins[i].Index, err)
+		}
+		if err := core.ValidateKAnonymity(out, k); err != nil {
 			log.Fatalf("RELEASE BLOCKED: window %d: %v", wins[i].Index, err)
 		}
-		published[i] = rel.Output
+		published[i] = out
 		path := filepath.Join(dir, fmt.Sprintf("release-w%d.csv", wins[i].Index))
 		f, err := os.Create(path)
 		if err != nil {
 			log.Fatal(err)
 		}
-		if err := cdr.WriteAnonymizedCSV(f, rel.Output); err != nil {
+		if err := cdr.WriteAnonymizedCSV(f, out); err != nil {
 			log.Fatal(err)
 		}
 		if err := f.Close(); err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("window %d        %6d users -> %4d groups (%4d merges, plan %s/%s) -> %s\n",
-			wins[i].Index, originals[i].Len(), rel.Output.Len(), rel.Stats.Merges,
-			rel.Plan.Strategy, rel.Plan.Index, path)
+			wins[i].Index, original.Len(), out.Len(), stats.Merges,
+			plan.Strategy, plan.Index, path)
 	}
 
 	// 6. The continuous-publication risk: how many subscribers can a

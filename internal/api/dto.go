@@ -234,8 +234,9 @@ type JobStatus struct {
 	// Progress advances from 0 to 1 over the job's lifetime; while
 	// running it is the mean completion fraction across shards.
 	Progress float64 `json:"progress"`
-	// Shards is the effective shard count chosen by the scheduler (0
-	// until the job starts).
+	// Shards is the effective shard count chosen by the scheduler — for
+	// a windowed or follow job, that of the first runnable window, the
+	// one Plan describes (0 until the job plans).
 	Shards int    `json:"shards"`
 	Error  string `json:"error,omitempty"`
 

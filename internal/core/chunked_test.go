@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"sync"
 	"testing"
 )
 
@@ -173,5 +174,59 @@ func TestGloveChunkedAccuracyClose(t *testing.T) {
 	mw, mc := mean(whole), mean(chunked)
 	if mc > 4*mw+1000 {
 		t.Errorf("chunked mean span %.0f m far above whole-dataset %.0f m", mc, mw)
+	}
+}
+
+// Pin the chunked progress weighting against pre-anonymized inputs: a
+// block containing fingerprints that arrive with Count >= K contributes
+// only its active fingerprints (plus the build step) to the total, so
+// the aggregated fraction ends at exactly 1 and never overshoots.
+func TestGloveChunkedProgressWithPreAnonymizedInputs(t *testing.T) {
+	rng := rand.New(rand.NewSource(15))
+	const n, chunk, k = 30, 10, 2
+	var fps []*Fingerprint
+	active := 0
+	for i := 0; i < n; i++ {
+		f := randFingerprint(rng, fmt.Sprintf("f%02d", i), 4)
+		if i%3 == 0 {
+			// Pre-merged group: already anonymized on input.
+			f.Count = k
+			f.Members = []string{f.ID + "-a", f.ID + "-b"}
+		} else {
+			active++
+		}
+		fps = append(fps, f)
+	}
+	d := NewDataset(fps)
+	wantTotal := active + len(spatialBlocks(d, chunk))
+
+	var mu sync.Mutex
+	var lastDone, total int
+	_, _, err := GloveChunked(d, ChunkedGloveOptions{
+		Glove: GloveOptions{
+			K: k,
+			Progress: func(done, tot int) {
+				mu.Lock()
+				defer mu.Unlock()
+				if done < lastDone {
+					t.Errorf("progress went backwards: %d after %d", done, lastDone)
+				}
+				if done > tot {
+					t.Errorf("progress overshoots: %d/%d", done, tot)
+				}
+				lastDone, total = done, tot
+			},
+		},
+		ChunkSize: chunk,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if total != wantTotal {
+		t.Errorf("reported total %d, want %d (active %d + %d blocks)",
+			total, wantTotal, active, wantTotal-active)
+	}
+	if lastDone != total {
+		t.Errorf("final progress %d/%d, want completion", lastDone, total)
 	}
 }

@@ -2,6 +2,7 @@ package service
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"strings"
 	"testing"
@@ -37,12 +38,33 @@ func releaseCSV(t *testing.T, mgr *Manager, jobID string, w int) []byte {
 	return buf.Bytes()
 }
 
+// coldRelease is the cold reference of the streaming tests: one window
+// of the final feed (cdr.Table.SplitByWindow) anonymized on its own by
+// the engine (core.AnonymizeContext), outside the service, and encoded
+// for byte comparison.
+func coldRelease(t *testing.T, w cdr.Window, spec JobSpec) []byte {
+	t.Helper()
+	original, err := w.Table.BuildDataset()
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, _, err := core.AnonymizeContext(context.Background(), original, anonymizeOptions(spec, 1, nil))
+	if err != nil {
+		t.Fatalf("window %d: %v", w.Index, err)
+	}
+	var buf bytes.Buffer
+	if err := cdr.WriteAnonymizedCSV(&buf, out); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
 // A follow job's committed releases must be byte-identical to the
 // corresponding windows of a cold windowed run over the final feed —
 // the streaming pipeline is a strict incrementalization of the batch
-// one, never a different algorithm. The reference is the engine's own
-// windowed driver (core.AnonymizeWindows over SplitByWindow), not the
-// service executor the follow job itself runs on. The feed grows
+// one, never a different algorithm. The reference is the engine run
+// on each window (coldRelease), not the service executor the follow
+// job itself runs on. The feed grows
 // concurrently with the running job (exercising the append/snapshot
 // race under -race), window 1 stays empty, and the job finishes on its
 // follow_windows bound.
@@ -121,33 +143,17 @@ func TestFollowEqualsColdWindows(t *testing.T) {
 		}
 
 		// Cold reference over the finished feed, outside the service:
-		// split the feed, build each window, anonymize the windows in
-		// sequence. Windows 0 and 2 must match the follow releases byte
-		// for byte.
+		// windows 0 and 2 must match the follow releases byte for byte.
 		src, _, _ := reg.SnapshotSource(info.ID)
 		wins, err := viewTable(t, src).SplitByWindow(time.Hour)
 		if err != nil {
 			t.Fatal(err)
 		}
-		originals := make([]*core.Dataset, len(wins))
-		for i, w := range wins {
-			if originals[i], err = w.Table.BuildDataset(); err != nil {
-				t.Fatal(err)
-			}
-		}
-		cold, err := core.AnonymizeWindows(originals, anonymizeOptions(final.Spec, 1, nil))
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i, w := range wins {
+		for _, w := range wins {
 			if w.Index != 0 && w.Index != 2 {
 				continue
 			}
-			var want bytes.Buffer
-			if err := cdr.WriteAnonymizedCSV(&want, cold[i].Output); err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(releaseCSV(t, mgr, st.ID, w.Index), want.Bytes()) {
+			if !bytes.Equal(releaseCSV(t, mgr, st.ID, w.Index), coldRelease(t, w, final.Spec)) {
 				t.Errorf("follow release for window %d differs from the cold windowed release", w.Index)
 			}
 		}
@@ -201,19 +207,7 @@ func TestFollowFusesWindowFragments(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	original, err := wins[0].Table.BuildDataset()
-	if err != nil {
-		t.Fatal(err)
-	}
-	cold, err := core.AnonymizeWindows([]*core.Dataset{original}, anonymizeOptions(final.Spec, 1, nil))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var want bytes.Buffer
-	if err := cdr.WriteAnonymizedCSV(&want, cold[0].Output); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(releaseCSV(t, mgr, st.ID, 0), want.Bytes()) {
+	if !bytes.Equal(releaseCSV(t, mgr, st.ID, 0), coldRelease(t, wins[0], final.Spec)) {
 		t.Error("fused window 0 release differs from the cold windowed release")
 	}
 }

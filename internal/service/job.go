@@ -68,11 +68,14 @@ type Job struct {
 	cancel          context.CancelFunc
 	cancelRequested bool
 
-	// shardProgress has one 0..1 entry per effective shard while
-	// running.
+	// shardProgress has one 0..1 entry per effective shard while a
+	// batch job runs.
 	shardProgress []float64
-	// plan is the resolved execution plan of the largest shard.
-	plan *core.Plan
+	// plan is the resolved execution plan of the largest shard, and
+	// shards the effective shard count it was resolved over — of the
+	// first runnable window, for a windowed or follow job.
+	plan   *core.Plan
+	shards int
 
 	// datasetVersion is the registry version of the snapshot being
 	// anonymized (set when the run takes its snapshot).
@@ -350,7 +353,7 @@ func (j *Job) statusLocked() JobStatus {
 		Spec:              j.spec,
 		State:             j.state,
 		Progress:          j.progressLocked(),
-		Shards:            len(j.shardProgress),
+		Shards:            j.shards,
 		Error:             j.err,
 		Plan:              j.plan,
 		DatasetVersion:    j.datasetVersion,
@@ -479,8 +482,9 @@ func (j *Job) captureWindowLocked(w *jobWindow) (RecoveredResult, error) {
 // capture converts the job into its checkpoint form: every committed
 // window, plus — for terminal jobs, except drain-cancelled ones whose
 // cancellation the journal deliberately never saw — the status, the
-// full event log and the batch result. An interrupted job is thus
-// captured as its submission plus its committed windows, exactly the
+// full event log and the result of a job without windows (a windowed
+// job's result is one of its captured windows). An interrupted job is
+// thus captured as its submission plus its committed windows, exactly the
 // shape a journal replay produces for it, so restarting from a
 // checkpoint and restarting from a raw journal converge to the same
 // state.
@@ -504,7 +508,7 @@ func (j *Job) capture() (*RecoveredJob, error) {
 	st := j.statusLocked()
 	rj.Status = &st
 	rj.Events = append([]api.JobEvent(nil), j.events...)
-	if j.result != nil {
+	if j.result != nil && len(j.windows) == 0 {
 		csv, err := encodeRelease(j.result)
 		if err != nil {
 			return nil, err

@@ -69,8 +69,8 @@ type journalWindow struct {
 	Groups      int              `json:"groups,omitempty"`
 	Stats       *core.GloveStats `json:"stats,omitempty"`
 	// Empty marks a window the feed skipped (committed with no release);
-	// Batch marks the job result served by /v1/jobs/{id}/result,
-	// journaled at the terminal transition.
+	// Batch marks the result of a job without windows, served by
+	// /v1/jobs/{id}/result and journaled at the terminal transition.
 	Empty bool `json:"empty,omitempty"`
 	Batch bool `json:"batch,omitempty"`
 }

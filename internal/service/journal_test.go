@@ -632,3 +632,127 @@ func TestJournalReplayIdempotent(t *testing.T) {
 		t.Errorf("replay not idempotent:\nboot2 %s\nboot3 %s", snap2, snap3)
 	}
 }
+
+// A windowed job with a single release serves it as /result too, but
+// journals it once, as its window: one result frame in the journal and
+// in a checkpoint, and the restored /result is byte-identical. A
+// journal that also holds the release as a batch frame (written before
+// that rule) restores the same bytes.
+func TestJournalSingleReleaseWindowedJournaledOnce(t *testing.T) {
+	for _, legacy := range []bool{false, true} {
+		name := "one-frame"
+		if legacy {
+			name = "legacy-batch-frame"
+		}
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			jrnl, reg, mgr, _ := bootService(t, dir, ManagerOptions{})
+			info := ingestSynth(t, reg, 40, 2)
+			st, err := mgr.Submit(JobSpec{DatasetID: info.ID, K: 2, Workers: 1, Shards: 1, WindowHours: 1000})
+			if err != nil {
+				t.Fatal(err)
+			}
+			final := waitForState(t, mgr, st.ID, func(s JobStatus) bool { return s.State.Terminal() })
+			if final.State != JobDone || len(final.Windows) != 1 {
+				t.Fatalf("job finished %s with %d windows: %s", final.State, len(final.Windows), final.Error)
+			}
+			result := func(mgr *Manager) []byte {
+				t.Helper()
+				ds, err := mgr.Result(st.ID)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if ds == nil {
+					t.Fatal("done job serves no result")
+				}
+				var buf bytes.Buffer
+				if err := cdr.WriteAnonymizedCSV(&buf, ds); err != nil {
+					t.Fatal(err)
+				}
+				return buf.Bytes()
+			}
+			want := result(mgr)
+			mgr.mu.Lock()
+			job := mgr.jobs[st.ID]
+			mgr.mu.Unlock()
+			rj, err := job.capture()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(rj.Results) != 1 {
+				t.Errorf("checkpoint holds %d result frames, want 1", len(rj.Results))
+			}
+			frames := 1
+			if legacy {
+				ds, _ := mgr.Result(st.ID)
+				if err := jrnl.jobResult(st.ID, journalWindow{Batch: true, Stats: final.Stats}, ds); err != nil {
+					t.Fatal(err)
+				}
+				frames = 2
+			}
+			crashClose(mgr, reg, jrnl)
+
+			jrnl2, reg2, mgr2, rec := bootService(t, dir, ManagerOptions{})
+			defer crashClose(mgr2, reg2, jrnl2)
+			for _, j := range rec.Jobs {
+				if j.ID == st.ID && len(j.Results) != frames {
+					t.Errorf("journal holds %d result frames, want %d", len(j.Results), frames)
+				}
+			}
+			if !bytes.Equal(result(mgr2), want) {
+				t.Error("restored /result differs from the original bytes")
+			}
+		})
+	}
+}
+
+// JobStatus.Shards is the shard count the job's plan was resolved over
+// — the first runnable window's, for windowed and follow jobs — and
+// survives a restart.
+func TestJobStatusShardsWindowedAndFollow(t *testing.T) {
+	dir := t.TempDir()
+	jrnl, reg, mgr, _ := bootService(t, dir, ManagerOptions{MaxConcurrentJobs: 2})
+	info := ingestSynth(t, reg, 40, 2)
+	feed, err := reg.Ingest(strings.NewReader(windowCSV(0, "a", "b", "c", "d", "e", "f", "g", "h")),
+		"feed", geo.LatLon{Lat: 7.54, Lon: -5.55}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ids []string
+	for _, spec := range []JobSpec{
+		{DatasetID: info.ID, K: 2, Workers: 1, Shards: 2, WindowHours: 24},
+		{DatasetID: feed.ID, K: 2, Workers: 1, Shards: 2, WindowHours: 1, Follow: true, FollowWindows: 1},
+	} {
+		st, err := mgr.Submit(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, st.ID)
+	}
+	// Window 1 closes the follow job's window 0.
+	if _, err := reg.Append(feed.ID, strings.NewReader(windowCSV(1, "a", "b"))); err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range ids {
+		st := waitForState(t, mgr, id, func(s JobStatus) bool { return s.State.Terminal() })
+		if st.State != JobDone {
+			t.Fatalf("job %s finished %s: %s", id, st.State, st.Error)
+		}
+		if st.Plan == nil || st.Shards != 2 {
+			t.Errorf("job %s (follow=%v): shards %d with plan %v, want 2", id, st.Spec.Follow, st.Shards, st.Plan)
+		}
+	}
+	crashClose(mgr, reg, jrnl)
+
+	jrnl2, reg2, mgr2, _ := bootService(t, dir, ManagerOptions{})
+	defer crashClose(mgr2, reg2, jrnl2)
+	for _, id := range ids {
+		st, ok := mgr2.Get(id)
+		if !ok {
+			t.Fatalf("job %s gone after restart", id)
+		}
+		if st.Shards != 2 {
+			t.Errorf("restored job %s: shards %d, want 2", id, st.Shards)
+		}
+	}
+}

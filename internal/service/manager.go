@@ -699,8 +699,9 @@ func (m *Manager) runJob(job *Job) {
 	m.mu.Unlock()
 }
 
-// journalTerminal makes a job's terminal state durable: the result
-// served by /v1/jobs/{id}/result, if any (every window release was
+// journalTerminal makes a job's terminal state durable: the result of
+// a job without windows, if any (every window release — including the
+// one a single-release windowed job serves as its result — was
 // journaled at its commit), then the full terminal status — the record
 // that turns a replayed job from "interrupted, requeue" into "finished,
 // restore verbatim". Drain-cancelled jobs are skipped on purpose.
@@ -717,7 +718,7 @@ func (m *Manager) journalTerminal(job *Job) {
 	result := job.result
 	job.mu.Unlock()
 
-	if result != nil {
+	if result != nil && len(st.Windows) == 0 {
 		if err := m.jrnl.jobResult(job.id, journalWindow{Batch: true, Stats: st.Stats}, result); err != nil {
 			if m.log != nil {
 				m.log.Error("journaling job result failed", "job_id", job.id, "error", err.Error())
@@ -947,6 +948,7 @@ func restoreTerminalJob(rj *RecoveredJob) (*Job, error) {
 		created:           st.CreatedAt,
 		eventCh:           make(chan struct{}),
 		plan:              st.Plan,
+		shards:            st.Shards,
 		datasetVersion:    st.DatasetVersion,
 		stats:             st.Stats,
 		accuracy:          st.Accuracy,
@@ -1000,6 +1002,19 @@ func restoreTerminalJob(rj *RecoveredJob) (*Job, error) {
 			stats:       ws.Stats,
 			result:      results[ws.Index],
 		})
+	}
+	if job.result == nil && st.State == JobDone {
+		// A done windowed job with a single release serves it as its
+		// result; the release is journaled once, as its window.
+		var done []*core.Dataset
+		for _, w := range job.windows {
+			if w.state == WindowDone {
+				done = append(done, w.result)
+			}
+		}
+		if len(done) == 1 {
+			job.result = done[0]
+		}
 	}
 	return job, nil
 }
@@ -1079,6 +1094,7 @@ func (m *Manager) planJob(job *Job, root obs.ActiveSpan, src *colstore.View, use
 	m.tel.jobPlanned(&plan)
 	job.mu.Lock()
 	job.plan = &plan
+	job.shards = len(shards)
 	job.mu.Unlock()
 	return shards, nil
 }
