@@ -80,9 +80,12 @@ bench:
 # append/commit cost every mutation now pays (DESIGN.md Sec. 13).
 # BenchmarkAnonymizability pins the finish-time k-gap analysis: the full
 # pass against the thresholded one gloved runs (DESIGN.md Sec. 8).
+# BenchmarkReleaseDownload pins the download of a committed window
+# release over loopback, with its allocations: a download writes the
+# bytes stored at commit (DESIGN.md Sec. 7.2).
 bench-json:
-	$(GO) test -run=^$$ -bench='BenchmarkAblation|BenchmarkAnonymizability|BenchmarkFingerprintEffortKernel|BenchmarkEffortKernel|BenchmarkScaling|BenchmarkWindowCommit|BenchmarkWAL' \
-		-benchtime=1x -timeout=30m -json . ./internal/core ./internal/wal > BENCH_glove.json
+	$(GO) test -run=^$$ -bench='BenchmarkAblation|BenchmarkAnonymizability|BenchmarkFingerprintEffortKernel|BenchmarkEffortKernel|BenchmarkScaling|BenchmarkWindowCommit|BenchmarkWAL|BenchmarkReleaseDownload' \
+		-benchtime=1x -timeout=30m -json . ./internal/core ./internal/wal ./internal/service > BENCH_glove.json
 
 # profile writes a CPU pprof of the k=2 civ GLOVE run (the
 # BenchmarkAblationNearestCache/cached workload, which is dominated by

@@ -69,41 +69,18 @@ func main() {
 
 	// 4+5. Anonymize each window independently — the planner picks
 	//      each window's strategy from its size — then validate and
-	//      publish its release.
+	//      publish its release. The releases go to a temporary directory
+	//      the example removes before it ends, on its error paths too
+	//      (log.Fatal skips deferred calls).
 	const k = 2
-	opt := core.AnonymizeOptions{Glove: core.GloveOptions{K: k}}
 	dir, err := os.MkdirTemp("", "glove-continuous-")
 	if err != nil {
 		log.Fatal(err)
 	}
-	published := make([]*core.Dataset, len(wins))
-	for i, original := range originals {
-		plan, err := core.PlanFor(original.Len(), opt)
-		if err != nil {
-			log.Fatal(err)
-		}
-		out, stats, err := core.RunPlan(context.Background(), original, opt, plan)
-		if err != nil {
-			log.Fatalf("window %d: %v", wins[i].Index, err)
-		}
-		if err := core.ValidateKAnonymity(out, k); err != nil {
-			log.Fatalf("RELEASE BLOCKED: window %d: %v", wins[i].Index, err)
-		}
-		published[i] = out
-		path := filepath.Join(dir, fmt.Sprintf("release-w%d.csv", wins[i].Index))
-		f, err := os.Create(path)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := cdr.WriteAnonymizedCSV(f, out); err != nil {
-			log.Fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("window %d        %6d users -> %4d groups (%4d merges, plan %s/%s) -> %s\n",
-			wins[i].Index, original.Len(), out.Len(), stats.Merges,
-			plan.Strategy, plan.Index, path)
+	published, err := publish(dir, wins, originals, k)
+	os.RemoveAll(dir)
+	if err != nil {
+		log.Fatal(err)
 	}
 
 	// 6. The continuous-publication risk: how many subscribers can a
@@ -127,4 +104,46 @@ func main() {
 	if gloveLink.LinkedFraction > rawLink.LinkedFraction {
 		log.Fatal("anonymized releases leak more than raw ones — impossible")
 	}
+}
+
+// publish anonymizes every window, validates its release and writes it
+// to dir as one CSV per window.
+func publish(dir string, wins []cdr.Window, originals []*core.Dataset, k int) ([]*core.Dataset, error) {
+	opt := core.AnonymizeOptions{Glove: core.GloveOptions{K: k}}
+	published := make([]*core.Dataset, len(wins))
+	for i, original := range originals {
+		plan, err := core.PlanFor(original.Len(), opt)
+		if err != nil {
+			return nil, err
+		}
+		out, stats, err := core.RunPlan(context.Background(), original, opt, plan)
+		if err != nil {
+			return nil, fmt.Errorf("window %d: %w", wins[i].Index, err)
+		}
+		if err := core.ValidateKAnonymity(out, k); err != nil {
+			return nil, fmt.Errorf("RELEASE BLOCKED: window %d: %w", wins[i].Index, err)
+		}
+		published[i] = out
+		path := filepath.Join(dir, fmt.Sprintf("release-w%d.csv", wins[i].Index))
+		if err := writeRelease(path, out); err != nil {
+			return nil, err
+		}
+		fmt.Printf("window %d        %6d users -> %4d groups (%4d merges, plan %s/%s) -> %s\n",
+			wins[i].Index, original.Len(), out.Len(), stats.Merges,
+			plan.Strategy, plan.Index, filepath.Base(path))
+	}
+	return published, nil
+}
+
+// writeRelease writes one release CSV to path.
+func writeRelease(path string, out *core.Dataset) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := cdr.WriteAnonymizedCSV(f, out); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }

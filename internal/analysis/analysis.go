@@ -26,26 +26,6 @@ type Decomposition struct {
 	Temporal []float64 // w_τ φ_τ components
 }
 
-// TemporalToSpatialRatio returns Σ T^k_a / Σ S^k_a, the quantity of
-// Fig. 5b. It returns +Inf when the spatial component is exactly zero
-// and the temporal one is not.
-func (d *Decomposition) TemporalToSpatialRatio() float64 {
-	var st, ss float64
-	for _, v := range d.Temporal {
-		st += v
-	}
-	for _, v := range d.Spatial {
-		ss += v
-	}
-	if ss == 0 {
-		if st == 0 {
-			return 0
-		}
-		return math.Inf(1)
-	}
-	return st / ss
-}
-
 // TemporalShare returns Σ T / (Σ T + Σ S), the fraction of the total
 // stretch effort attributable to time, in [0, 1].
 func (d *Decomposition) TemporalShare() float64 {

@@ -97,19 +97,12 @@ func TestTemporalRatioAndShare(t *testing.T) {
 		Spatial:  []float64{0.1, 0.1},
 		Temporal: []float64{0.3, 0.5},
 	}
-	if r := dec.TemporalToSpatialRatio(); math.Abs(r-4) > 1e-12 {
-		t.Errorf("ratio = %g, want 4", r)
-	}
 	if s := dec.TemporalShare(); math.Abs(s-0.8) > 1e-12 {
 		t.Errorf("share = %g, want 0.8", s)
 	}
-	zero := &Decomposition{Spatial: []float64{0}, Temporal: []float64{0.2}}
-	if !math.IsInf(zero.TemporalToSpatialRatio(), 1) {
-		t.Error("zero spatial ratio not +Inf")
-	}
 	empty := &Decomposition{}
-	if empty.TemporalToSpatialRatio() != 0 || empty.TemporalShare() != 0 {
-		t.Error("empty decomposition ratios not 0")
+	if empty.TemporalShare() != 0 {
+		t.Error("empty decomposition share not 0")
 	}
 }
 

@@ -79,28 +79,3 @@ func PartialKnowledgeUniqueness(original, published *core.Dataset, known, probes
 	res.MeanCrowd = crowdSum / float64(probes)
 	return res, nil
 }
-
-// Sparsity evaluates the (ε, δ)-sparsity of a dataset under the k-gap
-// dissimilarity (Sec. 5's pointer to Narayanan & Shmatikov): a dataset
-// is (ε, δ)-sparse when at most a δ fraction of records have another
-// record within dissimilarity ε. Given the 2-gap results (each record's
-// distance to its nearest neighbour), it returns δ for the given ε.
-func Sparsity(rs []core.KGapResult, eps float64) float64 {
-	if len(rs) == 0 {
-		return 0
-	}
-	var within int
-	for _, r := range rs {
-		// For k = 2 the k-gap is exactly the nearest-neighbour effort;
-		// for larger k it upper-bounds it, so use the first effort when
-		// available.
-		nn := r.KGap
-		if len(r.Efforts) > 0 {
-			nn = r.Efforts[0]
-		}
-		if nn <= eps {
-			within++
-		}
-	}
-	return float64(within) / float64(len(rs))
-}

@@ -2,6 +2,7 @@ package cdr
 
 import (
 	"bytes"
+	"io"
 	"math"
 	"math/rand"
 	"strings"
@@ -317,5 +318,22 @@ func TestUserHashUniform(t *testing.T) {
 		if c < 350 || c > 650 {
 			t.Errorf("bucket %d has %d of 2000", i, c)
 		}
+	}
+}
+
+// ReadCSV reads every record of a raw record table written by WriteCSV
+// through RecordReader, for tests that want the whole table in memory.
+func ReadCSV(r io.Reader) ([]Record, error) {
+	var out []Record
+	rr := NewRecordReader(r)
+	for {
+		rec, err := rr.Next()
+		if err == io.EOF {
+			return out, nil
+		}
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, rec)
 	}
 }

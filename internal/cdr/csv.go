@@ -57,25 +57,6 @@ func WriteRecordsCSV(w io.Writer, each func(func(Record) error) error) error {
 	return cw.Error()
 }
 
-// ReadCSV reads a raw record table written by WriteCSV. Center and
-// SpanDays must be supplied by the caller (they are dataset metadata, not
-// per-record data). It is a convenience wrapper over RecordReader for
-// callers that want the whole table in memory.
-func ReadCSV(r io.Reader) ([]Record, error) {
-	var out []Record
-	rr := NewRecordReader(r)
-	for {
-		rec, err := rr.Next()
-		if err == io.EOF {
-			return out, nil
-		}
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, rec)
-	}
-}
-
 // ReadAnonymizedCSV reads a dataset in the generalized format written by
 // WriteAnonymizedCSV, reconstructing one fingerprint per group. Members
 // are synthesized as "<group>#<i>" placeholders: the published format

@@ -151,12 +151,3 @@ func (d *Dataset) Clone() *Dataset {
 	}
 	return &Dataset{Fingerprints: fps}
 }
-
-// MeanFingerprintLen returns the average number of samples per
-// fingerprint (n-bar of the complexity analysis, Sec. 6.3).
-func (d *Dataset) MeanFingerprintLen() float64 {
-	if len(d.Fingerprints) == 0 {
-		return 0
-	}
-	return float64(d.TotalSamples()) / float64(len(d.Fingerprints))
-}

@@ -206,9 +206,12 @@ func GloveContext(ctx context.Context, d *Dataset, opt GloveOptions) (*Dataset, 
 	stats.IndexBuildNanos = time.Since(buildStart).Nanoseconds()
 
 	// Progress accounting: step 0 -> 1 is the index build, then one
-	// step per merge (at most one merge per initially-active
-	// fingerprint, counting the leftover fold).
-	total := st.activeCount() + 1
+	// step per initially-active fingerprint the merges consume. A merge
+	// that retires its group consumes two and one that stays below K
+	// consumes one, so done counts consumed fingerprints, not merges;
+	// the completion call after the leftover fold reports total.
+	initial := st.activeCount()
+	total := initial + 1
 	progress := func(done int) {
 		if opt.Progress != nil {
 			opt.Progress(done, total)
@@ -216,16 +219,14 @@ func GloveContext(ctx context.Context, d *Dataset, opt GloveOptions) (*Dataset, 
 	}
 	progress(1)
 	mergeStart := time.Now()
-	merges := 0
 	for st.activeCount() >= 2 {
 		if err := ctx.Err(); err != nil {
 			return nil, nil, err
 		}
 		i, j := st.idx.MinPair()
 		st.merge(i, j)
-		merges++
 		stats.Merges++
-		progress(1 + merges)
+		progress(1 + initial - st.activeCount())
 	}
 	if leftover, ok := st.lastActive(); ok {
 		// One fingerprint remains below K: hide it inside the nearest

@@ -75,6 +75,42 @@ func TestGloveProgress(t *testing.T) {
 	}
 }
 
+// TestGloveProgressTracksConsumedFingerprints pins the progress scale
+// to the fingerprints the merges consume: a merge retires at most two
+// active fingerprints, so no callback may advance done by more than two
+// — in particular a k=2 run, whose merges each retire a pair after
+// about half as many merges as fingerprints, must not stall near 50%
+// and then jump to completion.
+func TestGloveProgressTracksConsumedFingerprints(t *testing.T) {
+	for _, k := range []int{2, 5} {
+		d := ctxTestDataset(41, int64(k))
+		var seq []int
+		total := 0
+		_, _, err := Glove(d, GloveOptions{
+			K:       k,
+			Workers: 1,
+			Progress: func(done, tot int) {
+				seq = append(seq, done)
+				total = tot
+			},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if total != d.Len()+1 {
+			t.Errorf("k=%d: total %d, want %d (build step + one per fingerprint)", k, total, d.Len()+1)
+		}
+		if len(seq) == 0 || seq[len(seq)-1] != total {
+			t.Fatalf("k=%d: progress %v does not end at total %d", k, seq, total)
+		}
+		for i := 1; i < len(seq); i++ {
+			if step := seq[i] - seq[i-1]; step < 0 || step > 2 {
+				t.Fatalf("k=%d: progress step %d -> %d (sequence %v)", k, seq[i-1], seq[i], seq)
+			}
+		}
+	}
+}
+
 func TestGloveContextCancelledBeforeStart(t *testing.T) {
 	d := ctxTestDataset(10, 1)
 	ctx, cancel := context.WithCancel(context.Background())

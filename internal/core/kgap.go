@@ -166,19 +166,3 @@ func KGaps(rs []KGapResult) []float64 {
 	}
 	return out
 }
-
-// EffortMatrix computes the full symmetric |M|x|M| matrix of fingerprint
-// stretch efforts Δ_ab (Eq. 10), in parallel. Entry (i, j) is stored at
-// both [i*n+j] and [j*n+i]; the diagonal is zero. This is the
-// initialization phase of GLOVE (Alg. 1 lines 1-3) and is also reused by
-// analysis code.
-func EffortMatrix(p Params, d *Dataset, workers int) []float64 {
-	n := d.Len()
-	m := make([]float64, n*n)
-	parallel.ForPairs(n, workers, func(i, j int) {
-		e := p.FingerprintEffort(d.Fingerprints[i], d.Fingerprints[j])
-		m[i*n+j] = e
-		m[j*n+i] = e
-	})
-	return m
-}

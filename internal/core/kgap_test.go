@@ -5,6 +5,8 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"repro/internal/parallel"
 )
 
 // randDataset builds a dataset of n random single-user fingerprints with
@@ -261,4 +263,19 @@ func TestEffortLowerBoundOverlappingIsZero(t *testing.T) {
 	if lb := p.EffortLowerBound(b, b); lb != 0 {
 		t.Errorf("overlapping bounds LB = %g, want 0", lb)
 	}
+}
+
+// EffortMatrix computes the full symmetric |M|x|M| matrix of fingerprint
+// stretch efforts Δ_ab (Eq. 10), in parallel: the reference for the
+// initialization phase of GLOVE (Alg. 1 lines 1-3). Entry (i, j) is
+// stored at both [i*n+j] and [j*n+i]; the diagonal is zero.
+func EffortMatrix(p Params, d *Dataset, workers int) []float64 {
+	n := d.Len()
+	m := make([]float64, n*n)
+	parallel.ForPairs(n, workers, func(i, j int) {
+		e := p.FingerprintEffort(d.Fingerprints[i], d.Fingerprints[j])
+		m[i*n+j] = e
+		m[j*n+i] = e
+	})
+	return m
 }

@@ -134,12 +134,6 @@ func TestDatasetValidateAndHelpers(t *testing.T) {
 	if d.TotalSamples() <= 0 {
 		t.Error("TotalSamples <= 0")
 	}
-	if d.MeanFingerprintLen() <= 0 {
-		t.Error("MeanFingerprintLen <= 0")
-	}
-	if (&Dataset{}).MeanFingerprintLen() != 0 {
-		t.Error("empty dataset mean len != 0")
-	}
 
 	dup := NewDataset([]*Fingerprint{d.Fingerprints[0], d.Fingerprints[0]})
 	if err := dup.Validate(); err == nil {

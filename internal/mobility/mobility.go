@@ -134,71 +134,6 @@ func InferAnchors(f *core.Fingerprint) Anchors {
 	return a
 }
 
-// VisitEntropy returns the Shannon entropy (bits) of a subscriber's
-// visit distribution over grid cells of the given pitch: the
-// predictability statistic of the mobility literature. Lower entropy =
-// more routine.
-func VisitEntropy(f *core.Fingerprint, cellMeters float64) float64 {
-	if cellMeters <= 0 {
-		cellMeters = 1000
-	}
-	grid := geo.Grid{Pitch: cellMeters}
-	counts := make(map[geo.Cell]float64)
-	var total float64
-	for _, v := range visitsOf(f) {
-		counts[grid.CellOf(v.pos)] += v.weight
-		total += v.weight
-	}
-	if total == 0 {
-		return 0
-	}
-	var h float64
-	for _, c := range counts {
-		p := c / total
-		h -= p * math.Log2(p)
-	}
-	return h
-}
-
-// TopCells returns the n most-visited grid cells of a fingerprint with
-// their visit shares, descending — the "top locations" adversary
-// knowledge of Zang & Bolot (paper ref. [5]).
-func TopCells(f *core.Fingerprint, cellMeters float64, n int) []CellShare {
-	if cellMeters <= 0 {
-		cellMeters = 1000
-	}
-	grid := geo.Grid{Pitch: cellMeters}
-	counts := make(map[geo.Cell]float64)
-	var total float64
-	for _, v := range visitsOf(f) {
-		counts[grid.CellOf(v.pos)] += v.weight
-		total += v.weight
-	}
-	shares := make([]CellShare, 0, len(counts))
-	for c, w := range counts {
-		shares = append(shares, CellShare{Cell: c, Share: w / total})
-	}
-	sort.Slice(shares, func(i, j int) bool {
-		if shares[i].Share != shares[j].Share {
-			return shares[i].Share > shares[j].Share
-		}
-		if shares[i].Cell.Col != shares[j].Cell.Col {
-			return shares[i].Cell.Col < shares[j].Cell.Col
-		}
-		return shares[i].Cell.Row < shares[j].Cell.Row
-	})
-	if n < len(shares) {
-		shares = shares[:n]
-	}
-	return shares
-}
-
-// CellShare is a grid cell with its share of a subscriber's visits.
-type CellShare struct {
-	Cell  geo.Cell
-	Share float64
-}
-
 // ActivityProfile returns the dataset's aggregate activity volume per
 // hour of day (24 weighted bins): the diurnal load curve operators and
 // urbanists read off CDR data. A sample's weight is spread uniformly

@@ -252,29 +252,21 @@ func TestWindowedSingleWindowByteIdentical(t *testing.T) {
 	}
 
 	csv := func(id string) []byte {
-		ds, err := mgr.Result(id)
+		rel, err := mgr.Result(id)
 		if err != nil {
 			t.Fatal(err)
 		}
-		var buf bytes.Buffer
-		if err := cdr.WriteAnonymizedCSV(&buf, ds); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes()
+		return storedCSV(t, rel)
 	}
 	if !bytes.Equal(csv(batch.ID), csv(windowed.ID)) {
 		t.Error("single-window release differs from the batch release")
 	}
 	// The same bytes are served through the per-window download.
-	wds, err := mgr.WindowResult(windowed.ID, 0)
+	wrel, err := mgr.WindowResult(windowed.ID, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var wbuf bytes.Buffer
-	if err := cdr.WriteAnonymizedCSV(&wbuf, wds); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(wbuf.Bytes(), csv(batch.ID)) {
+	if !bytes.Equal(storedCSV(t, wrel), csv(batch.ID)) {
 		t.Error("window 0 release differs from the batch release")
 	}
 }
@@ -312,11 +304,11 @@ func TestWindowedCancellationLeavesNoPartialRelease(t *testing.T) {
 	}
 
 	// The committed window remains a complete release...
-	ds, err := mgr.WindowResult(st.ID, final.Windows[0].Index)
+	rel, err := mgr.WindowResult(st.ID, final.Windows[0].Index)
 	if err != nil {
 		t.Fatalf("committed window lost after cancel: %v", err)
 	}
-	if err := core.ValidateKAnonymity(ds, 2); err != nil {
+	if err := core.ValidateKAnonymity(decodeRelease(t, rel), 2); err != nil {
 		t.Errorf("committed window release: %v", err)
 	}
 	// ...and no later window published anything; interrupted windows

@@ -151,9 +151,6 @@ func (m *Manager) executeWindows(ctx context.Context, job *Job, spec JobSpec) (r
 			linkage:  m.crossWindowLinkage(ctx, srcs, indices, releases, spec),
 		}
 		job.emitSpan(obs.SpanAnalysis, "", aspan.End())
-		if len(releases) == 1 {
-			outcome.result = releases[0]
-		}
 		return outcome, nil
 	}
 
@@ -310,6 +307,14 @@ func (m *Manager) executeWindows(ctx context.Context, job *Job, spec JobSpec) (r
 				return runOutcome{}, fmt.Errorf("service: window %d failed validation: %w", idx, verr)
 			}
 			wspan.SetAttr("groups", out.Len())
+			// The release is encoded once, here: the journal takes this
+			// CSV, and the window keeps its compressed copy for downloads
+			// and checkpoints.
+			csv, rel, err := encodeRelease(out)
+			if err != nil {
+				wspan.End()
+				return runOutcome{}, fmt.Errorf("service: window %d: encoding release: %w", idx, err)
+			}
 			// THE commit point of the release pipeline: the release is
 			// journaled and fsynced BEFORE it is published. A crash before
 			// this returns re-runs the window (nothing was published); a
@@ -324,12 +329,12 @@ func (m *Manager) executeWindows(ctx context.Context, job *Job, spec JobSpec) (r
 				Users:       users,
 				Groups:      out.Len(),
 				Stats:       stats,
-			}, out); err != nil {
+			}, csv); err != nil {
 				wspan.End()
 				return runOutcome{}, fmt.Errorf("service: window %d: journaling release: %w", idx, err)
 			}
 			faultinject.Crash("follow.window.committed")
-			job.commitWindow(wpos, out, stats)
+			job.commitWindow(wpos, rel, out.Len(), stats)
 			job.emitSpan(obs.SpanWindow, wname, wspan.End())
 			m.tel.windowCommitted(time.Since(closedAt))
 			m.agg.Lock()

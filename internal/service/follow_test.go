@@ -27,15 +27,11 @@ func windowCSV(w int, users ...string) string {
 // releaseCSV renders one window release for byte comparison.
 func releaseCSV(t *testing.T, mgr *Manager, jobID string, w int) []byte {
 	t.Helper()
-	ds, err := mgr.WindowResult(jobID, w)
+	rel, err := mgr.WindowResult(jobID, w)
 	if err != nil {
 		t.Fatalf("window %d of %s: %v", w, jobID, err)
 	}
-	var buf bytes.Buffer
-	if err := cdr.WriteAnonymizedCSV(&buf, ds); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
+	return storedCSV(t, rel)
 }
 
 // coldRelease is the cold reference of the streaming tests: one window
@@ -243,11 +239,11 @@ func TestFollowCancellationKeepsCommittedReleases(t *testing.T) {
 	if final.State != JobCancelled {
 		t.Fatalf("follow job finished %s (%s), want cancelled", final.State, final.Error)
 	}
-	ds, err := mgr.WindowResult(st.ID, 0)
+	rel, err := mgr.WindowResult(st.ID, 0)
 	if err != nil {
 		t.Fatalf("committed window lost after cancel: %v", err)
 	}
-	if err := core.ValidateKAnonymity(ds, 2); err != nil {
+	if err := core.ValidateKAnonymity(decodeRelease(t, rel), 2); err != nil {
 		t.Errorf("committed window release: %v", err)
 	}
 	// Nothing partial for the open window, and no batch result.

@@ -2,7 +2,6 @@ package service
 
 import (
 	"bytes"
-	"compress/gzip"
 	"context"
 	"crypto/rand"
 	"encoding/hex"
@@ -20,8 +19,6 @@ import (
 	"time"
 
 	"repro/internal/api"
-	"repro/internal/cdr"
-	"repro/internal/core"
 	"repro/internal/geo"
 	"repro/internal/version"
 )
@@ -724,12 +721,12 @@ func (s *Server) handleJobResult(w http.ResponseWriter, r *http.Request) {
 		writeError(w, r, api.Errorf(api.CodeJobNotFound, "unknown job %q", id).With("job_id", id))
 		return
 	}
-	ds, err := s.mgr.Result(id)
+	rel, err := s.mgr.Result(id)
 	if err != nil {
 		writeError(w, r, err)
 		return
 	}
-	serveCSV(w, r, id+".csv", s.resultETag(id, -1, st.DatasetVersion), ds)
+	serveCSV(w, r, id+".csv", s.resultETag(id, -1, st.DatasetVersion), rel)
 }
 
 // handleWindowResult serves one window's release of a windowed job.
@@ -747,12 +744,12 @@ func (s *Server) handleWindowResult(w http.ResponseWriter, r *http.Request) {
 		writeError(w, r, api.Errorf(api.CodeJobNotFound, "unknown job %q", id).With("job_id", id))
 		return
 	}
-	ds, err := s.mgr.WindowResult(id, win)
+	rel, err := s.mgr.WindowResult(id, win)
 	if err != nil {
 		writeError(w, r, err)
 		return
 	}
-	serveCSV(w, r, fmt.Sprintf("%s-w%d.csv", id, win), s.resultETag(id, win, st.DatasetVersion), ds)
+	serveCSV(w, r, fmt.Sprintf("%s-w%d.csv", id, win), s.resultETag(id, win, st.DatasetVersion), rel)
 }
 
 // resultETag derives the strong validator of an immutable release: the
@@ -768,11 +765,13 @@ func (s *Server) resultETag(id string, window, datasetVersion int) string {
 	return fmt.Sprintf("%q", fmt.Sprintf("%s.%s.v%d", s.bootID, id, datasetVersion))
 }
 
-// serveCSV writes one anonymized release with the conditional-request
-// and compression conveniences: a matching If-None-Match answers 304
-// with no body, and clients advertising gzip receive the CSV
-// gzip-encoded.
-func serveCSV(w http.ResponseWriter, r *http.Request, filename, etag string, ds *core.Dataset) {
+// serveCSV writes one anonymized release from the bytes stored at its
+// commit, with the conditional-request and compression conveniences: a
+// matching If-None-Match answers 304 with no body, clients advertising
+// gzip receive the stored gzip bytes as they are, other clients the CSV
+// inflated from them, and every body carries its Content-Length.
+// Nothing is encoded or compressed per request.
+func serveCSV(w http.ResponseWriter, r *http.Request, filename, etag string, rel *Release) {
 	h := w.Header()
 	h.Set("ETag", etag)
 	h.Set("Vary", "Accept-Encoding")
@@ -782,17 +781,16 @@ func serveCSV(w http.ResponseWriter, r *http.Request, filename, etag string, ds 
 	}
 	h.Set("Content-Type", "text/csv")
 	h.Set("Content-Disposition", fmt.Sprintf("attachment; filename=%q", filename))
-	var out io.Writer = w
 	if acceptsGzip(r) {
 		h.Set("Content-Encoding", "gzip")
-		gz := gzip.NewWriter(w)
-		defer gz.Close()
-		out = gz
-	}
-	if err := cdr.WriteAnonymizedCSV(out, ds); err != nil {
-		// Headers are gone; all we can do is drop the connection.
+		h.Set("Content-Length", strconv.Itoa(len(rel.gz)))
+		w.Write(rel.gz)
 		return
 	}
+	h.Set("Content-Length", strconv.Itoa(rel.csvLen))
+	// A failure mid-body leaves the response short of its
+	// Content-Length, which the client sees as a truncated download.
+	rel.writeCSV(w)
 }
 
 // etagMatch implements the If-None-Match comparison (weak comparison:

@@ -2,8 +2,10 @@ package service
 
 import (
 	"bytes"
+	"compress/gzip"
 	"context"
 	"fmt"
+	"io"
 	"sync"
 	"time"
 
@@ -108,7 +110,9 @@ type Job struct {
 	// nil for jobs that never ran (the trace_not_found condition).
 	trace *obs.Trace
 
-	result            *core.Dataset
+	// result is the release of a job without windows; a windowed job
+	// serves its single release, if it has exactly one, from its window.
+	result            *Release
 	stats             *core.GloveStats
 	accuracy          *metrics.Summary
 	anonymousFraction *float64
@@ -221,7 +225,7 @@ type jobWindow struct {
 	// result is the window's published release, committed atomically
 	// when the window completes; a cancelled or failed window never
 	// stores a partial release.
-	result *core.Dataset
+	result *Release
 }
 
 // appendWindow registers a window as pending, or finds it when it is
@@ -300,14 +304,15 @@ func (j *Job) abortOpenWindowsLocked() {
 	}
 }
 
-// commitWindow publishes a completed window's release.
-func (j *Job) commitWindow(w int, out *core.Dataset, stats *core.GloveStats) {
+// commitWindow publishes a completed window's release, which holds
+// groups anonymity groups.
+func (j *Job) commitWindow(w int, rel *Release, groups int, stats *core.GloveStats) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	jw := j.windows[w]
 	jw.state = WindowDone
-	jw.result = out
-	jw.groups = out.Len()
+	jw.result = rel
+	jw.groups = groups
 	jw.stats = stats
 	for i := range jw.shardProgress {
 		jw.shardProgress[i] = 1
@@ -444,20 +449,90 @@ func (w *jobWindow) progressLocked() float64 {
 	return min(sum/float64(len(w.shardProgress)), uncommittedProgress)
 }
 
-// encodeRelease serializes a published dataset through the canonical
-// anonymized-CSV writer; the decode/re-encode round trip is
-// byte-identical, so journaled releases survive any number of restarts
-// unchanged.
-func encodeRelease(out *core.Dataset) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := cdr.WriteAnonymizedCSV(&buf, out); err != nil {
+// Release is one committed release as it is stored and served: its
+// canonical anonymized CSV, compressed once at commit with
+// gzip.BestSpeed, and the length of that CSV. A download writes the
+// stored gzip bytes, or streams them inflated to a client that does not
+// accept gzip; the journal takes the CSV at the commit itself, and only
+// a checkpoint inflates it again. Keeping the compressed copy alone
+// keeps a committed release at a fraction of its CSV's size.
+type Release struct {
+	gz     []byte
+	csvLen int
+}
+
+// encodeBuffers and gzipWriters recycle the scratch state of
+// encodeRelease and newRelease: a release is encoded and compressed
+// into pooled buffers and copied out at its exact size, so a stored
+// release pins no slack capacity and a commit allocates no fresh
+// compressor.
+var (
+	encodeBuffers = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+	gzipWriters   = sync.Pool{New: func() any {
+		// NewWriterLevel fails only on an invalid level.
+		zw, _ := gzip.NewWriterLevel(nil, gzip.BestSpeed)
+		return zw
+	}}
+)
+
+// encodeRelease serializes a validated release, once, through the
+// canonical anonymized-CSV writer: it returns the CSV, for the journal,
+// and the stored Release. The decode/re-encode round trip is
+// byte-identical, so a resumed run publishes the same bytes.
+func encodeRelease(out *core.Dataset) ([]byte, *Release, error) {
+	buf := encodeBuffers.Get().(*bytes.Buffer)
+	defer encodeBuffers.Put(buf)
+	buf.Reset()
+	if err := cdr.WriteAnonymizedCSV(buf, out); err != nil {
+		return nil, nil, err
+	}
+	csv := bytes.Clone(buf.Bytes())
+	rel, err := newRelease(csv)
+	if err != nil {
+		return nil, nil, err
+	}
+	return csv, rel, nil
+}
+
+// newRelease compresses an encoded release CSV into its stored form.
+func newRelease(csv []byte) (*Release, error) {
+	buf := encodeBuffers.Get().(*bytes.Buffer)
+	defer encodeBuffers.Put(buf)
+	buf.Reset()
+	zw := gzipWriters.Get().(*gzip.Writer)
+	defer gzipWriters.Put(zw)
+	zw.Reset(buf)
+	if _, err := zw.Write(csv); err != nil {
+		return nil, err
+	}
+	if err := zw.Close(); err != nil {
+		return nil, err
+	}
+	return &Release{gz: bytes.Clone(buf.Bytes()), csvLen: len(csv)}, nil
+}
+
+// writeCSV streams the release's CSV, inflated from the stored bytes.
+func (r *Release) writeCSV(w io.Writer) error {
+	zr, err := gzip.NewReader(bytes.NewReader(r.gz))
+	if err != nil {
+		return err
+	}
+	_, err = io.Copy(w, zr)
+	return err
+}
+
+// CSV returns the release's canonical anonymized CSV.
+func (r *Release) CSV() ([]byte, error) {
+	buf := bytes.NewBuffer(make([]byte, 0, r.csvLen))
+	if err := r.writeCSV(buf); err != nil {
 		return nil, err
 	}
 	return buf.Bytes(), nil
 }
 
-// captureWindowLocked journals one committed window for checkpoints.
-// Caller holds j.mu; only done and empty windows are capturable.
+// captureWindowLocked journals one committed window for checkpoints,
+// with the release CSV inflated from its stored bytes. Caller holds
+// j.mu; only done and empty windows are capturable.
 func (j *Job) captureWindowLocked(w *jobWindow) (RecoveredResult, error) {
 	jw := journalWindow{
 		Index:       w.index,
@@ -472,7 +547,7 @@ func (j *Job) captureWindowLocked(w *jobWindow) (RecoveredResult, error) {
 	}
 	jw.Groups = w.groups
 	jw.Stats = w.stats
-	csv, err := encodeRelease(w.result)
+	csv, err := w.result.CSV()
 	if err != nil {
 		return RecoveredResult{}, err
 	}
@@ -487,7 +562,8 @@ func (j *Job) captureWindowLocked(w *jobWindow) (RecoveredResult, error) {
 // thus captured as its submission plus its committed windows, exactly the
 // shape a journal replay produces for it, so restarting from a
 // checkpoint and restarting from a raw journal converge to the same
-// state.
+// state. Every release is captured as its CSV, inflated from the bytes
+// stored at its commit; nothing is re-encoded.
 func (j *Job) capture() (*RecoveredJob, error) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -508,8 +584,8 @@ func (j *Job) capture() (*RecoveredJob, error) {
 	st := j.statusLocked()
 	rj.Status = &st
 	rj.Events = append([]api.JobEvent(nil), j.events...)
-	if j.result != nil && len(j.windows) == 0 {
-		csv, err := encodeRelease(j.result)
+	if j.result != nil {
+		csv, err := j.result.CSV()
 		if err != nil {
 			return nil, err
 		}

@@ -74,7 +74,7 @@ func TestJobSpecValidate(t *testing.T) {
 	}
 }
 
-func synthTable(t *testing.T, users, days int) *cdr.Table {
+func synthTable(t testing.TB, users, days int) *cdr.Table {
 	t.Helper()
 	cfg := synth.CIV(users)
 	cfg.Days = days

@@ -420,21 +420,15 @@ func e2entry(id string, e api.JobEvent) journalEntry {
 	return journalEntry{Kind: jeJobEvent, ID: id, Event: &ev}
 }
 
-// jobResult journals a committed release (or empty-window marker) and
-// fsyncs: this is THE commit point of the release pipeline. A window
-// whose result frame is durable is committed — replay derives the
-// resume floor from the highest journaled result — and a crash
-// any time after this call re-publishes exactly these bytes.
-func (jl *Journal) jobResult(id string, w journalWindow, out *core.Dataset) error {
+// jobResult journals a committed release's CSV (nil for an
+// empty-window marker) and fsyncs: this is THE commit point of the
+// release pipeline. A window whose result frame is durable is
+// committed — replay derives the resume floor from the highest
+// journaled result — and a crash any time after this call re-publishes
+// exactly these bytes.
+func (jl *Journal) jobResult(id string, w journalWindow, csv []byte) error {
 	if jl == nil {
 		return nil
-	}
-	var csv []byte
-	if out != nil {
-		var err error
-		if csv, err = encodeRelease(out); err != nil {
-			return err
-		}
 	}
 	if err := jl.append(journalEntry{Kind: jeJobResult, ID: id, Window: &w, CSV: csv}); err != nil {
 		return err
@@ -538,9 +532,10 @@ func (jl *Journal) Report() *api.DurabilityInfo {
 }
 
 // captureState converts the live registry + manager into the same
-// RecoveredState shape a replay produces, re-encoding datasets and
-// releases through the canonical CSV writers (both round-trip
-// byte-identically).
+// RecoveredState shape a replay produces: datasets are re-encoded
+// through the canonical record CSV writer (which round-trips
+// byte-identically), and releases carry their CSV inflated from the
+// bytes stored at their commit.
 func captureState(reg *Registry, m *Manager) (*RecoveredState, error) {
 	st := &RecoveredState{}
 	if reg != nil {

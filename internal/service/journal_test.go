@@ -213,10 +213,6 @@ func TestJournalTerminalJobRestored(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var wantRel bytes.Buffer
-	if err := cdr.WriteAnonymizedCSV(&wantRel, rel); err != nil {
-		t.Fatal(err)
-	}
 	crashClose(mgr, reg, jrnl)
 
 	jrnl2, reg2, mgr2, _ := bootService(t, dir, ManagerOptions{})
@@ -242,11 +238,7 @@ func TestJournalTerminalJobRestored(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var gotRel bytes.Buffer
-	if err := cdr.WriteAnonymizedCSV(&gotRel, rel2); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(gotRel.Bytes(), wantRel.Bytes()) {
+	if !bytes.Equal(storedCSV(t, rel2), storedCSV(t, rel)) {
 		t.Error("restored release differs from the original bytes")
 	}
 	if r := jrnl2.Report(); r.RecoveredJobs["restored"] != 1 {
@@ -658,18 +650,14 @@ func TestJournalSingleReleaseWindowedJournaledOnce(t *testing.T) {
 			}
 			result := func(mgr *Manager) []byte {
 				t.Helper()
-				ds, err := mgr.Result(st.ID)
+				rel, err := mgr.Result(st.ID)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if ds == nil {
+				if rel == nil {
 					t.Fatal("done job serves no result")
 				}
-				var buf bytes.Buffer
-				if err := cdr.WriteAnonymizedCSV(&buf, ds); err != nil {
-					t.Fatal(err)
-				}
-				return buf.Bytes()
+				return storedCSV(t, rel)
 			}
 			want := result(mgr)
 			mgr.mu.Lock()
@@ -684,8 +672,8 @@ func TestJournalSingleReleaseWindowedJournaledOnce(t *testing.T) {
 			}
 			frames := 1
 			if legacy {
-				ds, _ := mgr.Result(st.ID)
-				if err := jrnl.jobResult(st.ID, journalWindow{Batch: true, Stats: final.Stats}, ds); err != nil {
+				rel, _ := mgr.Result(st.ID)
+				if err := jrnl.jobResult(st.ID, journalWindow{Batch: true, Stats: final.Stats}, storedCSV(t, rel)); err != nil {
 					t.Fatal(err)
 				}
 				frames = 2

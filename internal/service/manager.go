@@ -489,11 +489,11 @@ func (m *Manager) Remove(id string) error {
 	return nil
 }
 
-// Result returns the anonymized dataset of a finished job. For a
-// windowed job it is only served when the run produced exactly one
-// release (then it is byte-identical to the batch result); multi-window
-// jobs publish per-window releases via WindowResult instead.
-func (m *Manager) Result(id string) (*core.Dataset, error) {
+// Result returns the release of a finished job. For a windowed job it
+// is only served when the run produced exactly one release (then it is
+// byte-identical to the batch result); multi-window jobs publish
+// per-window releases via WindowResult instead.
+func (m *Manager) Result(id string) (*Release, error) {
 	m.mu.Lock()
 	job, ok := m.jobs[id]
 	m.mu.Unlock()
@@ -506,12 +506,23 @@ func (m *Manager) Result(id string) (*core.Dataset, error) {
 		return nil, api.Errorf(api.CodeResultNotReady, "job %s is %s, no result", id, job.state).
 			With("state", string(job.state))
 	}
-	if job.result == nil && len(job.windows) > 1 {
+	if job.result != nil {
+		return job.result, nil
+	}
+	var rel *Release
+	released := 0
+	for _, w := range job.windows {
+		if w.state == WindowDone {
+			rel = w.result
+			released++
+		}
+	}
+	if released != 1 {
 		return nil, api.Errorf(api.CodeResultWindowed,
-			"job %s produced %d windowed releases, download them per window", id, len(job.windows)).
+			"job %s produced %d windowed releases, download them per window", id, released).
 			With("windows", len(job.windows))
 	}
-	return job.result, nil
+	return rel, nil
 }
 
 // WindowResult returns the release of one window of a windowed job.
@@ -519,7 +530,7 @@ func (m *Manager) Result(id string) (*core.Dataset, error) {
 // job is still running later windows, and even when the job was
 // cancelled afterwards (a committed window is a complete, validated
 // release; cancellation only prevents windows that never finished).
-func (m *Manager) WindowResult(id string, w int) (*core.Dataset, error) {
+func (m *Manager) WindowResult(id string, w int) (*Release, error) {
 	m.mu.Lock()
 	job, ok := m.jobs[id]
 	m.mu.Unlock()
@@ -629,6 +640,7 @@ func (m *Manager) runJob(job *Job) {
 			accuracy = &sum
 		}
 	}
+	outcome.measured = nil
 
 	job.mu.Lock()
 	job.cancel = nil
@@ -667,7 +679,7 @@ func (m *Manager) runJob(job *Job) {
 	finished := job.finished
 	job.mu.Unlock()
 
-	m.journalTerminal(job)
+	m.journalTerminal(job, outcome.csv)
 
 	m.tel.jobFinished(state, finished.Sub(started), stats)
 	m.agg.Lock()
@@ -699,13 +711,14 @@ func (m *Manager) runJob(job *Job) {
 	m.mu.Unlock()
 }
 
-// journalTerminal makes a job's terminal state durable: the result of
-// a job without windows, if any (every window release — including the
-// one a single-release windowed job serves as its result — was
-// journaled at its commit), then the full terminal status — the record
-// that turns a replayed job from "interrupted, requeue" into "finished,
-// restore verbatim". Drain-cancelled jobs are skipped on purpose.
-func (m *Manager) journalTerminal(job *Job) {
+// journalTerminal makes a job's terminal state durable: csv, the
+// release of a job without windows, if the job is done (every window
+// release — including the one a single-release windowed job serves as
+// its result — was journaled at its commit), then the full terminal
+// status — the record that turns a replayed job from "interrupted,
+// requeue" into "finished, restore verbatim". Drain-cancelled jobs are
+// skipped on purpose.
+func (m *Manager) journalTerminal(job *Job, csv []byte) {
 	if m.jrnl == nil {
 		return
 	}
@@ -718,8 +731,8 @@ func (m *Manager) journalTerminal(job *Job) {
 	result := job.result
 	job.mu.Unlock()
 
-	if result != nil && len(st.Windows) == 0 {
-		if err := m.jrnl.jobResult(job.id, journalWindow{Batch: true, Stats: st.Stats}, result); err != nil {
+	if result != nil {
+		if err := m.jrnl.jobResult(job.id, journalWindow{Batch: true, Stats: st.Stats}, csv); err != nil {
 			if m.log != nil {
 				m.log.Error("journaling job result failed", "job_id", job.id, "error", err.Error())
 			}
@@ -892,11 +905,13 @@ func (m *Manager) requeueRecovered(rj *RecoveredJob) error {
 }
 
 // buildWindowResume reconstructs a windowed job's committed prefix: the
-// jobWindow entries (so recovered releases stay downloadable), and the
-// resume state executeWindows seeds its loop with — floor, releases and
-// their window indices, aggregate stats — so the continuation is
-// byte-identical to a run that never crashed. nil when no window was
-// committed (the job simply restarts).
+// jobWindow entries (so recovered releases stay downloadable, as their
+// journaled bytes), and the resume state executeWindows seeds its loop
+// with — floor, releases and their window indices, aggregate stats — so
+// the continuation is byte-identical to a run that never crashed. The
+// releases are decoded back into datasets only because the finished
+// run's cross-window linkage and accuracy measure them. nil when no
+// window was committed (the job simply restarts).
 func buildWindowResume(job *Job, rj *RecoveredJob) (*windowResume, error) {
 	resume := &windowResume{floor: -1, stats: &core.GloveStats{}}
 	for _, r := range rj.Results {
@@ -920,8 +935,10 @@ func buildWindowResume(job *Job, rj *RecoveredJob) (*windowResume, error) {
 			if err != nil {
 				return nil, fmt.Errorf("window %d release: %w", w.Index, err)
 			}
+			if jw.result, err = newRelease(r.CSV); err != nil {
+				return nil, fmt.Errorf("window %d release: %w", w.Index, err)
+			}
 			jw.state = WindowDone
-			jw.result = out
 			jw.groups = w.Groups
 			jw.stats = w.Stats
 			resume.indices = append(resume.indices, w.Index)
@@ -937,7 +954,8 @@ func buildWindowResume(job *Job, rj *RecoveredJob) (*windowResume, error) {
 }
 
 // restoreTerminalJob rebuilds a finished job verbatim from its journaled
-// terminal status, event log, and releases.
+// terminal status, event log, and releases; the releases are kept as
+// their journaled bytes, never decoded.
 func restoreTerminalJob(rj *RecoveredJob) (*Job, error) {
 	st := rj.Status
 	job := &Job{
@@ -971,24 +989,20 @@ func restoreTerminalJob(rj *RecoveredJob) (*Job, error) {
 			job.shardProgress[i] = st.Progress
 		}
 	}
-	results := make(map[int]*core.Dataset, len(rj.Results))
+	results := make(map[int]*Release, len(rj.Results))
 	for _, r := range rj.Results {
-		if r.Window.Batch {
-			out, err := cdr.ReadAnonymizedCSV(bytes.NewReader(r.CSV))
-			if err != nil {
-				return nil, fmt.Errorf("batch release: %w", err)
-			}
-			job.result = out
-			continue
-		}
 		if r.Window.Empty {
 			continue
 		}
-		out, err := cdr.ReadAnonymizedCSV(bytes.NewReader(r.CSV))
+		rel, err := newRelease(r.CSV)
 		if err != nil {
 			return nil, fmt.Errorf("window %d release: %w", r.Window.Index, err)
 		}
-		results[r.Window.Index] = out
+		if r.Window.Batch {
+			job.result = rel
+		} else {
+			results[r.Window.Index] = rel
+		}
 	}
 	for _, ws := range st.Windows {
 		job.windows = append(job.windows, &jobWindow{
@@ -1003,30 +1017,20 @@ func restoreTerminalJob(rj *RecoveredJob) (*Job, error) {
 			result:      results[ws.Index],
 		})
 	}
-	if job.result == nil && st.State == JobDone {
-		// A done windowed job with a single release serves it as its
-		// result; the release is journaled once, as its window.
-		var done []*core.Dataset
-		for _, w := range job.windows {
-			if w.state == WindowDone {
-				done = append(done, w.result)
-			}
-		}
-		if len(done) == 1 {
-			job.result = done[0]
-		}
-	}
 	return job, nil
 }
 
 // runOutcome carries everything a finished run hands back to runJob.
 type runOutcome struct {
-	// result is the dataset served by /v1/jobs/{id}/result: the merged
-	// batch output, or the single release of a one-window windowed run;
-	// nil for multi-window runs (served per window instead).
-	result *core.Dataset
+	// result is the stored release of a batch run, served by
+	// /v1/jobs/{id}/result, and csv its CSV, for the journal; both nil
+	// for windowed runs (their releases live on their windows).
+	result *Release
+	csv    []byte
 	// measured is the dataset the accuracy summary walks — the batch
-	// result, or the concatenation of all windowed releases.
+	// output, or the concatenation of all windowed releases. It is the
+	// last reference to the run's datasets; runJob drops it once
+	// measured.
 	measured *core.Dataset
 	stats    *core.GloveStats
 	anonFrac *float64
@@ -1069,10 +1073,15 @@ func (m *Manager) execute(ctx context.Context, job *Job, spec JobSpec) (runOutco
 		return runOutcome{}, fmt.Errorf("service: published dataset failed validation: %w", verr)
 	}
 
+	csv, rel, err := encodeRelease(result)
+	if err != nil {
+		return runOutcome{}, fmt.Errorf("service: encoding release: %w", err)
+	}
+
 	aspan := root.Child(obs.SpanAnalysis, "")
 	anonFrac := m.anonymizability(ctx, aspan, table, spec)
 	job.emitSpan(obs.SpanAnalysis, "", aspan.End())
-	return runOutcome{result: result, measured: result, stats: stats, anonFrac: anonFrac}, nil
+	return runOutcome{result: rel, csv: csv, measured: result, stats: stats, anonFrac: anonFrac}, nil
 }
 
 // planJob partitions src into shards under a plan span, then resolves

@@ -13,7 +13,7 @@ import (
 )
 
 // ingestSynth registers a synthetic dataset with the registry.
-func ingestSynth(t *testing.T, reg *Registry, users, days int) DatasetInfo {
+func ingestSynth(t testing.TB, reg *Registry, users, days int) DatasetInfo {
 	t.Helper()
 	table := synthTable(t, users, days)
 	var buf bytes.Buffer
@@ -27,9 +27,30 @@ func ingestSynth(t *testing.T, reg *Registry, users, days int) DatasetInfo {
 	return info
 }
 
+// storedCSV inflates a stored release's CSV for byte comparisons.
+func storedCSV(t testing.TB, rel *Release) []byte {
+	t.Helper()
+	csv, err := rel.CSV()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return csv
+}
+
+// decodeRelease parses a stored release back into a dataset for
+// assertions on its groups.
+func decodeRelease(t *testing.T, rel *Release) *core.Dataset {
+	t.Helper()
+	ds, err := cdr.ReadAnonymizedCSV(bytes.NewReader(storedCSV(t, rel)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ds
+}
+
 // waitForState polls until the job reaches a state for which ok returns
 // true, failing the test on timeout.
-func waitForState(t *testing.T, mgr *Manager, id string, ok func(JobStatus) bool) JobStatus {
+func waitForState(t testing.TB, mgr *Manager, id string, ok func(JobStatus) bool) JobStatus {
 	t.Helper()
 	deadline := time.Now().Add(60 * time.Second)
 	for time.Now().Before(deadline) {
@@ -81,10 +102,11 @@ func TestManagerJobLifecycle(t *testing.T) {
 		t.Errorf("effective shards = %d", final.Shards)
 	}
 
-	result, err := mgr.Result(st.ID)
+	rel, err := mgr.Result(st.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
+	result := decodeRelease(t, rel)
 	if err := core.ValidateKAnonymity(result, 2); err != nil {
 		t.Errorf("result not 2-anonymous: %v", err)
 	}

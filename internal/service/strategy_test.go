@@ -113,10 +113,11 @@ func TestServerExplicitStrategyEndToEnd(t *testing.T) {
 		t.Errorf("plan index = %q, want sparse", final.Plan.Index)
 	}
 
-	result, err := mgr.Result(job.ID)
+	rel, err := mgr.Result(job.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
+	result := decodeRelease(t, rel)
 	if err := core.ValidateKAnonymity(result, 2); err != nil {
 		t.Errorf("result not 2-anonymous: %v", err)
 	}
