@@ -83,8 +83,12 @@ bench:
 # BenchmarkReleaseDownload pins the download of a committed window
 # release over loopback, with its allocations: a download writes the
 # bytes stored at commit (DESIGN.md Sec. 7.2).
+# BenchmarkWindowedWeekEngine pins the engine work of a windowed-week
+# release (one-day windows, split into user halves) with its kernel
+# calls per op: the dense build and merge loop a window commit pays
+# (DESIGN.md Sec. 8).
 bench-json:
-	$(GO) test -run=^$$ -bench='BenchmarkAblation|BenchmarkAnonymizability|BenchmarkFingerprintEffortKernel|BenchmarkEffortKernel|BenchmarkScaling|BenchmarkWindowCommit|BenchmarkWAL|BenchmarkReleaseDownload' \
+	$(GO) test -run=^$$ -bench='BenchmarkAblation|BenchmarkAnonymizability|BenchmarkFingerprintEffortKernel|BenchmarkEffortKernel|BenchmarkScaling|BenchmarkWindowCommit|BenchmarkWAL|BenchmarkReleaseDownload|BenchmarkWindowedWeekEngine' \
 		-benchtime=1x -timeout=30m -json . ./internal/core ./internal/wal ./internal/service > BENCH_glove.json
 
 # profile writes a CPU pprof of the k=2 civ GLOVE run (the

@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"repro/internal/analysis"
+	"repro/internal/cdr"
 	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/obs"
@@ -319,6 +320,54 @@ func BenchmarkAnonymizability(b *testing.B) {
 			}
 		}
 	})
+}
+
+// The engine work of perfbench's windowed-week release: 250 CIV
+// subscribers over 7 days, cut into one-day windows, each window split
+// into two user halves by the service's user-hash sharding. One op
+// anonymizes all the shards in turn at k=2 on one worker, so ns/op and
+// kernel-calls/op track the dense build and merge loop a real window
+// commit pays, without the daemon around them.
+func BenchmarkWindowedWeekEngine(b *testing.B) {
+	cfg := synth.CIV(250)
+	cfg.Days = 7
+	table, _, _, err := synth.Generate(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	windows, err := table.SplitByWindow(24 * time.Hour)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var shards []*core.Dataset
+	for _, w := range windows {
+		var halves [2][]cdr.Record
+		for _, r := range w.Table.Records {
+			h := cdr.ShardOfUser(r.User, len(halves), 0)
+			halves[h] = append(halves[h], r)
+		}
+		for _, recs := range halves {
+			t := &cdr.Table{Records: recs, Center: w.Table.Center, SpanDays: w.Table.SpanDays}
+			d, err := t.BuildDataset()
+			if err != nil {
+				b.Fatal(err)
+			}
+			shards = append(shards, d)
+		}
+	}
+	opt := core.GloveOptions{K: 2, Workers: 1}
+	calls := 0
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, d := range shards {
+			_, st, err := core.Glove(d, opt)
+			if err != nil {
+				b.Fatal(err)
+			}
+			calls += st.EffortKernelCalls
+		}
+	}
+	b.ReportMetric(float64(calls)/float64(b.N), "kernel-calls/op")
 }
 
 // Chunked GLOVE vs whole-dataset GLOVE: the scalability extension of

@@ -4,6 +4,7 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 
 	"repro/internal/core"
@@ -133,23 +134,33 @@ func ReadAnonymizedCSV(r io.Reader) (*core.Dataset, error) {
 }
 
 // WriteAnonymizedCSV writes a k-anonymized dataset in the generalized
-// format, one row per (group, sample) pair.
+// format, one row per (group, sample) pair. Coordinates are printed
+// with one decimal, exactly as strconv.FormatFloat(v, 'f', 1, 64) would
+// print them (appendFloat1).
 func WriteAnonymizedCSV(w io.Writer, d *core.Dataset) error {
 	cw := csv.NewWriter(w)
 	if err := cw.Write([]string{"group", "count", "x", "dx", "y", "dy", "t", "dt"}); err != nil {
 		return err
 	}
 	row := make([]string, 8)
+	var num []byte
 	for _, f := range d.Fingerprints {
+		row[0] = f.ID
+		row[1] = strconv.Itoa(f.Count)
 		for _, s := range f.Samples {
-			row[0] = f.ID
-			row[1] = strconv.Itoa(f.Count)
-			row[2] = strconv.FormatFloat(s.X, 'f', 1, 64)
-			row[3] = strconv.FormatFloat(s.DX, 'f', 1, 64)
-			row[4] = strconv.FormatFloat(s.Y, 'f', 1, 64)
-			row[5] = strconv.FormatFloat(s.DY, 'f', 1, 64)
-			row[6] = strconv.FormatFloat(s.T, 'f', 1, 64)
-			row[7] = strconv.FormatFloat(s.DT, 'f', 1, 64)
+			// The six numbers share one string, so a row costs one
+			// allocation rather than six.
+			var ends [6]int
+			num = num[:0]
+			for k, v := range [6]float64{s.X, s.DX, s.Y, s.DY, s.T, s.DT} {
+				num = appendFloat1(num, v)
+				ends[k] = len(num)
+			}
+			line, start := string(num), 0
+			for k, end := range ends {
+				row[2+k] = line[start:end]
+				start = end
+			}
 			if err := cw.Write(row); err != nil {
 				return err
 			}
@@ -157,4 +168,61 @@ func WriteAnonymizedCSV(w io.Writer, d *core.Dataset) error {
 	}
 	cw.Flush()
 	return cw.Error()
+}
+
+// pow10 holds the powers of ten appendFloat1 compares magnitudes with.
+var pow10 = [...]float64{1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11, 1e12, 1e13, 1e14, 1e15}
+
+// appendFloat1 appends v as strconv.AppendFloat(dst, v, 'f', 1, 64)
+// does, byte for byte, but faster. Go formats a fixed precision 'f'
+// with its multiprecision decimal code, while 'e' with at most 18
+// digits takes the fixed-digit Ryu path. So the digits come from 'e',
+// with the precision that ends at the tenths digit, and are laid out
+// again as 'f'. Both round the exact binary value half to even, so the
+// digits agree. Rounding can carry into a new leading digit
+// (9.96 -> 1.0e+01), which the layout reads from the exponent.
+func appendFloat1(dst []byte, v float64) []byte {
+	a := math.Abs(v)
+	if !(a < pow10[len(pow10)-1]) { // NaN, ±Inf and huge magnitudes
+		return strconv.AppendFloat(dst, v, 'f', 1, 64)
+	}
+	if math.Signbit(v) {
+		dst = append(dst, '-') // -0.0 and -0.01 keep their sign, as in 'f'
+	}
+	if a < 0.1 {
+		// No digit above the tenths: 0.05 is not a float, so every value
+		// at or above the float nearest it rounds up.
+		if a < 0.05 {
+			return append(dst, "0.0"...)
+		}
+		return append(dst, "0.1"...)
+	}
+	e := -1 // 10^e <= a < 10^(e+1)
+	for a >= pow10[e+1] {
+		e++
+	}
+	var buf [24]byte
+	s := strconv.AppendFloat(buf[:0], a, 'e', e+1, 64) // d[.ddd]e±XX
+	mark := len(s) - 4
+	for s[mark] != 'e' {
+		mark--
+	}
+	x := 0
+	for _, c := range s[mark+2:] {
+		x = 10*x + int(c-'0')
+	}
+	if s[mark+1] == '-' {
+		x = -x
+	}
+	// The value is d.ddd × 10^x, with x = e, or e+1 after a carry. Digit
+	// k >= 1 sits at s[k+1], behind the point.
+	if x < 0 {
+		return append(dst, '0', '.', s[0])
+	}
+	dst = append(dst, s[0])
+	dst = append(dst, s[2:x+2]...)
+	if x+2 < mark {
+		return append(dst, '.', s[x+2])
+	}
+	return append(dst, '.', '0')
 }

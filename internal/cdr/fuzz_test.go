@@ -2,6 +2,8 @@ package cdr
 
 import (
 	"bytes"
+	"math"
+	"strconv"
 	"testing"
 )
 
@@ -83,4 +85,43 @@ func FuzzRecordReader(f *testing.F) {
 			}
 		}
 	})
+}
+
+// FuzzAppendFloat1 pins the release formatter against the standard
+// library: appendFloat1 must print every float64 exactly as
+// strconv.FormatFloat(v, 'f', 1, 64) does. The seeds cover exactly
+// representable ties (0.25, -0.75: half to even), rounding that carries
+// into a new digit (9.96, 0.96, 99999.95), the sign of -0.0 and of tiny
+// negatives, the |v| < 0.1 shortcut around 0.05, and the fallback for
+// huge magnitudes, NaN and infinities.
+//
+// The seed corpus runs under plain go test; fuzz with
+// go test -run '^$' -fuzz FuzzAppendFloat1 -fuzztime 30s ./internal/cdr/
+func FuzzAppendFloat1(f *testing.F) {
+	for _, v := range []float64{
+		0, math.Copysign(0, -1), 0.25, -0.75, 0.05, math.Nextafter(0.05, 0), -0.01, 0.1,
+		math.Nextafter(0.1, 0), 0.15, 0.96, 9.96, -9.95, 99999.95, 123456.75, 1e14 + 0.05,
+		math.Nextafter(1e15, 0), 1e15, 1e300, 5e-324, math.NaN(), math.Inf(1), math.Inf(-1),
+	} {
+		f.Add(v)
+	}
+	f.Fuzz(func(t *testing.T, v float64) {
+		want := strconv.FormatFloat(v, 'f', 1, 64)
+		if got := string(appendFloat1([]byte("x"), v)[1:]); got != want {
+			t.Fatalf("appendFloat1(%v) = %q, FormatFloat gives %q", v, got, want)
+		}
+	})
+}
+
+// Every multiple of 1/4 is exactly representable, so k/4 (and k/4 plus
+// a tenth of a unit far from a tie) walks the half-to-even ties and the
+// carries of every magnitude the release coordinates take.
+func TestAppendFloat1Ties(t *testing.T) {
+	for k := -100000; k <= 100000; k++ {
+		for _, v := range []float64{float64(k) / 4, float64(k)*37.5 + 0.05, float64(k) * 1e9 / 4} {
+			if got, want := string(appendFloat1(nil, v)), strconv.FormatFloat(v, 'f', 1, 64); got != want {
+				t.Fatalf("appendFloat1(%v) = %q, FormatFloat gives %q", v, got, want)
+			}
+		}
+	}
 }

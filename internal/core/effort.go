@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"sort"
 )
 
 // Default stretch-effort calibration from the paper (footnote 3): spatial
@@ -93,7 +94,7 @@ func (p Params) SampleEffort(a, b Sample, na, nb int) float64 {
 
 // sampleEffortWeighted is SampleEffort with the count weights already
 // resolved, so callers scanning many candidates at fixed subscriber
-// counts (the merge matching stage, via NearestSampleIndex) do not
+// counts (the merge matching stage, via nearestSampleSorted) do not
 // recompute the two divisions per candidate. Same arithmetic, in the
 // same order, as the SpatialStretch/TemporalStretch path.
 func (p Params) sampleEffortWeighted(a, b Sample, wa, wb float64) float64 {
@@ -239,11 +240,11 @@ func (p Params) minEffortTo(s Sample, ns int, short []Sample, nShort int) float6
 }
 
 // NearestSampleIndex returns the index j of the sample in candidates at
-// minimum stretch effort from s (ties broken by lowest index), used by
-// the GLOVE merge matching stage. The count weights depend only on the
-// two fingerprints, not on the candidate, so they are resolved once
-// outside the scan — the merge matching stage calls this once per
-// long-side sample.
+// minimum stretch effort from s (ties broken by lowest index), by a full
+// scan. It is the reference for the merge matching stage's pruned scan
+// (nearestSampleSorted). The count weights depend only on the two
+// fingerprints, not on the candidate, so they are resolved once outside
+// the scan.
 func (p Params) NearestSampleIndex(s Sample, ns int, candidates []Sample, nc int) int {
 	wa := float64(ns) / float64(ns+nc)
 	wb := float64(nc) / float64(ns+nc)
@@ -254,6 +255,39 @@ func (p Params) NearestSampleIndex(s Sample, ns int, candidates []Sample, nc int
 		if d < best {
 			best = d
 			bestIdx = j
+		}
+	}
+	return bestIdx
+}
+
+// nearestSampleSorted is NearestSampleIndex over time-sorted candidates
+// with their count weights resolved, using the pruned kernel's outward
+// scan (minEffortToView): start at s's binary-searched time position,
+// walk both ways, and stop a direction once the temporal gap alone
+// rules out every candidate left in it. tHiMax[k] is the latest
+// interval end among candidates[0..k]. The full scan keeps the lowest
+// index among effort ties, so the rightward scan (higher indexes) stops
+// once the gap bound reaches the best effort, and the leftward scan
+// only once it exceeds it: an equal effort at a lower index still wins.
+func (p Params) nearestSampleSorted(s Sample, wa, wb float64, candidates []Sample, tHiMax []float64) int {
+	m := len(candidates)
+	pivot := sort.Search(m, func(k int) bool { return candidates[k].T >= s.T })
+	sHi := s.T + s.DT
+	best, bestIdx := math.Inf(1), 0
+	for k := pivot; k < m; k++ {
+		if g := candidates[k].T - sHi; g > 0 && p.temporalGapLB(g) >= best {
+			break
+		}
+		if d := p.sampleEffortWeighted(s, candidates[k], wa, wb); d < best {
+			best, bestIdx = d, k
+		}
+	}
+	for k := pivot - 1; k >= 0; k-- {
+		if g := s.T - tHiMax[k]; g > 0 && p.temporalGapLB(g) > best {
+			break
+		}
+		if d := p.sampleEffortWeighted(s, candidates[k], wa, wb); d <= best {
+			best, bestIdx = d, k
 		}
 	}
 	return bestIdx

@@ -17,10 +17,11 @@ import (
 //
 //  1. Running-sum abort. Eq. 10 averages per-sample minima over the
 //     longer fingerprint. Each minimum is >= the bounding-volume effort
-//     lower bound of the pair (EffortLowerBound, bounds.go), so as soon
-//     as the partial sum plus the bound for the unprocessed remainder
-//     guarantees Δ_ab > threshold, the scan aborts: the caller only
-//     needed to know the pair loses.
+//     lower bound of the pair (EffortLowerBound, bounds.go), and of its
+//     own sample's box against the short side's, so as soon as the
+//     partial sum plus a bound for the unprocessed remainder guarantees
+//     Δ_ab > threshold, the scan aborts: the caller only needed to know
+//     the pair loses.
 //
 //  2. Temporal-gap outward scan. Fingerprint.Samples are time-sorted;
 //     for one long-side sample the scan starts at the short side's
@@ -172,6 +173,13 @@ func (p Params) effortBelowViews(a, b *fpView, threshold float64) (float64, bool
 		}
 		d2, exact := p.directedEffortBelow(b, a, 2*threshold-d1)
 		e := (d1 + d2) / 2
+		if !exact && e <= threshold {
+			// d2 beat its slack, but d1+d2 rounded back onto the
+			// threshold (the slack was below an ulp of d1): only the
+			// exact sum can decide.
+			d2, exact = p.directedEffortBelow(b, a, math.Inf(1))
+			e = (d1 + d2) / 2
+		}
 		if !exact {
 			return e, false
 		}
@@ -189,14 +197,20 @@ func (p Params) effortBelowViews(a, b *fpView, threshold float64) (float64, bool
 // When exact is true the result is bit-identical to directedEffort;
 // otherwise the scan aborted with the returned value a lower bound and
 // the true directed effort strictly above threshold.
+//
+// The unprocessed remainder is first priced at the whole-fingerprint
+// bounding-volume bound perLB, which settles most pairs of a thresholded
+// pass (the k-gap analysis asks "is the effort ~0?") after one sample.
+// That bound is ~0 whenever the two boxes overlap, so a pair the first
+// sample does not settle continues in directedEffortBelowSuffix, which
+// prices the remainder sample by sample instead. It is built only then:
+// an eager O(m) suffix per call would triple the cost of the k-gap pass.
 func (p Params) directedEffortBelow(long, short *fpView, threshold float64) (float64, bool) {
 	m := len(long.t)
 	wa := float64(long.count) / float64(long.count+short.count)
 	wb := float64(short.count) / float64(long.count+short.count)
-	// Every per-sample minimum is at least the pair's bounding-volume
-	// effort lower bound; it prices the unprocessed remainder in the
-	// abort test below.
 	perLB := p.EffortLowerBound(long.bounds, short.bounds)
+	limit := threshold * (1 + boundMargin)
 	var sum float64
 	last := m - 1
 	for i := 0; i < m; i++ {
@@ -211,9 +225,58 @@ func (p Params) directedEffortBelow(long, short *fpView, threshold float64) (flo
 		// disagreement with the naive kernel at thresholds that equal
 		// the true effort — which is common, since thresholds are other
 		// pairs' computed efforts.
-		if lb := (sum + float64(last-i)*perLB) / float64(m); lb > threshold {
-			return lb, false
+		if lb := (sum + float64(last-i)*perLB) / float64(m); lb > limit {
+			return lb * (1 - boundMargin/2), false
 		}
+		if m <= suffixBoundMaxM && !math.IsInf(threshold, 1) {
+			return p.directedEffortBelowSuffix(long, short, limit, wa, wb, i+1, sum)
+		}
+	}
+	return sum / float64(m), true
+}
+
+// suffixBoundMaxM is the longest averaged side whose per-sample
+// remainder bounds fit directedEffortBelowSuffix's stack buffer. Longer
+// fingerprints keep the whole-fingerprint bound, so the kernel allocates
+// nothing at any length.
+const suffixBoundMaxM = 256
+
+// boundMargin is the relative margin a remainder bound must clear
+// before it aborts a scan. A bounding-volume bound can exceed the
+// per-sample minimum it bounds by an ulp (the count weights need not sum
+// to exactly one), and the per-sample bounds are summed in a different
+// order than the minima, so a tight bound may overshoot the exact
+// effort by a few ulps per sample. 1e-9 is far above that error at any
+// length the kernel sees; without it a threshold equal to the exact
+// effort could be reported as pruned. An abort reports the bound shrunk
+// by half the margin: still above the threshold, and at or below the
+// exact effort, so a stored bound never outranks an exact tie.
+const boundMargin = 1e-9
+
+// directedEffortBelowSuffix continues directedEffortBelow from sample
+// `from`, with sum holding the minima of the samples before it and
+// limit the threshold with its margin. Sample k's minimum is at least
+// the bounding-volume bound of k's own box against the short side's
+// (every candidate lies inside that box), so the suffix sums of those
+// per-sample bounds price the remainder far more tightly than perLB.
+func (p Params) directedEffortBelowSuffix(long, short *fpView, limit, wa, wb float64, from int, sum float64) (float64, bool) {
+	m := len(long.t)
+	var buf [suffixBoundMaxM + 1]float64
+	rest := buf[:m+1] // rest[k]: bound on the sum of minima of samples k..m-1
+	for k := m - 1; k >= from; k-- {
+		sb := FingerprintBounds{
+			MinX: long.x[k], MaxX: long.xHi[k],
+			MinY: long.y[k], MaxY: long.yHi[k],
+			MinT: long.t[k], MaxT: long.tHi[k],
+		}
+		rest[k] = rest[k+1] + p.EffortLowerBound(sb, short.bounds)
+	}
+	for i := from; i < m; i++ {
+		if lb := (sum + rest[i]) / float64(m); lb > limit {
+			return lb * (1 - boundMargin/2), false
+		}
+		sum += p.minEffortToView(long.x[i], long.xHi[i], long.y[i], long.yHi[i],
+			long.t[i], long.tHi[i], wa, wb, short)
 	}
 	return sum / float64(m), true
 }
@@ -221,12 +284,16 @@ func (p Params) directedEffortBelow(long, short *fpView, threshold float64) (flo
 // temporalGapLB converts a temporal-only separation (minutes) into an
 // effort lower bound: both sides of Eq. 7 must stretch at least across
 // the gap and the count weights sum to one, so φ*_τ >= gap; the spatial
-// term only adds. Mirrors the temporal half of EffortLowerBound.
+// term only adds. Mirrors the temporal half of EffortLowerBound, shrunk
+// by boundMargin: the computed weights can sum to just under one (1/3
+// and 2/3 both round down), so a candidate's computed effort can sit an
+// ulp below the exact bound, and a scan stopping on the exact bound
+// could skip it.
 func (p Params) temporalGapLB(gap float64) float64 {
 	if gap >= p.MaxTemporal {
 		gap = p.MaxTemporal
 	}
-	return p.WTemporal * gap / p.MaxTemporal
+	return p.WTemporal * gap / p.MaxTemporal * (1 - boundMargin)
 }
 
 // minEffortToView returns min_j δ(s, short[j]) for the long-side sample
@@ -234,9 +301,22 @@ func (p Params) temporalGapLB(gap float64) float64 {
 // and stopping each direction once the temporal-gap lower bound reaches
 // the current best. Identical in value to minEffortTo (effort.go): only
 // candidates provably unable to improve the minimum are skipped.
+//
+// The candidate body is written out in both loops rather than called:
+// a function taking the sample's eight floats is far over the inlining
+// budget. Each one-sided stretch "if a < b { s += b - a }" is computed
+// without a branch as (d+|d|)/2 or (|d|−d)/2 of the same difference d.
+// That is exact: 2d and its halving round nothing, and a non-positive d
+// gives −x+x = +0, so every sum, in the naive kernel's order, is
+// bit-identical.
 func (p Params) minEffortToView(sx, sxHi, sy, syHi, st, stHi, wa, wb float64, short *fpView) float64 {
 	ts := short.t
 	m := len(ts)
+	xs, xHis := short.x[:m], short.xHi[:m]
+	ys, yHis := short.y[:m], short.yHi[:m]
+	tHis, tHiMax := short.tHi[:m], short.tHiMax[:m]
+	maxS, maxT := p.MaxSpatial, p.MaxTemporal
+	wS, wT := p.WSpatial, p.WTemporal
 	pivot := sort.SearchFloat64s(ts, st)
 	best := math.Inf(1)
 	// Rightward: candidate starts are sorted, so once a candidate starts
@@ -245,7 +325,20 @@ func (p Params) minEffortToView(sx, sxHi, sy, syHi, st, stHi, wa, wb float64, sh
 		if g := ts[k] - stHi; g > 0 && p.temporalGapLB(g) >= best {
 			break
 		}
-		if d := p.viewSampleEffort(sx, sxHi, sy, syHi, st, stHi, wa, wb, short, k); d < best {
+		dxl, dxr, dyl, dyr := sx-xs[k], xHis[k]-sxHi, sy-ys[k], yHis[k]-syHi
+		axl, axr, ayl, ayr := math.Abs(dxl), math.Abs(dxr), math.Abs(dyl), math.Abs(dyr)
+		spatial := ((dxl+axl)*0.5+(dxr+axr)*0.5+(dyl+ayl)*0.5+(dyr+ayr)*0.5)*wa +
+			((axl-dxl)*0.5+(axr-dxr)*0.5+(ayl-dyl)*0.5+(ayr-dyr)*0.5)*wb
+		if spatial >= maxS {
+			spatial = maxS
+		}
+		dtl, dtr := st-ts[k], tHis[k]-stHi
+		atl, atr := math.Abs(dtl), math.Abs(dtr)
+		temporal := ((dtl+atl)*0.5+(dtr+atr)*0.5)*wa + ((atl-dtl)*0.5+(atr-dtr)*0.5)*wb
+		if temporal >= maxT {
+			temporal = maxT
+		}
+		if d := wS*spatial/maxS + wT*temporal/maxT; d < best {
 			best = d
 		}
 	}
@@ -253,70 +346,25 @@ func (p Params) minEffortToView(sx, sxHi, sy, syHi, st, stHi, wa, wb float64, sh
 	// max of ends — when even the latest end among the remaining
 	// candidates leaves a big enough gap before s starts, stop.
 	for k := pivot - 1; k >= 0; k-- {
-		if g := st - short.tHiMax[k]; g > 0 && p.temporalGapLB(g) >= best {
+		if g := st - tHiMax[k]; g > 0 && p.temporalGapLB(g) >= best {
 			break
 		}
-		if d := p.viewSampleEffort(sx, sxHi, sy, syHi, st, stHi, wa, wb, short, k); d < best {
+		dxl, dxr, dyl, dyr := sx-xs[k], xHis[k]-sxHi, sy-ys[k], yHis[k]-syHi
+		axl, axr, ayl, ayr := math.Abs(dxl), math.Abs(dxr), math.Abs(dyl), math.Abs(dyr)
+		spatial := ((dxl+axl)*0.5+(dxr+axr)*0.5+(dyl+ayl)*0.5+(dyr+ayr)*0.5)*wa +
+			((axl-dxl)*0.5+(axr-dxr)*0.5+(ayl-dyl)*0.5+(ayr-dyr)*0.5)*wb
+		if spatial >= maxS {
+			spatial = maxS
+		}
+		dtl, dtr := st-ts[k], tHis[k]-stHi
+		atl, atr := math.Abs(dtl), math.Abs(dtr)
+		temporal := ((dtl+atl)*0.5+(dtr+atr)*0.5)*wa + ((atl-dtl)*0.5+(atr-dtr)*0.5)*wb
+		if temporal >= maxT {
+			temporal = maxT
+		}
+		if d := wS*spatial/maxS + wT*temporal/maxT; d < best {
 			best = d
 		}
 	}
 	return best
-}
-
-// viewSampleEffort is δ(s, short[k]) over the SoA view — the same
-// arithmetic, in the same order, as the naive kernel's inlined loop body
-// (minEffortTo), so results are bit-identical.
-func (p Params) viewSampleEffort(sx, sxHi, sy, syHi, st, stHi, wa, wb float64, short *fpView, k int) float64 {
-	ox, oxHi := short.x[k], short.xHi[k]
-	oy, oyHi := short.y[k], short.yHi[k]
-	var sa, sb float64
-	if ox < sx {
-		sa += sx - ox
-	}
-	if oxHi > sxHi {
-		sa += oxHi - sxHi
-	}
-	if oy < sy {
-		sa += sy - oy
-	}
-	if oyHi > syHi {
-		sa += oyHi - syHi
-	}
-	if sx < ox {
-		sb += ox - sx
-	}
-	if sxHi > oxHi {
-		sb += sxHi - oxHi
-	}
-	if sy < oy {
-		sb += oy - sy
-	}
-	if syHi > oyHi {
-		sb += syHi - oyHi
-	}
-	spatial := sa*wa + sb*wb
-	if spatial >= p.MaxSpatial {
-		spatial = p.MaxSpatial
-	}
-
-	ot, otHi := short.t[k], short.tHi[k]
-	var ta, tb float64
-	if ot < st {
-		ta += st - ot
-	}
-	if otHi > stHi {
-		ta += otHi - stHi
-	}
-	if st < ot {
-		tb += ot - st
-	}
-	if stHi > otHi {
-		tb += stHi - otHi
-	}
-	temporal := ta*wa + tb*wb
-	if temporal >= p.MaxTemporal {
-		temporal = p.MaxTemporal
-	}
-
-	return p.WSpatial*spatial/p.MaxSpatial + p.WTemporal*temporal/p.MaxTemporal
 }

@@ -305,3 +305,24 @@ func TestEffortKernelCountersAggregated(t *testing.T) {
 		t.Fatal("chunked run reported no kernel calls")
 	}
 }
+
+// An equal-length pair whose second direction is nonzero but far below
+// an ulp of the first: the true effort (d1+d2)/2 rounds to exactly d1/2.
+// At that threshold the second direction is given zero slack and aborts
+// on its first sample, yet the sum still lands on the threshold, so the
+// pair is below it and must be reported so, with the exact effort.
+func TestEffortBelowEqualLengthSubUlpSecondDirection(t *testing.T) {
+	p := DefaultParams()
+	pt := func(x float64) Sample { return Sample{X: x, T: 60, Weight: 1} }
+	a := NewFingerprint("a", []Sample{pt(0), pt(2000)})
+	b := NewFingerprint("b", []Sample{pt(1e-20), pt(1e-20)})
+	want := p.FingerprintEffort(a, b)
+	if d1 := p.directedEffort(a, b); want != d1/2 || p.directedEffort(b, a) == 0 {
+		t.Fatalf("inputs no longer hide the second direction: effort %v, d1 %v", want, d1)
+	}
+	for _, pair := range [2][2]*Fingerprint{{a, b}, {b, a}} {
+		if got, below := p.FingerprintEffortBelow(pair[0], pair[1], want); !below || got != want {
+			t.Fatalf("threshold = effort %v: got (%v, %v), want (%v, true)", want, got, below, want)
+		}
+	}
+}

@@ -263,6 +263,72 @@ func TestNearestSampleIndex(t *testing.T) {
 	}
 }
 
+// The merge matching stage's outward scan must pick exactly what the
+// full scan picks, the lowest index among effort ties included. The
+// inputs are tie heavy: samples far apart in space and time, whose
+// efforts all saturate at exactly 1.0, duplicated samples, and samples
+// sharing a start, with queries drawn from the same mix.
+func TestNearestSampleSortedMatchesFullScan(t *testing.T) {
+	p := DefaultParams()
+	rng := rand.New(rand.NewSource(12))
+	sample := func(pool []Sample) Sample {
+		switch rng.Intn(4) {
+		case 0:
+			return Sample{X: float64(rng.Intn(8)) * 50000, DX: 100, DY: 100, T: float64(rng.Intn(8)) * 1000, DT: 1, Weight: 1}
+		case 1:
+			if len(pool) > 0 {
+				return pool[rng.Intn(len(pool))]
+			}
+		case 2:
+			if len(pool) > 0 {
+				s := pool[rng.Intn(len(pool))]
+				s.X += rng.Float64() * 2000
+				s.DT = float64(rng.Intn(4)) * 60
+				return s
+			}
+		}
+		return Sample{
+			X: rng.Float64() * 3000, DX: float64(rng.Intn(3)) * 200,
+			Y: rng.Float64() * 3000, DY: float64(rng.Intn(3)) * 200,
+			T: float64(rng.Intn(48)) * 30, DT: float64(rng.Intn(4)) * 60, Weight: 1,
+		}
+	}
+	ties := 0
+	for trial := 0; trial < 2000; trial++ {
+		var cands []Sample
+		for n := 1 + rng.Intn(20); len(cands) < n; {
+			cands = append(cands, sample(cands))
+		}
+		sortSamples(cands)
+		tHiMax := make([]float64, len(cands))
+		for k, c := range cands {
+			tHiMax[k] = c.T + c.DT
+			if k > 0 {
+				tHiMax[k] = math.Max(tHiMax[k], tHiMax[k-1])
+			}
+		}
+		ns, nc := 1+rng.Intn(4), 1+rng.Intn(4)
+		wa, wb := float64(ns)/float64(ns+nc), float64(nc)/float64(ns+nc)
+		for q := 0; q < 8; q++ {
+			s := sample(cands)
+			want := p.NearestSampleIndex(s, ns, cands, nc)
+			if got := p.nearestSampleSorted(s, wa, wb, cands, tHiMax); got != want {
+				t.Fatalf("trial %d: outward scan picked %d, full scan %d (query %+v, candidates %+v)", trial, got, want, s, cands)
+			}
+			best := p.SampleEffort(s, cands[want], ns, nc)
+			for k := want + 1; k < len(cands); k++ {
+				if p.SampleEffort(s, cands[k], ns, nc) == best {
+					ties++
+					break
+				}
+			}
+		}
+	}
+	if ties < 1000 {
+		t.Fatalf("only %d queries had a tie at the minimum; the inputs no longer exercise the tie-break", ties)
+	}
+}
+
 // randFingerprint builds a random single-user fingerprint with n samples
 // clustered around a random anchor, resembling a (very small) synthetic
 // subscriber.

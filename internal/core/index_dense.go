@@ -14,34 +14,47 @@ import (
 // bytes), which is why the planner switches to sparseIndex above
 // DenseIndexMaxN fingerprints.
 //
-// The matrix is filled by the pruned effort kernel, one evaluation per
-// unordered pair, thresholded at per-row seeds from bounding-box
-// neighbours (Build): most entries abort after a few samples, or never
-// reach the kernel, and store only a lower bound, flagged in trunc.
-// Exactness is preserved lazily (DESIGN.md Sec. 8): nearest[i] always
-// points at an entry whose exact effort is stored, and rescanNearest
-// refines truncated winners on demand — a truncated entry's true effort
-// exceeds its stored bound, so the canonical row minimum after
-// refinement is exactly the one a fully-exact matrix would yield.
+// The matrix is filled by the pruned effort kernel, at most one
+// evaluation per unordered pair, thresholded at per-row seeds from
+// bounding-box neighbours (Build): most entries abort after a few
+// samples, or never reach the kernel, and store only a lower bound,
+// marked entryBound in state. Exactness is preserved lazily (DESIGN.md
+// Sec. 8): nearest[i] always points at an entry whose exact effort is
+// stored, and rescanNearest refines bound winners on demand — a bound
+// entry's true effort is at least its stored bound, so the canonical
+// row minimum after refinement is exactly the one a fully-exact matrix
+// would yield.
 type denseIndex struct {
 	ws *workingSet
 
 	// naive disables the nearest cache and rescans the full matrix at
 	// every MinPair, for the cache ablation (DESIGN.md Sec. 5). Output
 	// must be identical; the full-matrix scan needs every entry exact,
-	// so naive mode also disables threshold truncation.
+	// so naive mode also disables threshold pruning.
 	naive bool
 
-	matrix  []float64 // n*n efforts among active slots
-	trunc   []bool    // entry holds a lower bound, not the exact effort
-	nearest []int     // slot -> active slot at canonical min effort (-1 if none)
+	matrix  []float64    // n*n efforts among active slots
+	state   []entryState // what each matrix entry holds
+	nearest []int        // slot -> active slot at canonical min effort (-1 if none)
 
 	// Reinsert scratch rows, allocated once at Build so the per-merge
 	// offer fan-out allocates nothing (the merge loop is serial, so one
 	// set suffices).
 	reE     []float64
-	reTrunc []bool
+	reState []entryState
 }
+
+// entryState records what a dense matrix entry holds. One byte per
+// entry: the seed pass's results need a third state beside exact and
+// bound, and a second n² array of them would cost 16 MiB more at
+// DenseIndexMaxN.
+type entryState uint8
+
+const (
+	entryUnset entryState = iota // not evaluated yet (Build only)
+	entryExact                   // the exact effort
+	entryBound                   // a lower bound on the exact effort
+)
 
 func newDenseIndex(ws *workingSet, naive bool) *denseIndex {
 	return &denseIndex{ws: ws, naive: naive}
@@ -49,12 +62,17 @@ func newDenseIndex(ws *workingSet, naive bool) *denseIndex {
 
 // Build computes the pairwise effort matrix. The O(n²) build dominates
 // start-up cost; it runs under ctx so a cancelled job does not have to
-// wait it out. It evaluates each unordered pair at most once, in two
-// parallel passes: seedRow bounds every row minimum from a few
-// bounding-box neighbours, and buildPairs then visits the upper
-// triangle with thresholds taken from those seeds. Both passes depend
-// only on the data, never on scheduling, so the kernel counters are the
-// same at every worker count.
+// wait it out. It runs the kernel at most once per unordered pair, in
+// parallel passes: nearByBound lists every row's bounding-box
+// neighbours, seedRow bounds every row minimum from them and keeps each
+// result in the row's own entry, and buildPairs then visits the upper
+// triangle with thresholds taken from those seeds, reusing any seed
+// result of the pair. The closing rescanNearest refines a seed bound
+// only if it wins its row. In the seed pass each row writes only its
+// own entries, and in the pair pass row i alone writes the pairs
+// (i, j>i) and their mirrors, so no pass needs locking. Every pass
+// depends only on the data, never on scheduling, so the kernel counters
+// are the same at every worker count.
 func (x *denseIndex) Build(ctx context.Context) error {
 	ws := x.ws
 	n := ws.n
@@ -67,20 +85,38 @@ func (x *denseIndex) Build(ctx context.Context) error {
 			if !ws.alive[i] || !ws.alive[j] {
 				return
 			}
-			e := ws.effort(i, j)
-			x.matrix[i*n+j] = e
-			x.matrix[j*n+i] = e
+			x.setPair(i, j, ws.effort(i, j), entryExact)
 		})
 	} else {
-		seed := make([]float64, n)
+		const k = DefaultIndexNeighbors
+		near := make([][]candidate, n)
+		nearBuf := make([]candidate, n*(k+1))
 		err = parallel.ForContext(ctx, n, ws.workers, func(i int) {
 			if ws.alive[i] {
-				seed[i] = x.seedRow(i)
+				near[i] = x.nearByBound(i, nearBuf[i*(k+1):i*(k+1):(i+1)*(k+1)])
 			}
 		})
+		seed := make([]float64, n)
 		if err == nil {
-			// Row i owns the pairs (i, j>i): every entry has exactly one
-			// writer, and the long early rows are dispatched first.
+			err = parallel.ForContext(ctx, n, ws.workers, func(i int) {
+				if ws.alive[i] {
+					seed[i] = x.seedRow(i, near)
+				}
+			})
+		}
+		if err == nil {
+			// A neighbour pair that both rows list was evaluated by the
+			// lower row alone; an exact result there seeds both.
+			for i, list := range near {
+				for _, c := range list {
+					if ji := int(c.slot)*n + i; x.state[ji] == entryExact && x.matrix[ji] < seed[i] {
+						seed[i] = x.matrix[ji]
+					}
+				}
+			}
+			// Row i owns the pairs (i, j>i) and their mirrors: every
+			// entry has exactly one writer, and the long early rows are
+			// dispatched first.
 			err = parallel.ForContext(ctx, n, ws.workers, func(i int) {
 				if ws.alive[i] {
 					x.buildPairs(i, seed)
@@ -104,55 +140,86 @@ func (x *denseIndex) Build(ctx context.Context) error {
 // !alive slots first.
 func (x *denseIndex) prepare(n int) {
 	x.matrix = make([]float64, n*n)
-	x.trunc = make([]bool, n*n)
+	x.state = make([]entryState, n*n)
 	x.nearest = make([]int, n)
 	x.reE = make([]float64, n)
-	x.reTrunc = make([]bool, n)
+	x.reState = make([]entryState, n)
 }
 
-// seedRow returns an upper bound on row i's minimum effort: the exact
-// minimum over its DefaultIndexNeighbors nearest live slots by
-// EffortLowerBound (ties towards the lower slot), evaluated in bound
-// order with the running minimum as the kernel threshold. Once the next
-// bound exceeds that minimum, so do all later ones, and the scan stops.
-// Returns +Inf when i has no live neighbour.
-func (x *denseIndex) seedRow(i int) float64 {
+// nearByBound returns slot i's DefaultIndexNeighbors nearest live slots
+// by EffortLowerBound, sorted by (bound, slot) with the bound in e, in
+// list, which must have room for one entry more.
+func (x *denseIndex) nearByBound(i int, list []candidate) []candidate {
 	ws := x.ws
 	p := ws.params
 	bi := ws.views[i].bounds
-	var buf [DefaultIndexNeighbors + 1]candidate
-	near := buf[:0] // sorted by (bound, slot); e holds the bound
 	for j := 0; j < ws.n; j++ {
 		if j == i || !ws.alive[j] {
 			continue
 		}
 		lb := p.EffortLowerBound(bi, ws.views[j].bounds)
-		if len(near) == DefaultIndexNeighbors && !lexLess(lb, int32(j), near[len(near)-1].e, near[len(near)-1].slot) {
+		if len(list) == DefaultIndexNeighbors && !lexLess(lb, int32(j), list[len(list)-1].e, list[len(list)-1].slot) {
 			continue
 		}
-		near = insertCandidate(near, candidate{e: lb, slot: int32(j)})
-		if len(near) > DefaultIndexNeighbors {
-			near = near[:DefaultIndexNeighbors]
+		list = insertCandidate(list, candidate{e: lb, slot: int32(j)})
+		if len(list) > DefaultIndexNeighbors {
+			list = list[:DefaultIndexNeighbors]
 		}
 	}
+	return list
+}
+
+// seedRow returns an upper bound on row i's minimum effort: the least
+// exact effort among its bounding-box neighbours near[i], evaluated in
+// bound order with the running minimum as the kernel threshold. Once
+// the next bound exceeds that minimum, so do all later ones, and the
+// scan stops. A pair that both rows list is evaluated by the lower row
+// only, so no pair reaches the kernel twice here; Build then lets an
+// exact result seed both rows. Each kernel result is kept in row i's
+// own entry for buildPairs: exact when the kernel reports below,
+// otherwise a lower bound above the threshold it ran at, which is at
+// least the returned seed. Returns +Inf when i has no live neighbour.
+func (x *denseIndex) seedRow(i int, near [][]candidate) float64 {
+	ws := x.ws
+	n := ws.n
 	thr := math.Inf(1)
-	for _, c := range near {
+	for _, c := range near[i] {
 		if c.e > thr {
 			break
 		}
-		if e, below := ws.effortBelow(i, int(c.slot), thr); below && e < thr {
-			thr = e
+		j := int(c.slot)
+		if j < i && listsSlot(near[j], i) {
+			continue
 		}
+		e, below := ws.effortBelow(i, j, thr)
+		st := entryBound
+		if below {
+			st = entryExact
+			thr = math.Min(thr, e)
+		}
+		x.matrix[i*n+j], x.state[i*n+j] = e, st
 	}
 	return thr
 }
 
-// buildPairs fills the pairs (i, j>i) and their mirrors (j, i). Each
-// pair is thresholded at the larger of its two row seeds, so a
-// truncated entry's bound exceeds both row minima: every row minimum is
-// stored exactly and the first rescanNearest of a fresh row never
-// refines. A pair whose bounding-box bound already exceeds the
-// threshold stores that bound, truncated, without a kernel call.
+// listsSlot reports whether the candidate list holds slot i.
+func listsSlot(list []candidate, i int) bool {
+	for _, c := range list {
+		if int(c.slot) == i {
+			return true
+		}
+	}
+	return false
+}
+
+// buildPairs fills the pairs (i, j>i) and their mirrors (j, i). A pair
+// the seed pass evaluated, in either row, keeps that result with no
+// second kernel call: an exact effort is copied to both mirrors, and an
+// aborted evaluation stays a bound, refined by rescanNearest only if it
+// ever wins its row. Any other pair is thresholded at the larger of its
+// two row seeds, so a bound entry from here exceeds both row minima. A
+// pair whose bounding-box bound already exceeds that threshold stores
+// the box bound without a kernel call.
 func (x *denseIndex) buildPairs(i int, seed []float64) {
 	ws := x.ws
 	p := ws.params
@@ -162,39 +229,48 @@ func (x *denseIndex) buildPairs(i int, seed []float64) {
 		if !ws.alive[j] {
 			continue
 		}
-		thr := math.Max(seed[i], seed[j])
-		e := p.EffortLowerBound(bi, ws.views[j].bounds)
-		tr := true
-		if e <= thr {
-			var below bool
-			e, below = ws.effortBelow(i, j, thr)
-			tr = !below
+		// At most one of the two mirrors was seeded: seedRow leaves a
+		// pair both rows list to the lower row.
+		seeded := i*n + j
+		if x.state[seeded] == entryUnset {
+			seeded = j*n + i
 		}
-		x.matrix[i*n+j] = e
-		x.matrix[j*n+i] = e
-		x.trunc[i*n+j] = tr
-		x.trunc[j*n+i] = tr
+		if x.state[seeded] != entryUnset {
+			x.setPair(i, j, x.matrix[seeded], x.state[seeded])
+			continue
+		}
+		e := p.EffortLowerBound(bi, ws.views[j].bounds)
+		st := entryBound
+		if thr := math.Max(seed[i], seed[j]); e <= thr {
+			var below bool
+			if e, below = ws.effortBelow(i, j, thr); below {
+				st = entryExact
+			}
+		}
+		x.setPair(i, j, e, st)
 	}
+}
+
+// setPair stores e with state st in both mirrors of the pair (i, j).
+func (x *denseIndex) setPair(i, j int, e float64, st entryState) {
+	n := x.ws.n
+	x.matrix[i*n+j], x.matrix[j*n+i] = e, e
+	x.state[i*n+j], x.state[j*n+i] = st, st
 }
 
 // exactEntry returns the exact effort of the live pair (i, j), refining
 // the matrix in place when only a lower bound is stored. Refinement is
 // symmetric: the exact value serves both rows.
 func (x *denseIndex) exactEntry(i, j int) float64 {
-	n := x.ws.n
-	if x.trunc[i*n+j] {
-		e := x.ws.effort(i, j)
-		x.matrix[i*n+j] = e
-		x.matrix[j*n+i] = e
-		x.trunc[i*n+j] = false
-		x.trunc[j*n+i] = false
+	if x.state[i*x.ws.n+j] != entryExact {
+		x.setPair(i, j, x.ws.effort(i, j), entryExact)
 	}
-	return x.matrix[i*n+j]
+	return x.matrix[i*x.ws.n+j]
 }
 
 // rescanNearest recomputes the nearest active neighbour of slot i from
 // the matrix row: the canonical minimum, i.e. the lowest slot index
-// among effort ties. Truncated winners are refined to their exact
+// among effort ties. Bound winners are refined to their exact
 // effort and the scan repeats — the refined value can only grow, so the
 // loop settles on exactly the canonical minimum of the fully-exact row.
 func (x *denseIndex) rescanNearest(i int) {
@@ -213,7 +289,7 @@ func (x *denseIndex) rescanNearest(i int) {
 				bestIdx = j
 			}
 		}
-		if bestIdx < 0 || !x.trunc[i*n+bestIdx] {
+		if bestIdx < 0 || x.state[i*n+bestIdx] == entryExact {
 			x.nearest[i] = bestIdx
 			return
 		}
@@ -251,8 +327,8 @@ func (x *denseIndex) MinPair() (int, int) {
 
 // minPairNaive is the cache-free O(n²) scan used by the ablation
 // benchmark. Tie-breaking matches the cached path: both return the
-// first minimal pair in row-major order. Naive mode never truncates, so
-// every entry read here is exact.
+// first minimal pair in row-major order. Naive mode stores only exact
+// entries, so every entry read here is exact.
 func (x *denseIndex) minPairNaive() (int, int) {
 	ws := x.ws
 	best := math.Inf(1)
@@ -292,11 +368,10 @@ func (x *denseIndex) Remove(i int) {
 // Reinsert recomputes row i against all active slots in parallel and
 // offers the new row to the other slots' caches. Each evaluation
 // carries the target slot's current nearest effort as the threshold: a
-// truncated result proves the merged fingerprint cannot improve that
+// bound result proves the merged fingerprint cannot improve that
 // slot's cache, and row i's own minimum is settled by rescanNearest's
 // refinement. As in Build, a slot whose bounding-box bound already
-// exceeds the threshold stores that bound, truncated, without a kernel
-// call.
+// exceeds the threshold stores that bound without a kernel call.
 func (x *denseIndex) Reinsert(i int) {
 	ws := x.ws
 	p := ws.params
@@ -312,34 +387,31 @@ func (x *denseIndex) Reinsert(i int) {
 				thr = x.matrix[c*n+cur]
 			}
 			if lb := p.EffortLowerBound(ws.views[i].bounds, ws.views[c].bounds); lb > thr {
-				x.reE[c] = lb
-				x.reTrunc[c] = true
+				x.reE[c], x.reState[c] = lb, entryBound
 				return
 			}
 		}
 		e, below := ws.effortBelow(i, c, thr)
-		x.reE[c] = e
-		x.reTrunc[c] = !below
+		x.reE[c], x.reState[c] = e, entryBound
+		if below {
+			x.reState[c] = entryExact
+		}
 	})
 	for c, e := range x.reE {
-		if math.IsNaN(e) {
-			continue
+		if !math.IsNaN(e) {
+			x.setPair(i, c, e, x.reState[c])
 		}
-		x.matrix[i*n+c] = e
-		x.matrix[c*n+i] = e
-		x.trunc[i*n+c] = x.reTrunc[c]
-		x.trunc[c*n+i] = x.reTrunc[c]
 	}
 	x.rescanNearest(i)
 	// Other caches may only improve via the reinserted slot. On an exact
 	// effort tie the lower slot index wins, matching the canonical
 	// ordering of rescanNearest (ties at saturated effort 1.0 are common
 	// between far-apart fingerprints, so this matters for determinism
-	// across index implementations). A truncated offer was evaluated
+	// across index implementations). A bound offer was evaluated
 	// against exactly this cached effort, so its true value is strictly
 	// worse and the cache keeps its current neighbour.
 	for c := 0; c < n; c++ {
-		if !ws.alive[c] || c == i || x.trunc[c*n+i] {
+		if !ws.alive[c] || c == i || x.state[c*n+i] != entryExact {
 			continue
 		}
 		e := x.matrix[c*n+i]

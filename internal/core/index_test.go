@@ -180,13 +180,13 @@ func TestIndexAutoResolution(t *testing.T) {
 	}
 }
 
-// The dense build evaluates each unordered live pair at most once, plus
-// at most DefaultIndexNeighbors seed evaluations per row, and its
+// The dense build runs the kernel at most once per unordered live pair,
+// seed evaluations included (the pair pass reuses them), and its
 // thresholds come from the data alone, so the kernel counters do not
-// depend on the worker count. Whatever the thresholds truncate, the
-// built index must hold the canonical exact row minima, every exact
-// entry must equal FingerprintEffort and every truncated one must lower
-// bound it, in both triangles. The inputs cover far-apart towns (whose
+// depend on the worker count. Whatever the thresholds prune, the built
+// index must hold the canonical exact row minima, every exact entry
+// must equal FingerprintEffort and every bound one must lower bound it,
+// in both triangles. The inputs cover far-apart towns (whose
 // cross-town pairs have large bounding-box gaps), saturated effort-1.0
 // ties, and already-anonymous inputs that leave dead slots.
 func TestDenseBuildEvaluatesPairsOnce(t *testing.T) {
@@ -253,7 +253,7 @@ func TestDenseBuildEvaluatesPairsOnce(t *testing.T) {
 					t.Fatal("no dead slots staged")
 				}
 				c := ws.kc.calls.Load()
-				if limit := int64(DefaultIndexNeighbors*live + live*(live-1)/2); c > limit {
+				if limit := int64(live * (live - 1) / 2); c > limit {
 					t.Fatalf("workers=%d: %d kernel calls for %d live slots, want <= %d", workers, c, live, limit)
 				}
 				calls = append(calls, c)
@@ -274,12 +274,17 @@ func TestDenseBuildEvaluatesPairsOnce(t *testing.T) {
 							best, bestIdx = e, j
 						}
 						got := x.matrix[i*n+j]
-						if x.trunc[i*n+j] {
+						switch x.state[i*n+j] {
+						case entryBound:
 							if got > e {
-								t.Fatalf("workers=%d: truncated (%d,%d) = %v above true effort %v", workers, i, j, got, e)
+								t.Fatalf("workers=%d: bound (%d,%d) = %v above true effort %v", workers, i, j, got, e)
 							}
-						} else if got != e {
-							t.Fatalf("workers=%d: exact (%d,%d) = %v, true effort %v", workers, i, j, got, e)
+						case entryExact:
+							if got != e {
+								t.Fatalf("workers=%d: exact (%d,%d) = %v, true effort %v", workers, i, j, got, e)
+							}
+						default:
+							t.Fatalf("workers=%d: live pair (%d,%d) left unset", workers, i, j)
 						}
 					}
 					if x.nearest[i] != bestIdx || x.matrix[i*n+bestIdx] != best {

@@ -33,7 +33,8 @@ type MergeOptions struct {
 //
 // The result's Count is the sum of the inputs' Counts, and its Members
 // are the union of the inputs' Members. The returned fingerprint is
-// always freshly allocated; the inputs are not modified.
+// always freshly allocated; the inputs are not modified. Both inputs'
+// samples must be time-sorted, as Fingerprint keeps them.
 func MergeFingerprints(p Params, a, b *Fingerprint, opt MergeOptions) *Fingerprint {
 	long, short := a, b
 	if long.Len() < short.Len() {
@@ -42,10 +43,20 @@ func MergeFingerprints(p Params, a, b *Fingerprint, opt MergeOptions) *Fingerpri
 	nl, ns := long.Count, short.Count
 
 	// Stage 1: group the long fingerprint's samples by their nearest
-	// short sample.
+	// short sample, found by the kernel's outward scan over the
+	// time-sorted short side.
 	groups := make([][]int, short.Len()) // short index -> long indices
+	tHiMax := make([]float64, short.Len())
+	for k, s := range short.Samples {
+		tHiMax[k] = s.T + s.DT
+		if k > 0 {
+			tHiMax[k] = math.Max(tHiMax[k], tHiMax[k-1])
+		}
+	}
+	wa := float64(nl) / float64(nl+ns)
+	wb := float64(ns) / float64(nl+ns)
 	for i := range long.Samples {
-		j := p.NearestSampleIndex(long.Samples[i], nl, short.Samples, ns)
+		j := p.nearestSampleSorted(long.Samples[i], wa, wb, short.Samples, tHiMax)
 		groups[j] = append(groups[j], i)
 	}
 
