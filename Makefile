@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet fmt lint lint-vocab test race race-repeat crash-e2e bench bench-json profile profile-1m expolint examples check
+.PHONY: all build vet fmt lint lint-vocab test race race-repeat crash-e2e bench bench-json profile profile-1m expolint examples loc check
 
 all: check
 
@@ -47,8 +47,8 @@ race-repeat:
 # crash-e2e runs the kill/restart fault-injection matrix against a real
 # gloved binary built with the faultinject tag: torn WAL writes,
 # durable-but-unacked appends, a crash between journaling and publishing
-# a follow or windowed job's window, and the SIGTERM drain/checkpoint
-# path.
+# a follow, windowed or batch job's window, and the SIGTERM
+# drain/checkpoint path.
 crash-e2e:
 	$(GO) test -tags faultinject -race ./internal/faultinject/
 
@@ -64,6 +64,12 @@ expolint:
 # call).
 examples:
 	@set -e; for d in examples/*/; do echo "== $$d"; $(GO) run ./$$d; done
+
+# loc prints the number of non-test Go lines, outside the nested
+# perfbench module and the benchmark's build directory: the size of the
+# program, which a change that deletes a duplicated path should shrink.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './perfbench/*' ! -path './.bench_build/*' -print0 | xargs -0 cat | wc -l
 
 bench:
 	$(GO) test -run=^$$ -bench=. -benchtime=1x ./...

@@ -330,9 +330,14 @@ func TestStageInvisibleAndDiscardable(t *testing.T) {
 
 // TestSnapshotIsolation pins the copy-on-write contract: a snapshot
 // taken before an append never observes the appended rows, even while
-// chunks spill and fault underneath it.
+// chunks spill and fault underneath it. A later snapshot cut back to
+// the earlier one's record count is that snapshot again — rows, user
+// count and dictionary — although the append brought new users.
 func TestSnapshotIsolation(t *testing.T) {
 	recs := testRecords(200, 9)
+	for i := range recs[120:] {
+		recs[120+i].User = fmt.Sprintf("n%03d", i%5)
+	}
 	s := newTestStore(t, recs[:120], Options{ChunkRecords: 32, ByteBudget: 2 * 32 * bytesPerRecord})
 	snap := s.Snapshot()
 	want := viewCSV(t, snap)
@@ -347,6 +352,17 @@ func TestSnapshotIsolation(t *testing.T) {
 	}
 	if got, want := s.Snapshot().NumRecords(), 200; got != want {
 		t.Fatalf("fresh snapshot NumRecords = %d, want %d", got, want)
+	}
+	cut, err := s.Snapshot().Prefix(snap.NumRecords())
+	if err != nil {
+		t.Fatalf("Prefix: %v", err)
+	}
+	if !reflect.DeepEqual(cut, snap) {
+		t.Fatalf("prefix = %d records, %d users, dict %d; want %d, %d, %d",
+			cut.NumRecords(), cut.NumUsers(), len(cut.dict), snap.NumRecords(), snap.NumUsers(), len(snap.dict))
+	}
+	if _, err := snap.Prefix(snap.NumRecords() + 1); err == nil {
+		t.Error("prefix past the snapshot's end accepted")
 	}
 }
 

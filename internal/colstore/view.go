@@ -303,6 +303,26 @@ func Concat(views ...*View) *View {
 	return out
 }
 
+// Prefix cuts a snapshot back to its first n rows: the rows, user count
+// and dictionary a Snapshot call saw when the store held n. User ids are
+// assigned in order of first appearance, so those rows reference the
+// first `users` dictionary entries. v must be a snapshot, not a
+// selection.
+func (v *View) Prefix(n int) (*View, error) {
+	if v.rows != nil || n < 0 || n > v.n {
+		return nil, fmt.Errorf("colstore: prefix of %d records out of range [0, %d] of a snapshot", n, v.n)
+	}
+	out := &View{s: v.s, meta: v.meta, n: n}
+	if err := out.eachRow(func(_, _, _ float64, user uint32) error {
+		out.users = max(out.users, int(user)+1)
+		return nil
+	}); err != nil {
+		return nil, err
+	}
+	out.dict = v.dict[:out.users:out.users]
+	return out, nil
+}
+
 // rowAt maps a view-relative row position to an absolute store row.
 func (v *View) rowAt(i int64) int64 {
 	if v.rows == nil {

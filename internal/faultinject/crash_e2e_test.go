@@ -19,6 +19,8 @@ import (
 	"time"
 
 	"repro/internal/api"
+	"repro/internal/core"
+	"repro/internal/obs"
 	"repro/pkg/client"
 )
 
@@ -478,6 +480,102 @@ func TestCrashWindowedWindowCommitted(t *testing.T) {
 	if m.Durability == nil || m.Durability.RecoveredJobs["resumed"] != 1 {
 		t.Errorf("durability after resume: %+v", m.Durability)
 	}
+}
+
+// TestCrashBatchWindowCommitted runs the same kill point through a batch
+// job, which is one frozen window over its snapshot: the daemon dies
+// after the release hit the journal and before it was published. The
+// restart must not run GLOVE again — its trace has no shard span — and
+// must serve the control run's release and stats, with the batch job's
+// window kept internal.
+func TestCrashBatchWindowCommitted(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), 4*time.Minute)
+	defer cancel()
+
+	// Each daemon starts empty, so the job is its first.
+	const jobID = "job-000001"
+	submit := func(c *client.Client) error {
+		ds, err := c.CreateDataset(ctx, strings.NewReader(windowCSV(0, "a", "b", "c", "d", "e")),
+			client.IngestOptions{Name: "batch", Lat: 7.54, Lon: -5.55, Days: 1})
+		if err != nil {
+			return err
+		}
+		_, err = c.SubmitJob(ctx, client.JobSpec{DatasetID: ds.ID, K: 2, Workers: 1, Shards: 1})
+		return err
+	}
+	result := func(t *testing.T, c *client.Client, jobID string) []byte {
+		t.Helper()
+		rc, err := c.JobResult(ctx, jobID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer rc.Close()
+		raw, err := io.ReadAll(rc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return raw
+	}
+	stats := func(t *testing.T, st client.JobStatus) core.GloveStats {
+		t.Helper()
+		if st.Stats == nil {
+			t.Fatalf("job %s has no stats", st.ID)
+		}
+		s := *st.Stats
+		s.IndexBuildNanos, s.MergeNanos = 0, 0
+		return s
+	}
+
+	ctrl := startDaemon(t, t.TempDir(), nil)
+	cc := newClient(t, ctrl.addr)
+	if err := submit(cc); err != nil {
+		t.Fatal(err)
+	}
+	want, err := cc.WaitJob(ctx, jobID)
+	if err != nil || want.State != api.JobDone {
+		t.Fatalf("control job = %+v, %v", want, err)
+	}
+	wantCSV := result(t, cc, jobID)
+	ctrl.stop(t)
+
+	dataDir := t.TempDir()
+	d := startDaemon(t, dataDir, map[string]string{
+		"GLOVE_CRASH": "follow.window.committed", "GLOVE_CRASH_SKIP": "0"})
+	// The job can reach the crash point before the daemon answers its
+	// submission, which the commit's fsync made durable either way.
+	submit(newClient(t, d.addr))
+	d.waitKilled(t)
+
+	d2 := startDaemon(t, dataDir, nil)
+	defer d2.stop(t)
+	c2 := newClient(t, d2.addr)
+	final, err := c2.WaitJob(ctx, jobID)
+	if err != nil || final.State != api.JobDone {
+		t.Fatalf("resumed job = %+v, %v", final, err)
+	}
+	if !bytes.Equal(result(t, c2, jobID), wantCSV) {
+		t.Error("batch release differs from the uninterrupted control run")
+	}
+	if got, w := stats(t, final), stats(t, want); got != w {
+		t.Errorf("stats %+v, want the control run's %+v", got, w)
+	}
+	if len(final.Windows) != 0 {
+		t.Errorf("batch job lists windows after recovery: %+v", final.Windows)
+	}
+	tr, err := c2.JobTrace(ctx, jobID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var walk func(s *api.TraceSpan)
+	walk = func(s *api.TraceSpan) {
+		if s.Kind == obs.SpanShard {
+			t.Errorf("resumed trace has shard span %q: GLOVE ran again", s.Name)
+		}
+		for _, c := range s.Children {
+			walk(c)
+		}
+	}
+	walk(tr.Root)
 }
 
 // TestDrainCleanShutdown pins the graceful path: SIGTERM drains, writes

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -268,6 +269,31 @@ func TestWindowedSingleWindowByteIdentical(t *testing.T) {
 	}
 	if !bytes.Equal(storedCSV(t, wrel), csv(batch.ID)) {
 		t.Error("window 0 release differs from the batch release")
+	}
+	// The batch job reports what the one-window job does, minus the
+	// windows list: both run the same one-window pipeline.
+	stats := func(st JobStatus) core.GloveStats {
+		if st.Stats == nil {
+			t.Fatalf("job %s has no stats", st.ID)
+		}
+		s := *st.Stats
+		s.IndexBuildNanos, s.MergeNanos = 0, 0
+		return s
+	}
+	if stats(bst) != stats(wst) {
+		t.Errorf("stats: batch %+v, one-window %+v", stats(bst), stats(wst))
+	}
+	if !reflect.DeepEqual(bst.Accuracy, wst.Accuracy) {
+		t.Errorf("accuracy: batch %+v, one-window %+v", bst.Accuracy, wst.Accuracy)
+	}
+	if bst.AnonymousFraction == nil || !reflect.DeepEqual(bst.AnonymousFraction, wst.AnonymousFraction) {
+		t.Errorf("anonymous fraction: batch %v, one-window %v", bst.AnonymousFraction, wst.AnonymousFraction)
+	}
+	if bst.Shards != wst.Shards || bst.Plan == nil || !reflect.DeepEqual(bst.Plan, wst.Plan) {
+		t.Errorf("plan: batch %d shards %+v, one-window %d shards %+v", bst.Shards, bst.Plan, wst.Shards, wst.Plan)
+	}
+	if len(bst.Windows) != 0 {
+		t.Errorf("batch job lists windows: %+v", bst.Windows)
 	}
 }
 
@@ -551,6 +577,10 @@ func TestServerContinuousRelease(t *testing.T) {
 	if len(job.Linkage.Pairs) != 2 {
 		t.Errorf("linkage pairs = %d, want 2 consecutive pairs", len(job.Linkage.Pairs))
 	}
+	// A batch job runs as one internal window, which is no window
+	// release.
+	batch := submitJob(t, srv.URL, JobSpec{DatasetID: ds.ID, K: k})
+	waitJobDone(t, srv.URL, batch.ID)
 	var rep MetricsReport
 	getJSON(t, srv.URL+"/v1/metrics", &rep)
 	if rep.WindowedJobs != 1 || rep.WindowReleases != 3 {

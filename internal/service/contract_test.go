@@ -440,6 +440,24 @@ func TestServerEventStream(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("resume past terminal: stream never terminated")
 	}
+
+	// A batch job runs as one window, but that window is internal: its
+	// stream carries no window event.
+	batch := submitJob(t, srv.URL, JobSpec{DatasetID: ds.ID, K: 2, Shards: 2})
+	resp, err = http.Get(srv.URL + "/v1/jobs/" + batch.ID + "/events")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	events = readSSE(t, resp.Body)
+	for _, e := range events {
+		if e.data.Type == api.EventWindow {
+			t.Errorf("batch job streamed a window event: %+v", e.data)
+		}
+	}
+	if last := events[len(events)-1].data; last.State != JobDone {
+		t.Errorf("batch job stream ended on %+v, want done", last)
+	}
 }
 
 // TestServerResultCaching covers the immutable-release conveniences:

@@ -14,10 +14,10 @@ import (
 	"repro/internal/obs"
 )
 
-// windowResume is the committed prefix of a recovered windowed job,
-// rebuilt from journaled releases: executeWindows seeds its loop with it
-// so the continuation matches an uninterrupted run — same releases,
-// same budget accounting, same aggregate stats.
+// windowResume is the committed prefix of a recovered job, rebuilt from
+// journaled releases: executeWindows seeds its loop with it so the
+// continuation matches an uninterrupted run — same releases, same
+// budget accounting, same aggregate stats.
 type windowResume struct {
 	// floor is the highest committed window index (empty windows
 	// included); the feed re-scan silently walks past everything at or
@@ -38,21 +38,24 @@ type windowResume struct {
 // fail the job instead of flooding its event log.
 const maxFollowGap = 4096
 
-// executeWindows is the one continuous-release executor, driving every
-// job with window_hours > 0. A record cursor advances over the feed and
-// buckets new records into window fragments (TailWindows); closed
-// windows are committed in order: a window's fragments are fused into
-// one view by colstore.Concat (reproducing exactly the record order a
-// cold split of the final feed gives that window) and run through the
-// same sharded pipeline a batch job uses, each window a cold engine run.
+// executeWindows is the one release executor, driving every job. A
+// record cursor advances over the feed and buckets new records into
+// window fragments (feedWindows); closed windows are committed in order:
+// a window's fragments are fused into one view by colstore.Concat
+// (reproducing exactly the record order a cold split of the final feed
+// gives that window) and run through the sharded pipeline, each window a
+// cold engine run.
 // Each release is journaled before it is published, so a restarted job
 // resumes after its last committed window.
 //
 // The mode only changes the feed:
-//   - frozen (windowed jobs): one snapshot, bucketed once, and every
-//     window closes at the snapshot's end. The whole layout is
+//   - frozen (batch and windowed jobs): one snapshot, bucketed once, and
+//     every window closes at the snapshot's end. The whole layout is
 //     registered — and every window checked against k — before the
-//     first window runs; windows without records are omitted.
+//     first window runs; windows without records are omitted. A batch
+//     job (window_hours 0) is one window, the whole snapshot, which
+//     stays internal to the job (batchJob). A resumed frozen run cuts
+//     the feed back to the snapshot its commits saw.
 //   - live (follow jobs): the run subscribes to the dataset's append
 //     wake channel and re-snapshots on every wake. A record landing in
 //     window w closes every window before w, because appends only move
@@ -88,6 +91,7 @@ func (m *Manager) executeWindows(ctx context.Context, job *Job, spec JobSpec) (r
 		lag           float64
 		planned       bool
 		resumeFloor   = -1
+		snapRecords   int // frozen runs: the record count of the snapshot
 	)
 	if resume := job.takeResume(); resume != nil {
 		// Restarted after a crash or drain: the journal already holds
@@ -142,8 +146,15 @@ func (m *Manager) executeWindows(ctx context.Context, job *Job, spec JobSpec) (r
 		// Both measurements cover exactly the released windows: a live
 		// feed's last snapshot also holds the open window, and after a
 		// restart records appended since, none of which were released.
-		aspan := root.Child(obs.SpanAnalysis, "")
 		srcs := committedWindows(lastSnap, d, indices)
+		if !planned && len(srcs) > 0 {
+			// Every window was committed before a restart: report the plan
+			// the first window ran under.
+			if _, err := m.planJob(job, root, srcs[0], srcs[0].NumUsers(), spec); err != nil {
+				return runOutcome{}, err
+			}
+		}
+		aspan := root.Child(obs.SpanAnalysis, "")
 		outcome := runOutcome{
 			measured: measured,
 			stats:    total,
@@ -177,14 +188,25 @@ func (m *Manager) executeWindows(ctx context.Context, job *Job, spec JobSpec) (r
 		if !ok {
 			return runOutcome{}, fmt.Errorf("service: dataset %q disappeared", spec.DatasetID)
 		}
-		lastSnap = snap
 		job.mu.Lock()
 		job.datasetVersion = info.Version
+		if frozen && job.snapshotRecords == 0 {
+			job.snapshotRecords = snap.NumRecords()
+		}
+		snapRecords = job.snapshotRecords
 		job.mu.Unlock()
+		if frozen && snapRecords < snap.NumRecords() {
+			// Resumed: records appended after the commits are not input.
+			var err error
+			if snap, err = snap.Prefix(snapRecords); err != nil {
+				return runOutcome{}, err
+			}
+		}
+		lastSnap = snap
 
 		closedAt := time.Now()
 		if n := snap.NumRecords(); n > cursor {
-			frags, err := snap.TailWindows(cursor, d)
+			frags, err := feedWindows(snap, cursor, d)
 			if err != nil {
 				return runOutcome{}, err
 			}
@@ -322,13 +344,14 @@ func (m *Manager) executeWindows(ctx context.Context, job *Job, spec JobSpec) (r
 			// journal. There is no separate cursor to tear — the resume
 			// floor IS the highest journaled result.
 			if err := m.jrnl.jobResult(job.id, journalWindow{
-				Index:       idx,
-				StartMinute: start,
-				EndMinute:   end,
-				Records:     src.NumRecords(),
-				Users:       users,
-				Groups:      out.Len(),
-				Stats:       stats,
+				Index:           idx,
+				StartMinute:     start,
+				EndMinute:       end,
+				Records:         src.NumRecords(),
+				Users:           users,
+				Groups:          out.Len(),
+				Stats:           stats,
+				SnapshotRecords: snapRecords,
 			}, csv); err != nil {
 				wspan.End()
 				return runOutcome{}, fmt.Errorf("service: window %d: journaling release: %w", idx, err)
@@ -336,10 +359,12 @@ func (m *Manager) executeWindows(ctx context.Context, job *Job, spec JobSpec) (r
 			faultinject.Crash("follow.window.committed")
 			job.commitWindow(wpos, rel, out.Len(), stats)
 			job.emitSpan(obs.SpanWindow, wname, wspan.End())
-			m.tel.windowCommitted(time.Since(closedAt))
-			m.agg.Lock()
-			m.agg.windowReleases++
-			m.agg.Unlock()
+			if !batchJob(spec) {
+				m.tel.windowCommitted(time.Since(closedAt))
+				m.agg.Lock()
+				m.agg.windowReleases++
+				m.agg.Unlock()
+			}
 			total.Add(stats)
 			indices = append(indices, idx)
 			releases = append(releases, out)
@@ -369,6 +394,17 @@ const (
 	linkageProbes       = 200
 )
 
+// feedWindows buckets snap's records from record `from` on into windows
+// of duration d. d == 0 (a batch job, whose frozen run reads from record
+// 0) is one window, index 0: the snapshot view itself, so the release
+// keeps the snapshot's metadata and record order.
+func feedWindows(snap *colstore.View, from int, d time.Duration) ([]colstore.Window, error) {
+	if d == 0 {
+		return []colstore.Window{{Index: 0, View: snap}}, nil
+	}
+	return snap.TailWindows(from, d)
+}
+
 // committedWindows buckets snap once and returns the view of each
 // committed window, in release order (indices). nil when there is no
 // snapshot, the bucketing fails, or the snapshot lacks a committed
@@ -377,7 +413,7 @@ func committedWindows(snap *colstore.View, d time.Duration, indices []int) []*co
 	if snap == nil {
 		return nil
 	}
-	wins, err := snap.TailWindows(0, d)
+	wins, err := feedWindows(snap, 0, d)
 	if err != nil {
 		return nil
 	}

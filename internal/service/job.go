@@ -70,19 +70,19 @@ type Job struct {
 	cancel          context.CancelFunc
 	cancelRequested bool
 
-	// shardProgress has one 0..1 entry per effective shard while a
-	// batch job runs.
-	shardProgress []float64
 	// plan is the resolved execution plan of the largest shard, and
 	// shards the effective shard count it was resolved over — of the
-	// first runnable window, for a windowed or follow job.
+	// first runnable window.
 	plan   *core.Plan
 	shards int
 
 	// datasetVersion is the registry version of the snapshot being
-	// anonymized (set when the run takes its snapshot).
-	datasetVersion int
-	// windows is the per-window state of a windowed job, in time order.
+	// anonymized (set when the run takes its snapshot), and
+	// snapshotRecords, for a frozen run, that snapshot's record count.
+	datasetVersion  int
+	snapshotRecords int
+	// windows is the per-window state of the job, in time order; a batch
+	// job's single window is internal (batchJob).
 	windows []*jobWindow
 
 	// events is the job's append-only event log, replayed and streamed
@@ -102,7 +102,7 @@ type Job struct {
 	onEvent         func(api.JobEvent)
 	suppressJournal bool
 
-	// resume carries a recovered windowed job's committed prefix into
+	// resume carries a recovered job's committed prefix into
 	// executeWindows; consumed once by takeResume.
 	resume *windowResume
 
@@ -110,13 +110,19 @@ type Job struct {
 	// nil for jobs that never ran (the trace_not_found condition).
 	trace *obs.Trace
 
-	// result is the release of a job without windows; a windowed job
-	// serves its single release, if it has exactly one, from its window.
-	result            *Release
 	stats             *core.GloveStats
 	accuracy          *metrics.Summary
 	anonymousFraction *float64
 	linkage           *analysis.LinkageResult
+}
+
+// batchJob reports whether a job is a batch job (window_hours 0). Such a
+// job runs as one frozen window over its whole snapshot, and that window
+// is internal: its status lists no windows, its event stream carries no
+// window events, /windows/{w}/result serves nothing, and it counts
+// toward no window metric. /result serves its release.
+func batchJob(spec JobSpec) bool {
+	return spec.WindowHours == 0
 }
 
 // traceRoot hands the run its root span; the zero ActiveSpan of an
@@ -212,7 +218,7 @@ func (j *Job) emitProgressLocked() {
 	}
 }
 
-// jobWindow tracks one window of a windowed job.
+// jobWindow tracks one window of a job.
 type jobWindow struct {
 	index                  int
 	startMinute, endMinute float64
@@ -265,8 +271,17 @@ func (j *Job) commitEmptyWindow(index int, startMinute, endMinute float64) {
 		endMinute:   endMinute,
 		state:       WindowEmpty,
 	})
+	j.emitWindowLocked(index, WindowEmpty, 0)
+}
+
+// emitWindowLocked appends a window event, except for a batch job, whose
+// window is internal. Caller holds j.mu.
+func (j *Job) emitWindowLocked(index int, state WindowState, groups int) {
+	if batchJob(j.spec) {
+		return
+	}
 	j.appendEventLocked(api.JobEvent{Type: api.EventWindow,
-		Window: &api.WindowEvent{Index: index, State: WindowEmpty}})
+		Window: &api.WindowEvent{Index: index, State: state, Groups: groups}})
 }
 
 // startWindow marks a window running with the given shard count.
@@ -275,8 +290,7 @@ func (j *Job) startWindow(w, shards int) {
 	defer j.mu.Unlock()
 	j.windows[w].state = WindowRunning
 	j.windows[w].shardProgress = make([]float64, shards)
-	j.appendEventLocked(api.JobEvent{Type: api.EventWindow,
-		Window: &api.WindowEvent{Index: j.windows[w].index, State: WindowRunning}})
+	j.emitWindowLocked(j.windows[w].index, WindowRunning, 0)
 }
 
 // setWindowShardProgress records one shard's completion fraction inside
@@ -298,8 +312,7 @@ func (j *Job) abortOpenWindowsLocked() {
 	for _, w := range j.windows {
 		if w.state != WindowDone && w.state != WindowEmpty {
 			w.state = WindowAborted
-			j.appendEventLocked(api.JobEvent{Type: api.EventWindow,
-				Window: &api.WindowEvent{Index: w.index, State: WindowAborted}})
+			j.emitWindowLocked(w.index, WindowAborted, 0)
 		}
 	}
 }
@@ -317,8 +330,7 @@ func (j *Job) commitWindow(w int, rel *Release, groups int, stats *core.GloveSta
 	for i := range jw.shardProgress {
 		jw.shardProgress[i] = 1
 	}
-	j.appendEventLocked(api.JobEvent{Type: api.EventWindow,
-		Window: &api.WindowEvent{Index: jw.index, State: WindowDone, Groups: jw.groups}})
+	j.emitWindowLocked(jw.index, WindowDone, jw.groups)
 	j.emitProgressLocked()
 }
 
@@ -368,7 +380,11 @@ func (j *Job) statusLocked() JobStatus {
 		AnonymousFraction: j.anonymousFraction,
 		Linkage:           j.linkage,
 	}
-	for _, w := range j.windows {
+	windows := j.windows
+	if batchJob(j.spec) {
+		windows = nil
+	}
+	for _, w := range windows {
 		ws := WindowStatus{
 			Index:       w.index,
 			StartMinute: w.startMinute,
@@ -402,26 +418,17 @@ func (j *Job) progressLocked() float64 {
 	case JobRunning, JobFailed, JobCancelled:
 		// Failed/cancelled jobs keep the last observed fraction rather
 		// than snapping back to zero.
-		switch {
-		case len(j.windows) > 0:
-			// Windowed job: weight each window by its subscriber count
-			// (the dominant cost driver) so a big window does not look
-			// done because three small ones finished.
-			var sum, total float64
-			for _, w := range j.windows {
-				weight := float64(w.users)
-				sum += weight * w.progressLocked()
-				total += weight
-			}
-			if total > 0 {
-				return sum / total
-			}
-		case len(j.shardProgress) > 0:
-			var sum float64
-			for _, p := range j.shardProgress {
-				sum += p
-			}
-			return sum / float64(len(j.shardProgress))
+		// Weight each window by its subscriber count (the dominant cost
+		// driver) so a big window does not look done because three small
+		// ones finished.
+		var sum, total float64
+		for _, w := range j.windows {
+			weight := float64(w.users)
+			sum += weight * w.progressLocked()
+			total += weight
+		}
+		if total > 0 {
+			return sum / total
 		}
 	}
 	return 0
@@ -535,11 +542,12 @@ func (r *Release) CSV() ([]byte, error) {
 // j.mu; only done and empty windows are capturable.
 func (j *Job) captureWindowLocked(w *jobWindow) (RecoveredResult, error) {
 	jw := journalWindow{
-		Index:       w.index,
-		StartMinute: w.startMinute,
-		EndMinute:   w.endMinute,
-		Records:     w.records,
-		Users:       w.users,
+		Index:           w.index,
+		StartMinute:     w.startMinute,
+		EndMinute:       w.endMinute,
+		Records:         w.records,
+		Users:           w.users,
+		SnapshotRecords: j.snapshotRecords,
 	}
 	if w.state == WindowEmpty {
 		jw.Empty = true
@@ -556,9 +564,8 @@ func (j *Job) captureWindowLocked(w *jobWindow) (RecoveredResult, error) {
 
 // capture converts the job into its checkpoint form: every committed
 // window, plus — for terminal jobs, except drain-cancelled ones whose
-// cancellation the journal deliberately never saw — the status, the
-// full event log and the result of a job without windows (a windowed
-// job's result is one of its captured windows). An interrupted job is
+// cancellation the journal deliberately never saw — the status and the
+// full event log. An interrupted job is
 // thus captured as its submission plus its committed windows, exactly the
 // shape a journal replay produces for it, so restarting from a
 // checkpoint and restarting from a raw journal converge to the same
@@ -584,24 +591,5 @@ func (j *Job) capture() (*RecoveredJob, error) {
 	st := j.statusLocked()
 	rj.Status = &st
 	rj.Events = append([]api.JobEvent(nil), j.events...)
-	if j.result != nil {
-		csv, err := j.result.CSV()
-		if err != nil {
-			return nil, err
-		}
-		rj.Results = append(rj.Results, RecoveredResult{
-			Window: journalWindow{Batch: true, Stats: j.stats}, CSV: csv,
-		})
-	}
 	return rj, nil
-}
-
-// setShardProgress records the completion fraction of one shard.
-func (j *Job) setShardProgress(shard int, frac float64) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if shard >= 0 && shard < len(j.shardProgress) && frac > j.shardProgress[shard] {
-		j.shardProgress[shard] = frac
-		j.emitProgressLocked()
-	}
 }

@@ -68,9 +68,12 @@ type journalWindow struct {
 	Users       int              `json:"users,omitempty"`
 	Groups      int              `json:"groups,omitempty"`
 	Stats       *core.GloveStats `json:"stats,omitempty"`
-	// Empty marks a window the feed skipped (committed with no release);
-	// Batch marks the result of a job without windows, served by
-	// /v1/jobs/{id}/result and journaled at the terminal transition.
+	// SnapshotRecords is, for a frozen run, the record count of the
+	// snapshot its windows were cut from; a resumed run cuts back to it.
+	SnapshotRecords int `json:"snapshot_records,omitempty"`
+	// Empty marks a window the feed skipped (committed with no release).
+	// Batch is only read: it marks a batch job's release in journals
+	// written before batch jobs ran as one window.
 	Empty bool `json:"empty,omitempty"`
 	Batch bool `json:"batch,omitempty"`
 }
@@ -325,9 +328,10 @@ func removeID(order []string, id string) []string {
 
 // normalizeRecovered rewrites every interrupted (non-terminal) job into
 // the exact shape the restarted daemon will install and serve: its
-// committed windows (a batch result journaled by a run that died before
-// its terminal status is dropped — the rerun recomputes it) and a fresh
-// queued event log with one window event per committed window — clients
+// committed windows (a legacy batch frame journaled by a run that died
+// before its terminal status is dropped — the rerun recomputes it) and a
+// fresh queued event log with one window event per committed window of
+// a job whose windows are not internal (batchJob) — clients
 // reconnecting after a restart get a fresh replay, not a continuation
 // of a log whose run died. Running the normalization before the boot
 // compaction keeps the snapshot and the in-memory restore identical,
@@ -351,6 +355,10 @@ func normalizeRecovered(st *RecoveredState) {
 			return j.Results[a].Window.Index < j.Results[b].Window.Index
 		})
 		evs := []api.JobEvent{{Seq: 1, Type: api.EventState, JobID: j.ID, State: api.JobQueued}}
+		if batchJob(j.Spec) {
+			j.Events = evs
+			continue
+		}
 		for _, r := range j.Results {
 			we := &api.WindowEvent{Index: r.Window.Index, State: api.WindowEmpty}
 			if !r.Window.Empty {

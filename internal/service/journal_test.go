@@ -186,6 +186,8 @@ func TestRegistryRejectsOutOfRangeMinutes(t *testing.T) {
 // TestJournalTerminalJobRestored pins the verbatim half of job
 // recovery: a finished batch job comes back with an identical status,
 // an identical event log, and a byte-identical downloadable release.
+// So does a batch job journaled before batch jobs ran as one window,
+// whose release frame is marked "batch", and a cancelled batch job.
 func TestJournalTerminalJobRestored(t *testing.T) {
 	dir := t.TempDir()
 	jrnl, reg, mgr, _ := bootService(t, dir, ManagerOptions{})
@@ -213,10 +215,45 @@ func TestJournalTerminalJobRestored(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The legacy job's frames, written by hand: submission, the "batch"
+	// release frame, terminal status.
+	const legacy = "job-000002"
+	legacyStatus := final
+	legacyStatus.ID = legacy
+	if err := jrnl.jobSubmitted(legacy, final.Spec, final.CreatedAt); err != nil {
+		t.Fatal(err)
+	}
+	if err := jrnl.jobResult(legacy, journalWindow{Batch: true, Stats: final.Stats}, storedCSV(t, rel)); err != nil {
+		t.Fatal(err)
+	}
+	if err := jrnl.jobTerminalStatus(legacy, legacyStatus); err != nil {
+		t.Fatal(err)
+	}
+	// A batch job cancelled mid-run committed no release; its progress
+	// survives all the same.
+	const cancelled = "job-000003"
+	cancelledStatus := final
+	cancelledStatus.ID, cancelledStatus.State, cancelledStatus.Progress = cancelled, JobCancelled, 0.375
+	cancelledStatus.Stats, cancelledStatus.Accuracy, cancelledStatus.AnonymousFraction = nil, nil, nil
+	if err := jrnl.jobSubmitted(cancelled, final.Spec, final.CreatedAt); err != nil {
+		t.Fatal(err)
+	}
+	if err := jrnl.jobTerminalStatus(cancelled, cancelledStatus); err != nil {
+		t.Fatal(err)
+	}
 	crashClose(mgr, reg, jrnl)
 
 	jrnl2, reg2, mgr2, _ := bootService(t, dir, ManagerOptions{})
 	defer crashClose(mgr2, reg2, jrnl2)
+	if got, ok := mgr2.Get(legacy); !ok || got.State != JobDone || len(got.Windows) != 0 {
+		t.Errorf("legacy batch job after restart: %+v (found %v), want done with no windows", got, ok)
+	}
+	if lrel, err := mgr2.Result(legacy); err != nil || !bytes.Equal(storedCSV(t, lrel), storedCSV(t, rel)) {
+		t.Errorf("legacy batch job's restored release differs from the original bytes (%v)", err)
+	}
+	if got, _ := mgr2.Get(cancelled); !reflect.DeepEqual(got, cancelledStatus) {
+		t.Errorf("cancelled batch job after restart: %+v, want %+v", got, cancelledStatus)
+	}
 	got, ok := mgr2.Get(st.ID)
 	if !ok {
 		t.Fatal("terminal job gone after restart")
@@ -241,7 +278,7 @@ func TestJournalTerminalJobRestored(t *testing.T) {
 	if !bytes.Equal(storedCSV(t, rel2), storedCSV(t, rel)) {
 		t.Error("restored release differs from the original bytes")
 	}
-	if r := jrnl2.Report(); r.RecoveredJobs["restored"] != 1 {
+	if r := jrnl2.Report(); r.RecoveredJobs["restored"] != 3 {
 		t.Errorf("durability report: %+v", r.RecoveredJobs)
 	}
 }
@@ -691,6 +728,83 @@ func TestJournalSingleReleaseWindowedJournaledOnce(t *testing.T) {
 				t.Error("restored /result differs from the original bytes")
 			}
 		})
+	}
+}
+
+// A frozen job resumed after its last window committed reads the
+// snapshot its commits saw, not the dataset as it stands at the
+// restart: records appended in between change neither its
+// anonymous_fraction nor its plan, which is reported although no window
+// runs again. The interrupted job is journaled by hand — the twin's
+// submission and the control run's committed window 0 — as a daemon
+// killed between that commit and the terminal status leaves it.
+func TestJournalFrozenResumeReadsCommittedSnapshot(t *testing.T) {
+	dir := t.TempDir()
+	jrnl, reg, mgr, _ := bootService(t, dir, ManagerOptions{})
+	info := ingestSynth(t, reg, 40, 2)
+	ctrl, err := mgr.Submit(JobSpec{DatasetID: info.ID, K: 2, Workers: 1, Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := waitForState(t, mgr, ctrl.ID, func(s JobStatus) bool { return s.State.Terminal() })
+	if want.State != JobDone {
+		t.Fatalf("control job finished %s: %s", want.State, want.Error)
+	}
+	rel, err := mgr.Result(ctrl.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mgr.mu.Lock()
+	job := mgr.jobs[ctrl.ID]
+	mgr.mu.Unlock()
+	rj, err := job.capture()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const twin = "job-000002"
+	if err := jrnl.jobSubmitted(twin, want.Spec, want.CreatedAt); err != nil {
+		t.Fatal(err)
+	}
+	if err := jrnl.jobResult(twin, rj.Results[0].Window, rj.Results[0].CSV); err != nil {
+		t.Fatal(err)
+	}
+	// A checkpoint taken while the requeued twin waits to run journals
+	// the count again.
+	queued := newJob(twin, want.Spec)
+	if _, err := buildWindowResume(queued, rj); err != nil {
+		t.Fatal(err)
+	}
+	if c, err := queued.capture(); err != nil || c.Results[0].Window.SnapshotRecords != info.Records {
+		t.Errorf("checkpoint of the requeued job: %+v, %v; want snapshot_records %d", c, err, info.Records)
+	}
+	// Two identical fingerprints: anonymous, so counting them would move
+	// the fraction.
+	late := "user,lat,lon,minute\nlate-a,7.5,-5.5,0\nlate-b,7.5,-5.5,0\n"
+	if _, err := reg.Append(info.ID, strings.NewReader(late)); err != nil {
+		t.Fatal(err)
+	}
+	crashClose(mgr, reg, jrnl)
+
+	jrnl2, reg2, mgr2, _ := bootService(t, dir, ManagerOptions{})
+	defer crashClose(mgr2, reg2, jrnl2)
+	got := waitForState(t, mgr2, twin, func(s JobStatus) bool { return s.State.Terminal() })
+	if got.State != JobDone {
+		t.Fatalf("resumed job finished %s: %s", got.State, got.Error)
+	}
+	if want.AnonymousFraction == nil {
+		t.Fatal("control job has no anonymous fraction")
+	}
+	if got.AnonymousFraction == nil || *got.AnonymousFraction != *want.AnonymousFraction {
+		t.Errorf("anonymous fraction %v, want the uninterrupted run's %g", got.AnonymousFraction, *want.AnonymousFraction)
+	}
+	if got.Shards != want.Shards || !reflect.DeepEqual(got.Plan, want.Plan) {
+		t.Errorf("plan: %d shards %+v, want %d shards %+v", got.Shards, got.Plan, want.Shards, want.Plan)
+	}
+	if !reflect.DeepEqual(got.Stats, want.Stats) {
+		t.Errorf("stats %+v, want %+v", got.Stats, want.Stats)
+	}
+	if grel, err := mgr2.Result(twin); err != nil || !bytes.Equal(storedCSV(t, grel), storedCSV(t, rel)) {
+		t.Errorf("resumed release differs from the uninterrupted run's (%v)", err)
 	}
 }
 

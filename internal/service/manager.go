@@ -343,7 +343,7 @@ func (m *Manager) Submit(spec JobSpec) (JobStatus, error) {
 	}
 
 	m.tel.jobSubmitted()
-	if spec.WindowHours > 0 {
+	if !batchJob(spec) {
 		m.agg.Lock()
 		m.agg.windowedJobs++
 		m.agg.Unlock()
@@ -489,10 +489,11 @@ func (m *Manager) Remove(id string) error {
 	return nil
 }
 
-// Result returns the release of a finished job. For a windowed job it
-// is only served when the run produced exactly one release (then it is
-// byte-identical to the batch result); multi-window jobs publish
-// per-window releases via WindowResult instead.
+// Result returns the release of a finished job: its single committed
+// window's. A batch job always has exactly one; a windowed job whose run
+// produced one release serves it here too (byte-identical to the batch
+// result), while multi-window jobs publish per-window releases via
+// WindowResult instead.
 func (m *Manager) Result(id string) (*Release, error) {
 	m.mu.Lock()
 	job, ok := m.jobs[id]
@@ -505,9 +506,6 @@ func (m *Manager) Result(id string) (*Release, error) {
 	if job.state != JobDone {
 		return nil, api.Errorf(api.CodeResultNotReady, "job %s is %s, no result", id, job.state).
 			With("state", string(job.state))
-	}
-	if job.result != nil {
-		return job.result, nil
 	}
 	var rel *Release
 	released := 0
@@ -539,7 +537,7 @@ func (m *Manager) WindowResult(id string, w int) (*Release, error) {
 	}
 	job.mu.Lock()
 	defer job.mu.Unlock()
-	if len(job.windows) == 0 {
+	if batchJob(job.spec) {
 		return nil, api.Errorf(api.CodeWindowNotFound, "job %s is not windowed", id)
 	}
 	// w is the absolute window index reported in WindowStatus.Index
@@ -630,7 +628,7 @@ func (m *Manager) runJob(job *Job) {
 		m.log.Info("job started", "job_id", job.id)
 	}
 
-	outcome, err := m.execute(ctx, job, spec)
+	outcome, err := m.executeWindows(ctx, job, spec)
 
 	// The accuracy measurement walks every published sample; do it
 	// before taking job.mu so status polling never blocks behind it.
@@ -666,7 +664,6 @@ func (m *Manager) runJob(job *Job) {
 		job.abortOpenWindowsLocked()
 		job.transition(JobFailed)
 	default:
-		job.result = outcome.result
 		job.stats = outcome.stats
 		job.accuracy = accuracy
 		job.anonymousFraction = outcome.anonFrac
@@ -679,7 +676,7 @@ func (m *Manager) runJob(job *Job) {
 	finished := job.finished
 	job.mu.Unlock()
 
-	m.journalTerminal(job, outcome.csv)
+	m.journalTerminal(job)
 
 	m.tel.jobFinished(state, finished.Sub(started), stats)
 	m.agg.Lock()
@@ -711,14 +708,12 @@ func (m *Manager) runJob(job *Job) {
 	m.mu.Unlock()
 }
 
-// journalTerminal makes a job's terminal state durable: csv, the
-// release of a job without windows, if the job is done (every window
-// release — including the one a single-release windowed job serves as
-// its result — was journaled at its commit), then the full terminal
-// status — the record that turns a replayed job from "interrupted,
-// requeue" into "finished, restore verbatim". Drain-cancelled jobs are
-// skipped on purpose.
-func (m *Manager) journalTerminal(job *Job, csv []byte) {
+// journalTerminal makes a job's terminal state durable: the full
+// terminal status — the record that turns a replayed job from
+// "interrupted, requeue" into "finished, restore verbatim". Every release
+// was journaled at its window's commit. Drain-cancelled jobs are skipped
+// on purpose.
+func (m *Manager) journalTerminal(job *Job) {
 	if m.jrnl == nil {
 		return
 	}
@@ -728,17 +723,8 @@ func (m *Manager) journalTerminal(job *Job, csv []byte) {
 		return
 	}
 	st := job.statusLocked()
-	result := job.result
 	job.mu.Unlock()
 
-	if result != nil {
-		if err := m.jrnl.jobResult(job.id, journalWindow{Batch: true, Stats: st.Stats}, csv); err != nil {
-			if m.log != nil {
-				m.log.Error("journaling job result failed", "job_id", job.id, "error", err.Error())
-			}
-			return
-		}
-	}
 	if err := m.jrnl.jobTerminalStatus(job.id, st); err != nil && m.log != nil {
 		m.log.Error("journaling terminal status failed", "job_id", job.id, "error", err.Error())
 	}
@@ -824,12 +810,13 @@ func (m *Manager) seqNum() int {
 
 // Restore rebuilds the manager's jobs from a journal replay. Terminal
 // jobs come back verbatim — status, event log, downloadable releases.
-// Interrupted jobs are re-enqueued: batch jobs restart from scratch
-// (their runs are deterministic, so the rerun publishes the same
-// bytes), and windowed jobs resume after their last committed window,
-// with every already-committed release immutable. Call before
-// the daemon serves traffic; requeued jobs may start executing
-// immediately.
+// Interrupted jobs are re-enqueued and resume after their last committed
+// window, every committed release immutable: a batch job killed after
+// its commit only re-runs its analysis. A batch or windowed job reads
+// the dataset cut back to the snapshot its commits saw, not records
+// appended since; a job that committed nothing restarts from scratch on
+// the dataset as it stands. Call before the daemon serves traffic;
+// requeued jobs may start executing immediately.
 func (m *Manager) Restore(st *RecoveredState) error {
 	m.mu.Lock()
 	if st.JobSeq > m.seq {
@@ -904,7 +891,7 @@ func (m *Manager) requeueRecovered(rj *RecoveredJob) error {
 	return nil
 }
 
-// buildWindowResume reconstructs a windowed job's committed prefix: the
+// buildWindowResume reconstructs a job's committed prefix: the
 // jobWindow entries (so recovered releases stay downloadable, as their
 // journaled bytes), and the resume state executeWindows seeds its loop
 // with — floor, releases and their window indices, aggregate stats — so
@@ -916,12 +903,10 @@ func buildWindowResume(job *Job, rj *RecoveredJob) (*windowResume, error) {
 	resume := &windowResume{floor: -1, stats: &core.GloveStats{}}
 	for _, r := range rj.Results {
 		w := r.Window
-		if w.Batch {
-			continue
-		}
 		if w.Index > resume.floor {
 			resume.floor = w.Index
 		}
+		job.snapshotRecords = max(job.snapshotRecords, w.SnapshotRecords)
 		jw := &jobWindow{
 			index:       w.Index,
 			startMinute: w.StartMinute,
@@ -955,7 +940,10 @@ func buildWindowResume(job *Job, rj *RecoveredJob) (*windowResume, error) {
 
 // restoreTerminalJob rebuilds a finished job verbatim from its journaled
 // terminal status, event log, and releases; the releases are kept as
-// their journaled bytes, never decoded.
+// their journaled bytes, never decoded. A batch job's status lists no
+// window, so its one window is rebuilt from its release frame, if it
+// committed one (a journal written before batch jobs ran as one window
+// marks that frame "batch").
 func restoreTerminalJob(rj *RecoveredJob) (*Job, error) {
 	st := rj.Status
 	job := &Job{
@@ -980,15 +968,6 @@ func restoreTerminalJob(rj *RecoveredJob) (*Job, error) {
 		job.finished = *st.FinishedAt
 	}
 	job.events = append([]api.JobEvent(nil), rj.Events...)
-	// Shards and Progress have no per-shard breakdown in the status;
-	// seeding every slot with the overall fraction preserves both
-	// aggregates exactly (Status reports len() and the mean).
-	if st.Shards > 0 {
-		job.shardProgress = make([]float64, st.Shards)
-		for i := range job.shardProgress {
-			job.shardProgress[i] = st.Progress
-		}
-	}
 	results := make(map[int]*Release, len(rj.Results))
 	for _, r := range rj.Results {
 		if r.Window.Empty {
@@ -998,23 +977,34 @@ func restoreTerminalJob(rj *RecoveredJob) (*Job, error) {
 		if err != nil {
 			return nil, fmt.Errorf("window %d release: %w", r.Window.Index, err)
 		}
-		if r.Window.Batch {
-			job.result = rel
-		} else {
-			results[r.Window.Index] = rel
-		}
+		results[r.Window.Index] = rel
 	}
-	for _, ws := range st.Windows {
+	windows := st.Windows
+	if batchJob(st.Spec) {
+		// Its one window carries the job's progress (weight 1), or its
+		// committed release.
+		ws := WindowStatus{Users: 1, State: WindowAborted, Progress: st.Progress}
+		if len(rj.Results) > 0 {
+			w := rj.Results[0].Window
+			ws = WindowStatus{Index: w.Index, Records: w.Records, Users: w.Users,
+				State: WindowDone, Groups: w.Groups, Stats: w.Stats}
+		}
+		windows = []WindowStatus{ws}
+	}
+	// A window's progress has no per-shard breakdown in the status; one
+	// slot holding the fraction preserves it, and so the job's.
+	for _, ws := range windows {
 		job.windows = append(job.windows, &jobWindow{
-			index:       ws.Index,
-			startMinute: ws.StartMinute,
-			endMinute:   ws.EndMinute,
-			records:     ws.Records,
-			users:       ws.Users,
-			state:       ws.State,
-			groups:      ws.Groups,
-			stats:       ws.Stats,
-			result:      results[ws.Index],
+			index:         ws.Index,
+			startMinute:   ws.StartMinute,
+			endMinute:     ws.EndMinute,
+			records:       ws.Records,
+			users:         ws.Users,
+			state:         ws.State,
+			shardProgress: []float64{ws.Progress},
+			groups:        ws.Groups,
+			stats:         ws.Stats,
+			result:        results[ws.Index],
 		})
 	}
 	return job, nil
@@ -1022,66 +1012,13 @@ func restoreTerminalJob(rj *RecoveredJob) (*Job, error) {
 
 // runOutcome carries everything a finished run hands back to runJob.
 type runOutcome struct {
-	// result is the stored release of a batch run, served by
-	// /v1/jobs/{id}/result, and csv its CSV, for the journal; both nil
-	// for windowed runs (their releases live on their windows).
-	result *Release
-	csv    []byte
-	// measured is the dataset the accuracy summary walks — the batch
-	// output, or the concatenation of all windowed releases. It is the
-	// last reference to the run's datasets; runJob drops it once
-	// measured.
+	// measured is the dataset the accuracy summary walks — the
+	// concatenation of all committed releases. It is the last reference
+	// to the run's datasets; runJob drops it once measured.
 	measured *core.Dataset
 	stats    *core.GloveStats
 	anonFrac *float64
 	linkage  *analysis.LinkageResult
-}
-
-// execute performs the anonymization pipeline of one job. A batch job
-// runs against a frozen snapshot of the dataset: appends racing the run
-// bump the registry version but never change what this job anonymizes.
-// Windowed jobs take their snapshots inside executeWindows.
-func (m *Manager) execute(ctx context.Context, job *Job, spec JobSpec) (runOutcome, error) {
-	if spec.WindowHours > 0 {
-		return m.executeWindows(ctx, job, spec)
-	}
-	table, info, ok := m.reg.SnapshotSource(spec.DatasetID)
-	if !ok {
-		return runOutcome{}, fmt.Errorf("service: dataset %q disappeared", spec.DatasetID)
-	}
-	job.mu.Lock()
-	job.datasetVersion = info.Version
-	job.mu.Unlock()
-
-	root := job.traceRoot()
-	shards, err := m.planJob(job, root, table, info.Users, spec)
-	if err != nil {
-		return runOutcome{}, err
-	}
-	job.mu.Lock()
-	job.shardProgress = make([]float64, len(shards))
-	job.mu.Unlock()
-
-	result, stats, err := runShards(ctx, shards, spec, m.tel, root, job.setShardProgress)
-	if err != nil {
-		return runOutcome{}, err
-	}
-	vspan := root.Child(obs.SpanValidate, "")
-	verr := core.ValidateKAnonymity(result, spec.K)
-	job.emitSpan(obs.SpanValidate, "", vspan.End())
-	if verr != nil {
-		return runOutcome{}, fmt.Errorf("service: published dataset failed validation: %w", verr)
-	}
-
-	csv, rel, err := encodeRelease(result)
-	if err != nil {
-		return runOutcome{}, fmt.Errorf("service: encoding release: %w", err)
-	}
-
-	aspan := root.Child(obs.SpanAnalysis, "")
-	anonFrac := m.anonymizability(ctx, aspan, table, spec)
-	job.emitSpan(obs.SpanAnalysis, "", aspan.End())
-	return runOutcome{result: rel, csv: csv, measured: result, stats: stats, anonFrac: anonFrac}, nil
 }
 
 // planJob partitions src into shards under a plan span, then resolves

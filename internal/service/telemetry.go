@@ -311,9 +311,9 @@ func (t *Telemetry) walAppended(n int) {
 }
 
 // jobRecovered counts one job rebuilt at boot: outcome "restored"
-// (terminal job served verbatim), "requeued" (interrupted batch or
-// windowed job restarted from scratch), or "resumed" (follow job
-// continuing at its last committed window).
+// (terminal job served verbatim), "requeued" (interrupted job that
+// committed no window, restarted from scratch), or "resumed"
+// (interrupted job continuing after its last committed window).
 func (t *Telemetry) jobRecovered(outcome string) {
 	if t != nil {
 		t.recoveredJobs.With(outcome).Inc()
