@@ -27,9 +27,6 @@ type remoteJob struct {
 	suppressKm  float64
 	suppressMin float64
 	workers     int
-	strategy    string
-	chunkSize   int
-	index       string
 	window      float64
 	out         string
 	trace       bool
@@ -52,9 +49,7 @@ var errInterrupted = errors.New("interrupted, no output written")
 // fresh dataset, submits the job, follows the Server-Sent-Events stream
 // for progress, downloads the batch release (or one CSV per window),
 // validates every release, and cleans up after itself. The job is
-// submitted with one shard (the paper's single global run) and the
-// explicit batch spelling (window_hours = -1) when -window is unset, so
-// a daemon's -window-hours default cannot turn it into a windowed run.
+// submitted with one shard (the paper's single global run).
 func runRemote(ctx context.Context, server string, job remoteJob, stdout, stderr io.Writer) error {
 	c, err := client.New(server)
 	if err != nil {
@@ -108,21 +103,11 @@ func runRemote(ctx context.Context, server string, job remoteJob, stdout, stderr
 		SuppressMin: job.suppressMin,
 		// One shard: sharding trades accuracy for throughput; the CLI
 		// publishes the paper's single global run, local or remote.
-		Shards:    1,
-		Workers:   job.workers,
-		Strategy:  job.strategy,
-		ChunkSize: job.chunkSize,
-		Index:     job.index,
-		// -1 is the wire contract's explicit batch spelling, overriding
-		// any daemon-wide -window-hours default.
-		WindowHours: -1,
-	}
-	if job.window > 0 {
-		spec.WindowHours = job.window
-	}
-	if job.follow {
-		spec.Follow = true
-		spec.FollowWindows = job.followWindows
+		Shards:        1,
+		Workers:       job.workers,
+		WindowHours:   job.window,
+		Follow:        job.follow,
+		FollowWindows: job.followWindows,
 	}
 	st, err := c.SubmitJob(ctx, spec)
 	if err != nil {

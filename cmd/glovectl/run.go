@@ -35,9 +35,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		suppressMin = fs.Float64("suppress-min", 0, "suppress samples longer than this many minutes (0 = off)")
 		out         = fs.String("out", "", "output CSV path for the anonymized dataset (default stdout)")
 		workers     = fs.Int("workers", 0, "worker count (0 = all CPUs)")
-		strategy    = fs.String("strategy", "", "execution strategy: auto, single or chunked (empty = auto)")
-		chunkSize   = fs.Int("chunk-size", 0, "fingerprints per chunked block (0 = core default)")
-		index       = fs.String("index", "", "pair-selection index: auto, dense or sparse (empty = auto)")
 		window      = fs.Float64("window", 0, "continuous release: anonymize per time window of this many hours (0 = one batch release; requires -out)")
 		follow      = fs.Bool("follow", false, "streaming mode: subscribe to the dataset's appends and download each window release as the feed closes it (requires -server and -window)")
 		followWin   = fs.Int("follow-windows", 0, "stop -follow after this many committed window releases (0 = run until interrupted)")
@@ -90,8 +87,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	return runRemote(ctx, *server, remoteJob{
 		in: *in, lat: *lat, lon: *lon, days: *days,
 		k: *k, suppressKm: *suppressKm, suppressMin: *suppressMin,
-		workers: *workers, strategy: *strategy, chunkSize: *chunkSize, index: *index,
-		window: *window, out: *out, trace: *trace,
+		workers: *workers, window: *window, out: *out, trace: *trace,
 		follow: *follow, followWindows: *followWin, dataset: *datasetID,
 	}, stdout, stderr)
 }

@@ -89,26 +89,6 @@ func TestRunWithSuppression(t *testing.T) {
 	}
 }
 
-// An explicit strategy and index run through the planner; the chosen
-// plan is reported and the output still validates.
-func TestRunExplicitStrategy(t *testing.T) {
-	in := writeTestCSV(t)
-	var stdout, stderr bytes.Buffer
-	err := run(context.Background(), []string{
-		"-in", in, "-days", "3", "-k", "2",
-		"-strategy", "chunked", "-chunk-size", "10", "-index", "sparse",
-	}, &stdout, &stderr)
-	if err != nil {
-		t.Fatalf("run: %v\nstderr: %s", err, stderr.String())
-	}
-	if !strings.Contains(stderr.String(), "plan: strategy=chunked chunk=10 index=sparse") {
-		t.Errorf("plan line missing: %s", stderr.String())
-	}
-	if !strings.HasPrefix(stdout.String(), "group,count,") {
-		t.Error("stdout missing CSV")
-	}
-}
-
 func TestRunErrors(t *testing.T) {
 	var stdout, stderr bytes.Buffer
 	if err := run(context.Background(), []string{}, &stdout, &stderr); err == nil {
@@ -126,15 +106,6 @@ func TestRunErrors(t *testing.T) {
 	}
 	if err := run(context.Background(), []string{"-bogus-flag"}, &stdout, &stderr); err == nil {
 		t.Error("bogus flag accepted")
-	}
-	if err := run(context.Background(), []string{"-in", in, "-strategy", "warp"}, &stdout, &stderr); err == nil {
-		t.Error("bogus -strategy accepted")
-	}
-	if err := run(context.Background(), []string{"-in", in, "-index", "quadtree"}, &stdout, &stderr); err == nil {
-		t.Error("bogus -index accepted")
-	}
-	if err := run(context.Background(), []string{"-in", in, "-k", "3", "-chunk-size", "4"}, &stdout, &stderr); err == nil {
-		t.Error("chunk size below 2k accepted")
 	}
 	// Malformed CSV content.
 	bad := filepath.Join(t.TempDir(), "bad.csv")
@@ -204,9 +175,6 @@ func TestRunGoldenDigests(t *testing.T) {
 			"anon.w0.csv": "48e3525e4b76f044703183cc21cd36bc90170a7c955073e24c66ab4dc3d62f89",
 			"anon.w1.csv": "9acddde31dc20085eb9357e26d73673cef0bdd4f169b5e895d6ee3aa852198d1",
 			"anon.w2.csv": "a27833e943d1a731cc647bf69cd3843f922cd121fd06bf7cb8c463da50525c68",
-		}},
-		{"chunked-sparse", []string{"-k", "3", "-strategy", "chunked", "-chunk-size", "10", "-index", "sparse"}, map[string]string{
-			"anon.csv": "d838b1cda7315c9f58deba1265a51bf0b773d63e473a1e4cb1bbdc8de0f7365d",
 		}},
 		{"suppression", []string{"-k", "2", "-suppress-km", "5", "-suppress-min", "120"}, map[string]string{
 			"anon.csv": "780877971143702bb7a5f6cbe5911b32b72cbf0248332d10cf9383b7183deaa8",

@@ -14,7 +14,6 @@ import (
 	"path/filepath"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/service"
 	"repro/internal/version"
 )
@@ -34,10 +33,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		colSpillDir = fs.String("columnar-spill-dir", "", "directory for columnar spill files (empty = system temp)")
 		maxBody     = fs.Int64("max-body-bytes", 0, "per-ingestion body byte limit (0 = unlimited)")
 		analysisCap = fs.Int("analysis-cap", 2000, "max input fingerprints for the k-gap analysis pass")
-		strategy    = fs.String("strategy", "", "default job strategy: auto, single or chunked (empty = auto)")
-		chunkSize   = fs.Int("chunk-size", 0, "default fingerprints per chunked block (0 = core default)")
-		index       = fs.String("index", "", "default pair-selection index: auto, dense or sparse (empty = auto)")
-		windowHours = fs.Float64("window-hours", 0, "default job release window in hours (0 = batch jobs)")
 		followMaxW  = fs.Int("follow-max-windows", 0, "daemon-wide cap on windows a follow job may commit (0 = unbounded)")
 		retainJobs  = fs.Int("retain-jobs", 64, "finished jobs retained in memory, oldest evicted first (0 = unlimited)")
 		retainAge   = fs.Duration("retain-age", 0, "evict finished jobs older than this (0 = no age bound)")
@@ -56,20 +51,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	if *showVersion {
 		fmt.Fprintln(stdout, version.String("gloved"))
 		return nil
-	}
-	// Fail fast on bad planner defaults instead of rejecting every
-	// future job submission.
-	if _, err := core.ParseStrategy(*strategy); err != nil {
-		return fmt.Errorf("gloved: -strategy: %w", err)
-	}
-	if _, err := core.ParseIndexKind(*index); err != nil {
-		return fmt.Errorf("gloved: -index: %w", err)
-	}
-	if *chunkSize < 0 {
-		return fmt.Errorf("gloved: -chunk-size %d is negative", *chunkSize)
-	}
-	if *windowHours < 0 {
-		return fmt.Errorf("gloved: -window-hours %g is negative", *windowHours)
 	}
 	if *followMaxW < 0 {
 		return fmt.Errorf("gloved: -follow-max-windows %d is negative", *followMaxW)
@@ -147,10 +128,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		AnalysisMaxFingerprints: *analysisCap,
 		MaxFinishedJobs:         maxFinished,
 		MaxFinishedAge:          *retainAge,
-		DefaultStrategy:         *strategy,
-		DefaultChunkSize:        *chunkSize,
-		DefaultIndex:            *index,
-		DefaultWindowHours:      *windowHours,
 		MaxFollowWindows:        *followMaxW,
 		Telemetry:               tel,
 		Log:                     logger,

@@ -30,18 +30,6 @@ func TestRunBadFlags(t *testing.T) {
 	if err := run(context.Background(), []string{"-addr", "999.999.999.999:0"}, &stdout, &stderr); err == nil {
 		t.Error("unlistenable address accepted")
 	}
-	if err := run(context.Background(), []string{"-strategy", "warp"}, &stdout, &stderr); err == nil {
-		t.Error("bogus -strategy default accepted")
-	}
-	if err := run(context.Background(), []string{"-index", "quadtree"}, &stdout, &stderr); err == nil {
-		t.Error("bogus -index default accepted")
-	}
-	if err := run(context.Background(), []string{"-chunk-size", "-3"}, &stdout, &stderr); err == nil {
-		t.Error("negative -chunk-size default accepted")
-	}
-	if err := run(context.Background(), []string{"-window-hours", "-2"}, &stdout, &stderr); err == nil {
-		t.Error("negative -window-hours default accepted")
-	}
 	if err := run(context.Background(), []string{"-retain-age", "-1s"}, &stdout, &stderr); err == nil {
 		t.Error("negative -retain-age accepted")
 	}

@@ -155,11 +155,6 @@ func TestJobSpecValidate(t *testing.T) {
 		{K: 2},                 // no dataset
 		{DatasetID: "d", K: 1}, // k too small
 		{DatasetID: "d", K: 2, SuppressKm: -1},
-		{DatasetID: "d", K: 2, Strategy: "warp"},
-		{DatasetID: "d", K: 2, Index: "quadtree"},
-		{DatasetID: "d", K: 2, ChunkSize: -4},
-		{DatasetID: "d", K: 3, ChunkSize: 4},
-		{DatasetID: "d", K: 2, ChunkSize: 8, Strategy: "single"},
 		{DatasetID: "d", K: 2, WindowHours: -1},
 	}
 	for i, spec := range bad {

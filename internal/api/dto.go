@@ -69,6 +69,9 @@ func (s JobState) Terminal() bool {
 }
 
 // JobSpec is the client-supplied description of an anonymization job.
+// It fixes the release (k, suppression) and the window shape; how each
+// shard executes (strategy, chunk size, index) is picked by
+// core.PlanFor from the shard's size alone.
 type JobSpec struct {
 	// DatasetID names a dataset previously registered via ingestion.
 	DatasetID string `json:"dataset_id"`
@@ -86,27 +89,11 @@ type JobSpec struct {
 	// Workers bounds the job's CPU parallelism; <= 0 uses all CPUs.
 	Workers int `json:"workers,omitempty"`
 
-	// Strategy selects single-run vs chunked execution inside each
-	// shard: "auto" (or empty), "single" or "chunked". Auto picks by
-	// shard size (core.SingleRunMaxN).
-	Strategy string `json:"strategy,omitempty"`
-	// ChunkSize is the target fingerprints per chunked block; 0 uses
-	// core.DefaultChunkSize. Must be >= 2k when set, and requires a
-	// strategy other than "single".
-	ChunkSize int `json:"chunk_size,omitempty"`
-	// Index selects the pair-selection index: "auto" (or empty),
-	// "dense" or "sparse". Auto picks dense up to core.DenseIndexMaxN
-	// fingerprints per run and sparse (O(n·m) memory) above.
-	Index string `json:"index,omitempty"`
-
 	// WindowHours, when > 0, turns the job into a continuous-release
 	// run: the dataset snapshot is partitioned into time windows of this
 	// many hours (aligned at multiples from the dataset epoch) and each
 	// window is anonymized independently into its own release, published
-	// as it completes. 0 anonymizes the whole snapshot in one release
-	// (or inherits the daemon-wide default); a negative value submitted
-	// to the manager explicitly forces a batch run even when the daemon
-	// defaults to windowed.
+	// as it completes. 0 anonymizes the whole snapshot in one release.
 	WindowHours float64 `json:"window_hours,omitempty"`
 
 	// Follow, when true, turns a windowed job into a streaming run: the
@@ -136,21 +123,6 @@ func (s JobSpec) Validate() error {
 	if !finiteNonNegative(s.SuppressKm) || !finiteNonNegative(s.SuppressMin) {
 		return Errorf(CodeInvalidSpec, "suppression thresholds %g km, %g min: need finite and >= 0",
 			s.SuppressKm, s.SuppressMin)
-	}
-	strategy, err := core.ParseStrategy(s.Strategy)
-	if err != nil {
-		return Errorf(CodeInvalidSpec, "%v", err)
-	}
-	if _, err := core.ParseIndexKind(s.Index); err != nil {
-		return Errorf(CodeInvalidSpec, "%v", err)
-	}
-	switch {
-	case s.ChunkSize < 0:
-		return Errorf(CodeInvalidSpec, "negative chunk_size %d", s.ChunkSize)
-	case s.ChunkSize > 0 && s.ChunkSize < 2*s.K:
-		return Errorf(CodeInvalidSpec, "chunk_size %d < 2k = %d", s.ChunkSize, 2*s.K)
-	case s.ChunkSize > 0 && strategy == core.StrategySingle:
-		return Errorf(CodeInvalidSpec, "chunk_size %d set but strategy is single", s.ChunkSize)
 	}
 	if !finiteNonNegative(s.WindowHours) {
 		return Errorf(CodeInvalidSpec, "window_hours %g, need finite and >= 0", s.WindowHours)

@@ -14,9 +14,6 @@ const (
 	// a "done" window's release is downloadable the moment the event
 	// is observed.
 	EventWindow JobEventType = "window"
-	// EventSpan summarizes a completed trace span (plan, window,
-	// validate); the full tree is at GET /v1/jobs/{id}/trace.
-	EventSpan JobEventType = "span"
 )
 
 // JobEvent is one entry of a job's append-only event log, streamed by
@@ -41,9 +38,6 @@ type JobEvent struct {
 
 	// Window accompanies EventWindow.
 	Window *WindowEvent `json:"window,omitempty"`
-
-	// Span accompanies EventSpan.
-	Span *SpanEvent `json:"span,omitempty"`
 }
 
 // WindowEvent describes one window transition of a windowed job.
@@ -54,19 +48,6 @@ type WindowEvent struct {
 	State WindowState `json:"state"`
 	// Groups is the published group count of a done window.
 	Groups int `json:"groups,omitempty"`
-}
-
-// SpanEvent summarizes one completed trace span in the event log. Only
-// coarse per-job phases are summarized (plan, each window, validate,
-// analysis) — per-shard spans stay in the trace tree so the event log
-// stays small.
-type SpanEvent struct {
-	// Kind is the span vocabulary entry (obs.SpanKinds); append-only.
-	Kind string `json:"kind"`
-	// Name distinguishes repeated kinds, e.g. the window label.
-	Name string `json:"name,omitempty"`
-	// DurationMS is the span's wall-clock duration in milliseconds.
-	DurationMS float64 `json:"duration_ms"`
 }
 
 // Terminal reports whether this event closes the stream.

@@ -61,7 +61,7 @@ const (
 	DefaultIndexNeighbors = 8
 )
 
-// ParseStrategy maps the wire/flag spelling to a Strategy ("" = auto).
+// ParseStrategy maps a spelling to a Strategy ("" = auto).
 func ParseStrategy(s string) (Strategy, error) {
 	switch Strategy(s) {
 	case "", StrategyAuto:
@@ -74,7 +74,7 @@ func ParseStrategy(s string) (Strategy, error) {
 	return "", fmt.Errorf("core: unknown strategy %q (want auto, single or chunked)", s)
 }
 
-// ParseIndexKind maps the wire/flag spelling to an IndexKind ("" = auto).
+// ParseIndexKind maps a spelling to an IndexKind ("" = auto).
 func ParseIndexKind(s string) (IndexKind, error) {
 	switch IndexKind(s) {
 	case "", IndexAuto:

@@ -595,42 +595,6 @@ func TestServerContinuousRelease(t *testing.T) {
 	}
 }
 
-// A daemon-wide -window-hours default fills unset specs, and the
-// explicit negative spelling overrides it back to a batch job.
-func TestDefaultWindowHoursAndBatchOverride(t *testing.T) {
-	reg := NewRegistry()
-	mgr := NewManager(reg, ManagerOptions{DefaultWindowHours: 24})
-	defer mgr.Close()
-
-	info := ingestSynth(t, reg, 30, 2)
-	st, err := mgr.Submit(JobSpec{DatasetID: info.ID, K: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Spec.WindowHours != 24 {
-		t.Errorf("unset window_hours = %g, want the daemon default 24", st.Spec.WindowHours)
-	}
-	final := waitForState(t, mgr, st.ID, func(s JobStatus) bool { return s.State.Terminal() })
-	if final.State != JobDone || len(final.Windows) != 2 {
-		t.Errorf("defaulted job: state %s, %d windows, want done / 2", final.State, len(final.Windows))
-	}
-
-	st2, err := mgr.Submit(JobSpec{DatasetID: info.ID, K: 2, WindowHours: -1})
-	if err != nil {
-		t.Fatalf("explicit batch override rejected: %v", err)
-	}
-	if st2.Spec.WindowHours != 0 {
-		t.Errorf("batch override window_hours = %g, want 0", st2.Spec.WindowHours)
-	}
-	final2 := waitForState(t, mgr, st2.ID, func(s JobStatus) bool { return s.State.Terminal() })
-	if final2.State != JobDone || len(final2.Windows) != 0 {
-		t.Errorf("batch override: state %s, %d windows, want done / 0", final2.State, len(final2.Windows))
-	}
-	if _, err := mgr.Result(st2.ID); err != nil {
-		t.Errorf("batch override has no result: %v", err)
-	}
-}
-
 func TestJobSpecWindowValidation(t *testing.T) {
 	bad := JobSpec{DatasetID: "ds-1", K: 2, WindowHours: -1}
 	if err := bad.Validate(); err == nil {

@@ -129,6 +129,12 @@ func TestServerErrorEnvelope(t *testing.T) {
 		{"oversized spec body", "POST", "/v1/jobs", `{"dataset_id":"` + strings.Repeat("x", 2<<20) + `"}`, 413, api.CodeBodyTooLarge},
 		{"unknown spec field", "POST", "/v1/jobs", `{"zap":1}`, 400, api.CodeInvalidSpec},
 		{"spec k too small", "POST", "/v1/jobs", `{"dataset_id":"x","k":1}`, 400, api.CodeInvalidSpec},
+		// The planner alone picks strategy, chunk size and index, and 0
+		// is the only batch spelling.
+		{"spec strategy field", "POST", "/v1/jobs", `{"dataset_id":"x","k":2,"strategy":"single"}`, 400, api.CodeInvalidSpec},
+		{"spec chunk_size field", "POST", "/v1/jobs", `{"dataset_id":"x","k":2,"chunk_size":10}`, 400, api.CodeInvalidSpec},
+		{"spec index field", "POST", "/v1/jobs", `{"dataset_id":"x","k":2,"index":"dense"}`, 400, api.CodeInvalidSpec},
+		{"spec negative window_hours", "POST", "/v1/jobs", `{"dataset_id":"x","k":2,"window_hours":-1}`, 400, api.CodeInvalidSpec},
 		{"spec unknown dataset", "POST", "/v1/jobs", `{"dataset_id":"nope","k":2}`, 404, api.CodeDatasetNotFound},
 		{"unknown job", "GET", "/v1/jobs/job-999999", "", 404, api.CodeJobNotFound},
 		{"cancel unknown job", "DELETE", "/v1/jobs/job-999999", "", 404, api.CodeJobNotFound},

@@ -92,6 +92,7 @@ func (m *Manager) executeWindows(ctx context.Context, job *Job, spec JobSpec) (r
 		planned       bool
 		resumeFloor   = -1
 		snapRecords   int // frozen runs: the record count of the snapshot
+		snapVersion   int // frozen runs: the registry version of the snapshot
 	)
 	if resume := job.takeResume(); resume != nil {
 		// Restarted after a crash or drain: the journal already holds
@@ -161,7 +162,7 @@ func (m *Manager) executeWindows(ctx context.Context, job *Job, spec JobSpec) (r
 			anonFrac: m.anonymizability(ctx, aspan, colstore.Concat(srcs...), spec),
 			linkage:  m.crossWindowLinkage(ctx, srcs, indices, releases, spec),
 		}
-		job.emitSpan(obs.SpanAnalysis, "", aspan.End())
+		aspan.End()
 		return outcome, nil
 	}
 
@@ -189,11 +190,20 @@ func (m *Manager) executeWindows(ctx context.Context, job *Job, spec JobSpec) (r
 			return runOutcome{}, fmt.Errorf("service: dataset %q disappeared", spec.DatasetID)
 		}
 		job.mu.Lock()
-		job.datasetVersion = info.Version
+		// A follow job reports its latest snapshot and a frozen job the
+		// one its windows are cut from, which a resumed job restored from
+		// its frames; frames journaled without a version fall back to
+		// the current one.
+		if !frozen || job.snapshotRecords == 0 || job.datasetVersion == 0 {
+			job.datasetVersion = info.Version
+		}
 		if frozen && job.snapshotRecords == 0 {
 			job.snapshotRecords = snap.NumRecords()
 		}
 		snapRecords = job.snapshotRecords
+		if frozen {
+			snapVersion = job.datasetVersion
+		}
 		job.mu.Unlock()
 		if frozen && snapRecords < snap.NumRecords() {
 			// Resumed: records appended after the commits are not input.
@@ -298,7 +308,7 @@ func (m *Manager) executeWindows(ctx context.Context, job *Job, spec JobSpec) (r
 			}
 			var shards []*colstore.View
 			if planned {
-				shards = planShards(src, users, spec.K, spec.Shards, m.opt.ShardSeed)
+				shards = planShards(src, users, spec.K, spec.Shards)
 			} else {
 				// The first runnable window's plan is the one the job
 				// reports.
@@ -308,8 +318,7 @@ func (m *Manager) executeWindows(ctx context.Context, job *Job, spec JobSpec) (r
 				}
 				planned = true
 			}
-			wname := fmt.Sprintf("w%d", idx)
-			wspan := root.Child(obs.SpanWindow, wname)
+			wspan := root.Child(obs.SpanWindow, fmt.Sprintf("w%d", idx))
 			wspan.SetAttr("records", src.NumRecords())
 			wspan.SetAttr("users", users)
 			wpos := job.appendWindow(idx, start, end, src.NumRecords(), users)
@@ -352,13 +361,14 @@ func (m *Manager) executeWindows(ctx context.Context, job *Job, spec JobSpec) (r
 				Groups:          out.Len(),
 				Stats:           stats,
 				SnapshotRecords: snapRecords,
+				DatasetVersion:  snapVersion,
 			}, csv); err != nil {
 				wspan.End()
 				return runOutcome{}, fmt.Errorf("service: window %d: journaling release: %w", idx, err)
 			}
 			faultinject.Crash("follow.window.committed")
 			job.commitWindow(wpos, rel, out.Len(), stats)
-			job.emitSpan(obs.SpanWindow, wname, wspan.End())
+			wspan.End()
 			if !batchJob(spec) {
 				m.tel.windowCommitted(time.Since(closedAt))
 				m.agg.Lock()
@@ -457,7 +467,7 @@ func (m *Manager) crossWindowLinkage(ctx context.Context, srcs []*colstore.View,
 	}
 	// Seeded deterministically so repeated identical jobs report the
 	// same measurement.
-	rng := rand.New(rand.NewSource(int64(m.opt.ShardSeed) + 1))
+	rng := rand.New(rand.NewSource(1))
 	res, err := analysis.CrossWindowLinkage(originals, releases, linkageKnownSamples, linkageProbes, rng, spec.Workers)
 	if err != nil {
 		return nil

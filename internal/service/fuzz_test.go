@@ -20,15 +20,17 @@ func FuzzJobSpecValidate(f *testing.F) {
 		{DatasetID: "ds-1", K: 2},
 		{DatasetID: "ds-1", K: 1},
 		{DatasetID: "ds-1", K: 2, Shards: 2, Workers: 1},
-		{DatasetID: "ds-1", K: 2, Strategy: "auto"},
-		{DatasetID: "ds-1", K: 2, Strategy: "single", Index: "dense"},
-		{DatasetID: "ds-1", K: 2, Strategy: "chunked", ChunkSize: 10, Index: "sparse"},
-		{DatasetID: "ds-1", K: 3, ChunkSize: 6},
-		{DatasetID: "ds-1", K: 2, Strategy: "gpu"},
-		{DatasetID: "ds-1", K: 2, Index: "matrix"},
-		{DatasetID: "ds-1", K: 2, ChunkSize: -5},
-		{DatasetID: "ds-1", K: 5, ChunkSize: 9},
-		{DatasetID: "ds-1", K: 2, Strategy: "single", ChunkSize: 10},
+		{DatasetID: "ds-1", K: 2, Shards: -1, Workers: -1},
+		{DatasetID: "ds-1", K: 2, Shards: 1 << 30, Workers: 1 << 30},
+		{DatasetID: "ds-1", K: 3},
+		// k whose smallest run (2k) lands on the planner's size
+		// thresholds, and at the edge of 2k overflowing.
+		{DatasetID: "ds-1", K: core.DenseIndexMaxN / 2},
+		{DatasetID: "ds-1", K: core.DefaultChunkSize / 2},
+		{DatasetID: "ds-1", K: core.SingleRunMaxN / 2},
+		{DatasetID: "ds-1", K: core.SingleRunMaxN},
+		{DatasetID: "ds-1", K: math.MaxInt/2 - 1},
+		{DatasetID: "ds-1", K: math.MaxInt},
 		{DatasetID: "ds-1", K: 2, SuppressKm: 5, SuppressMin: 120},
 		{DatasetID: "ds-1", K: 2, SuppressKm: -1},
 		{DatasetID: "ds-1", K: 2, WindowHours: 12.5},
@@ -51,15 +53,15 @@ func FuzzJobSpecValidate(f *testing.F) {
 	}
 	for _, s := range seeds {
 		f.Add(s.DatasetID, s.K, s.SuppressKm, s.SuppressMin, s.Shards, s.Workers,
-			s.Strategy, s.ChunkSize, s.Index, s.WindowHours, s.Follow, s.FollowWindows)
+			s.WindowHours, s.Follow, s.FollowWindows)
 	}
 
 	f.Fuzz(func(t *testing.T, id string, k int, supKm, supMin float64, shards, workers int,
-		strategy string, chunk int, index string, windowHours float64, follow bool, followWindows int) {
+		windowHours float64, follow bool, followWindows int) {
 		spec := JobSpec{
 			DatasetID: id, K: k, SuppressKm: supKm, SuppressMin: supMin,
-			Shards: shards, Workers: workers, Strategy: strategy, ChunkSize: chunk,
-			Index: index, WindowHours: windowHours, Follow: follow, FollowWindows: followWindows,
+			Shards: shards, Workers: workers,
+			WindowHours: windowHours, Follow: follow, FollowWindows: followWindows,
 		}
 		if spec.Validate() != nil {
 			return
@@ -75,7 +77,7 @@ func FuzzJobSpecValidate(f *testing.F) {
 		}
 		opt := anonymizeOptions(spec, 0, nil)
 		for _, n := range []int{
-			2 * k, 2*k + 1, chunk, chunk + 1,
+			2 * k, 2*k + 1,
 			core.DenseIndexMaxN, core.DenseIndexMaxN + 1,
 			core.DefaultChunkSize + 1, core.SingleRunMaxN, core.SingleRunMaxN + 1,
 		} {

@@ -30,11 +30,10 @@ func validTransition(from, to JobState) bool {
 	return false
 }
 
-// anonymizeOptions translates the spec into the core planner options
-// for one shard. Validate has already vetted the enum spellings.
+// anonymizeOptions translates the spec into the core options for one
+// shard. Strategy, chunk size and index stay auto: the planner picks
+// them from the shard's size.
 func anonymizeOptions(s JobSpec, workers int, progress func(done, total int)) core.AnonymizeOptions {
-	strategy, _ := core.ParseStrategy(s.Strategy)
-	index, _ := core.ParseIndexKind(s.Index)
 	return core.AnonymizeOptions{
 		Glove: core.GloveOptions{
 			K: s.K,
@@ -43,11 +42,8 @@ func anonymizeOptions(s JobSpec, workers int, progress func(done, total int)) co
 				MaxTemporalMinutes: s.SuppressMin,
 			},
 			Workers:  workers,
-			Index:    index,
 			Progress: progress,
 		},
-		Strategy:  strategy,
-		ChunkSize: s.ChunkSize,
 	}
 }
 
@@ -131,18 +127,6 @@ func (j *Job) traceRoot() obs.ActiveSpan {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return j.trace.Root()
-}
-
-// emitSpan appends a span summary event (plan, window, validate,
-// analysis) to the job's event log.
-func (j *Job) emitSpan(kind obs.SpanKind, name string, d time.Duration) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	j.appendEventLocked(api.JobEvent{Type: api.EventSpan, Span: &api.SpanEvent{
-		Kind:       string(kind),
-		Name:       name,
-		DurationMS: float64(d) / float64(time.Millisecond),
-	}})
 }
 
 // newJob builds a queued job and seeds its event log with the queued
@@ -548,6 +532,9 @@ func (j *Job) captureWindowLocked(w *jobWindow) (RecoveredResult, error) {
 		Records:         w.records,
 		Users:           w.users,
 		SnapshotRecords: j.snapshotRecords,
+	}
+	if !j.spec.Follow {
+		jw.DatasetVersion = j.datasetVersion
 	}
 	if w.state == WindowEmpty {
 		jw.Empty = true

@@ -118,7 +118,7 @@ func TestPlanShards(t *testing.T) {
 	users := table.Users()
 	view := tableView(t, table)
 
-	shards := planShards(view, users, 2, 4, 1)
+	shards := planShards(view, users, 2, 4)
 	if len(shards) < 1 || len(shards) > 4 {
 		t.Fatalf("got %d shards", len(shards))
 	}
@@ -134,13 +134,13 @@ func TestPlanShards(t *testing.T) {
 	}
 
 	// Requesting more shards than 2k-sized groups exist clamps.
-	shards = planShards(view, users, 10, 100, 1)
+	shards = planShards(view, users, 10, 100)
 	if max := users / 20; len(shards) > max {
 		t.Errorf("%d shards for %d users at k=10, max %d", len(shards), users, max)
 	}
 
 	// Tiny dataset: single shard.
-	shards = planShards(view, users, users/2+1, 8, 1)
+	shards = planShards(view, users, users/2+1, 8)
 	if len(shards) != 1 {
 		t.Errorf("got %d shards for k > users/4, want 1", len(shards))
 	}

@@ -68,9 +68,12 @@ type journalWindow struct {
 	Users       int              `json:"users,omitempty"`
 	Groups      int              `json:"groups,omitempty"`
 	Stats       *core.GloveStats `json:"stats,omitempty"`
-	// SnapshotRecords is, for a frozen run, the record count of the
-	// snapshot its windows were cut from; a resumed run cuts back to it.
+	// SnapshotRecords and DatasetVersion are, for a frozen run, the
+	// record count and registry version of the snapshot its windows were
+	// cut from; a resumed run cuts back to that count and reports that
+	// version.
 	SnapshotRecords int `json:"snapshot_records,omitempty"`
+	DatasetVersion  int `json:"dataset_version,omitempty"`
 	// Empty marks a window the feed skipped (committed with no release).
 	// Batch is only read: it marks a batch job's release in journals
 	// written before batch jobs ran as one window.
@@ -417,7 +420,7 @@ func (jl *Journal) jobSubmitted(id string, spec JobSpec, at time.Time) error {
 
 // jobEvent journals one event-log append. Events ride the next fsync
 // (result commits, terminal transitions) rather than forcing their own:
-// progress and span events are reconstructible noise, and the state
+// progress events are reconstructible noise, and the state
 // machine is re-derived at replay anyway.
 func (jl *Journal) jobEvent(id string, e api.JobEvent) {
 	jl.append(e2entry(id, e))

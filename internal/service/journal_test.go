@@ -215,12 +215,17 @@ func TestJournalTerminalJobRestored(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The legacy job's frames, written by hand: submission, the "batch"
-	// release frame, terminal status.
+	// The legacy job's frames, written by hand: submission, a "span"
+	// event (a type no longer emitted), the "batch" release frame,
+	// terminal status.
 	const legacy = "job-000002"
 	legacyStatus := final
 	legacyStatus.ID = legacy
 	if err := jrnl.jobSubmitted(legacy, final.Spec, final.CreatedAt); err != nil {
+		t.Fatal(err)
+	}
+	const spanFrame = `{"kind":"job_event","id":"job-000002","event":{"seq":2,"type":"span","job_id":"job-000002","span":{"kind":"plan","duration_ms":1.5}}}`
+	if err := jrnl.log.Append([]byte(spanFrame)); err != nil {
 		t.Fatal(err)
 	}
 	if err := jrnl.jobResult(legacy, journalWindow{Batch: true, Stats: final.Stats}, storedCSV(t, rel)); err != nil {
@@ -250,6 +255,9 @@ func TestJournalTerminalJobRestored(t *testing.T) {
 	}
 	if lrel, err := mgr2.Result(legacy); err != nil || !bytes.Equal(storedCSV(t, lrel), storedCSV(t, rel)) {
 		t.Errorf("legacy batch job's restored release differs from the original bytes (%v)", err)
+	}
+	if evs, _, _ := mgr2.EventsSince(legacy, 0); len(evs) != 2 || evs[1].Seq != 2 || evs[1].Type != "span" {
+		t.Errorf("legacy event log after restart: %+v, want queued plus the span frame at seq 2", evs)
 	}
 	if got, _ := mgr2.Get(cancelled); !reflect.DeepEqual(got, cancelledStatus) {
 		t.Errorf("cancelled batch job after restart: %+v, want %+v", got, cancelledStatus)
@@ -734,8 +742,8 @@ func TestJournalSingleReleaseWindowedJournaledOnce(t *testing.T) {
 // A frozen job resumed after its last window committed reads the
 // snapshot its commits saw, not the dataset as it stands at the
 // restart: records appended in between change neither its
-// anonymous_fraction nor its plan, which is reported although no window
-// runs again. The interrupted job is journaled by hand — the twin's
+// anonymous_fraction, its plan (reported although no window runs
+// again), nor its dataset_version and the /result ETag built from it. The interrupted job is journaled by hand — the twin's
 // submission and the control run's committed window 0 — as a daemon
 // killed between that commit and the terminal status leaves it.
 func TestJournalFrozenResumeReadsCommittedSnapshot(t *testing.T) {
@@ -774,8 +782,13 @@ func TestJournalFrozenResumeReadsCommittedSnapshot(t *testing.T) {
 	if _, err := buildWindowResume(queued, rj); err != nil {
 		t.Fatal(err)
 	}
-	if c, err := queued.capture(); err != nil || c.Results[0].Window.SnapshotRecords != info.Records {
-		t.Errorf("checkpoint of the requeued job: %+v, %v; want snapshot_records %d", c, err, info.Records)
+	c, err := queued.capture()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if w := c.Results[0].Window; w.SnapshotRecords != info.Records || w.DatasetVersion != want.DatasetVersion {
+		t.Errorf("checkpoint of the requeued job: snapshot_records %d, dataset_version %d; want %d, %d",
+			w.SnapshotRecords, w.DatasetVersion, info.Records, want.DatasetVersion)
 	}
 	// Two identical fingerprints: anonymous, so counting them would move
 	// the fraction.
@@ -805,6 +818,22 @@ func TestJournalFrozenResumeReadsCommittedSnapshot(t *testing.T) {
 	}
 	if grel, err := mgr2.Result(twin); err != nil || !bytes.Equal(storedCSV(t, grel), storedCSV(t, rel)) {
 		t.Errorf("resumed release differs from the uninterrupted run's (%v)", err)
+	}
+	if got.DatasetVersion != want.DatasetVersion {
+		t.Errorf("dataset_version %d, want the uninterrupted run's %d", got.DatasetVersion, want.DatasetVersion)
+	}
+	// The ETags differ only in the job ID: both name the same version.
+	srv := newLocalServer(t, NewServer(reg2, mgr2))
+	etag := func(id string) string {
+		resp, err := http.Get(srv + "/v1/jobs/" + id + "/result")
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.Header.Get("ETag")
+	}
+	if g, w := etag(twin), strings.Replace(etag(ctrl.ID), ctrl.ID, twin, 1); g == "" || g != w {
+		t.Errorf("resumed /result ETag %s, want %s", g, w)
 	}
 }
 

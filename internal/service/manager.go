@@ -45,8 +45,6 @@ type ManagerOptions struct {
 	// k-gap anonymizability analysis attached to finished jobs; inputs
 	// above the cap skip the analysis. <= 0 means 2000.
 	AnalysisMaxFingerprints int
-	// ShardSeed drives the deterministic user-to-shard assignment.
-	ShardSeed uint64
 
 	// MaxFinishedJobs bounds how many terminal (done/failed/cancelled)
 	// jobs the manager retains in memory, evicting the oldest-finished
@@ -59,17 +57,6 @@ type ManagerOptions struct {
 	// (measured from their finish time); 0 disables age-based eviction.
 	MaxFinishedAge time.Duration
 
-	// DefaultStrategy / DefaultChunkSize / DefaultIndex fill the
-	// corresponding JobSpec fields when a submission leaves them empty,
-	// so operators can steer the planner daemon-wide (gloved -strategy,
-	// -chunk-size and -index flags). Values are validated per job.
-	DefaultStrategy  string
-	DefaultChunkSize int
-	DefaultIndex     string
-	// DefaultWindowHours fills JobSpec.WindowHours when a submission
-	// leaves it 0 (gloved -window-hours flag), turning every job into a
-	// windowed continuous release by default.
-	DefaultWindowHours float64
 	// MaxFollowWindows caps how many windows a follow job may commit
 	// before finishing, daemon-wide (gloved -follow-max-windows flag):
 	// the effective bound is the smaller of this and the spec's
@@ -256,31 +243,8 @@ func (m *Manager) Drain(timeout time.Duration) {
 }
 
 // Submit validates the spec, registers a new job, and enqueues it.
-// Spec fields left empty inherit the manager-wide defaults before
-// validation, so a bad daemon default surfaces as a submission error
-// rather than a failed job.
+// The only field it fills is Workers, from the manager-wide default.
 func (m *Manager) Submit(spec JobSpec) (JobStatus, error) {
-	if spec.Strategy == "" {
-		spec.Strategy = m.opt.DefaultStrategy
-	}
-	// The chunk-size default only applies where chunking can happen, so
-	// an explicit single-strategy submission is not rejected over a
-	// daemon-wide chunk default.
-	if spec.ChunkSize == 0 && spec.Strategy != string(core.StrategySingle) {
-		spec.ChunkSize = m.opt.DefaultChunkSize
-	}
-	if spec.Index == "" {
-		spec.Index = m.opt.DefaultIndex
-	}
-	if spec.WindowHours == 0 {
-		spec.WindowHours = m.opt.DefaultWindowHours
-	}
-	// A negative window_hours is the explicit "batch" spelling: 0 is
-	// indistinguishable from unset, so without it no submission could
-	// override a daemon-wide -window-hours default back to batch.
-	if spec.WindowHours < 0 {
-		spec.WindowHours = 0
-	}
 	if err := spec.Validate(); err != nil {
 		return JobStatus{}, err
 	}
@@ -907,6 +871,7 @@ func buildWindowResume(job *Job, rj *RecoveredJob) (*windowResume, error) {
 			resume.floor = w.Index
 		}
 		job.snapshotRecords = max(job.snapshotRecords, w.SnapshotRecords)
+		job.datasetVersion = max(job.datasetVersion, w.DatasetVersion)
 		jw := &jobWindow{
 			index:       w.Index,
 			startMinute: w.StartMinute,
@@ -1027,7 +992,7 @@ type runOutcome struct {
 // picked before the run finishes.
 func (m *Manager) planJob(job *Job, root obs.ActiveSpan, src *colstore.View, users int, spec JobSpec) ([]*colstore.View, error) {
 	span := root.Child(obs.SpanPlan, "")
-	shards := planShards(src, users, spec.K, spec.Shards, m.opt.ShardSeed)
+	shards := planShards(src, users, spec.K, spec.Shards)
 	plan, err := core.PlanFor(maxShardUsers(shards), anonymizeOptions(spec, spec.Workers, nil))
 	if err != nil {
 		span.End()
@@ -1036,7 +1001,7 @@ func (m *Manager) planJob(job *Job, root obs.ActiveSpan, src *colstore.View, use
 	span.SetAttr("strategy", string(plan.Strategy))
 	span.SetAttr("index", string(plan.Index))
 	span.SetAttr("shards", len(shards))
-	job.emitSpan(obs.SpanPlan, "", span.End())
+	span.End()
 	m.tel.jobPlanned(&plan)
 	job.mu.Lock()
 	job.plan = &plan

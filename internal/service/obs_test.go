@@ -1,7 +1,6 @@
 package service
 
 import (
-	"bufio"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -281,46 +280,6 @@ func TestJobTraceNotFound(t *testing.T) {
 	}
 	if !found {
 		t.Error("trace_not_found is not in the registered code table")
-	}
-}
-
-// TestSpanEventsInStream verifies the SSE stream summarizes the coarse
-// trace phases as span events: plan, every window and the analysis.
-func TestSpanEventsInStream(t *testing.T) {
-	srv, _ := newTestServer(t)
-	table := synthTable(t, 40, 2)
-	ds := ingestTable(t, srv.URL, table, "sse")
-	st := submitJob(t, srv.URL, JobSpec{DatasetID: ds.ID, K: 2, WindowHours: 24})
-	final := waitJobDone(t, srv.URL, st.ID)
-
-	resp, err := http.Get(srv.URL + "/v1/jobs/" + st.ID + "/events")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	spanFrames := 0
-	planSeen, analysisSeen := false, false
-	sc := bufio.NewScanner(resp.Body)
-	for sc.Scan() {
-		line := sc.Text()
-		if line == "event: span" {
-			spanFrames++
-		}
-		if strings.HasPrefix(line, "data: ") && strings.Contains(line, `"kind":"plan"`) {
-			planSeen = true
-		}
-		if strings.HasPrefix(line, "data: ") && strings.Contains(line, `"kind":"analysis"`) {
-			analysisSeen = true
-		}
-	}
-	if !planSeen {
-		t.Error("no plan span event in the stream")
-	}
-	if !analysisSeen {
-		t.Error("no analysis span event in the stream")
-	}
-	if want := 2 + len(final.Windows); spanFrames != want {
-		t.Errorf("span events = %d, want %d (plan + one per window + analysis)", spanFrames, want)
 	}
 }
 

@@ -144,7 +144,7 @@ func TestColumnarRegistryEquivalence(t *testing.T) {
 	}
 	var want core.GloveStats
 	for i, w := range wins {
-		shards := planShards(tableView(t, w.Table), w.Table.Users(), final.Spec.K, final.Spec.Shards, 0)
+		shards := planShards(tableView(t, w.Table), w.Table.Users(), final.Spec.K, final.Spec.Shards)
 		out, stats, err := runShards(t.Context(), shards, final.Spec, nil, obs.ActiveSpan{}, nil)
 		if err != nil {
 			t.Fatal(err)

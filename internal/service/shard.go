@@ -17,8 +17,9 @@ import (
 // subscribers, then lowered further if the hash assignment leaves any
 // shard below k (the minimum a shard needs to anonymize on its own).
 // The result always has at least one shard and covers every record
-// exactly once.
-func planShards(t *colstore.View, users, k, requested int, seed uint64) []*colstore.View {
+// exactly once. Users hash with a fixed seed, so the shards, and with
+// them the release, depend on the input alone.
+func planShards(t *colstore.View, users, k, requested int) []*colstore.View {
 	max := users / (2 * k)
 	if max < 1 {
 		max = 1
@@ -33,7 +34,7 @@ func planShards(t *colstore.View, users, k, requested int, seed uint64) []*colst
 	// Each attempt re-hashes every record, so back off geometrically: at
 	// most log2(n) passes even when a client requests an absurd count.
 	for ; n > 1; n /= 2 {
-		shards := t.UserShards(n, seed)
+		shards := t.UserShards(n, 0)
 		ok := true
 		for _, s := range shards {
 			if s.NumUsers() < k {
@@ -45,7 +46,7 @@ func planShards(t *colstore.View, users, k, requested int, seed uint64) []*colst
 			return shards
 		}
 	}
-	return t.UserShards(1, seed)
+	return t.UserShards(1, 0)
 }
 
 // shardResult is the outcome of anonymizing one shard.
