@@ -291,18 +291,24 @@ func BenchmarkAblationPruning(b *testing.B) {
 // gloved's anonymizability question on a windowed-week-sized input
 // (250 CIV subscribers over 7 days): the full k-gap pass the experiments
 // run for the CDF of Figs. 3-4, then the anonymous fraction, against the
-// thresholded pass that decides only whether each k-gap is zero.
+// thresholded pass that decides only whether each k-gap is zero. The
+// thresholded series also runs at 1,000 and 4,000 subscribers, where
+// its near-duplicate candidate filter, not the n² scan, sets the cost.
 func BenchmarkAnonymizability(b *testing.B) {
-	cfg := synth.CIV(250)
-	cfg.Days = 7
-	table, _, _, err := synth.Generate(cfg)
-	if err != nil {
-		b.Fatal(err)
+	civ := func(users int) *core.Dataset {
+		cfg := synth.CIV(users)
+		cfg.Days = 7
+		table, _, _, err := synth.Generate(cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		d, err := table.BuildDataset()
+		if err != nil {
+			b.Fatal(err)
+		}
+		return d
 	}
-	d, err := table.BuildDataset()
-	if err != nil {
-		b.Fatal(err)
-	}
+	d := civ(250)
 	p := core.DefaultParams()
 	b.Run("full", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
@@ -314,10 +320,21 @@ func BenchmarkAnonymizability(b *testing.B) {
 		}
 	})
 	b.Run("thresholded", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := core.KGapAnonymousFraction(p, d, 2, 0); err != nil {
-				b.Fatal(err)
-			}
+		for _, users := range []int{250, 1000, 4000} {
+			b.Run(fmt.Sprint(users), func(b *testing.B) {
+				in := d
+				if users != d.Len() {
+					in = civ(users)
+				}
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					_, cands, err := core.KGapAnonymousFraction(p, in, 2, 0)
+					if err != nil {
+						b.Fatal(err)
+					}
+					b.ReportMetric(float64(cands), "candidates/op")
+				}
+			})
 		}
 	})
 }

@@ -84,9 +84,14 @@ func CrossWindowLinkage(originals, releases []*core.Dataset, known, probes int, 
 		return LinkageResult{}, fmt.Errorf("analysis: probes = %d", probes)
 	}
 
+	// Each release is indexed once and probed in both pairs it belongs
+	// to.
+	idx := parallel.Map(len(releases), workers, func(i int) *core.CoverIndex {
+		return core.NewCoverIndex(releases[i])
+	})
 	res := LinkageResult{KnownSamples: known}
 	for w := 0; w+1 < len(releases); w++ {
-		pair, err := linkPair(originals[w], originals[w+1], releases[w], releases[w+1], w, known, probes, rng, workers)
+		pair, err := linkPair(originals[w], originals[w+1], idx[w], idx[w+1], w, known, probes, rng, workers)
 		if err != nil {
 			return LinkageResult{}, err
 		}
@@ -101,7 +106,7 @@ func CrossWindowLinkage(originals, releases []*core.Dataset, known, probes int, 
 }
 
 // linkPair measures one consecutive release pair.
-func linkPair(origA, origB, relA, relB *core.Dataset, w, known, probes int, rng *rand.Rand, workers int) (LinkagePair, error) {
+func linkPair(origA, origB *core.Dataset, relA, relB *core.CoverIndex, w, known, probes int, rng *rand.Rand, workers int) (LinkagePair, error) {
 	byID := make(map[string]*core.Fingerprint, origB.Len())
 	for _, f := range origB.Fingerprints {
 		byID[f.ID] = f
@@ -138,7 +143,7 @@ func linkPair(origA, origB, relA, relB *core.Dataset, w, known, probes int, rng 
 		}
 	}
 	linked := parallel.Map(n, workers, func(i int) int {
-		if core.MinMatchCrowd(relA, ps[i].sa) == 1 && core.MinMatchCrowd(relB, ps[i].sb) == 1 {
+		if relA.MinMatchCrowd(ps[i].sa) == 1 && relB.MinMatchCrowd(ps[i].sb) == 1 {
 			return 1
 		}
 		return 0

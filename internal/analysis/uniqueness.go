@@ -60,8 +60,9 @@ func PartialKnowledgeUniqueness(original, published *core.Dataset, known, probes
 		ps[i].samples = drawSamples(f, known, rng)
 	}
 
+	idx := core.NewCoverIndex(published)
 	crowds := parallel.Map(probes, workers, func(i int) int {
-		return core.MinMatchCrowd(published, ps[i].samples)
+		return idx.MinMatchCrowd(ps[i].samples)
 	})
 
 	res := UniquenessResult{KnownSamples: known, Probed: probes}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"reflect"
 	"sync"
@@ -12,6 +13,7 @@ import (
 	"time"
 
 	"repro/internal/cdr"
+	"repro/internal/core"
 	"repro/internal/geo"
 )
 
@@ -92,8 +94,60 @@ func shardTable(tab *cdr.Table, n int, seed uint64) []*cdr.Table {
 // streams, CSV bytes, fingerprint datasets, window splits
 // (SplitByWindow), and user shards (cdr.ShardOfUser).
 func TestEquivalenceWithTable(t *testing.T) {
-	recs := testRecords(1000, 37)
-	meta := testMeta()
+	testEquivalenceWithTable(t, testRecords(1000, 37), testMeta())
+}
+
+// TestEquivalenceWithTableSignedZeros runs the same equivalence, bit for
+// bit, on the inputs the build's projection memo and skipped sort meet
+// at their edges: ±0 latitudes and longitudes around a (0, 0) center
+// (distinct memo keys that project alike), and repeated positions and
+// minutes (equal sort keys, already in order or not).
+func TestEquivalenceWithTableSignedZeros(t *testing.T) {
+	testEquivalenceWithTable(t, zeroRecords(600, 11), cdr.Meta{SpanDays: 9})
+}
+
+// zeroRecords builds records at ±0 and repeated coordinates around
+// (0, 0), with many records per user sharing a minute.
+func zeroRecords(n, users int) []cdr.Record {
+	zero := []float64{0, math.Copysign(0, -1), 0.0004, -0.0004}
+	recs := make([]cdr.Record, n)
+	for i := range recs {
+		recs[i] = cdr.Record{
+			User:   fmt.Sprintf("z%02d", i%users),
+			Pos:    geo.LatLon{Lat: zero[i%4], Lon: zero[i/4%4]},
+			Minute: float64(i / 40),
+		}
+	}
+	return recs
+}
+
+// sameBits reports whether two datasets are equal down to every float's
+// bit pattern (reflect.DeepEqual takes -0 == +0).
+func sameBits(a, b *core.Dataset) bool {
+	if a.Len() != b.Len() {
+		return false
+	}
+	for i, f := range a.Fingerprints {
+		g := b.Fingerprints[i]
+		if f.ID != g.ID || f.Count != g.Count || !reflect.DeepEqual(f.Members, g.Members) || f.Len() != g.Len() {
+			return false
+		}
+		for j, s := range f.Samples {
+			o := g.Samples[j]
+			for k, v := range [...]float64{s.X, s.DX, s.Y, s.DY, s.T, s.DT} {
+				if math.Float64bits(v) != math.Float64bits([...]float64{o.X, o.DX, o.Y, o.DY, o.T, o.DT}[k]) {
+					return false
+				}
+			}
+			if s.Weight != o.Weight {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+func testEquivalenceWithTable(t *testing.T, recs []cdr.Record, meta cdr.Meta) {
 	table := &cdr.Table{Records: recs, Center: meta.Center, SpanDays: meta.SpanDays}
 	for _, tc := range []struct {
 		name string
@@ -103,7 +157,15 @@ func TestEquivalenceWithTable(t *testing.T) {
 		{"spilling", Options{ChunkRecords: 64, ByteBudget: 3 * 64 * bytesPerRecord}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			view := newTestStore(t, recs, tc.opt).Snapshot()
+			if tc.opt.SpillDir == "" {
+				tc.opt.SpillDir = t.TempDir()
+			}
+			store := New(meta, tc.opt)
+			t.Cleanup(func() { store.Close() })
+			if err := store.Append(recs...); err != nil {
+				t.Fatalf("Append: %v", err)
+			}
+			view := store.Snapshot()
 
 			if got, want := view.NumRecords(), len(table.Records); got != want {
 				t.Fatalf("NumRecords = %d, want %d", got, want)
@@ -126,7 +188,7 @@ func TestEquivalenceWithTable(t *testing.T) {
 			if err != nil {
 				t.Fatalf("table BuildDataset: %v", err)
 			}
-			if !reflect.DeepEqual(vd, td) {
+			if !sameBits(vd, td) {
 				t.Fatalf("BuildDataset differs between columnar and in-RAM paths")
 			}
 
@@ -677,5 +739,73 @@ func assertViewEqualsTable(t *testing.T, what string, v *View, tab *cdr.Table) {
 	}
 	if !reflect.DeepEqual(vd, td) {
 		t.Fatalf("%s: BuildDataset differs", what)
+	}
+}
+
+// The finish-time analysis input: SelectWindows picks a run's committed
+// windows out of a snapshot in one pass, and its build must equal the
+// build of those windows' TailWindows views fused by Concat; CutWindows
+// must then give each window exactly its own view's build.
+func TestSelectAndCutWindowsEqualPerWindowBuilds(t *testing.T) {
+	// Records out of time order across appends, as a live feed delivers
+	// a late record into an open window.
+	recs := testRecords(1200, 29)
+	rng := rand.New(rand.NewSource(3))
+	rng.Shuffle(len(recs), func(i, j int) {
+		if recs[i].Minute/600 == recs[j].Minute/600 {
+			recs[i], recs[j] = recs[j], recs[i]
+		}
+	})
+	const win = 12 * time.Hour
+	for _, opt := range []Options{{ChunkRecords: 128}, {ChunkRecords: 64, ByteBudget: 3 * 64 * bytesPerRecord}} {
+		view := newTestStore(t, recs, opt).Snapshot()
+		wins, err := view.TailWindows(0, win)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(wins) < 4 {
+			t.Fatalf("%d windows, want >= 4", len(wins))
+		}
+		for _, pick := range [][]int{{0}, {0, 1, 2, 3}, {1, 3}, {len(wins) - 1}} {
+			var idx []int
+			var views []*View
+			for _, p := range pick {
+				idx = append(idx, wins[p].Index)
+				views = append(views, wins[p].View)
+			}
+			sel, err := view.SelectWindows(win, idx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref := Concat(views...)
+			if sel.NumRecords() != ref.NumRecords() || sel.NumUsers() != ref.NumUsers() {
+				t.Fatalf("windows %v: selection has %d records, %d users; concat %d, %d",
+					idx, sel.NumRecords(), sel.NumUsers(), ref.NumRecords(), ref.NumUsers())
+			}
+			got, err := sel.BuildDataset()
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := ref.BuildDataset()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !sameBits(got, want) {
+				t.Fatalf("windows %v: the selection's build differs from the concat's", idx)
+			}
+			cuts := CutWindows(got, win, idx)
+			for i, v := range views {
+				own, err := v.BuildDataset()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !sameBits(cuts[i], own) {
+					t.Fatalf("windows %v: the cut of window %d differs from its own build", idx, idx[i])
+				}
+			}
+		}
+	}
+	if _, err := newTestStore(t, recs, Options{}).Snapshot().SelectWindows(0, []int{0}); err == nil {
+		t.Error("SelectWindows accepted a zero window duration")
 	}
 }

@@ -2,6 +2,8 @@ package colstore
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 	"time"
 
@@ -150,19 +152,41 @@ func (v *View) EachRecord(fn func(cdr.Record) error) error {
 // emitted in sorted identifier order — so a view and a table of the
 // same records produce bit-identical fingerprints. The conversion
 // streams over the columns; no []cdr.Record is ever materialized.
+//
+// Records repeat positions (a subscriber's antennas), so each distinct
+// (lat, lon) bit pattern is projected once. Each user's samples become
+// the fingerprint without a copy, and are sorted only when out of time
+// order: sorting ordered samples leaves them as they are.
 func (v *View) BuildDataset() (*core.Dataset, error) {
 	proj, err := geo.NewProjection(v.meta.Center)
 	if err != nil {
 		return nil, err
 	}
 	grid := geo.Grid{}
+	// boxes memoizes the projected box of each position, keyed by a hash
+	// of its bit patterns; an entry holding another position is a
+	// collision, which projects afresh.
+	type projected struct {
+		lat, lon uint64
+		box      geo.Box
+	}
+	boxes := make(map[uint64]projected)
 	perUser := make([][]core.Sample, len(v.dict))
 	err = v.eachRow(func(lat, lon, minute float64, user uint32) error {
-		pt, err := proj.Forward(geo.LatLon{Lat: lat, Lon: lon})
-		if err != nil {
-			return fmt.Errorf("colstore: user %s: %w", v.dict[user], err)
+		la, lo := math.Float64bits(lat), math.Float64bits(lon)
+		key := la*0x9e3779b97f4a7c15 ^ lo
+		e, ok := boxes[key]
+		if !ok || e.lat != la || e.lon != lo {
+			pt, err := proj.Forward(geo.LatLon{Lat: lat, Lon: lon})
+			if err != nil {
+				return fmt.Errorf("colstore: user %s: %w", v.dict[user], err)
+			}
+			e = projected{la, lo, grid.BoxAround(pt)}
+			if !ok {
+				boxes[key] = e
+			}
 		}
-		box := grid.BoxAround(pt)
+		box := e.box
 		perUser[user] = append(perUser[user], core.Sample{
 			X: box.X, DX: box.DX,
 			Y: box.Y, DY: box.DY,
@@ -187,9 +211,80 @@ func (v *View) BuildDataset() (*core.Dataset, error) {
 	sort.Slice(groups, func(i, j int) bool { return groups[i].name < groups[j].name })
 	fps := make([]*core.Fingerprint, 0, len(groups))
 	for _, g := range groups {
-		fps = append(fps, core.NewFingerprint(g.name, perUser[g.id]))
+		fps = append(fps, core.OwnFingerprint(g.name, perUser[g.id]))
 	}
 	return core.NewDataset(fps), nil
+}
+
+// SelectWindows returns the rows of the view whose window int(minute/w)
+// (w = d in minutes, the bucketing of TailWindows) is one of windows, in
+// the view's order, with their distinct users counted. Its BuildDataset
+// equals that of the Concat of those windows' TailWindows views: each
+// user's samples are the same, in a different record order that the
+// build's time sort undoes.
+func (v *View) SelectWindows(d time.Duration, windows []int) (*View, error) {
+	w := d.Minutes()
+	if w <= 0 {
+		return nil, fmt.Errorf("colstore: window duration %v, need > 0", d)
+	}
+	out := &View{s: v.s, meta: v.meta, dict: v.dict, rows: []int64{}}
+	if len(windows) == 0 {
+		return out, nil
+	}
+	lo, hi := slices.Min(windows), slices.Max(windows)
+	keep := make([]bool, hi-lo+1)
+	for _, idx := range windows {
+		keep[idx-lo] = true
+	}
+	row := int64(0)
+	err := v.eachRow(func(_, _, minute float64, _ uint32) error {
+		if i := int(minute/w) - lo; i >= 0 && i < len(keep) && keep[i] {
+			out.rows = append(out.rows, v.rowAt(row))
+		}
+		row++
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	out.n = len(out.rows)
+	out.users = out.countUsers(out.rows, make([]int32, len(v.dict)), 1)
+	return out, nil
+}
+
+// CutWindows splits a dataset BuildDataset made from a view into one
+// dataset per listed window: window windows[i]'s dataset holds, for each
+// user with samples in it, the user's samples whose int(T/w) is
+// windows[i] (T is the record's minute, w = d in minutes). A user's
+// samples are time-sorted, so each window's samples are one run of them,
+// shared with ds, not copied. Each cut equals the BuildDataset of that
+// window's own view: samples of equal time and grid cell are identical,
+// so the order the time sort leaves them in does not matter.
+func CutWindows(ds *core.Dataset, d time.Duration, windows []int) []*core.Dataset {
+	w := d.Minutes()
+	pos := make(map[int]int, len(windows))
+	for i, idx := range windows {
+		pos[idx] = i
+	}
+	fps := make([][]*core.Fingerprint, len(windows))
+	for _, f := range ds.Fingerprints {
+		for s := f.Samples; len(s) > 0; {
+			idx := int(s[0].T / w)
+			end := 1
+			for end < len(s) && int(s[end].T/w) == idx {
+				end++
+			}
+			if i, ok := pos[idx]; ok {
+				fps[i] = append(fps[i], &core.Fingerprint{ID: f.ID, Samples: s[:end:end], Count: f.Count, Members: f.Members})
+			}
+			s = s[end:]
+		}
+	}
+	out := make([]*core.Dataset, len(windows))
+	for i := range fps {
+		out[i] = core.NewDataset(fps[i])
+	}
+	return out
 }
 
 // Window is one time slice of a view produced by TailWindows.

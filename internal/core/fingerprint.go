@@ -32,20 +32,36 @@ type Fingerprint struct {
 func NewFingerprint(id string, samples []Sample) *Fingerprint {
 	s := make([]Sample, len(samples))
 	copy(s, samples)
-	sortSamples(s)
-	return &Fingerprint{ID: id, Samples: s, Count: 1, Members: []string{id}}
+	return OwnFingerprint(id, s)
+}
+
+// OwnFingerprint is NewFingerprint taking ownership of samples: they
+// become the fingerprint's, so a builder pays no copy. They are sorted
+// in place only when out of order; sorting ordered samples would leave
+// them as they are.
+func OwnFingerprint(id string, samples []Sample) *Fingerprint {
+	for i := 1; i < len(samples); i++ {
+		if sampleLess(samples[i], samples[i-1]) {
+			sortSamples(samples)
+			break
+		}
+	}
+	return &Fingerprint{ID: id, Samples: samples, Count: 1, Members: []string{id}}
+}
+
+// sampleLess is the fingerprint sample order: by time, then position.
+func sampleLess(a, b Sample) bool {
+	if a.T != b.T {
+		return a.T < b.T
+	}
+	if a.X != b.X {
+		return a.X < b.X
+	}
+	return a.Y < b.Y
 }
 
 func sortSamples(s []Sample) {
-	sort.Slice(s, func(i, j int) bool {
-		if s[i].T != s[j].T {
-			return s[i].T < s[j].T
-		}
-		if s[i].X != s[j].X {
-			return s[i].X < s[j].X
-		}
-		return s[i].Y < s[j].Y
-	})
+	sort.Slice(s, func(i, j int) bool { return sampleLess(s[i], s[j]) })
 }
 
 // Len returns the number of samples (m_a of the paper).

@@ -47,35 +47,74 @@ const AnonymousKGap = 1e-12
 // k·AnonymousKGap (the margin absorbs rounding) and early-exits every
 // other pair: a fingerprint with fewer than k-1 admitted neighbours is
 // not anonymous, and one with a full list has exactly KGapAll's list,
-// k-gap and verdict.
+// k-gap and verdict. Only near-duplicate pairs can fall under that
+// ceiling, so the scan visits just the candidates of an exact grid
+// filter (kgap_filter.go), not all n² pairs.
 //
-// Arguments are those of KGapAll.
-func KGapAnonymousFraction(p Params, d *Dataset, k, workers int) (float64, error) {
-	rs, err := kGapAll(p, d, k, workers, true, float64(k)*AnonymousKGap)
-	if err != nil {
-		return 0, err
+// Arguments are those of KGapAll. candidates counts the ordered
+// fingerprint pairs the filter handed to the kernel (n·(n-1) when the
+// filter does not apply).
+func KGapAnonymousFraction(p Params, d *Dataset, k, workers int) (frac float64, candidates int, err error) {
+	if err := kGapArgs(p, d, k); err != nil {
+		return 0, 0, err
 	}
+	rs, candidates := kGapThresholded(p, d, k, workers, float64(k)*AnonymousKGap)
 	var n int
 	for _, r := range rs {
 		if len(r.Nearest) == k-1 && r.KGap <= AnonymousKGap {
 			n++
 		}
 	}
-	return float64(n) / float64(len(rs)), nil
+	return float64(n) / float64(len(rs)), candidates, nil
+}
+
+// kGapThresholded is the pruned scan at a finite ceiling, over the
+// candidate filter's pairs when it applies, and the number of ordered
+// pairs it considered.
+func kGapThresholded(p Params, d *Dataset, k, workers int, ceiling float64) ([]KGapResult, int) {
+	n := d.Len()
+	cands, pairs, ok := kGapCandidates(p, d, ceiling, workers)
+	if !ok {
+		return kGapScan(p, d, k, workers, true, ceiling), n * (n - 1)
+	}
+	// Kernel views only for fingerprints that have a candidate: every
+	// pair the scans below evaluate has both ends among them.
+	views := make([]*fpView, n)
+	parallel.For(n, workers, func(i int) {
+		if len(cands[i]) > 0 {
+			views[i] = newFPView(d.Fingerprints[i])
+		}
+	})
+	return parallel.Map(n, workers, func(i int) KGapResult {
+		c := cands[i]
+		if c == nil {
+			c = []int32{} // not nil: kGapOne would scan every fingerprint
+		}
+		return kGapOne(p, d, i, k, views, ceiling, c)
+	}), pairs
 }
 
 func kGapAll(p Params, d *Dataset, k, workers int, prune bool, ceiling float64) ([]KGapResult, error) {
-	n := d.Len()
-	if k < 2 {
-		return nil, fmt.Errorf("core: k = %d, need k >= 2", k)
-	}
-	if k > n {
-		return nil, fmt.Errorf("core: k = %d exceeds dataset size %d", k, n)
-	}
-	if err := p.Validate(); err != nil {
+	if err := kGapArgs(p, d, k); err != nil {
 		return nil, err
 	}
+	return kGapScan(p, d, k, workers, prune, ceiling), nil
+}
 
+// kGapArgs checks the arguments of the k-gap passes.
+func kGapArgs(p Params, d *Dataset, k int) error {
+	if k < 2 {
+		return fmt.Errorf("core: k = %d, need k >= 2", k)
+	}
+	if k > d.Len() {
+		return fmt.Errorf("core: k = %d exceeds dataset size %d", k, d.Len())
+	}
+	return p.Validate()
+}
+
+// kGapScan runs kGapOne for every fingerprint against all others.
+func kGapScan(p Params, d *Dataset, k, workers int, prune bool, ceiling float64) []KGapResult {
+	n := d.Len()
 	// The pruned path shares the SoA kernel views across all n scans
 	// (O(total samples) memory); their cached bounds double as the pair
 	// lower bounds.
@@ -85,10 +124,9 @@ func kGapAll(p Params, d *Dataset, k, workers int, prune bool, ceiling float64) 
 			return newFPView(d.Fingerprints[i])
 		})
 	}
-	results := parallel.Map(n, workers, func(i int) KGapResult {
-		return kGapOne(p, d, i, k, views, ceiling)
+	return parallel.Map(n, workers, func(i int) KGapResult {
+		return kGapOne(p, d, i, k, views, ceiling, nil)
 	})
-	return results, nil
 }
 
 // kGapOne computes Δ^k_a for fingerprint i by scanning all other
@@ -99,18 +137,29 @@ func kGapAll(p Params, d *Dataset, k, workers int, prune bool, ceiling float64) 
 // reaches that bound are skipped outright, and the remaining pairs run
 // the pruned kernel thresholded at it, early-exiting provably worse
 // pairs mid-evaluation; the result is unchanged because only pairs that
-// cannot enter the list are pruned.
-func kGapOne(p Params, d *Dataset, i, k int, views []*fpView, ceiling float64) KGapResult {
+// cannot enter the list are pruned. A non-nil cands limits the scan to
+// those ascending indices, which must include every j whose effort can
+// fall below ceiling.
+func kGapOne(p Params, d *Dataset, i, k int, views []*fpView, ceiling float64, cands []int32) KGapResult {
 	a := d.Fingerprints[i]
 	type pair struct {
 		idx    int
 		effort float64
 	}
 	best := make([]pair, 0, k) // kept sorted ascending by effort, max k-1 entries
-	for j, b := range d.Fingerprints {
+	n := d.Len()
+	if cands != nil {
+		n = len(cands)
+	}
+	for c := 0; c < n; c++ {
+		j := c
+		if cands != nil {
+			j = int(cands[c])
+		}
 		if j == i {
 			continue
 		}
+		b := d.Fingerprints[j]
 		// While the list is still filling, only the ceiling bounds the
 		// kernel: every effort below it must be admitted exactly.
 		bound := ceiling

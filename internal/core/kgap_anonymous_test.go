@@ -123,7 +123,7 @@ func TestKGapAnonymousFractionEqualsFullPass(t *testing.T) {
 						t.Fatal(err)
 					}
 					want := analysis.AnonymousFraction(rs)
-					got, err := core.KGapAnonymousFraction(pp.p, in.d, k, 2)
+					got, _, err := core.KGapAnonymousFraction(pp.p, in.d, k, 2)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -157,13 +157,59 @@ func TestKGapAnonymousFractionEqualsFullPass(t *testing.T) {
 
 func TestKGapAnonymousFractionArgs(t *testing.T) {
 	d := civDataset(t, 10, 1)
-	if _, err := core.KGapAnonymousFraction(core.DefaultParams(), d, 1, 1); err == nil {
+	if _, _, err := core.KGapAnonymousFraction(core.DefaultParams(), d, 1, 1); err == nil {
 		t.Error("k=1 accepted")
 	}
-	if _, err := core.KGapAnonymousFraction(core.DefaultParams(), d, d.Len()+1, 1); err == nil {
+	if _, _, err := core.KGapAnonymousFraction(core.DefaultParams(), d, d.Len()+1, 1); err == nil {
 		t.Error("k > |M| accepted")
 	}
-	if _, err := core.KGapAnonymousFraction(core.Params{}, d, 2, 1); err == nil {
+	if _, _, err := core.KGapAnonymousFraction(core.Params{}, d, 2, 1); err == nil {
 		t.Error("zero params accepted")
+	}
+}
+
+// The candidate filter of the thresholded pass hands the kernel a
+// subset of the pairs; the pass must still return, fingerprint by
+// fingerprint, the full thresholded scan's Nearest, Efforts and k-gap,
+// across CIV data with duplicated users and near-zero shifts, a zero
+// spatial or temporal weight, and ceilings from gloved's up to 1e-5.
+func TestKGapFilterEqualsFullThresholdedScan(t *testing.T) {
+	raw := civDataset(t, 60, 3)
+	gen, err := generalize.Dataset(raw, generalize.PaperLevels()[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	inputs := []struct {
+		name string
+		d    *core.Dataset
+	}{
+		{"raw", raw},
+		{"generalized", gen},
+		{"duplicates", withDuplicates(raw, 12, 4)},
+		{"near-zero", nearZeroClusters(t, core.DefaultParams())},
+		{"unequal-lengths", core.NewDataset(append(
+			[]*core.Fingerprint{core.NewFingerprint("short", raw.Fingerprints[0].Samples[:1])},
+			withDuplicates(raw, 3, 1).Fingerprints...))},
+	}
+	params := map[string]core.Params{"default": core.DefaultParams()}
+	for name, w := range map[string][2]float64{"spatial-0": {0, 0.5}, "temporal-0": {0.5, 0}, "30-20": {30, 20}} {
+		p := core.DefaultParams()
+		p.WSpatial, p.WTemporal = w[0], w[1]
+		params[name] = p
+	}
+	for _, in := range inputs {
+		for pname, p := range params {
+			for _, k := range []int{2, 3} {
+				for _, ceiling := range []float64{float64(k) * core.AnonymousKGap, 1e-9, 1e-7, 1e-5} {
+					applied, err := core.CheckKGapFilter(p, in.d, k, 2, ceiling)
+					if err != nil {
+						t.Fatalf("%s/%s/k=%d/ceiling=%g: %v", in.name, pname, k, ceiling, err)
+					}
+					if !applied && ceiling < 1e-5 {
+						t.Errorf("%s/%s/k=%d/ceiling=%g: the filter did not run", in.name, pname, k, ceiling)
+					}
+				}
+			}
+		}
 	}
 }

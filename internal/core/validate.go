@@ -1,6 +1,9 @@
 package core
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // ValidateKAnonymity verifies that every fingerprint in the published
 // dataset hides at least k subscribers, that member lists are consistent,
@@ -113,6 +116,81 @@ func MinMatchCrowd(published *Dataset, known []Sample) int {
 	var total int
 	for _, f := range matches {
 		total += f.Count
+	}
+	return total
+}
+
+// CoverIndex is a published dataset indexed for the record linkage
+// attack: it stores each fingerprint's covering volume, so a probe skips
+// a fingerprint that cannot cover a known sample without scanning its
+// samples. Build it once per release and share it across probes; it is
+// read-only and safe for concurrent use.
+type CoverIndex struct {
+	published *Dataset
+	// boxes[i] spans fingerprint i's samples: the lowest X, Y, T and the
+	// highest X+DX, Y+DY, T+DT, computed as Sample.Covers computes them.
+	boxes []FingerprintBounds
+}
+
+// NewCoverIndex indexes a published dataset.
+func NewCoverIndex(published *Dataset) *CoverIndex {
+	boxes := make([]FingerprintBounds, published.Len())
+	for i, f := range published.Fingerprints {
+		b := FingerprintBounds{
+			MinX: math.Inf(1), MaxX: math.Inf(-1),
+			MinY: math.Inf(1), MaxY: math.Inf(-1),
+			MinT: math.Inf(1), MaxT: math.Inf(-1),
+		}
+		// Plain comparisons skip a NaN field, which can never take part
+		// in a cover; math.Min/Max would spread it over the whole box.
+		for _, p := range f.Samples {
+			if p.X < b.MinX {
+				b.MinX = p.X
+			}
+			if hi := p.X + p.DX; hi > b.MaxX {
+				b.MaxX = hi
+			}
+			if p.Y < b.MinY {
+				b.MinY = p.Y
+			}
+			if hi := p.Y + p.DY; hi > b.MaxY {
+				b.MaxY = hi
+			}
+			if p.T < b.MinT {
+				b.MinT = p.T
+			}
+			if hi := p.T + p.DT; hi > b.MaxT {
+				b.MaxT = hi
+			}
+		}
+		boxes[i] = b
+	}
+	return &CoverIndex{published: published, boxes: boxes}
+}
+
+// MinMatchCrowd returns MinMatchCrowd(published, known) for the indexed
+// dataset. A sample p of a fingerprint covers s only if
+// p.X <= s.X+coverEps, and the box's lowest X is at most p.X; likewise
+// for every other bound of Sample.Covers. So a box failing one of those
+// comparisons holds no covering sample, and skipping the fingerprint
+// changes no match.
+func (x *CoverIndex) MinMatchCrowd(known []Sample) int {
+	var total int
+	for i, f := range x.published.Fingerprints {
+		b := &x.boxes[i]
+		all := true
+		for _, s := range known {
+			if !(b.MinX <= s.X+coverEps && b.MaxX >= s.X+s.DX-coverEps &&
+				b.MinY <= s.Y+coverEps && b.MaxY >= s.Y+s.DY-coverEps &&
+				b.MinT <= s.T+coverEps && b.MaxT >= s.T+s.DT-coverEps) ||
+				!coveredBy(s, f.Samples) {
+				all = false
+				break
+			}
+		}
+		if all {
+			total += f.Count
+		}
 	}
 	return total
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -152,5 +153,77 @@ func TestCloneIndependence(t *testing.T) {
 	}
 	if d.Fingerprints[0].Members[0] == "mutated" {
 		t.Error("clone shares member storage")
+	}
+}
+
+// The indexed linkage probe must return core's MinMatchCrowd for every
+// known trajectory, in particular for known samples whose every bound
+// sits exactly on, or one ulp beyond, a published sample's coverEps
+// edge, where the box check and Sample.Covers must agree bit for bit.
+func TestCoverIndexMinMatchCrowdEqualsScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	var fps []*Fingerprint
+	for g := 0; g < 40; g++ {
+		samples := make([]Sample, 1+rng.Intn(6))
+		for i := range samples {
+			samples[i] = Sample{
+				X: float64(rng.Intn(8)) * 100.3, DX: float64(1+rng.Intn(3)) * 100.3,
+				Y: float64(rng.Intn(8)) * 99.7, DY: float64(1+rng.Intn(3)) * 99.7,
+				T: float64(rng.Intn(50)) * 1.7, DT: float64(1+rng.Intn(4)) * 1.3,
+				Weight: 1,
+			}
+		}
+		f := NewFingerprint("g", samples)
+		f.Count = 2 + rng.Intn(3)
+		fps = append(fps, f)
+	}
+	published := NewDataset(fps)
+	idx := NewCoverIndex(published)
+
+	// edge returns v moved to the coverEps edge in direction dir (±1),
+	// then nudged by ulps ulps outward (positive) or inward.
+	edge := func(v, dir float64, ulps int) float64 {
+		e := v + dir*coverEps
+		for ; ulps > 0; ulps-- {
+			e = math.Nextafter(e, dir*math.Inf(1))
+		}
+		for ; ulps < 0; ulps++ {
+			e = math.Nextafter(e, -dir*math.Inf(1))
+		}
+		return e
+	}
+	var checked, matched int
+	for trial := 0; trial < 4000; trial++ {
+		known := make([]Sample, 1+rng.Intn(4))
+		for i := range known {
+			f := fps[rng.Intn(len(fps))]
+			p := f.Samples[rng.Intn(f.Len())]
+			ulps := rng.Intn(3) - 1
+			s := p
+			switch rng.Intn(4) {
+			case 0: // the known sample's start on p's start edge
+				s.X, s.Y, s.T = edge(p.X, -1, ulps), edge(p.Y, -1, ulps), edge(p.T, -1, ulps)
+			case 1: // its end on p's end edge, with a zero extent
+				s.X, s.Y, s.T = edge(p.X+p.DX, 1, ulps), edge(p.Y+p.DY, 1, ulps), edge(p.T+p.DT, 1, ulps)
+				s.DX, s.DY, s.DT = 0, 0, 0
+			case 2: // a sub-box of p
+				s.X += p.DX / 3
+				s.DX = p.DX / 3
+			default: // NaN never covers
+				s.T = math.NaN()
+			}
+			known[i] = s
+		}
+		want := MinMatchCrowd(published, known)
+		if got := idx.MinMatchCrowd(known); got != want {
+			t.Fatalf("trial %d: indexed crowd %d, scan %d for %+v", trial, got, want, known)
+		}
+		checked++
+		if want > 0 {
+			matched++
+		}
+	}
+	if matched == 0 || matched == checked {
+		t.Errorf("%d of %d trajectories matched; want some of each", matched, checked)
 	}
 }

@@ -2,8 +2,10 @@ package service
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -188,5 +190,107 @@ func TestFollowAnonymousFractionCoversCommittedWindows(t *testing.T) {
 	}
 	if final.Linkage == nil || len(final.Linkage.Pairs) != 1 {
 		t.Errorf("linkage over the two committed windows: %+v", final.Linkage)
+	}
+}
+
+// The linkage cap bounds each committed window, not their sum: the
+// probe costs O(probes × release size) per pair. Three one-hour windows
+// of the same four subscribers sum to 12 users; a cap of 5 still
+// reports linkage (and, with 4 distinct users, the k-gap), while a cap
+// of 3 skips both and builds no analysis input.
+func TestLinkageCapIsPerWindow(t *testing.T) {
+	var b strings.Builder
+	b.WriteString("user,lat,lon,minute\n")
+	for w := 0; w < 3; w++ {
+		for i, u := range []string{"a", "b", "c", "d"} {
+			fmt.Fprintf(&b, "%s,%.2f,-5.50,%d\n", u, 7.5+0.1*float64(i/2), w*60+5+i)
+		}
+	}
+	for _, tc := range []struct {
+		cap     int
+		linkage bool
+	}{{5, true}, {3, false}} {
+		t.Run(fmt.Sprintf("cap=%d", tc.cap), func(t *testing.T) {
+			reg := NewRegistry()
+			mgr := NewManager(reg, ManagerOptions{AnalysisMaxFingerprints: tc.cap})
+			defer mgr.Close()
+			info, err := reg.Ingest(strings.NewReader(b.String()), "feed", geo.LatLon{Lat: 7.54, Lon: -5.55}, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			st, err := mgr.Submit(JobSpec{DatasetID: info.ID, K: 2, Workers: 1, Shards: 1, WindowHours: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			final := waitForState(t, mgr, st.ID, func(s JobStatus) bool { return s.State.Terminal() })
+			if final.State != JobDone || len(final.Windows) != 3 {
+				t.Fatalf("job finished %s with %d windows: %s", final.State, len(final.Windows), final.Error)
+			}
+			span := analysisSpan(t, mgr, st.ID)
+			if got := span.Attrs["fingerprints"]; got != 4 {
+				t.Errorf("analysis span fingerprints = %v, want 4", got)
+			}
+			if !tc.linkage {
+				if final.Linkage != nil || final.AnonymousFraction != nil {
+					t.Errorf("capped job reports linkage %+v, fraction %v", final.Linkage, final.AnonymousFraction)
+				}
+				if _, built := span.Attrs["build_ms"]; built {
+					t.Error("both analyses skipped, yet the input was built")
+				}
+				return
+			}
+			if final.Linkage == nil || len(final.Linkage.Pairs) != 2 || final.Linkage.Probed != 8 {
+				t.Fatalf("linkage = %+v, want 2 pairs probing 4 shared subscribers each", final.Linkage)
+			}
+			if final.AnonymousFraction == nil {
+				t.Error("no anonymous fraction for 4 users under a cap of 5")
+			}
+		})
+	}
+}
+
+// BenchmarkAnalysisTail times the finish-time analysis of a
+// windowed-week-shaped job (250 subscribers, 7 days, 24 h windows) with
+// its allocations: selecting the committed windows' rows of the
+// snapshot, the one dataset build, the thresholded k-gap pass and the
+// cross-window linkage probe over the seven releases.
+func BenchmarkAnalysisTail(b *testing.B) {
+	reg := NewRegistry()
+	mgr := NewManager(reg, ManagerOptions{})
+	defer mgr.Close()
+	info := ingestSynth(b, reg, 250, 7)
+	spec := JobSpec{DatasetID: info.ID, K: 2, WindowHours: 24, Workers: 2}
+	st, err := mgr.Submit(spec)
+	if err != nil {
+		b.Fatal(err)
+	}
+	final := waitForState(b, mgr, st.ID, func(s JobStatus) bool { return s.State.Terminal() })
+	if final.State != JobDone || len(final.Windows) != 7 {
+		b.Fatalf("job finished %s with %d windows: %s", final.State, len(final.Windows), final.Error)
+	}
+	var indices, users []int
+	var releases []*core.Dataset
+	for _, w := range final.Windows {
+		rel, err := mgr.WindowResult(st.ID, w.Index)
+		if err != nil {
+			b.Fatal(err)
+		}
+		out, err := cdr.ReadAnonymizedCSV(bytes.NewReader(storedCSV(b, rel)))
+		if err != nil {
+			b.Fatal(err)
+		}
+		indices = append(indices, w.Index)
+		users = append(users, w.Users)
+		releases = append(releases, out)
+	}
+	snap, _, _ := reg.SnapshotSource(info.ID)
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		frac, link := mgr.analyze(ctx, obs.ActiveSpan{}, snap, spec.WindowDuration(), indices, slices.Max(users), releases, spec)
+		if frac == nil || link == nil {
+			b.Fatalf("analysis skipped: fraction %v, linkage %v", frac, link)
+		}
 	}
 }

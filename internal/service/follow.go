@@ -3,11 +3,9 @@ package service
 import (
 	"context"
 	"fmt"
-	"math/rand"
 	"sort"
 	"time"
 
-	"repro/internal/analysis"
 	"repro/internal/colstore"
 	"repro/internal/core"
 	"repro/internal/faultinject"
@@ -144,26 +142,22 @@ func (m *Manager) executeWindows(ctx context.Context, job *Job, spec JobSpec) (r
 		measured := &core.Dataset{Fingerprints: fps}
 		total.OutputFingerprints = measured.Len()
 		total.OutputSamples = measured.TotalSamples()
+		if !planned && len(indices) > 0 {
+			// Every window was committed before a restart: report the plan
+			// the first window ran under.
+			if src := committedWindow(lastSnap, d, indices[0]); src != nil {
+				if _, err := m.planJob(job, root, src, src.NumUsers(), spec); err != nil {
+					return runOutcome{}, err
+				}
+			}
+		}
 		// Both measurements cover exactly the released windows: a live
 		// feed's last snapshot also holds the open window, and after a
 		// restart records appended since, none of which were released.
-		srcs := committedWindows(lastSnap, d, indices)
-		if !planned && len(srcs) > 0 {
-			// Every window was committed before a restart: report the plan
-			// the first window ran under.
-			if _, err := m.planJob(job, root, srcs[0], srcs[0].NumUsers(), spec); err != nil {
-				return runOutcome{}, err
-			}
-		}
 		aspan := root.Child(obs.SpanAnalysis, "")
-		outcome := runOutcome{
-			measured: measured,
-			stats:    total,
-			anonFrac: m.anonymizability(ctx, aspan, colstore.Concat(srcs...), spec),
-			linkage:  m.crossWindowLinkage(ctx, srcs, indices, releases, spec),
-		}
+		anonFrac, linkage := m.analyze(ctx, aspan, lastSnap, d, indices, job.maxCommittedWindowUsers(), releases, spec)
 		aspan.End()
-		return outcome, nil
+		return runOutcome{measured: measured, stats: total, anonFrac: anonFrac, linkage: linkage}, nil
 	}
 
 	if limit > 0 && len(releases) >= limit {
@@ -396,14 +390,6 @@ func (m *Manager) executeWindows(ctx context.Context, job *Job, spec JobSpec) (r
 	}
 }
 
-// Cross-window linkage probe budget: h samples of adversary knowledge
-// per window, and how many shared subscribers are attacked per
-// consecutive release pair.
-const (
-	linkageKnownSamples = 4
-	linkageProbes       = 200
-)
-
 // feedWindows buckets snap's records from record `from` on into windows
 // of duration d. d == 0 (a batch job, whose frozen run reads from record
 // 0) is one window, index 0: the snapshot view itself, so the release
@@ -415,11 +401,10 @@ func feedWindows(snap *colstore.View, from int, d time.Duration) ([]colstore.Win
 	return snap.TailWindows(from, d)
 }
 
-// committedWindows buckets snap once and returns the view of each
-// committed window, in release order (indices). nil when there is no
-// snapshot, the bucketing fails, or the snapshot lacks a committed
+// committedWindow returns the view of window idx of snap, or nil when
+// there is no snapshot, the bucketing fails, or the snapshot lacks the
 // window.
-func committedWindows(snap *colstore.View, d time.Duration, indices []int) []*colstore.View {
+func committedWindow(snap *colstore.View, d time.Duration, idx int) *colstore.View {
 	if snap == nil {
 		return nil
 	}
@@ -427,57 +412,10 @@ func committedWindows(snap *colstore.View, d time.Duration, indices []int) []*co
 	if err != nil {
 		return nil
 	}
-	byIndex := make(map[int]*colstore.View, len(wins))
 	for _, w := range wins {
-		byIndex[w.Index] = w.View
-	}
-	srcs := make([]*colstore.View, len(indices))
-	for i, idx := range indices {
-		src, ok := byIndex[idx]
-		if !ok {
-			return nil
-		}
-		srcs[i] = src
-	}
-	return srcs
-}
-
-// crossWindowLinkage measures residual cross-release linkability of a
-// finished windowed run: srcs are the originals of the committed
-// windows (committedWindows), so nothing is retained during the run.
-// nil for runs with fewer than two releases, on cancellation, or for
-// inputs above the analysis cap.
-func (m *Manager) crossWindowLinkage(ctx context.Context, srcs []*colstore.View, indices []int, releases []*core.Dataset, spec JobSpec) *analysis.LinkageResult {
-	if len(releases) < 2 || len(srcs) != len(releases) || ctx.Err() != nil {
-		return nil
-	}
-	totalUsers := 0
-	for _, src := range srcs {
-		totalUsers += src.NumUsers()
-	}
-	if totalUsers > m.opt.AnalysisMaxFingerprints {
-		return nil
-	}
-	originals := make([]*core.Dataset, len(srcs))
-	for i, src := range srcs {
-		var err error
-		if originals[i], err = src.BuildDataset(); err != nil {
-			return nil
+		if w.Index == idx {
+			return w.View
 		}
 	}
-	// Seeded deterministically so repeated identical jobs report the
-	// same measurement.
-	rng := rand.New(rand.NewSource(1))
-	res, err := analysis.CrossWindowLinkage(originals, releases, linkageKnownSamples, linkageProbes, rng, spec.Workers)
-	if err != nil {
-		return nil
-	}
-	// Relabel pairs with the absolute window indices the rest of the
-	// API uses (WindowStatus.Index, /windows/{w}/result); consecutive
-	// releases may span a gap of empty windows, which the relabeled
-	// indices make visible.
-	for i := range res.Pairs {
-		res.Pairs[i].Window = indices[i]
-	}
-	return &res
+	return nil
 }

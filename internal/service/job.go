@@ -301,6 +301,20 @@ func (j *Job) abortOpenWindowsLocked() {
 	}
 }
 
+// maxCommittedWindowUsers returns the largest user count among the
+// job's committed windows, 0 when none is recorded.
+func (j *Job) maxCommittedWindowUsers() int {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	users := 0
+	for _, w := range j.windows {
+		if w.state == WindowDone {
+			users = max(users, w.users)
+		}
+	}
+	return users
+}
+
 // commitWindow publishes a completed window's release, which holds
 // groups anonymity groups.
 func (j *Job) commitWindow(w int, rel *Release, groups int, stats *core.GloveStats) {

@@ -41,9 +41,10 @@ type ManagerOptions struct {
 	// Workers is the default per-job CPU parallelism when a spec leaves
 	// it unset; <= 0 uses all CPUs.
 	Workers int
-	// AnalysisMaxFingerprints caps the input size for the quadratic
-	// k-gap anonymizability analysis attached to finished jobs; inputs
-	// above the cap skip the analysis. <= 0 means 2000.
+	// AnalysisMaxFingerprints caps the finish-time analysis attached to
+	// finished jobs: the k-gap anonymizability pass skips when the
+	// committed windows hold more distinct users, and the cross-window
+	// linkage when one committed window does. <= 0 means 2000.
 	AnalysisMaxFingerprints int
 
 	// MaxFinishedJobs bounds how many terminal (done/failed/cancelled)
@@ -1096,42 +1097,4 @@ func (m *Manager) Trace(id string) (api.JobTrace, error) {
 			With("job_id", id).With("state", string(state))
 	}
 	return api.JobTrace{JobID: id, State: state, Root: tr.Snapshot()}, nil
-}
-
-// anonymizability measures the fraction of the input's fingerprints
-// that were k-anonymous before GLOVE ran: the k-gap analysis of Sec. 5,
-// by its thresholded pass (core.KGapAnonymousFraction). It records on
-// span how many fingerprints the input holds and, when the pass does
-// not run, why: "cancelled", "too_small" (fewer than k fingerprints, or
-// no input — a dataset that disappeared before the run could snapshot
-// it) or "cap" (above AnalysisMaxFingerprints). nil when skipped or
-// when the analysis fails.
-func (m *Manager) anonymizability(ctx context.Context, span obs.ActiveSpan, src *colstore.View, spec JobSpec) *float64 {
-	users := 0
-	if src != nil {
-		users = src.NumUsers()
-	}
-	span.SetAttr("fingerprints", users)
-	skip := ""
-	switch {
-	case ctx.Err() != nil:
-		skip = "cancelled"
-	case users < spec.K:
-		skip = "too_small"
-	case users > m.opt.AnalysisMaxFingerprints:
-		skip = "cap"
-	}
-	if skip != "" {
-		span.SetAttr("skipped", skip)
-		return nil
-	}
-	ds, err := src.BuildDataset()
-	if err != nil {
-		return nil
-	}
-	frac, err := core.KGapAnonymousFraction(core.DefaultParams(), ds, spec.K, spec.Workers)
-	if err != nil {
-		return nil
-	}
-	return &frac
 }

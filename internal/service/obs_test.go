@@ -238,6 +238,22 @@ func TestJobTraceEndpoint(t *testing.T) {
 			if skipped, ok := c.Attrs["skipped"]; ok {
 				t.Errorf("analysis of a 40-user job skipped: %v", skipped)
 			}
+			// Where the tail's time goes: the one input build, the k-gap
+			// pass with its candidate pairs, and the linkage probe of
+			// this two-window job, each within the span.
+			var parts float64
+			for _, key := range []string{"build_ms", "kgap_ms", "linkage_ms", "kgap_candidates"} {
+				v, ok := c.Attrs[key].(float64)
+				if !ok || v < 0 {
+					t.Errorf("analysis span %s = %v, want a non-negative number", key, c.Attrs[key])
+				}
+				if key != "kgap_candidates" {
+					parts += v
+				}
+			}
+			if parts > c.DurationMS {
+				t.Errorf("analysis parts sum to %g ms, more than the span's %g ms", parts, c.DurationMS)
+			}
 		}
 	}
 	if kinds[obs.SpanAnalysis] != 1 || analysisAt < 0 {
