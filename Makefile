@@ -84,12 +84,13 @@ bench:
 # window's new-data volume, not the total feed size (DESIGN.md Sec. 12).
 # BenchmarkWALAppend pins the durability tax: the per-record journal
 # append/commit cost every mutation now pays (DESIGN.md Sec. 13).
-# BenchmarkAnonymizability pins the finish-time k-gap analysis: the full
+# BenchmarkAnonymizability pins the per-release k-gap analysis: the full
 # pass against the thresholded one gloved runs, at 250, 1,000 and 4,000
 # subscribers with its candidate pairs (DESIGN.md Sec. 8).
-# BenchmarkAnalysisTail pins the whole finish-time analysis of a
-# windowed-week-shaped job, with its allocations: the one input build,
-# the k-gap pass and the linkage probe (DESIGN.md Sec. 7.3).
+# BenchmarkReleaseQuality pins what measuring a release adds to each
+# window commit of a windowed-week-shaped job, with its allocations: the
+# k-gap pass on the window's input, one linkage pair and the accuracy
+# fold (DESIGN.md Sec. 7.3).
 # BenchmarkReleaseDownload pins the download of a committed window
 # release over loopback, with its allocations: a download writes the
 # bytes stored at commit (DESIGN.md Sec. 7.2).
@@ -98,7 +99,7 @@ bench:
 # calls per op: the dense build and merge loop a window commit pays
 # (DESIGN.md Sec. 8).
 bench-json:
-	$(GO) test -run=^$$ -bench='BenchmarkAblation|BenchmarkAnonymizability|BenchmarkFingerprintEffortKernel|BenchmarkEffortKernel|BenchmarkScaling|BenchmarkWindowCommit|BenchmarkWAL|BenchmarkReleaseDownload|BenchmarkWindowedWeekEngine|BenchmarkAnalysisTail' \
+	$(GO) test -run=^$$ -bench='BenchmarkAblation|BenchmarkAnonymizability|BenchmarkFingerprintEffortKernel|BenchmarkEffortKernel|BenchmarkScaling|BenchmarkWindowCommit|BenchmarkWAL|BenchmarkReleaseDownload|BenchmarkWindowedWeekEngine|BenchmarkReleaseQuality' \
 		-benchtime=1x -timeout=30m -json . ./internal/core ./internal/wal ./internal/service > BENCH_glove.json
 
 # profile writes a CPU pprof of the k=2 civ GLOVE run (the

@@ -95,9 +95,10 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 // serveInProcess starts the gloved service pipeline — registry, job
 // manager and HTTP surface — on a loopback listener, so local mode is
 // remote mode against a private daemon and publishes exactly what a
-// resident gloved would. The finish-time analysis is uncapped: a local
-// run reports the k-gap fraction and cross-window linkage at any size,
-// as a single-user command can afford the quadratic pass. stop shuts
+// resident gloved would. The measurement of each release is uncapped: a
+// local run reports the k-gap fraction and cross-window linkage at any
+// window size, as a single-user command can afford the quadratic pass.
+// stop shuts
 // the listener and the manager down.
 func serveInProcess() (base string, stop func(), err error) {
 	reg := service.NewRegistry()

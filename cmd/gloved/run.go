@@ -32,7 +32,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		colBudget   = fs.Int64("columnar-budget-mb", 0, "resident column bytes per dataset, in MiB; overflow spills to disk (0 = unbounded)")
 		colSpillDir = fs.String("columnar-spill-dir", "", "directory for columnar spill files (empty = system temp)")
 		maxBody     = fs.Int64("max-body-bytes", 0, "per-ingestion body byte limit (0 = unlimited)")
-		analysisCap = fs.Int("analysis-cap", 2000, "max users for the finish-time analysis: the k-gap pass over the committed windows, and the linkage per committed window")
+		analysisCap = fs.Int("analysis-cap", 2000, "max users of a window whose release is measured at its commit: above it, the window's k-gap pass and its linkage pairs are skipped")
 		followMaxW  = fs.Int("follow-max-windows", 0, "daemon-wide cap on windows a follow job may commit (0 = unbounded)")
 		retainJobs  = fs.Int("retain-jobs", 64, "finished jobs retained in memory, oldest evicted first (0 = unlimited)")
 		retainAge   = fs.Duration("retain-age", 0, "evict finished jobs older than this (0 = no age bound)")

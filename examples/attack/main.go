@@ -41,7 +41,7 @@ func main() {
 	attack := func(published *core.Dataset, label string) {
 		unique, protected := 0, 0
 		for _, target := range dataset.Fingerprints {
-			crowd := core.MinMatchCrowd(published, target.Samples)
+			crowd := core.MatchCrowd(published, target.Samples)
 			switch {
 			case crowd == 1:
 				unique++
@@ -66,7 +66,7 @@ func main() {
 		// The crowd guarantee, per target.
 		worst := dataset.Len() + 1
 		for _, target := range dataset.Fingerprints {
-			if c := core.MinMatchCrowd(published, target.Samples); c < worst {
+			if c := core.MatchCrowd(published, target.Samples); c < worst {
 				worst = c
 			}
 		}

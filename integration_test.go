@@ -53,7 +53,7 @@ func TestEndToEndPipeline(t *testing.T) {
 
 		// The strongest-adversary attack must be defeated for every user.
 		for _, target := range dataset.Fingerprints[:10] {
-			if crowd := core.MinMatchCrowd(published, target.Samples); crowd < k {
+			if crowd := core.MatchCrowd(published, target.Samples); crowd < k {
 				t.Fatalf("k=%d: target %s narrowed to crowd %d", k, target.ID, crowd)
 			}
 		}

@@ -14,8 +14,8 @@ import (
 // locations, de Montjoye et al.'s spatiotemporal points) get stronger
 // when the adversary can correlate a target across repeated releases.
 // Even if every release is k-anonymous on its own, a subscriber whose
-// partial trajectory pins a unique group in release t AND in release
-// t+1 is re-linked across the two — the adversary now owns a longer
+// partial trajectory matches exactly one group in release t AND exactly
+// one in release t+1 is re-linked across the two — the adversary now owns a longer
 // joint trajectory than either release exposed. CrossWindowLinkage
 // quantifies that residual risk.
 
@@ -25,8 +25,8 @@ type LinkagePair struct {
 	// Window labels the earlier release of the pair. CrossWindowLinkage
 	// fills it with the release's position in the probed sequence;
 	// callers whose windows carry absolute indices (which may jump over
-	// empty windows) should relabel it so the pair can be correlated
-	// with their window numbering.
+	// empty windows) label it with that index instead, so the pair can
+	// be correlated with their window numbering.
 	Window int `json:"window"`
 	// Shared is the number of subscribers active in both windows of the
 	// original feed.
@@ -63,12 +63,10 @@ func (r LinkageResult) String() string {
 // partial-knowledge adversary. originals[i] is the fingerprint dataset
 // of window i before anonymization (one fingerprint per subscriber,
 // IDs carrying the subscriber pseudo-identifier); releases[i] is the
-// published dataset of the same window. For each consecutive pair of
-// windows, up to probes subscribers present in both are drawn, `known`
-// original samples of each window are given to the adversary, and the
-// subscriber counts as re-linked when the samples pin a unique match
-// (crowd 1) in both releases. rng drives probe selection for
-// reproducibility; workers bounds parallelism.
+// published dataset of the same window. Each consecutive pair of
+// windows is probed by LinkPair, in order, with the one rng, and
+// labeled with the position of its earlier release; workers bounds
+// parallelism.
 func CrossWindowLinkage(originals, releases []*core.Dataset, known, probes int, rng *rand.Rand, workers int) (LinkageResult, error) {
 	if len(originals) != len(releases) {
 		return LinkageResult{}, fmt.Errorf("analysis: %d original windows vs %d releases",
@@ -76,12 +74,6 @@ func CrossWindowLinkage(originals, releases []*core.Dataset, known, probes int, 
 	}
 	if len(releases) < 2 {
 		return LinkageResult{}, fmt.Errorf("analysis: cross-window linkage needs >= 2 releases, got %d", len(releases))
-	}
-	if known < 1 {
-		return LinkageResult{}, fmt.Errorf("analysis: known = %d", known)
-	}
-	if probes < 1 {
-		return LinkageResult{}, fmt.Errorf("analysis: probes = %d", probes)
 	}
 
 	// Each release is indexed once and probed in both pairs it belongs
@@ -91,22 +83,44 @@ func CrossWindowLinkage(originals, releases []*core.Dataset, known, probes int, 
 	})
 	res := LinkageResult{KnownSamples: known}
 	for w := 0; w+1 < len(releases); w++ {
-		pair, err := linkPair(originals[w], originals[w+1], idx[w], idx[w+1], w, known, probes, rng, workers)
+		pair, err := LinkPair(originals[w], originals[w+1], idx[w], idx[w+1], known, probes, rng, workers)
 		if err != nil {
 			return LinkageResult{}, err
 		}
-		res.Pairs = append(res.Pairs, pair)
-		res.Probed += pair.Probed
-		res.Linked += pair.Linked
-	}
-	if res.Probed > 0 {
-		res.LinkedFraction = float64(res.Linked) / float64(res.Probed)
+		pair.Window = w
+		res.Add(pair)
 	}
 	return res, nil
 }
 
-// linkPair measures one consecutive release pair.
-func linkPair(origA, origB *core.Dataset, relA, relB *core.CoverIndex, w, known, probes int, rng *rand.Rand, workers int) (LinkagePair, error) {
+// Add folds one pair's measurement into the result: it appends the
+// pair and updates the sums and their ratio.
+func (r *LinkageResult) Add(p LinkagePair) {
+	r.Pairs = append(r.Pairs, p)
+	r.Probed += p.Probed
+	r.Linked += p.Linked
+	if r.Probed > 0 {
+		r.LinkedFraction = float64(r.Linked) / float64(r.Probed)
+	}
+}
+
+// LinkPair measures one pair of consecutive releases: origA and origB
+// are the two windows' originals, relA and relB their indexed releases.
+// Up to probes subscribers present in both windows are drawn, known
+// original samples of each window are given to the adversary, and the
+// subscriber counts as re-linked when the samples match exactly one
+// group in each release: the adversary then ties the target's two
+// partial trajectories to one published record each, whatever crowd
+// those records hide. rng drives probe selection for reproducibility;
+// workers bounds parallelism. The pair's Window is left 0 for the
+// caller to label.
+func LinkPair(origA, origB *core.Dataset, relA, relB *core.CoverIndex, known, probes int, rng *rand.Rand, workers int) (LinkagePair, error) {
+	if known < 1 {
+		return LinkagePair{}, fmt.Errorf("analysis: known = %d", known)
+	}
+	if probes < 1 {
+		return LinkagePair{}, fmt.Errorf("analysis: probes = %d", probes)
+	}
 	byID := make(map[string]*core.Fingerprint, origB.Len())
 	for _, f := range origB.Fingerprints {
 		byID[f.ID] = f
@@ -122,7 +136,7 @@ func linkPair(origA, origB *core.Dataset, relA, relB *core.CoverIndex, w, known,
 	// probe selection depends only on the rng, not on upstream ordering.
 	sort.Slice(shared, func(i, j int) bool { return shared[i].a.ID < shared[j].a.ID })
 
-	pair := LinkagePair{Window: w, Shared: len(shared)}
+	pair := LinkagePair{Shared: len(shared)}
 	if len(shared) == 0 {
 		return pair, nil
 	}
@@ -143,10 +157,13 @@ func linkPair(origA, origB *core.Dataset, relA, relB *core.CoverIndex, w, known,
 		}
 	}
 	linked := parallel.Map(n, workers, func(i int) int {
-		if relA.MinMatchCrowd(ps[i].sa) == 1 && relB.MinMatchCrowd(ps[i].sb) == 1 {
-			return 1
+		if ga, _ := relA.Match(ps[i].sa); ga != 1 {
+			return 0
 		}
-		return 0
+		if gb, _ := relB.Match(ps[i].sb); gb != 1 {
+			return 0
+		}
+		return 1
 	})
 	pair.Probed = n
 	for _, l := range linked {

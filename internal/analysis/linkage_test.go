@@ -44,7 +44,7 @@ func TestCrossWindowLinkage(t *testing.T) {
 	origB := core.NewDataset([]*core.Fingerprint{u1b, u2b, u4b})
 
 	// Publishing the raw windows re-links every shared subscriber: each
-	// probe pins a unique count-1 record in both windows.
+	// probe pins one record in both windows.
 	res, err := CrossWindowLinkage(
 		[]*core.Dataset{origA, origB},
 		[]*core.Dataset{origA, origB},
@@ -60,32 +60,47 @@ func TestCrossWindowLinkage(t *testing.T) {
 			res.Linked, res.Probed, res.LinkedFraction)
 	}
 
-	// Anonymized windows hide every subscriber in a crowd of 3: no probe
-	// pins a unique group, so nothing is re-linked.
-	relA := core.NewDataset([]*core.Fingerprint{groupOf("gA", u1a, u2a, u3a)})
-	relB := core.NewDataset([]*core.Fingerprint{groupOf("gB", u1b, u2b, u4b)})
-	res, err = CrossWindowLinkage(
-		[]*core.Dataset{origA, origB},
-		[]*core.Dataset{relA, relB},
-		2, 10, rand.New(rand.NewSource(1)), 0)
-	if err != nil {
-		t.Fatal(err)
+	// A probe re-links when its samples match exactly one group in each
+	// release, whatever crowd the group hides. With one group per
+	// release every probe matches it, so both re-link.
+	link := func(relA, relB *core.Dataset) LinkageResult {
+		t.Helper()
+		res, err := CrossWindowLinkage(
+			[]*core.Dataset{origA, origB},
+			[]*core.Dataset{relA, relB},
+			2, 10, rand.New(rand.NewSource(1)), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
 	}
-	if res.Linked != 0 || res.LinkedFraction != 0 {
-		t.Errorf("anonymized windows: linked %d/%d, want 0", res.Linked, res.Probed)
+	res = link(
+		core.NewDataset([]*core.Fingerprint{groupOf("gA", u1a, u2a, u3a)}),
+		core.NewDataset([]*core.Fingerprint{groupOf("gB", u1b, u2b, u4b)}))
+	if res.Probed != 2 || res.Linked != 2 {
+		t.Errorf("one group per release: linked %d/%d, want 2/2", res.Linked, res.Probed)
 	}
 
-	// Mixed case: u1 is published alone (count 1) in both windows while
-	// u2 hides in a crowd — exactly half the probes re-link.
-	relA = core.NewDataset([]*core.Fingerprint{u1a, groupOf("gA", u2a, u3a)})
-	relB = core.NewDataset([]*core.Fingerprint{u1b, groupOf("gB", u2b, u4b)})
-	res, err = CrossWindowLinkage(
-		[]*core.Dataset{origA, origB},
-		[]*core.Dataset{relA, relB},
-		2, 10, rand.New(rand.NewSource(1)), 0)
-	if err != nil {
-		t.Fatal(err)
+	// k-anonymous releases whose groups each hold one shared subscriber:
+	// every probe pins one 2-subscriber group in each release, so both
+	// re-link. (Counting a probe only when its match hides a single
+	// subscriber would report 0 here, as on any k-anonymous release.)
+	xA, xB := linkFP("xA", 6e5, 4), linkFP("xB", 7e5, 4)
+	relA := core.NewDataset([]*core.Fingerprint{groupOf("gA1", u1a, u3a), groupOf("gA2", u2a, xA)})
+	relB := core.NewDataset([]*core.Fingerprint{groupOf("gB1", u1b, u4b), groupOf("gB2", u2b, xB)})
+	res = link(relA, relB)
+	if res.Linked != 2 || res.LinkedFraction != 1 {
+		t.Errorf("one shared subscriber per group: linked %d/%d, want 2/2", res.Linked, res.Probed)
 	}
+
+	// Mixed case: release B publishes u2's window-B samples in two
+	// groups (a twin u2' behaves exactly like u2), so u2's probe matches
+	// both and stays unlinked while u1 re-links — exactly half.
+	u2twin := linkFP("u2'", 4e5, 4)
+	yB := linkFP("yB", 8e5, 4)
+	relB = core.NewDataset([]*core.Fingerprint{
+		groupOf("gB1", u1b, u4b), groupOf("gB2", u2b, xB), groupOf("gB3", u2twin, yB)})
+	res = link(relA, relB)
 	if res.Linked != 1 || res.LinkedFraction != 0.5 {
 		t.Errorf("mixed windows: linked %d/%d (%.2f), want 1/2",
 			res.Linked, res.Probed, res.LinkedFraction)

@@ -62,7 +62,8 @@ func PartialKnowledgeUniqueness(original, published *core.Dataset, known, probes
 
 	idx := core.NewCoverIndex(published)
 	crowds := parallel.Map(probes, workers, func(i int) int {
-		return idx.MinMatchCrowd(ps[i].samples)
+		_, crowd := idx.Match(ps[i].samples)
+		return crowd
 	})
 
 	res := UniquenessResult{KnownSamples: known, Probed: probes}

@@ -195,6 +195,31 @@ type WindowStatus struct {
 	// /v1/jobs/{id}/windows/{index}/result.
 	Groups int              `json:"groups,omitempty"`
 	Stats  *core.GloveStats `json:"stats,omitempty"`
+	// ReleaseQuality is the done window's release measured at its
+	// commit: anonymous, linkage and accuracy.
+	ReleaseQuality
+}
+
+// ReleaseQuality is what one committed release cost in privacy and
+// accuracy, measured once, when the release commits, and journaled with
+// it. A job's anonymous_fraction, linkage and accuracy aggregate its
+// releases' measurements.
+type ReleaseQuality struct {
+	// Anonymous counts the window's input fingerprints (one per user,
+	// Users in all) that were already k-anonymous before GLOVE ran: the
+	// k-gap of Sec. 5 is zero, decided by the thresholded pass
+	// (core.KGapAnonymousFraction). nil when the window held more users
+	// than the daemon's analysis cap, or in a journal written before
+	// releases were measured at their commit.
+	Anonymous *int `json:"anonymous,omitempty"`
+	// Linkage is the cross-window linkage probe of this release and the
+	// previous committed one of the job (its Window is that release's
+	// index). nil for a job's first release, when either window held
+	// more users than the analysis cap, or in an older journal.
+	Linkage *analysis.LinkagePair `json:"linkage,omitempty"`
+	// Accuracy summarizes the release's generalized extents per
+	// original sample (Figs. 9-11).
+	Accuracy *metrics.Summary `json:"accuracy,omitempty"`
 }
 
 // JobStatus is a point-in-time snapshot of a job, the payload of
@@ -224,25 +249,36 @@ type JobStatus struct {
 	// Windows holds the per-window progress of a windowed job
 	// (window_hours > 0), in time order; empty for batch jobs.
 	Windows []WindowStatus `json:"windows,omitempty"`
-	// Linkage is the cross-window linkage measurement over consecutive
-	// releases of a finished windowed job (nil for batch jobs,
-	// single-window runs, or when the analysis was skipped).
+	// Linkage sums the cross-window linkage pairs of the job's committed
+	// releases (WindowStatus.Linkage), one per consecutive pair. It is
+	// set once the job is terminal, so a cancelled or failed job reports
+	// the releases it committed; nil for batch jobs and single-release
+	// runs, or when any pair went unmeasured (a window above the
+	// analysis cap, or a release journaled before releases were measured
+	// at their commit) — never a partial sum.
 	Linkage *analysis.LinkageResult `json:"linkage,omitempty"`
 
 	CreatedAt  time.Time  `json:"created_at"`
 	StartedAt  *time.Time `json:"started_at,omitempty"`
 	FinishedAt *time.Time `json:"finished_at,omitempty"`
 
-	// Stats and Accuracy are populated once the job is done.
+	// Stats is populated once the job is done. Accuracy summarizes every
+	// committed release's extents together, exactly as if their samples
+	// were measured as one dataset; like AnonymousFraction and Linkage
+	// it is set once the job is terminal, cancelled and failed jobs
+	// included, and covers the committed releases only.
 	Stats    *core.GloveStats `json:"stats,omitempty"`
 	Accuracy *metrics.Summary `json:"accuracy,omitempty"`
-	// AnonymousFraction is the fraction of input fingerprints that were
-	// already k-anonymous (Sec. 5 k-gap analysis), computed by a
-	// thresholded pass that decides only whether each k-gap is zero; it
-	// equals the full pass's fraction bit for bit. A windowed job's
-	// input is its committed windows, so a follow job's fraction
-	// excludes the window still open when it stopped. nil when the input
-	// was too large for the quadratic pass.
+	// AnonymousFraction is the fraction of the committed windows' input
+	// fingerprints that were already k-anonymous (Sec. 5 k-gap
+	// analysis): Σ anonymous / Σ users over the windows, each window's
+	// count measured at its commit (WindowStatus.Anonymous). A user
+	// active in several windows is one fingerprint per window, and a
+	// follow job's fraction excludes the window still open when it
+	// stopped. For a batch job it equals the full k-gap pass's fraction
+	// on its input bit for bit. nil when any committed window went
+	// unmeasured (above the analysis cap, or journaled before releases
+	// were measured at their commit) — never a partial number.
 	AnonymousFraction *float64 `json:"anonymous_fraction,omitempty"`
 }
 

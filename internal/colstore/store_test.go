@@ -741,71 +741,3 @@ func assertViewEqualsTable(t *testing.T, what string, v *View, tab *cdr.Table) {
 		t.Fatalf("%s: BuildDataset differs", what)
 	}
 }
-
-// The finish-time analysis input: SelectWindows picks a run's committed
-// windows out of a snapshot in one pass, and its build must equal the
-// build of those windows' TailWindows views fused by Concat; CutWindows
-// must then give each window exactly its own view's build.
-func TestSelectAndCutWindowsEqualPerWindowBuilds(t *testing.T) {
-	// Records out of time order across appends, as a live feed delivers
-	// a late record into an open window.
-	recs := testRecords(1200, 29)
-	rng := rand.New(rand.NewSource(3))
-	rng.Shuffle(len(recs), func(i, j int) {
-		if recs[i].Minute/600 == recs[j].Minute/600 {
-			recs[i], recs[j] = recs[j], recs[i]
-		}
-	})
-	const win = 12 * time.Hour
-	for _, opt := range []Options{{ChunkRecords: 128}, {ChunkRecords: 64, ByteBudget: 3 * 64 * bytesPerRecord}} {
-		view := newTestStore(t, recs, opt).Snapshot()
-		wins, err := view.TailWindows(0, win)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(wins) < 4 {
-			t.Fatalf("%d windows, want >= 4", len(wins))
-		}
-		for _, pick := range [][]int{{0}, {0, 1, 2, 3}, {1, 3}, {len(wins) - 1}} {
-			var idx []int
-			var views []*View
-			for _, p := range pick {
-				idx = append(idx, wins[p].Index)
-				views = append(views, wins[p].View)
-			}
-			sel, err := view.SelectWindows(win, idx)
-			if err != nil {
-				t.Fatal(err)
-			}
-			ref := Concat(views...)
-			if sel.NumRecords() != ref.NumRecords() || sel.NumUsers() != ref.NumUsers() {
-				t.Fatalf("windows %v: selection has %d records, %d users; concat %d, %d",
-					idx, sel.NumRecords(), sel.NumUsers(), ref.NumRecords(), ref.NumUsers())
-			}
-			got, err := sel.BuildDataset()
-			if err != nil {
-				t.Fatal(err)
-			}
-			want, err := ref.BuildDataset()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !sameBits(got, want) {
-				t.Fatalf("windows %v: the selection's build differs from the concat's", idx)
-			}
-			cuts := CutWindows(got, win, idx)
-			for i, v := range views {
-				own, err := v.BuildDataset()
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !sameBits(cuts[i], own) {
-					t.Fatalf("windows %v: the cut of window %d differs from its own build", idx, idx[i])
-				}
-			}
-		}
-	}
-	if _, err := newTestStore(t, recs, Options{}).Snapshot().SelectWindows(0, []int{0}); err == nil {
-		t.Error("SelectWindows accepted a zero window duration")
-	}
-}

@@ -3,7 +3,6 @@ package colstore
 import (
 	"fmt"
 	"math"
-	"slices"
 	"sort"
 	"time"
 
@@ -214,77 +213,6 @@ func (v *View) BuildDataset() (*core.Dataset, error) {
 		fps = append(fps, core.OwnFingerprint(g.name, perUser[g.id]))
 	}
 	return core.NewDataset(fps), nil
-}
-
-// SelectWindows returns the rows of the view whose window int(minute/w)
-// (w = d in minutes, the bucketing of TailWindows) is one of windows, in
-// the view's order, with their distinct users counted. Its BuildDataset
-// equals that of the Concat of those windows' TailWindows views: each
-// user's samples are the same, in a different record order that the
-// build's time sort undoes.
-func (v *View) SelectWindows(d time.Duration, windows []int) (*View, error) {
-	w := d.Minutes()
-	if w <= 0 {
-		return nil, fmt.Errorf("colstore: window duration %v, need > 0", d)
-	}
-	out := &View{s: v.s, meta: v.meta, dict: v.dict, rows: []int64{}}
-	if len(windows) == 0 {
-		return out, nil
-	}
-	lo, hi := slices.Min(windows), slices.Max(windows)
-	keep := make([]bool, hi-lo+1)
-	for _, idx := range windows {
-		keep[idx-lo] = true
-	}
-	row := int64(0)
-	err := v.eachRow(func(_, _, minute float64, _ uint32) error {
-		if i := int(minute/w) - lo; i >= 0 && i < len(keep) && keep[i] {
-			out.rows = append(out.rows, v.rowAt(row))
-		}
-		row++
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	out.n = len(out.rows)
-	out.users = out.countUsers(out.rows, make([]int32, len(v.dict)), 1)
-	return out, nil
-}
-
-// CutWindows splits a dataset BuildDataset made from a view into one
-// dataset per listed window: window windows[i]'s dataset holds, for each
-// user with samples in it, the user's samples whose int(T/w) is
-// windows[i] (T is the record's minute, w = d in minutes). A user's
-// samples are time-sorted, so each window's samples are one run of them,
-// shared with ds, not copied. Each cut equals the BuildDataset of that
-// window's own view: samples of equal time and grid cell are identical,
-// so the order the time sort leaves them in does not matter.
-func CutWindows(ds *core.Dataset, d time.Duration, windows []int) []*core.Dataset {
-	w := d.Minutes()
-	pos := make(map[int]int, len(windows))
-	for i, idx := range windows {
-		pos[idx] = i
-	}
-	fps := make([][]*core.Fingerprint, len(windows))
-	for _, f := range ds.Fingerprints {
-		for s := f.Samples; len(s) > 0; {
-			idx := int(s[0].T / w)
-			end := 1
-			for end < len(s) && int(s[end].T/w) == idx {
-				end++
-			}
-			if i, ok := pos[idx]; ok {
-				fps[i] = append(fps[i], &core.Fingerprint{ID: f.ID, Samples: s[:end:end], Count: f.Count, Members: f.Members})
-			}
-			s = s[end:]
-		}
-	}
-	out := make([]*core.Dataset, len(windows))
-	for i := range fps {
-		out[i] = core.NewDataset(fps[i])
-	}
-	return out
 }
 
 // Window is one time slice of a view produced by TailWindows.

@@ -104,17 +104,16 @@ func MatchingFingerprints(published *Dataset, known []Sample) []*Fingerprint {
 	return out
 }
 
-// MinMatchCrowd returns the smallest number of subscribers hidden across
-// the fingerprints matching the known trajectory; 0 means no match (the
-// trajectory was suppressed beyond recognition). A value >= k certifies
-// that the attack cannot narrow the target below a crowd of k.
-func MinMatchCrowd(published *Dataset, known []Sample) int {
-	matches := MatchingFingerprints(published, known)
-	if len(matches) == 0 {
-		return 0
-	}
+// MatchCrowd returns the number of subscribers hidden across the
+// fingerprints matching the known trajectory: the sum of their Counts,
+// over every match, not the smallest one. 0 means no match (the
+// trajectory was suppressed beyond recognition), and 1 means the
+// knowledge pins a single subscriber's record. On a k-anonymous release
+// every match hides at least k subscribers, so any match certifies a
+// crowd of at least k.
+func MatchCrowd(published *Dataset, known []Sample) int {
 	var total int
-	for _, f := range matches {
+	for _, f := range MatchingFingerprints(published, known) {
 		total += f.Count
 	}
 	return total
@@ -168,14 +167,14 @@ func NewCoverIndex(published *Dataset) *CoverIndex {
 	return &CoverIndex{published: published, boxes: boxes}
 }
 
-// MinMatchCrowd returns MinMatchCrowd(published, known) for the indexed
-// dataset. A sample p of a fingerprint covers s only if
-// p.X <= s.X+coverEps, and the box's lowest X is at most p.X; likewise
-// for every other bound of Sample.Covers. So a box failing one of those
-// comparisons holds no covering sample, and skipping the fingerprint
-// changes no match.
-func (x *CoverIndex) MinMatchCrowd(known []Sample) int {
-	var total int
+// Match returns, for the indexed dataset, how many fingerprints match
+// the known trajectory (len(MatchingFingerprints(published, known)))
+// and the crowd they hide (MatchCrowd(published, known)). A sample p of
+// a fingerprint covers s only if p.X <= s.X+coverEps, and the box's
+// lowest X is at most p.X; likewise for every other bound of
+// Sample.Covers. So a box failing one of those comparisons holds no
+// covering sample, and skipping the fingerprint changes no match.
+func (x *CoverIndex) Match(known []Sample) (groups, crowd int) {
 	for i, f := range x.published.Fingerprints {
 		b := &x.boxes[i]
 		all := true
@@ -189,8 +188,9 @@ func (x *CoverIndex) MinMatchCrowd(known []Sample) int {
 			}
 		}
 		if all {
-			total += f.Count
+			groups++
+			crowd += f.Count
 		}
 	}
-	return total
+	return groups, crowd
 }

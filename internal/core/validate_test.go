@@ -73,7 +73,7 @@ func TestMatchingFingerprintsAttack(t *testing.T) {
 	if len(matches) != 1 || matches[0].ID != target.ID {
 		t.Fatalf("raw-data attack matched %d fingerprints", len(matches))
 	}
-	if crowd := MinMatchCrowd(d, target.Samples); crowd != 1 {
+	if crowd := MatchCrowd(d, target.Samples); crowd != 1 {
 		t.Fatalf("raw-data crowd = %d, want 1 (unique)", crowd)
 	}
 
@@ -82,18 +82,18 @@ func TestMatchingFingerprintsAttack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	crowd := MinMatchCrowd(out, target.Samples)
+	crowd := MatchCrowd(out, target.Samples)
 	if crowd < 2 {
 		t.Fatalf("GLOVE'd crowd = %d, want >= 2", crowd)
 	}
 }
 
-func TestMinMatchCrowdNoMatch(t *testing.T) {
+func TestMatchCrowdNoMatch(t *testing.T) {
 	d := NewDataset([]*Fingerprint{
 		NewFingerprint("a", []Sample{NewSample(0, 0, 100, 10, 1)}),
 	})
 	known := []Sample{NewSample(90000, 0, 100, 10, 1)}
-	if crowd := MinMatchCrowd(d, known); crowd != 0 {
+	if crowd := MatchCrowd(d, known); crowd != 0 {
 		t.Errorf("crowd = %d, want 0", crowd)
 	}
 }
@@ -156,11 +156,11 @@ func TestCloneIndependence(t *testing.T) {
 	}
 }
 
-// The indexed linkage probe must return core's MinMatchCrowd for every
-// known trajectory, in particular for known samples whose every bound
+// The indexed linkage probe must return the scan's match count and
+// MatchCrowd for every known trajectory, in particular for known samples whose every bound
 // sits exactly on, or one ulp beyond, a published sample's coverEps
 // edge, where the box check and Sample.Covers must agree bit for bit.
-func TestCoverIndexMinMatchCrowdEqualsScan(t *testing.T) {
+func TestCoverIndexMatchEqualsScan(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	var fps []*Fingerprint
 	for g := 0; g < 40; g++ {
@@ -214,9 +214,11 @@ func TestCoverIndexMinMatchCrowdEqualsScan(t *testing.T) {
 			}
 			known[i] = s
 		}
-		want := MinMatchCrowd(published, known)
-		if got := idx.MinMatchCrowd(known); got != want {
-			t.Fatalf("trial %d: indexed crowd %d, scan %d for %+v", trial, got, want, known)
+		want := MatchCrowd(published, known)
+		wantGroups := len(MatchingFingerprints(published, known))
+		if groups, got := idx.Match(known); groups != wantGroups || got != want {
+			t.Fatalf("trial %d: indexed %d groups, crowd %d; scan %d, %d for %+v",
+				trial, groups, got, wantGroups, want, known)
 		}
 		checked++
 		if want > 0 {

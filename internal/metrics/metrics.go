@@ -12,6 +12,7 @@ package metrics
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/stats"
@@ -74,6 +75,11 @@ func (a *Accuracy) Summarize() (Summary, error) {
 	if err != nil {
 		return Summary{}, fmt.Errorf("metrics: time: %w", err)
 	}
+	return summaryOf(ps, ts), nil
+}
+
+// summaryOf assembles a Summary from the position and time statistics.
+func summaryOf(ps, ts stats.Summary) Summary {
 	return Summary{
 		Samples:         ps.N,
 		MeanPositionM:   ps.Mean,
@@ -84,7 +90,56 @@ func (a *Accuracy) Summarize() (Summary, error) {
 		MedianTimeMin:   ts.Median,
 		P25TimeMin:      ts.P25,
 		P75TimeMin:      ts.P75,
-	}, nil
+	}
+}
+
+// AccuracyRuns is the accuracy distributions of one or more published
+// releases held as ascending (value, multiplicity) runs: what Accuracy
+// holds expanded per original sample, in memory that grows with the
+// number of distinct extents instead. Releases fold into it one at a
+// time, and its Summarize equals Measure(concatenation).Summarize() bit
+// for bit, so a run can report the accuracy of every release it
+// committed without keeping any of them.
+type AccuracyRuns struct {
+	PositionMeters []stats.Run `json:"position_m"`
+	TimeMinutes    []stats.Run `json:"time_min"`
+}
+
+// MeasureRuns computes the accuracy runs of a published dataset: each
+// published sample contributes its extents with its weight.
+func MeasureRuns(d *core.Dataset) AccuracyRuns {
+	n := d.TotalSamples()
+	pos, tm := make([]stats.Run, 0, n), make([]stats.Run, 0, n)
+	for _, f := range d.Fingerprints {
+		for _, s := range f.Samples {
+			pos = append(pos, stats.Run{Value: s.SpatialSpan(), Count: s.Weight})
+			tm = append(tm, stats.Run{Value: s.TemporalSpan(), Count: s.Weight})
+		}
+	}
+	return AccuracyRuns{
+		PositionMeters: slices.Clip(stats.CompactRuns(pos)),
+		TimeMinutes:    slices.Clip(stats.CompactRuns(tm)),
+	}
+}
+
+// Fold adds another measurement's runs to a.
+func (a *AccuracyRuns) Fold(b AccuracyRuns) {
+	a.PositionMeters = stats.MergeRuns(a.PositionMeters, b.PositionMeters)
+	a.TimeMinutes = stats.MergeRuns(a.TimeMinutes, b.TimeMinutes)
+}
+
+// Summarize computes the summary of the folded measurements, bit for
+// bit Accuracy.Summarize of their expansion.
+func (a AccuracyRuns) Summarize() (Summary, error) {
+	ps, err := stats.SummarizeRuns(a.PositionMeters)
+	if err != nil {
+		return Summary{}, fmt.Errorf("metrics: position: %w", err)
+	}
+	ts, err := stats.SummarizeRuns(a.TimeMinutes)
+	if err != nil {
+		return Summary{}, fmt.Errorf("metrics: time: %w", err)
+	}
+	return summaryOf(ps, ts), nil
 }
 
 // Table2Row is one algorithm/dataset/k cell group of the paper's

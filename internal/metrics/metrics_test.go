@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -181,5 +182,48 @@ func TestPct(t *testing.T) {
 	}
 	if pct(1, 0) != 0 {
 		t.Error("pct with zero whole != 0")
+	}
+}
+
+// Folding releases' accuracy runs one at a time must summarize bit for
+// bit like measuring their concatenation: the same sum in the same
+// ascending order, the same quantile ranks. Extents repeat (grid sizes,
+// whole minutes), are fractional, or are shared across releases, and
+// weights run from 0 to 5.
+func TestAccuracyRunsFoldEqualsMeasureOfConcat(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	extent := func() float64 {
+		switch rng.Intn(3) {
+		case 0:
+			return float64(100 * (1 + rng.Intn(4)))
+		case 1:
+			return float64(rng.Intn(60))
+		}
+		return rng.Float64() * 1e4
+	}
+	for trial := 0; trial < 200; trial++ {
+		var all []*core.Fingerprint
+		var folded AccuracyRuns
+		for r := 1 + rng.Intn(5); r > 0; r-- {
+			var fps []*core.Fingerprint
+			for g := rng.Intn(6); g >= 0; g-- {
+				f := &core.Fingerprint{ID: "g", Count: 2}
+				for s := 1 + rng.Intn(8); s > 0; s-- {
+					f.Samples = append(f.Samples, core.Sample{DX: extent(), DY: extent(), DT: extent(), Weight: rng.Intn(6)})
+				}
+				fps = append(fps, f)
+			}
+			folded.Fold(MeasureRuns(core.NewDataset(fps)))
+			all = append(all, fps...)
+		}
+		want, werr := Measure(core.NewDataset(all)).Summarize()
+		got, gerr := folded.Summarize()
+		if (werr == nil) != (gerr == nil) {
+			t.Fatalf("trial %d: errors %v vs %v", trial, gerr, werr)
+		}
+		// %b prints every float's exact bits, the sign of zero included.
+		if fmt.Sprintf("%b", got) != fmt.Sprintf("%b", want) {
+			t.Fatalf("trial %d: folded runs %+v, concat %+v", trial, got, want)
+		}
 	}
 }

@@ -2,12 +2,14 @@ package service
 
 import (
 	"context"
+	"math"
 	"math/rand"
 	"time"
 
 	"repro/internal/analysis"
 	"repro/internal/colstore"
 	"repro/internal/core"
+	"repro/internal/metrics"
 	"repro/internal/obs"
 )
 
@@ -19,114 +21,94 @@ const (
 	linkageProbes       = 200
 )
 
-// analyze runs the finish-time analysis of a run over its committed
-// windows (indices, of duration d; a batch job's one window is all of
-// snap):
-//   - anonymizability: the fraction of the windows' fingerprints that
-//     were k-anonymous before GLOVE ran, by the thresholded k-gap pass
-//     of Sec. 5 (core.KGapAnonymousFraction);
-//   - with two or more releases, the cross-window linkage between
-//     consecutive ones.
+// committedRelease is what a run keeps of its last committed release,
+// for the next release's linkage pair: the window index, the window's
+// original (one fingerprint per user) and the release indexed for the
+// probe. original is nil when the window exceeded the analysis cap.
+type committedRelease struct {
+	index    int
+	original *core.Dataset
+	release  *core.CoverIndex
+}
+
+// measureRelease measures window idx's release at its commit, under an
+// analysis child of the window's span:
+//   - anonymizability: how many of the window's input fingerprints were
+//     k-anonymous before GLOVE ran, by the thresholded k-gap pass of
+//     Sec. 5 (core.KGapAnonymousFraction) on original, the shards'
+//     datasets as the run built them;
+//   - the cross-window linkage pair against prev, the previous
+//     committed release (nil for the first), with an rng seeded from
+//     idx so a resumed run draws the pair's probes as an uninterrupted
+//     one does;
+//   - the release's accuracy, summarized and returned as runs for the
+//     job's total.
 //
-// Both read one dataset, built in one pass over the committed windows'
-// rows of snap; each window's originals are cut out of it
-// (colstore.CutWindows). Nothing is built when both skip.
-//
-// span records how many fingerprints the input holds, the time of the
-// build, the k-gap pass and the linkage probe (build_ms, kgap_ms,
-// linkage_ms), the pairs the k-gap's candidate filter passed
-// (kgap_candidates) and, when the k-gap does not run, why: "cancelled",
-// "too_small" (fewer than k fingerprints, or no input — a dataset that
-// disappeared before the run could snapshot it) or "cap" (above
-// AnalysisMaxFingerprints). The linkage is skipped on cancellation or
-// when a committed window holds more than AnalysisMaxFingerprints users:
-// its probe costs O(probes × release size) per pair, so the cap bounds
-// each window, not their sum. maxWindowUsers is the largest committed
-// window's user count as the run recorded it, 0 when unknown.
-func (m *Manager) analyze(ctx context.Context, span obs.ActiveSpan, snap *colstore.View, d time.Duration, indices []int, maxWindowUsers int, releases []*core.Dataset, spec JobSpec) (*float64, *analysis.LinkageResult) {
+// AnalysisMaxFingerprints bounds each window alike: above it, the
+// window's k-gap and both linkage pairs it belongs to are skipped, and
+// span records skipped=cap. span also records the window's fingerprints
+// and the time of the k-gap pass and the linkage probe (kgap_ms,
+// linkage_ms), with the pairs the k-gap's candidate filter passed
+// (kgap_candidates). It returns the measurements and the release as the
+// next window's prev.
+func (m *Manager) measureRelease(span obs.ActiveSpan, idx int, original, release *core.Dataset, prev *committedRelease, spec JobSpec) (ReleaseQuality, metrics.AccuracyRuns, *committedRelease) {
 	limit := m.opt.AnalysisMaxFingerprints
-	var src *colstore.View
-	if snap != nil && len(indices) > 0 {
-		src = snap
-		if d > 0 {
-			var err error
-			if src, err = snap.SelectWindows(d, indices); err != nil {
-				src = nil
+	n := original.Len()
+	span.SetAttr("fingerprints", n)
+	cur := &committedRelease{index: idx, release: core.NewCoverIndex(release)}
+	var q ReleaseQuality
+	if n > limit {
+		span.SetAttr("skipped", "cap")
+	} else {
+		cur.original = original
+		start := time.Now()
+		frac, cands, err := core.KGapAnonymousFraction(core.DefaultParams(), original, spec.K, spec.Workers)
+		span.SetAttr("kgap_ms", msSince(start))
+		if err == nil {
+			// frac is anonymous/n rounded once, so this recovers the
+			// count exactly.
+			anon := int(math.Round(frac * float64(n)))
+			q.Anonymous = &anon
+			span.SetAttr("kgap_candidates", cands)
+		}
+		if prev != nil && prev.original != nil {
+			start = time.Now()
+			rng := rand.New(rand.NewSource(int64(idx)))
+			pair, err := analysis.LinkPair(prev.original, original, prev.release, cur.release,
+				linkageKnownSamples, linkageProbes, rng, spec.Workers)
+			span.SetAttr("linkage_ms", msSince(start))
+			if err == nil {
+				pair.Window = prev.index
+				q.Linkage = &pair
 			}
 		}
 	}
-	users := 0
-	if src != nil {
-		users = src.NumUsers()
+	runs := metrics.MeasureRuns(release)
+	if sum, err := runs.Summarize(); err == nil {
+		q.Accuracy = &sum
 	}
-	span.SetAttr("fingerprints", users)
-	skip := ""
-	switch {
-	case ctx.Err() != nil:
-		skip = "cancelled"
-	case users < spec.K:
-		skip = "too_small"
-	case users > limit:
-		skip = "cap"
-	}
-	if skip != "" {
-		span.SetAttr("skipped", skip)
-	}
-	link := src != nil && len(releases) >= 2 && ctx.Err() == nil && maxWindowUsers <= limit
-	if skip != "" && !link {
-		return nil, nil
-	}
-
-	start := time.Now()
-	ds, err := src.BuildDataset()
-	span.SetAttr("build_ms", msSince(start))
-	if err != nil {
-		return nil, nil
-	}
-	var frac *float64
-	if skip == "" {
-		start = time.Now()
-		f, cands, err := core.KGapAnonymousFraction(core.DefaultParams(), ds, spec.K, spec.Workers)
-		span.SetAttr("kgap_ms", msSince(start))
-		if err == nil {
-			frac = &f
-			span.SetAttr("kgap_candidates", cands)
-		}
-	}
-	var linkage *analysis.LinkageResult
-	if link {
-		start = time.Now()
-		linkage = crossWindowLinkage(colstore.CutWindows(ds, d, indices), indices, releases, limit, spec)
-		span.SetAttr("linkage_ms", msSince(start))
-	}
-	return frac, linkage
+	return q, runs, cur
 }
 
-// crossWindowLinkage measures residual cross-release linkability of a
-// finished windowed run: originals[i] is the input of releases[i], the
-// release of window indices[i]. nil when a window is empty or holds more
-// than limit users, or when the probe fails.
-func crossWindowLinkage(originals []*core.Dataset, indices []int, releases []*core.Dataset, limit int, spec JobSpec) *analysis.LinkageResult {
-	for _, o := range originals {
-		if o.Len() == 0 || o.Len() > limit {
-			return nil
-		}
+// rebuildRelease gives a resumed run what its next linkage pair needs of
+// its last recovered release, window idx of snap: the window's original
+// and its release, exactly as the run before the restart held them. The
+// journaled CSV rounds the release's extents, which would move the
+// probe's matches, so the window is re-run through the same plan
+// instead; the engine is deterministic, so the re-run reproduces the
+// committed release (whose journaled bytes stay the published ones).
+// nil when the window is missing, above the analysis cap or the re-run
+// fails: the pair is then skipped.
+func (m *Manager) rebuildRelease(ctx context.Context, snap *colstore.View, d time.Duration, idx int, spec JobSpec) *committedRelease {
+	v := committedWindow(snap, d, idx)
+	if v == nil || v.NumUsers() > m.opt.AnalysisMaxFingerprints {
+		return nil
 	}
-	// Seeded deterministically so repeated identical jobs report the
-	// same measurement.
-	rng := rand.New(rand.NewSource(1))
-	res, err := analysis.CrossWindowLinkage(originals, releases, linkageKnownSamples, linkageProbes, rng, spec.Workers)
+	out, original, _, err := runShards(ctx, planShards(v, v.NumUsers(), spec.K, spec.Shards), spec, nil, obs.ActiveSpan{}, nil)
 	if err != nil {
 		return nil
 	}
-	// Relabel pairs with the absolute window indices the rest of the
-	// API uses (WindowStatus.Index, /windows/{w}/result); consecutive
-	// releases may span a gap of empty windows, which the relabeled
-	// indices make visible.
-	for i := range res.Pairs {
-		res.Pairs[i].Window = indices[i]
-	}
-	return &res
+	return &committedRelease{index: idx, original: original, release: core.NewCoverIndex(out)}
 }
 
 // msSince returns the milliseconds elapsed since start.

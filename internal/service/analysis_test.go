@@ -2,10 +2,8 @@ package service
 
 import (
 	"bytes"
-	"context"
 	"fmt"
 	"math"
-	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -32,20 +30,29 @@ func fullPassFraction(t *testing.T, src *cdr.Table, k int) float64 {
 	return analysis.AnonymousFraction(rs)
 }
 
-// analysisSpan returns the analysis span under a job's trace root.
-func analysisSpan(t *testing.T, mgr *Manager, id string) *obs.Span {
+// analysisSpans returns the analysis spans of a job's trace, one per
+// committed release, each a child of its window's span, in window order.
+func analysisSpans(t *testing.T, mgr *Manager, id string) []*obs.Span {
 	t.Helper()
 	tr, err := mgr.Trace(id)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, c := range tr.Root.Children {
-		if c.Kind == obs.SpanAnalysis {
-			return c
+	var spans []*obs.Span
+	for _, w := range tr.Root.Children {
+		if w.Kind == obs.SpanAnalysis {
+			t.Fatalf("job %s has an analysis span under its root", id)
+		}
+		for _, c := range w.Children {
+			if w.Kind == obs.SpanWindow && c.Kind == obs.SpanAnalysis {
+				spans = append(spans, c)
+			}
 		}
 	}
-	t.Fatalf("job %s has no analysis span under its root", id)
-	return nil
+	if len(spans) == 0 {
+		t.Fatalf("job %s has no analysis span under a window", id)
+	}
+	return spans
 }
 
 // A batch job's anonymous fraction is bit for bit the full k-gap pass's
@@ -93,7 +100,7 @@ func TestBatchAnonymousFractionEqualsFullPass(t *testing.T) {
 			if final.State != JobDone {
 				t.Fatalf("job finished %s: %s", final.State, final.Error)
 			}
-			span := analysisSpan(t, mgr, st.ID)
+			span := analysisSpans(t, mgr, st.ID)[0]
 			if got, ok := span.Attrs["fingerprints"].(int); !ok || got != info.Users {
 				t.Errorf("analysis span fingerprints = %v, want %d", span.Attrs["fingerprints"], info.Users)
 			}
@@ -162,20 +169,28 @@ func TestFollowAnonymousFractionCoversCommittedWindows(t *testing.T) {
 		t.Fatalf("follow windows: %+v", final.Windows)
 	}
 
-	// Reference: the committed windows of the final feed, fused.
+	// Reference: each committed window of the final feed by the full
+	// pass, weighted by its users.
 	src, _, _ := reg.SnapshotSource(info.ID)
 	feed := viewTable(t, src)
 	wins, err := feed.SplitByWindow(time.Hour)
 	if err != nil {
 		t.Fatal(err)
 	}
-	committed := &cdr.Table{Center: feed.Center, SpanDays: feed.SpanDays}
+	var anon, users float64
 	for _, w := range wins {
-		if w.Index <= 1 {
-			committed.Records = append(committed.Records, w.Table.Records...)
+		if w.Index > 1 {
+			continue
 		}
+		n := float64(w.Table.Users())
+		wantAnon := fullPassFraction(t, w.Table, 2) * n
+		if got := final.Windows[w.Index].Anonymous; got == nil || float64(*got) != wantAnon {
+			t.Errorf("window %d anonymous = %v, want %g", w.Index, got, wantAnon)
+		}
+		anon += wantAnon
+		users += n
 	}
-	want := fullPassFraction(t, committed, 2)
+	want := anon / users
 	if want != 1 {
 		t.Fatalf("committed-window reference fraction %g, want 1", want)
 	}
@@ -193,11 +208,11 @@ func TestFollowAnonymousFractionCoversCommittedWindows(t *testing.T) {
 	}
 }
 
-// The linkage cap bounds each committed window, not their sum: the
-// probe costs O(probes × release size) per pair. Three one-hour windows
-// of the same four subscribers sum to 12 users; a cap of 5 still
-// reports linkage (and, with 4 distinct users, the k-gap), while a cap
-// of 3 skips both and builds no analysis input.
+// The analysis cap bounds each committed window alike, not their sum:
+// the k-gap and the linkage probe both run per window. Three one-hour
+// windows of the same four subscribers sum to 12 users; a cap of 5
+// still measures every window (two linkage pairs, every k-gap), while a
+// cap of 3 skips every measurement but the accuracy.
 func TestLinkageCapIsPerWindow(t *testing.T) {
 	var b strings.Builder
 	b.WriteString("user,lat,lon,minute\n")
@@ -226,16 +241,32 @@ func TestLinkageCapIsPerWindow(t *testing.T) {
 			if final.State != JobDone || len(final.Windows) != 3 {
 				t.Fatalf("job finished %s with %d windows: %s", final.State, len(final.Windows), final.Error)
 			}
-			span := analysisSpan(t, mgr, st.ID)
-			if got := span.Attrs["fingerprints"]; got != 4 {
-				t.Errorf("analysis span fingerprints = %v, want 4", got)
+			spans := analysisSpans(t, mgr, st.ID)
+			if len(spans) != 3 {
+				t.Fatalf("%d analysis spans, want one per window", len(spans))
+			}
+			for i, span := range spans {
+				if got := span.Attrs["fingerprints"]; got != 4 {
+					t.Errorf("window %d analysis span fingerprints = %v, want 4", i, got)
+				}
+				if skipped := span.Attrs["skipped"]; (skipped == "cap") == tc.linkage {
+					t.Errorf("window %d analysis span skipped = %v under cap %d", i, skipped, tc.cap)
+				}
+			}
+			for _, w := range final.Windows {
+				if w.Accuracy == nil {
+					t.Errorf("window %d reports no accuracy", w.Index)
+				}
+				if (w.Anonymous != nil) != tc.linkage || (w.Linkage != nil) != (tc.linkage && w.Index > 0) {
+					t.Errorf("window %d under cap %d: anonymous %v, linkage %+v", w.Index, tc.cap, w.Anonymous, w.Linkage)
+				}
+			}
+			if final.Accuracy == nil {
+				t.Error("no job accuracy")
 			}
 			if !tc.linkage {
 				if final.Linkage != nil || final.AnonymousFraction != nil {
 					t.Errorf("capped job reports linkage %+v, fraction %v", final.Linkage, final.AnonymousFraction)
-				}
-				if _, built := span.Attrs["build_ms"]; built {
-					t.Error("both analyses skipped, yet the input was built")
 				}
 				return
 			}
@@ -243,54 +274,49 @@ func TestLinkageCapIsPerWindow(t *testing.T) {
 				t.Fatalf("linkage = %+v, want 2 pairs probing 4 shared subscribers each", final.Linkage)
 			}
 			if final.AnonymousFraction == nil {
-				t.Error("no anonymous fraction for 4 users under a cap of 5")
+				t.Error("no anonymous fraction for 4 users a window under a cap of 5")
 			}
 		})
 	}
 }
 
-// BenchmarkAnalysisTail times the finish-time analysis of a
-// windowed-week-shaped job (250 subscribers, 7 days, 24 h windows) with
-// its allocations: selecting the committed windows' rows of the
-// snapshot, the one dataset build, the thresholded k-gap pass and the
-// cross-window linkage probe over the seven releases.
-func BenchmarkAnalysisTail(b *testing.B) {
+// BenchmarkReleaseQuality times what one window commit of a
+// windowed-week-shaped job (250 subscribers, 24 h windows) adds to
+// measure its release, with its allocations: the thresholded k-gap pass
+// on the window's input, the linkage pair against the previous day's
+// release, and the accuracy runs folded into the job's.
+func BenchmarkReleaseQuality(b *testing.B) {
 	reg := NewRegistry()
 	mgr := NewManager(reg, ManagerOptions{})
 	defer mgr.Close()
-	info := ingestSynth(b, reg, 250, 7)
+	info := ingestSynth(b, reg, 250, 2)
 	spec := JobSpec{DatasetID: info.ID, K: 2, WindowHours: 24, Workers: 2}
-	st, err := mgr.Submit(spec)
-	if err != nil {
-		b.Fatal(err)
-	}
-	final := waitForState(b, mgr, st.ID, func(s JobStatus) bool { return s.State.Terminal() })
-	if final.State != JobDone || len(final.Windows) != 7 {
-		b.Fatalf("job finished %s with %d windows: %s", final.State, len(final.Windows), final.Error)
-	}
-	var indices, users []int
-	var releases []*core.Dataset
-	for _, w := range final.Windows {
-		rel, err := mgr.WindowResult(st.ID, w.Index)
-		if err != nil {
-			b.Fatal(err)
-		}
-		out, err := cdr.ReadAnonymizedCSV(bytes.NewReader(storedCSV(b, rel)))
-		if err != nil {
-			b.Fatal(err)
-		}
-		indices = append(indices, w.Index)
-		users = append(users, w.Users)
-		releases = append(releases, out)
-	}
 	snap, _, _ := reg.SnapshotSource(info.ID)
-	ctx := context.Background()
+	var originals, releases []*core.Dataset
+	for idx := 0; idx < 2; idx++ {
+		v := committedWindow(snap, spec.WindowDuration(), idx)
+		if v == nil {
+			b.Fatalf("no window %d", idx)
+		}
+		orig, err := v.BuildDataset()
+		if err != nil {
+			b.Fatal(err)
+		}
+		rel, _, err := core.Anonymize(orig, anonymizeOptions(spec, spec.Workers, nil))
+		if err != nil {
+			b.Fatal(err)
+		}
+		originals, releases = append(originals, orig), append(releases, rel)
+	}
+	_, acc, prev := mgr.measureRelease(obs.ActiveSpan{}, 0, originals[0], releases[0], nil, spec)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		frac, link := mgr.analyze(ctx, obs.ActiveSpan{}, snap, spec.WindowDuration(), indices, slices.Max(users), releases, spec)
-		if frac == nil || link == nil {
-			b.Fatalf("analysis skipped: fraction %v, linkage %v", frac, link)
+		q, runs, _ := mgr.measureRelease(obs.ActiveSpan{}, 1, originals[1], releases[1], prev, spec)
+		if q.Anonymous == nil || q.Linkage == nil || q.Accuracy == nil {
+			b.Fatalf("measurement skipped: %+v", q)
 		}
+		total := acc
+		total.Fold(runs)
 	}
 }

@@ -15,16 +15,18 @@ import (
 // windowResume is the committed prefix of a recovered job, rebuilt from
 // journaled releases: executeWindows seeds its loop with it so the
 // continuation matches an uninterrupted run — same releases, same
-// budget accounting, same aggregate stats.
+// budget accounting, same aggregate stats, same measurements.
 type windowResume struct {
 	// floor is the highest committed window index (empty windows
 	// included); the feed re-scan silently walks past everything at or
 	// below it.
 	floor int
-	// indices are the window indices of the recovered releases, in
-	// window order; releases are the releases themselves.
-	indices  []int
-	releases []*core.Dataset
+	// first is the window index of the first recovered release and
+	// released the number of recovered releases.
+	first, released int
+	// last is the window index of the last recovered release, which
+	// the next release's linkage pair rebuilds (rebuildRelease).
+	last int
 	// stats aggregates the recovered windows' run statistics.
 	stats *core.GloveStats
 }
@@ -62,9 +64,13 @@ const maxFollowGap = 4096
 //     budget (the spec's follow_windows clamped by MaxFollowWindows;
 //     empty windows don't count).
 //
-// Committed releases stay downloadable after a cancellation or failure;
-// a window interrupted mid-run publishes nothing.
-func (m *Manager) executeWindows(ctx context.Context, job *Job, spec JobSpec) (runOutcome, error) {
+// Each release is measured at its commit (measureRelease) and the
+// measurements are journaled with it, so the run keeps no release but
+// the last, for the next linkage pair. Committed releases stay
+// downloadable after a cancellation or failure; a window interrupted
+// mid-run publishes nothing. The run returns the committed windows'
+// summed statistics.
+func (m *Manager) executeWindows(ctx context.Context, job *Job, spec JobSpec) (*core.GloveStats, error) {
 	d := spec.WindowDuration()
 	wmin := d.Minutes()
 	frozen := !spec.Follow
@@ -83,8 +89,10 @@ func (m *Manager) executeWindows(ctx context.Context, job *Job, spec JobSpec) (r
 		lastCommitted = -1
 		maxSeen       = -1 // highest window index any record landed in
 		total         = &core.GloveStats{}
-		indices       []int // window index of each release
-		releases      []*core.Dataset
+		first         = -1 // window index of the first release
+		released      int  // releases committed
+		prev          *committedRelease
+		rebuildPrev   = -1 // a resumed run's last recovered release, until rebuilt
 		lastSnap      *colstore.View
 		lag           float64
 		planned       bool
@@ -99,8 +107,8 @@ func (m *Manager) executeWindows(ctx context.Context, job *Job, spec JobSpec) (r
 		// windows are never re-opened, re-run, or re-published.
 		resumeFloor = resume.floor
 		lastCommitted = resume.floor
-		indices = append(indices, resume.indices...)
-		releases = append(releases, resume.releases...)
+		first, released = resume.first, resume.released
+		rebuildPrev = resume.last
 		total = resume.stats
 	}
 	// The stream-lag gauge counts windows a live feed closed ahead of
@@ -127,40 +135,25 @@ func (m *Manager) executeWindows(ctx context.Context, job *Job, spec JobSpec) (r
 			idx, float64(idx)*wmin, float64(idx+1)*wmin, users, spec.K)
 	}
 
-	finish := func() (runOutcome, error) {
-		if lastSnap == nil {
-			// A recovered job whose journal already met its budget never
-			// read the feed; analyse the feed as it stands.
-			if snap, _, ok := m.reg.SnapshotSource(spec.DatasetID); ok {
-				lastSnap = snap
-			}
-		}
-		var fps []*core.Fingerprint
-		for _, rel := range releases {
-			fps = append(fps, rel.Fingerprints...)
-		}
-		measured := &core.Dataset{Fingerprints: fps}
-		total.OutputFingerprints = measured.Len()
-		total.OutputSamples = measured.TotalSamples()
-		if !planned && len(indices) > 0 {
+	finish := func() (*core.GloveStats, error) {
+		if !planned && first >= 0 {
 			// Every window was committed before a restart: report the plan
-			// the first window ran under.
-			if src := committedWindow(lastSnap, d, indices[0]); src != nil {
+			// the first window ran under. A recovered job whose journal
+			// already met its budget never read the feed; read it as it
+			// stands.
+			if lastSnap == nil {
+				lastSnap, _, _ = m.reg.SnapshotSource(spec.DatasetID)
+			}
+			if src := committedWindow(lastSnap, d, first); src != nil {
 				if _, err := m.planJob(job, root, src, src.NumUsers(), spec); err != nil {
-					return runOutcome{}, err
+					return nil, err
 				}
 			}
 		}
-		// Both measurements cover exactly the released windows: a live
-		// feed's last snapshot also holds the open window, and after a
-		// restart records appended since, none of which were released.
-		aspan := root.Child(obs.SpanAnalysis, "")
-		anonFrac, linkage := m.analyze(ctx, aspan, lastSnap, d, indices, job.maxCommittedWindowUsers(), releases, spec)
-		aspan.End()
-		return runOutcome{measured: measured, stats: total, anonFrac: anonFrac, linkage: linkage}, nil
+		return total, nil
 	}
 
-	if limit > 0 && len(releases) >= limit {
+	if limit > 0 && released >= limit {
 		// The recovered prefix already meets the window budget: finish
 		// without consuming the feed, exactly where the pre-crash run
 		// would have stopped.
@@ -175,13 +168,13 @@ func (m *Manager) executeWindows(ctx context.Context, job *Job, spec JobSpec) (r
 		if !frozen {
 			w, ok := m.reg.Watch(spec.DatasetID)
 			if !ok {
-				return runOutcome{}, fmt.Errorf("service: dataset %q disappeared", spec.DatasetID)
+				return nil, fmt.Errorf("service: dataset %q disappeared", spec.DatasetID)
 			}
 			wake = w
 		}
 		snap, info, ok := m.reg.SnapshotSource(spec.DatasetID)
 		if !ok {
-			return runOutcome{}, fmt.Errorf("service: dataset %q disappeared", spec.DatasetID)
+			return nil, fmt.Errorf("service: dataset %q disappeared", spec.DatasetID)
 		}
 		job.mu.Lock()
 		// A follow job reports its latest snapshot and a frozen job the
@@ -203,7 +196,7 @@ func (m *Manager) executeWindows(ctx context.Context, job *Job, spec JobSpec) (r
 			// Resumed: records appended after the commits are not input.
 			var err error
 			if snap, err = snap.Prefix(snapRecords); err != nil {
-				return runOutcome{}, err
+				return nil, err
 			}
 		}
 		lastSnap = snap
@@ -212,7 +205,7 @@ func (m *Manager) executeWindows(ctx context.Context, job *Job, spec JobSpec) (r
 		if n := snap.NumRecords(); n > cursor {
 			frags, err := feedWindows(snap, cursor, d)
 			if err != nil {
-				return runOutcome{}, err
+				return nil, err
 			}
 			cursor = n
 			for _, f := range frags {
@@ -223,12 +216,12 @@ func (m *Manager) executeWindows(ctx context.Context, job *Job, spec JobSpec) (r
 					continue
 				}
 				if f.Index <= lastCommitted {
-					return runOutcome{}, fmt.Errorf(
+					return nil, fmt.Errorf(
 						"service: append delivered %d records for window %d (minutes [%g, %g)) after its release was committed; a follow feed must only move forward",
 						f.View.NumRecords(), f.Index, f.StartMinute, f.EndMinute)
 				}
 				if !frozen && f.Index > lastCommitted+maxFollowGap {
-					return runOutcome{}, fmt.Errorf(
+					return nil, fmt.Errorf(
 						"service: append jumped to window %d, %d windows past the last committed release — refusing to flood the job with empty windows",
 						f.Index, f.Index-lastCommitted)
 				}
@@ -261,7 +254,7 @@ func (m *Manager) executeWindows(ctx context.Context, job *Job, spec JobSpec) (r
 				}
 			}
 			if tooSparse != nil {
-				return runOutcome{}, tooSparse
+				return nil, tooSparse
 			}
 		} else {
 			// Every window strictly below maxSeen is closed; window
@@ -274,7 +267,7 @@ func (m *Manager) executeWindows(ctx context.Context, job *Job, spec JobSpec) (r
 
 		for _, idx := range closed {
 			if err := ctx.Err(); err != nil {
-				return runOutcome{}, err
+				return nil, err
 			}
 			start, end := float64(idx)*wmin, float64(idx+1)*wmin
 			frags := pending[idx]
@@ -286,7 +279,7 @@ func (m *Manager) executeWindows(ctx context.Context, job *Job, spec JobSpec) (r
 				if err := m.jrnl.jobResult(job.id, journalWindow{
 					Index: idx, StartMinute: start, EndMinute: end, Empty: true,
 				}, nil); err != nil {
-					return runOutcome{}, err
+					return nil, err
 				}
 				job.commitEmptyWindow(idx, start, end)
 				lastCommitted = idx
@@ -298,7 +291,7 @@ func (m *Manager) executeWindows(ctx context.Context, job *Job, spec JobSpec) (r
 			src := colstore.Concat(frags...)
 			users := src.NumUsers()
 			if err := sparse(idx, users); err != nil {
-				return runOutcome{}, err
+				return nil, err
 			}
 			var shards []*colstore.View
 			if planned {
@@ -308,7 +301,7 @@ func (m *Manager) executeWindows(ctx context.Context, job *Job, spec JobSpec) (r
 				// reports.
 				var err error
 				if shards, err = m.planJob(job, root, src, users, spec); err != nil {
-					return runOutcome{}, err
+					return nil, err
 				}
 				planned = true
 			}
@@ -317,28 +310,35 @@ func (m *Manager) executeWindows(ctx context.Context, job *Job, spec JobSpec) (r
 			wspan.SetAttr("users", users)
 			wpos := job.appendWindow(idx, start, end, src.NumRecords(), users)
 			job.startWindow(wpos, len(shards))
-			out, stats, err := runShards(ctx, shards, spec, m.tel, wspan, func(shard int, frac float64) {
+			out, original, stats, err := runShards(ctx, shards, spec, m.tel, wspan, func(shard int, frac float64) {
 				job.setWindowShardProgress(wpos, shard, frac)
 			})
 			if err != nil {
 				wspan.End()
-				return runOutcome{}, fmt.Errorf("service: window %d: %w", idx, err)
+				return nil, fmt.Errorf("service: window %d: %w", idx, err)
 			}
 			vspan := wspan.Child(obs.SpanValidate, "")
 			verr := core.ValidateKAnonymity(out, spec.K)
 			vspan.End()
 			if verr != nil {
 				wspan.End()
-				return runOutcome{}, fmt.Errorf("service: window %d failed validation: %w", idx, verr)
+				return nil, fmt.Errorf("service: window %d failed validation: %w", idx, verr)
 			}
 			wspan.SetAttr("groups", out.Len())
+			aspan := wspan.Child(obs.SpanAnalysis, "")
+			if rebuildPrev >= 0 {
+				prev = m.rebuildRelease(ctx, snap, d, rebuildPrev, spec)
+				rebuildPrev = -1
+			}
+			quality, runs, cur := m.measureRelease(aspan, idx, original, out, prev, spec)
+			aspan.End()
 			// The release is encoded once, here: the journal takes this
 			// CSV, and the window keeps its compressed copy for downloads
 			// and checkpoints.
 			csv, rel, err := encodeRelease(out)
 			if err != nil {
 				wspan.End()
-				return runOutcome{}, fmt.Errorf("service: window %d: encoding release: %w", idx, err)
+				return nil, fmt.Errorf("service: window %d: encoding release: %w", idx, err)
 			}
 			// THE commit point of the release pipeline: the release is
 			// journaled and fsynced BEFORE it is published. A crash before
@@ -356,12 +356,14 @@ func (m *Manager) executeWindows(ctx context.Context, job *Job, spec JobSpec) (r
 				Stats:           stats,
 				SnapshotRecords: snapRecords,
 				DatasetVersion:  snapVersion,
+				ReleaseQuality:  quality,
+				AccuracyRuns:    &runs,
 			}, csv); err != nil {
 				wspan.End()
-				return runOutcome{}, fmt.Errorf("service: window %d: journaling release: %w", idx, err)
+				return nil, fmt.Errorf("service: window %d: journaling release: %w", idx, err)
 			}
 			faultinject.Crash("follow.window.committed")
-			job.commitWindow(wpos, rel, out.Len(), stats)
+			job.commitWindow(wpos, rel, out.Len(), stats, quality, runs)
 			wspan.End()
 			if !batchJob(spec) {
 				m.tel.windowCommitted(time.Since(closedAt))
@@ -370,11 +372,14 @@ func (m *Manager) executeWindows(ctx context.Context, job *Job, spec JobSpec) (r
 				m.agg.Unlock()
 			}
 			total.Add(stats)
-			indices = append(indices, idx)
-			releases = append(releases, out)
+			if first < 0 {
+				first = idx
+			}
+			released++
+			prev = cur
 			lastCommitted = idx
 			setLag(float64(maxSeen - 1 - lastCommitted))
-			if limit > 0 && len(releases) >= limit {
+			if limit > 0 && released >= limit {
 				return finish()
 			}
 		}
@@ -384,7 +389,7 @@ func (m *Manager) executeWindows(ctx context.Context, job *Job, spec JobSpec) (r
 
 		select {
 		case <-ctx.Done():
-			return runOutcome{}, ctx.Err()
+			return nil, ctx.Err()
 		case <-wake:
 		}
 	}

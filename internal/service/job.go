@@ -106,6 +106,11 @@ type Job struct {
 	// nil for jobs that never ran (the trace_not_found condition).
 	trace *obs.Trace
 
+	// accuracyRuns folds the accuracy of every committed release, for
+	// the job's accuracy summary; nil when it cannot cover them all (a
+	// recovered release journaled without its runs).
+	accuracyRuns *metrics.AccuracyRuns
+
 	stats             *core.GloveStats
 	accuracy          *metrics.Summary
 	anonymousFraction *float64
@@ -134,11 +139,12 @@ func (j *Job) traceRoot() obs.ActiveSpan {
 // full lifecycle from the first transition.
 func newJob(id string, spec JobSpec) *Job {
 	j := &Job{
-		id:      id,
-		spec:    spec,
-		state:   JobQueued,
-		created: time.Now().UTC(),
-		eventCh: make(chan struct{}),
+		id:           id,
+		spec:         spec,
+		state:        JobQueued,
+		created:      time.Now().UTC(),
+		eventCh:      make(chan struct{}),
+		accuracyRuns: &metrics.AccuracyRuns{},
 	}
 	j.events = []api.JobEvent{{Seq: 1, Type: api.EventState, JobID: id, State: JobQueued}}
 	return j
@@ -212,6 +218,7 @@ type jobWindow struct {
 	shardProgress []float64
 	groups        int
 	stats         *core.GloveStats
+	quality       ReleaseQuality
 	// result is the window's published release, committed atomically
 	// when the window completes; a cancelled or failed window never
 	// stores a partial release.
@@ -301,23 +308,10 @@ func (j *Job) abortOpenWindowsLocked() {
 	}
 }
 
-// maxCommittedWindowUsers returns the largest user count among the
-// job's committed windows, 0 when none is recorded.
-func (j *Job) maxCommittedWindowUsers() int {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	users := 0
-	for _, w := range j.windows {
-		if w.state == WindowDone {
-			users = max(users, w.users)
-		}
-	}
-	return users
-}
-
 // commitWindow publishes a completed window's release, which holds
-// groups anonymity groups.
-func (j *Job) commitWindow(w int, rel *Release, groups int, stats *core.GloveStats) {
+// groups anonymity groups, with its measurements; runs are the
+// release's accuracy runs, folded into the job's.
+func (j *Job) commitWindow(w int, rel *Release, groups int, stats *core.GloveStats, quality ReleaseQuality, runs metrics.AccuracyRuns) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	jw := j.windows[w]
@@ -325,11 +319,54 @@ func (j *Job) commitWindow(w int, rel *Release, groups int, stats *core.GloveSta
 	jw.result = rel
 	jw.groups = groups
 	jw.stats = stats
+	jw.quality = quality
+	if j.accuracyRuns != nil {
+		j.accuracyRuns.Fold(runs)
+	}
 	for i := range jw.shardProgress {
 		jw.shardProgress[i] = 1
 	}
 	j.emitWindowLocked(jw.index, WindowDone, jw.groups)
 	j.emitProgressLocked()
+}
+
+// qualityLocked aggregates the committed releases' measurements into
+// the job's: the anonymous fraction Σ anonymous / Σ users, nil unless
+// every release has its count, and the linkage of every consecutive
+// release pair, nil unless there are two releases and every pair was
+// measured. Caller holds j.mu.
+func (j *Job) qualityLocked() (*float64, *analysis.LinkageResult) {
+	var anon, users, released int
+	anonOK, linkOK := true, true
+	link := &analysis.LinkageResult{KnownSamples: linkageKnownSamples}
+	for _, w := range j.windows {
+		if w.state != WindowDone {
+			continue
+		}
+		released++
+		if q := w.quality.Anonymous; q != nil {
+			anon += *q
+			users += w.users
+		} else {
+			anonOK = false
+		}
+		if released > 1 {
+			if p := w.quality.Linkage; p != nil {
+				link.Add(*p)
+			} else {
+				linkOK = false
+			}
+		}
+	}
+	var frac *float64
+	if anonOK && users > 0 {
+		f := float64(anon) / float64(users)
+		frac = &f
+	}
+	if !linkOK || released < 2 {
+		link = nil
+	}
+	return frac, link
 }
 
 // transition moves the job to the target state, enforcing the state
@@ -384,15 +421,16 @@ func (j *Job) statusLocked() JobStatus {
 	}
 	for _, w := range windows {
 		ws := WindowStatus{
-			Index:       w.index,
-			StartMinute: w.startMinute,
-			EndMinute:   w.endMinute,
-			Records:     w.records,
-			Users:       w.users,
-			State:       w.state,
-			Progress:    w.progressLocked(),
-			Groups:      w.groups,
-			Stats:       w.stats,
+			Index:          w.index,
+			StartMinute:    w.startMinute,
+			EndMinute:      w.endMinute,
+			Records:        w.records,
+			Users:          w.users,
+			State:          w.state,
+			Progress:       w.progressLocked(),
+			Groups:         w.groups,
+			Stats:          w.stats,
+			ReleaseQuality: w.quality,
 		}
 		st.Windows = append(st.Windows, ws)
 	}
@@ -556,6 +594,7 @@ func (j *Job) captureWindowLocked(w *jobWindow) (RecoveredResult, error) {
 	}
 	jw.Groups = w.groups
 	jw.Stats = w.stats
+	jw.ReleaseQuality = w.quality
 	csv, err := w.result.CSV()
 	if err != nil {
 		return RecoveredResult{}, err
@@ -576,6 +615,12 @@ func (j *Job) capture() (*RecoveredJob, error) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	rj := &RecoveredJob{ID: j.id, Spec: j.spec, CreatedAt: j.created}
+	if j.accuracyRuns != nil {
+		// Folding replaces the slices, never writes into them, so the
+		// copy stays valid after j.mu is released.
+		runs := *j.accuracyRuns
+		rj.AccuracyRuns = &runs
+	}
 	for _, w := range j.windows {
 		if w.state != WindowDone && w.state != WindowEmpty {
 			continue

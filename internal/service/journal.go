@@ -12,6 +12,7 @@ import (
 	"repro/internal/cdr"
 	"repro/internal/core"
 	"repro/internal/geo"
+	"repro/internal/metrics"
 	"repro/internal/wal"
 )
 
@@ -79,6 +80,15 @@ type journalWindow struct {
 	// written before batch jobs ran as one window.
 	Empty bool `json:"empty,omitempty"`
 	Batch bool `json:"batch,omitempty"`
+	// ReleaseQuality is the release's measurements, taken before the
+	// frame was journaled, and AccuracyRuns its exact accuracy
+	// distribution, which a resumed job folds into its accuracy: the
+	// release's CSV carries neither sample weights nor full-precision
+	// extents. Both are absent from frames journaled before releases
+	// were measured at their commit, and AccuracyRuns from a
+	// checkpoint's frames (RecoveredJob.AccuracyRuns covers them).
+	ReleaseQuality
+	AccuracyRuns *metrics.AccuracyRuns `json:"accuracy_runs,omitempty"`
 }
 
 // RecoveredResult is one persisted release (or empty-window marker) of
@@ -120,6 +130,10 @@ type RecoveredJob struct {
 	Status    *api.JobStatus    `json:"status,omitempty"`
 	Results   []RecoveredResult `json:"results,omitempty"`
 	Requeue   bool              `json:"requeue,omitempty"`
+	// AccuracyRuns, set by a checkpoint, folds the accuracy of every
+	// committed release among Results whose frame carries no runs of its
+	// own; nil when the job's accuracy could not cover them.
+	AccuracyRuns *metrics.AccuracyRuns `json:"accuracy_runs,omitempty"`
 }
 
 // RecoveredState is everything a journal replay reconstructs — and,

@@ -547,6 +547,32 @@ func TestJournalFollowResumeByteIdentity(t *testing.T) {
 			if mean := mgr2.Report().MeanCrossWindowLinkage; mean == nil || *mean != final.Linkage.LinkedFraction {
 				t.Errorf("mean_cross_window_linkage = %v, want the job's %g", mean, final.Linkage.LinkedFraction)
 			}
+			if final.Linkage.Linked == 0 {
+				t.Errorf("no probe re-linked (%+v); the comparison with the control shows nothing", final.Linkage)
+			}
+
+			// Each release's measurements, journaled at its commit or taken
+			// after the restart, and the job's aggregates equal the
+			// control's: a recovered release's original is rebuilt for the
+			// first pair after the restart, and its accuracy folded from
+			// its journaled bytes.
+			if len(final.Windows) != len(cfinal.Windows) {
+				t.Fatalf("resumed job has %d windows, the control %d", len(final.Windows), len(cfinal.Windows))
+			}
+			for i, w := range final.Windows {
+				if w.State == WindowDone && w.Anonymous == nil {
+					t.Errorf("window %d has no anonymous count", w.Index)
+				}
+				if !reflect.DeepEqual(w.ReleaseQuality, cfinal.Windows[i].ReleaseQuality) {
+					t.Errorf("window %d quality %s, the control's %s", w.Index, qualityJSON(w.ReleaseQuality), qualityJSON(cfinal.Windows[i].ReleaseQuality))
+				}
+			}
+			if final.Accuracy == nil || !reflect.DeepEqual(final.Accuracy, cfinal.Accuracy) {
+				t.Errorf("accuracy %+v, the control's %+v", final.Accuracy, cfinal.Accuracy)
+			}
+			if final.AnonymousFraction == nil || !reflect.DeepEqual(final.AnonymousFraction, cfinal.AnonymousFraction) {
+				t.Errorf("anonymous fraction %v, the control's %v", final.AnonymousFraction, cfinal.AnonymousFraction)
+			}
 		})
 	}
 }

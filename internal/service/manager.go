@@ -7,7 +7,6 @@
 package service
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"log/slog"
@@ -16,9 +15,7 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/analysis"
 	"repro/internal/api"
-	"repro/internal/cdr"
 	"repro/internal/colstore"
 	"repro/internal/core"
 	"repro/internal/metrics"
@@ -41,10 +38,10 @@ type ManagerOptions struct {
 	// Workers is the default per-job CPU parallelism when a spec leaves
 	// it unset; <= 0 uses all CPUs.
 	Workers int
-	// AnalysisMaxFingerprints caps the finish-time analysis attached to
-	// finished jobs: the k-gap anonymizability pass skips when the
-	// committed windows hold more distinct users, and the cross-window
-	// linkage when one committed window does. <= 0 means 2000.
+	// AnalysisMaxFingerprints caps the measurement of each release at
+	// its commit, per window: a window holding more users skips its
+	// k-gap anonymizability pass and both cross-window linkage pairs it
+	// belongs to. <= 0 means 2000.
 	AnalysisMaxFingerprints int
 
 	// MaxFinishedJobs bounds how many terminal (done/failed/cancelled)
@@ -593,23 +590,30 @@ func (m *Manager) runJob(job *Job) {
 		m.log.Info("job started", "job_id", job.id)
 	}
 
-	outcome, err := m.executeWindows(ctx, job, spec)
+	stats, err := m.executeWindows(ctx, job, spec)
 
-	// The accuracy measurement walks every published sample; do it
-	// before taking job.mu so status polling never blocks behind it.
+	// The run has returned, so nothing folds into accuracyRuns any more.
+	// Summarizing it walks every committed sample; do it outside job.mu
+	// so status polling never blocks behind it.
+	job.mu.Lock()
+	runs := job.accuracyRuns
+	job.mu.Unlock()
 	var accuracy *metrics.Summary
-	if err == nil && outcome.measured != nil {
-		if sum, serr := metrics.Measure(outcome.measured).Summarize(); serr == nil {
+	if runs != nil {
+		if sum, serr := runs.Summarize(); serr == nil {
 			accuracy = &sum
 		}
 	}
-	outcome.measured = nil
 
 	job.mu.Lock()
 	job.cancel = nil
-	// A cancel acknowledged while the run was in a non-interruptible
-	// tail (e.g. the capped analysis pass) must still win: never report
-	// "done" for a job the client was told is being cancelled.
+	// Every terminal state reports the quality of the releases the run
+	// committed, a cancelled or failed job's included.
+	job.accuracy = accuracy
+	job.anonymousFraction, job.linkage = job.qualityLocked()
+	// A cancel acknowledged after the last window committed must still
+	// win: never report "done" for a job the client was told is being
+	// cancelled.
 	// Window aborts are recorded (and their events emitted) before the
 	// terminal transition, so an event stream always ends on the
 	// terminal state event.
@@ -629,15 +633,13 @@ func (m *Manager) runJob(job *Job) {
 		job.abortOpenWindowsLocked()
 		job.transition(JobFailed)
 	default:
-		job.stats = outcome.stats
-		job.accuracy = accuracy
-		job.anonymousFraction = outcome.anonFrac
-		job.linkage = outcome.linkage
+		job.stats = stats
 		job.transition(JobDone)
 	}
 	job.trace.Root().End()
 	state := job.state
-	stats := job.stats
+	stats = job.stats
+	linkage := job.linkage
 	finished := job.finished
 	job.mu.Unlock()
 
@@ -651,8 +653,8 @@ func (m *Manager) runJob(job *Job) {
 			m.agg.kernelCalls += stats.EffortKernelCalls
 			m.agg.kernelPruned += stats.EffortKernelPruned
 		}
-		if outcome.linkage != nil {
-			m.agg.linkageSum += outcome.linkage.LinkedFraction
+		if linkage != nil {
+			m.agg.linkageSum += linkage.LinkedFraction
 			m.agg.linkageJobs++
 		}
 	}
@@ -776,8 +778,9 @@ func (m *Manager) seqNum() int {
 // Restore rebuilds the manager's jobs from a journal replay. Terminal
 // jobs come back verbatim — status, event log, downloadable releases.
 // Interrupted jobs are re-enqueued and resume after their last committed
-// window, every committed release immutable: a batch job killed after
-// its commit only re-runs its analysis. A batch or windowed job reads
+// window, every committed release immutable, its measurements read from
+// its journal frame: a batch job killed after its commit runs nothing
+// again, and only reports its plan and totals. A batch or windowed job reads
 // the dataset cut back to the snapshot its commits saw, not records
 // appended since; a job that committed nothing restarts from scratch on
 // the dataset as it stands. Call before the daemon serves traffic;
@@ -857,15 +860,19 @@ func (m *Manager) requeueRecovered(rj *RecoveredJob) error {
 }
 
 // buildWindowResume reconstructs a job's committed prefix: the
-// jobWindow entries (so recovered releases stay downloadable, as their
-// journaled bytes), and the resume state executeWindows seeds its loop
-// with — floor, releases and their window indices, aggregate stats — so
-// the continuation is byte-identical to a run that never crashed. The
-// releases are decoded back into datasets only because the finished
-// run's cross-window linkage and accuracy measure them. nil when no
-// window was committed (the job simply restarts).
+// jobWindow entries with their journaled measurements (so recovered
+// releases stay downloadable, as their journaled bytes), the job's
+// accuracy folded from the frames' runs, and the resume state
+// executeWindows seeds its loop with — floor, release count, aggregate
+// stats, the last release's index — so the continuation is
+// byte-identical to a run that never crashed. No release is decoded. nil
+// when no window was committed (the job simply restarts).
 func buildWindowResume(job *Job, rj *RecoveredJob) (*windowResume, error) {
-	resume := &windowResume{floor: -1, stats: &core.GloveStats{}}
+	resume := &windowResume{floor: -1, first: -1, stats: &core.GloveStats{}}
+	job.accuracyRuns = &metrics.AccuracyRuns{}
+	if rj.AccuracyRuns != nil {
+		job.accuracyRuns.Fold(*rj.AccuracyRuns)
+	}
 	for _, r := range rj.Results {
 		w := r.Window
 		if w.Index > resume.floor {
@@ -882,18 +889,29 @@ func buildWindowResume(job *Job, rj *RecoveredJob) (*windowResume, error) {
 			state:       WindowEmpty,
 		}
 		if !w.Empty {
-			out, err := cdr.ReadAnonymizedCSV(bytes.NewReader(r.CSV))
-			if err != nil {
-				return nil, fmt.Errorf("window %d release: %w", w.Index, err)
-			}
+			var err error
 			if jw.result, err = newRelease(r.CSV); err != nil {
 				return nil, fmt.Errorf("window %d release: %w", w.Index, err)
 			}
 			jw.state = WindowDone
 			jw.groups = w.Groups
 			jw.stats = w.Stats
-			resume.indices = append(resume.indices, w.Index)
-			resume.releases = append(resume.releases, out)
+			jw.quality = w.ReleaseQuality
+			switch {
+			case w.AccuracyRuns != nil:
+				if job.accuracyRuns != nil {
+					job.accuracyRuns.Fold(*w.AccuracyRuns)
+				}
+			case rj.AccuracyRuns == nil:
+				// Journaled before releases were measured at their commit:
+				// the job's accuracy cannot cover this release.
+				job.accuracyRuns = nil
+			}
+			if resume.first < 0 {
+				resume.first = w.Index
+			}
+			resume.released++
+			resume.last = w.Index
 			resume.stats.Add(w.Stats)
 		}
 		job.windows = append(job.windows, jw)
@@ -953,7 +971,7 @@ func restoreTerminalJob(rj *RecoveredJob) (*Job, error) {
 		if len(rj.Results) > 0 {
 			w := rj.Results[0].Window
 			ws = WindowStatus{Index: w.Index, Records: w.Records, Users: w.Users,
-				State: WindowDone, Groups: w.Groups, Stats: w.Stats}
+				State: WindowDone, Groups: w.Groups, Stats: w.Stats, ReleaseQuality: w.ReleaseQuality}
 		}
 		windows = []WindowStatus{ws}
 	}
@@ -970,21 +988,11 @@ func restoreTerminalJob(rj *RecoveredJob) (*Job, error) {
 			shardProgress: []float64{ws.Progress},
 			groups:        ws.Groups,
 			stats:         ws.Stats,
+			quality:       ws.ReleaseQuality,
 			result:        results[ws.Index],
 		})
 	}
 	return job, nil
-}
-
-// runOutcome carries everything a finished run hands back to runJob.
-type runOutcome struct {
-	// measured is the dataset the accuracy summary walks — the
-	// concatenation of all committed releases. It is the last reference
-	// to the run's datasets; runJob drops it once measured.
-	measured *core.Dataset
-	stats    *core.GloveStats
-	anonFrac *float64
-	linkage  *analysis.LinkageResult
 }
 
 // planJob partitions src into shards under a plan span, then resolves

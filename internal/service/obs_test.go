@@ -220,47 +220,67 @@ func TestJobTraceEndpoint(t *testing.T) {
 		t.Errorf("validate spans = %d, want >= 1", kinds[obs.SpanValidate])
 	}
 
-	// The finish-time measurements run under exactly one analysis span,
-	// a child of the root opened after the last window.
-	lastWindow, analysisAt := -1, -1
-	for i, c := range root.Children {
-		switch c.Kind {
-		case obs.SpanWindow:
-			lastWindow = i
-		case obs.SpanAnalysis:
-			if analysisAt >= 0 {
-				t.Error("more than one analysis span under the root")
+	// Each release is measured at its commit under one analysis span, a
+	// child of its window's span after validation; nothing runs after
+	// the last window.
+	windows := 0
+	for _, c := range root.Children {
+		if c.Kind == obs.SpanAnalysis {
+			t.Error("an analysis span under the root")
+		}
+		if c.Kind != obs.SpanWindow {
+			continue
+		}
+		windows++
+		var analyses int
+		validated := false
+		for _, a := range c.Children {
+			validated = validated || a.Kind == obs.SpanValidate
+			if a.Kind != obs.SpanAnalysis {
+				continue
 			}
-			analysisAt = i
-			if _, ok := c.Attrs["fingerprints"]; !ok {
-				t.Error("analysis span has no fingerprints attr")
+			analyses++
+			if !validated {
+				t.Errorf("window %s: analysis span before validation", c.Name)
 			}
-			if skipped, ok := c.Attrs["skipped"]; ok {
-				t.Errorf("analysis of a 40-user job skipped: %v", skipped)
+			if _, ok := a.Attrs["fingerprints"]; !ok {
+				t.Errorf("window %s: analysis span has no fingerprints attr", c.Name)
 			}
-			// Where the tail's time goes: the one input build, the k-gap
-			// pass with its candidate pairs, and the linkage probe of
-			// this two-window job, each within the span.
+			if skipped, ok := a.Attrs["skipped"]; ok {
+				t.Errorf("window %s: analysis of a 40-user window skipped: %v", c.Name, skipped)
+			}
+			if _, ok := a.Attrs["build_ms"]; ok {
+				t.Errorf("window %s: analysis span has build_ms; nothing is built", c.Name)
+			}
+			// Where the commit's measurement time goes: the k-gap pass
+			// with its candidate pairs and, from the second release on,
+			// the linkage pair against the previous one.
+			keys := []string{"kgap_ms", "kgap_candidates"}
+			if windows > 1 {
+				keys = append(keys, "linkage_ms")
+			} else if _, ok := a.Attrs["linkage_ms"]; ok {
+				t.Errorf("window %s: the first release has a linkage pair", c.Name)
+			}
 			var parts float64
-			for _, key := range []string{"build_ms", "kgap_ms", "linkage_ms", "kgap_candidates"} {
-				v, ok := c.Attrs[key].(float64)
+			for _, key := range keys {
+				v, ok := a.Attrs[key].(float64)
 				if !ok || v < 0 {
-					t.Errorf("analysis span %s = %v, want a non-negative number", key, c.Attrs[key])
+					t.Errorf("window %s: analysis span %s = %v, want a non-negative number", c.Name, key, a.Attrs[key])
 				}
 				if key != "kgap_candidates" {
 					parts += v
 				}
 			}
-			if parts > c.DurationMS {
-				t.Errorf("analysis parts sum to %g ms, more than the span's %g ms", parts, c.DurationMS)
+			if parts > a.DurationMS {
+				t.Errorf("window %s: analysis parts sum to %g ms, more than the span's %g ms", c.Name, parts, a.DurationMS)
 			}
 		}
+		if analyses != 1 {
+			t.Errorf("window %s has %d analysis spans, want 1", c.Name, analyses)
+		}
 	}
-	if kinds[obs.SpanAnalysis] != 1 || analysisAt < 0 {
-		t.Fatalf("analysis spans = %d (root child at %d), want exactly one root child", kinds[obs.SpanAnalysis], analysisAt)
-	}
-	if analysisAt < lastWindow {
-		t.Errorf("analysis span is root child %d, before the last window span at %d", analysisAt, lastWindow)
+	if windows < 2 || kinds[obs.SpanAnalysis] != windows {
+		t.Fatalf("%d analysis spans over %d windows, want one per window of a multi-window job", kinds[obs.SpanAnalysis], windows)
 	}
 }
 

@@ -49,8 +49,10 @@ func planShards(t *colstore.View, users, k, requested int) []*colstore.View {
 	return t.UserShards(1, 0)
 }
 
-// shardResult is the outcome of anonymizing one shard.
+// shardResult is the outcome of anonymizing one shard: its input
+// dataset, which GLOVE does not modify, and its release.
 type shardResult struct {
+	in    *core.Dataset
 	out   *core.Dataset
 	stats *core.GloveStats
 	err   error
@@ -60,13 +62,15 @@ type shardResult struct {
 // merges the outputs. Group IDs are prefixed with the shard index so the
 // merged dataset keeps unique identifiers. Because each shard is
 // anonymized completely, every group of the union hides >= k
-// subscribers and the k-anonymity guarantee is preserved.
+// subscribers and the k-anonymity guarantee is preserved. It also
+// returns the run's input: the shards' datasets concatenated, one
+// fingerprint per user, which the release's measurements read.
 //
 // Each shard records a span under parent (with the engine's index-build
 // and merge phases grafted in from GloveStats — no locks in the hot
 // loop) and moves the shard-pool telemetry gauges; tel may be nil and
 // parent may be the zero ActiveSpan.
-func runShards(ctx context.Context, shards []*colstore.View, spec JobSpec, tel *Telemetry, parent obs.ActiveSpan, onProgress func(shard int, frac float64)) (*core.Dataset, *core.GloveStats, error) {
+func runShards(ctx context.Context, shards []*colstore.View, spec JobSpec, tel *Telemetry, parent obs.ActiveSpan, onProgress func(shard int, frac float64)) (out, in *core.Dataset, stats *core.GloveStats, err error) {
 	workers := spec.Workers
 	if workers <= 0 {
 		workers = parallel.DefaultWorkers()
@@ -89,7 +93,7 @@ func runShards(ctx context.Context, shards []*colstore.View, spec JobSpec, tel *
 	runCtx, failFast := context.WithCancel(ctx)
 	defer failFast()
 	results := make([]shardResult, len(shards))
-	err := parallel.ForContext(runCtx, len(shards), poolWorkers, func(i int) {
+	err = parallel.ForContext(runCtx, len(shards), poolWorkers, func(i int) {
 		span := parent.Child(obs.SpanShard, fmt.Sprintf("shard %d", i))
 		tel.shardStarted()
 		start := time.Now()
@@ -111,18 +115,23 @@ func runShards(ctx context.Context, shards []*colstore.View, spec JobSpec, tel *
 			continue
 		}
 		if !errors.Is(r.err, context.Canceled) {
-			return nil, nil, fmt.Errorf("service: shard %d/%d: %w", i+1, len(shards), r.err)
+			return nil, nil, nil, fmt.Errorf("service: shard %d/%d: %w", i+1, len(shards), r.err)
 		}
 		cancelled = r.err
 	}
 	if err != nil {
 		// No genuine shard error: the job itself was cancelled.
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
 	if cancelled != nil {
-		return nil, nil, cancelled
+		return nil, nil, nil, cancelled
 	}
-	return mergeShardResults(results, len(shards) > 1)
+	var fps []*core.Fingerprint
+	for _, r := range results {
+		fps = append(fps, r.in.Fingerprints...)
+	}
+	out, stats, err = mergeShardResults(results, len(shards) > 1)
+	return out, core.NewDataset(fps), stats, err
 }
 
 // annotateShardSpan records the shard outcome on its span: the input
@@ -163,7 +172,7 @@ func runShard(ctx context.Context, t *colstore.View, spec JobSpec, workers int, 
 	if err != nil {
 		return shardResult{err: err}
 	}
-	return shardResult{out: out, stats: stats}
+	return shardResult{in: ds, out: out, stats: stats}
 }
 
 // mergeShardResults concatenates shard outputs into one dataset and sums

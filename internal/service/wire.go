@@ -7,13 +7,14 @@ import "repro/internal/api"
 // SDK can never drift (DESIGN.md Sec. 9). The service aliases them so
 // the rest of this package (and its tests) keep their natural names.
 type (
-	DatasetInfo   = api.DatasetInfo
-	JobSpec       = api.JobSpec
-	JobStatus     = api.JobStatus
-	JobState      = api.JobState
-	WindowState   = api.WindowState
-	WindowStatus  = api.WindowStatus
-	MetricsReport = api.MetricsReport
+	DatasetInfo    = api.DatasetInfo
+	JobSpec        = api.JobSpec
+	JobStatus      = api.JobStatus
+	JobState       = api.JobState
+	WindowState    = api.WindowState
+	WindowStatus   = api.WindowStatus
+	ReleaseQuality = api.ReleaseQuality
+	MetricsReport  = api.MetricsReport
 )
 
 const (

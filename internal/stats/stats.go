@@ -9,6 +9,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -270,4 +271,105 @@ func Histogram(xs []float64, min, max float64, nbins int) ([]int, error) {
 		counts[i]++
 	}
 	return counts, nil
+}
+
+// Run is Count observations equal to Value. Its JSON form is compact,
+// for journals that persist runs by the thousand.
+type Run struct {
+	Value float64 `json:"v"`
+	Count int     `json:"n"`
+}
+
+// CompactRuns sorts runs by value and merges runs of equal value,
+// reusing rs's storage; it returns the ascending runs with distinct
+// values. Runs of count zero are dropped.
+func CompactRuns(rs []Run) []Run {
+	slices.SortFunc(rs, func(a, b Run) int {
+		switch {
+		case a.Value < b.Value:
+			return -1
+		case a.Value > b.Value:
+			return 1
+		}
+		return 0
+	})
+	out := rs[:0]
+	for _, r := range rs {
+		switch {
+		case r.Count <= 0:
+		case len(out) > 0 && out[len(out)-1].Value == r.Value:
+			out[len(out)-1].Count += r.Count
+		default:
+			out = append(out, r)
+		}
+	}
+	return out
+}
+
+// MergeRuns returns the union of two ascending lists of runs with
+// distinct values, as one such list; counts of a value in both add.
+func MergeRuns(a, b []Run) []Run {
+	out := make([]Run, 0, len(a)+len(b))
+	for len(a) > 0 && len(b) > 0 {
+		switch {
+		case a[0].Value < b[0].Value:
+			out, a = append(out, a[0]), a[1:]
+		case b[0].Value < a[0].Value:
+			out, b = append(out, b[0]), b[1:]
+		default:
+			out = append(out, Run{a[0].Value, a[0].Count + b[0].Count})
+			a, b = a[1:], b[1:]
+		}
+	}
+	out = append(out, a...)
+	return append(out, b...)
+}
+
+// SummarizeRuns computes the Summary of the sample that repeats each
+// run's Value Count times, bit for bit what Summarize returns for it:
+// the values are summed one at a time in ascending order, and each
+// quantile reads the same ranks. rs must be ascending with distinct
+// values (CompactRuns, MergeRuns), so its memory grows with the number
+// of distinct values, not of observations.
+func SummarizeRuns(rs []Run) (Summary, error) {
+	var n int
+	var sum float64
+	for _, r := range rs {
+		n += r.Count
+		for i := 0; i < r.Count; i++ {
+			sum += r.Value
+		}
+	}
+	if n == 0 {
+		return Summary{}, ErrEmpty
+	}
+	// at returns the value of rank i (0-based) of the expanded sample.
+	at := func(i int) float64 {
+		for _, r := range rs {
+			if i < r.Count {
+				return r.Value
+			}
+			i -= r.Count
+		}
+		return rs[len(rs)-1].Value
+	}
+	// quantile repeats quantileSorted's arithmetic over ranks.
+	quantile := func(p float64) float64 {
+		h := p * float64(n-1)
+		lo := int(math.Floor(h))
+		if lo+1 >= n {
+			return at(lo)
+		}
+		frac := h - float64(lo)
+		return at(lo)*(1-frac) + at(lo+1)*frac
+	}
+	return Summary{
+		N:      n,
+		Mean:   sum / float64(n),
+		Median: quantile(0.5),
+		P25:    quantile(0.25),
+		P75:    quantile(0.75),
+		Min:    rs[0].Value,
+		Max:    rs[len(rs)-1].Value,
+	}, nil
 }

@@ -310,7 +310,7 @@ func TestTrajectoryUniqueness(t *testing.T) {
 	}
 	unique := 0
 	for _, f := range d.Fingerprints {
-		if core.MinMatchCrowd(d, f.Samples) == 1 {
+		if core.MatchCrowd(d, f.Samples) == 1 {
 			unique++
 		}
 	}
