@@ -1,8 +1,9 @@
 // Command gloved is the resident GLOVE anonymization service: a long-
 // running HTTP daemon that ingests raw CDR datasets as streaming CSV,
 // schedules k-anonymization jobs over sharded worker pools, reports
-// live per-job progress, and serves the anonymized datasets and their
-// utility metrics.
+// live per-job progress, and serves the anonymized datasets with each
+// release's accuracy and privacy on its job's status. GET /metrics is
+// the daemon-wide picture, in Prometheus text format.
 //
 // Usage:
 //

@@ -8,7 +8,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/geo"
 	"repro/internal/metrics"
-	"repro/internal/obs"
 )
 
 // DatasetInfo is the public metadata of a registered dataset.
@@ -280,101 +279,4 @@ type JobStatus struct {
 	// unmeasured (above the analysis cap, or journaled before releases
 	// were measured at their commit) — never a partial number.
 	AnonymousFraction *float64 `json:"anonymous_fraction,omitempty"`
-}
-
-// MetricsReport aggregates what the service has published so far, the
-// payload of GET /v1/metrics.
-type MetricsReport struct {
-	Datasets    int              `json:"datasets"`
-	Jobs        int              `json:"jobs"`
-	JobsByState map[JobState]int `json:"jobs_by_state"`
-	// JobsByStrategy / JobsByIndex count jobs by the execution plan the
-	// core planner resolved (auto rules included), so operators can see
-	// which path — single vs chunked, dense vs sparse — their traffic
-	// actually takes. Jobs that never started (no plan yet) are absent.
-	JobsByStrategy map[core.Strategy]int  `json:"jobs_by_strategy"`
-	JobsByIndex    map[core.IndexKind]int `json:"jobs_by_index"`
-	// WindowedJobs counts jobs submitted with window_hours > 0;
-	// WindowReleases counts the committed per-window releases across
-	// them (completed windows of running or cancelled jobs included).
-	// Both are incremental lifetime totals: they survive terminal-job
-	// eviction rather than being recomputed from retained jobs.
-	WindowedJobs   int `json:"windowed_jobs"`
-	WindowReleases int `json:"window_releases"`
-	// MeanCrossWindowLinkage averages the linked fraction of the
-	// cross-window linkage analysis over finished windowed jobs that
-	// reported one — the service-wide residual re-identification risk of
-	// continuous publication. Nil when no job measured it.
-	MeanCrossWindowLinkage *float64 `json:"mean_cross_window_linkage,omitempty"`
-	// EffortKernelCalls / EffortKernelPruned aggregate the pruned
-	// effort-kernel accounting (DESIGN.md Sec. 8) over every finished
-	// job since boot (incremental, eviction-proof), so operators can
-	// watch how much Eq. 10 work the threshold pruning is eliding on
-	// their real traffic.
-	EffortKernelCalls  int `json:"effort_kernel_calls"`
-	EffortKernelPruned int `json:"effort_kernel_pruned"`
-	// CompletedTotal counts every job that reached the done state since
-	// boot; Completed below is capped, so the two can differ.
-	CompletedTotal int `json:"completed_total"`
-	// Completed holds the per-job utility summaries (accuracy from
-	// internal/metrics, anonymizability and cross-window linkage from
-	// internal/analysis) of the most recently finished jobs, newest
-	// first, capped so the report stays bounded under job churn.
-	Completed []JobStatus `json:"completed"`
-	// Runtime snapshots process health (goroutines, heap, GC, uptime,
-	// boot id) so restarts and leaks are visible without a scraper.
-	Runtime obs.RuntimeInfo `json:"runtime"`
-	// Colstore snapshots the memory-bounded columnar store that holds
-	// every dataset.
-	Colstore *ColstoreInfo `json:"colstore,omitempty"`
-	// Durability snapshots the write-ahead journal behind gloved
-	// -data-dir; omitted entirely on daemons running without one.
-	Durability *DurabilityInfo `json:"durability,omitempty"`
-}
-
-// ColstoreInfo snapshots the columnar store of the dataset registry:
-// the live resident/spilled footprint and the cumulative spill-path
-// traffic since boot.
-type ColstoreInfo struct {
-	// Datasets counts the registered datasets.
-	Datasets int `json:"datasets"`
-	// ResidentBytes is the column bytes currently held in memory across
-	// all columnar stores; bounded by the per-dataset byte budget.
-	ResidentBytes int64 `json:"resident_bytes"`
-	// ResidentChunks / SpilledChunks split the column chunks by where
-	// they currently live.
-	ResidentChunks int `json:"resident_chunks"`
-	SpilledChunks  int `json:"spilled_chunks"`
-	// ChunkFaults / ChunkSpills count chunk reads from and writes to the
-	// spill file since boot (monotone, deletion-proof).
-	ChunkFaults int64 `json:"chunk_faults"`
-	ChunkSpills int64 `json:"chunk_spills"`
-}
-
-// DurabilityInfo snapshots the write-ahead journal of a durable daemon
-// (gloved -data-dir): the live journal footprint, what the last boot
-// recovered, and whether the previous shutdown was clean.
-type DurabilityInfo struct {
-	// JournalDir is the directory holding the journal segments.
-	JournalDir string `json:"journal_dir"`
-	// Fsync reports whether commits fsync (gloved -fsync).
-	Fsync bool `json:"fsync"`
-	// JournalSegments / JournalBytes are the live journal footprint.
-	JournalSegments int   `json:"journal_segments"`
-	JournalBytes    int64 `json:"journal_bytes"`
-	// LastCompaction is when the journal was last compacted to a
-	// snapshot (every boot compacts, so this is at least the boot time).
-	LastCompaction *time.Time `json:"last_compaction,omitempty"`
-	// LastShutdownClean reports whether the previous run ended with the
-	// clean-shutdown marker (graceful drain) rather than a crash.
-	LastShutdownClean bool `json:"last_shutdown_clean"`
-	// TornTailRecovered reports that this boot truncated a partially
-	// written frame off the journal tail — the signature of a crash
-	// mid-append; everything before the tear was recovered.
-	TornTailRecovered bool `json:"torn_tail_recovered,omitempty"`
-	// RecoveredDatasets counts datasets rebuilt from the journal at
-	// boot; RecoveredJobs counts rebuilt jobs by outcome (restored /
-	// requeued / resumed).
-	RecoveredDatasets int            `json:"recovered_datasets"`
-	RecoveredJobs     map[string]int `json:"recovered_jobs,omitempty"`
 }

@@ -129,7 +129,7 @@ type AnonymizeOptions struct {
 
 // Plan is the resolved execution shape of an Anonymize call — what the
 // auto rules decided for a concrete dataset size. It is JSON-tagged so
-// the service can surface it verbatim in job statuses and /v1/metrics.
+// the service can surface it verbatim in job statuses.
 type Plan struct {
 	// N is the dataset size the plan was made for.
 	N int `json:"n"`

@@ -9,9 +9,11 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"net/http"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"syscall"
@@ -164,6 +166,37 @@ func newClient(t *testing.T, addr string) *client.Client {
 	return c
 }
 
+// metric scrapes the daemon's /metrics and returns the sample of family
+// name whose labels include every given pair, failing when none does.
+func (d *daemon) metric(t *testing.T, name string, labels map[string]string) float64 {
+	t.Helper()
+	resp, err := http.Get("http://" + d.addr + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	fams, err := obs.ParseText(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range fams {
+		for _, s := range f.Samples {
+			if s.Name != name {
+				continue
+			}
+			match := true
+			for k, v := range labels {
+				match = match && slices.Contains(s.Labels, obs.Label{Name: k, Value: v})
+			}
+			if match {
+				return s.Value
+			}
+		}
+	}
+	t.Fatalf("no %s sample with labels %v on /metrics", name, labels)
+	return 0
+}
+
 // windowCSV builds an ingest/append body whose records all land in the
 // 1 h window w, one record per user at distinct minutes.
 func windowCSV(w int, users ...string) string {
@@ -216,12 +249,8 @@ func TestCrashTornDatasetCreate(t *testing.T) {
 	if len(all) != 0 {
 		t.Fatalf("torn, unacknowledged ingest resurrected: %+v", all)
 	}
-	m, err := c2.Metrics(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Durability == nil || !m.Durability.TornTailRecovered || m.Durability.LastShutdownClean {
-		t.Errorf("durability after torn-tail recovery: %+v", m.Durability)
+	if got := d2.metric(t, "glove_journal_recovery_info", map[string]string{"clean_shutdown": "false", "torn_tail": "true"}); got != 1 {
+		t.Errorf("glove_journal_recovery_info after torn-tail recovery = %g, want an unclean, torn boot", got)
 	}
 	// The feed can simply be re-sent: recovery left a consistent journal.
 	if _, err := c2.CreateDataset(ctx, strings.NewReader(windowCSV(0, "a", "b", "c")),
@@ -370,12 +399,8 @@ func TestCrashFollowWindowCommitted(t *testing.T) {
 	if done[0] != 1 || done[1] != 1 {
 		t.Errorf("window done events after recovery: %v, want exactly one per window", done)
 	}
-	m, err := c2.Metrics(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Durability == nil || m.Durability.RecoveredJobs["resumed"] != 1 {
-		t.Errorf("durability after resume: %+v", m.Durability)
+	if got := d2.metric(t, "glove_recovered_jobs_total", map[string]string{"outcome": "resumed"}); got != 1 {
+		t.Errorf(`glove_recovered_jobs_total{outcome="resumed"} = %g, want 1`, got)
 	}
 }
 
@@ -473,12 +498,8 @@ func TestCrashWindowedWindowCommitted(t *testing.T) {
 	if ran[0] != 0 || ran[1] != 0 || ran[2] != 1 {
 		t.Errorf("window running events after recovery: %v, want only window 2 to run again", ran)
 	}
-	m, err := c2.Metrics(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Durability == nil || m.Durability.RecoveredJobs["resumed"] != 1 {
-		t.Errorf("durability after resume: %+v", m.Durability)
+	if got := d2.metric(t, "glove_recovered_jobs_total", map[string]string{"outcome": "resumed"}); got != 1 {
+		t.Errorf(`glove_recovered_jobs_total{outcome="resumed"} = %g, want 1`, got)
 	}
 }
 
@@ -605,11 +626,7 @@ func TestDrainCleanShutdown(t *testing.T) {
 	if err != nil || got.Records != ds.Records {
 		t.Fatalf("checkpointed dataset after restart: %+v, %v", got, err)
 	}
-	m, err := c2.Metrics(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Durability == nil || !m.Durability.LastShutdownClean {
-		t.Errorf("clean shutdown not reported: %+v", m.Durability)
+	if got := d2.metric(t, "glove_journal_recovery_info", map[string]string{"clean_shutdown": "true"}); got != 1 {
+		t.Errorf(`glove_journal_recovery_info{clean_shutdown="true"} = %g, want 1 after a checkpointed shutdown`, got)
 	}
 }

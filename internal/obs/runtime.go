@@ -5,36 +5,10 @@ import (
 	"time"
 )
 
-// RuntimeInfo is a point-in-time snapshot of process health, embedded
-// in the JSON metrics report so restarts and leaks are visible without
-// a Prometheus scraper or pprof.
-type RuntimeInfo struct {
-	Goroutines          int     `json:"goroutines"`
-	HeapInuseBytes      uint64  `json:"heap_inuse_bytes"`
-	GCPauseTotalSeconds float64 `json:"gc_pause_total_seconds"`
-	NumGC               uint32  `json:"num_gc"`
-	UptimeSeconds       float64 `json:"uptime_seconds"`
-	BootID              string  `json:"boot_id"`
-}
-
-// ReadRuntime samples the process state. start is the process (or
-// server) start time; bootID distinguishes restarts.
-func ReadRuntime(bootID string, start time.Time) RuntimeInfo {
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	return RuntimeInfo{
-		Goroutines:          runtime.NumGoroutine(),
-		HeapInuseBytes:      ms.HeapInuse,
-		GCPauseTotalSeconds: float64(ms.PauseTotalNs) / 1e9,
-		NumGC:               ms.NumGC,
-		UptimeSeconds:       time.Since(start).Seconds(),
-		BootID:              bootID,
-	}
-}
-
 // RegisterRuntime registers the process-level gauges on r: goroutine
-// count, heap in use, total GC pause, uptime, and a constant
-// glove_boot_info{boot_id} 1 series identifying the incarnation.
+// count, heap in use, total GC pause, completed GC cycles, uptime, and
+// a constant glove_boot_info{boot_id} 1 series identifying the
+// incarnation.
 func RegisterRuntime(r *Registry, bootID string, start time.Time) {
 	r.GaugeFunc("glove_process_goroutines",
 		"Number of live goroutines.",
@@ -52,6 +26,13 @@ func RegisterRuntime(r *Registry, bootID string, start time.Time) {
 			var ms runtime.MemStats
 			runtime.ReadMemStats(&ms)
 			return float64(ms.PauseTotalNs) / 1e9
+		})
+	r.CounterFunc("glove_process_gc_cycles_total",
+		"Completed GC cycles.",
+		func() float64 {
+			var ms runtime.MemStats
+			runtime.ReadMemStats(&ms)
+			return float64(ms.NumGC)
 		})
 	r.GaugeFunc("glove_process_uptime_seconds",
 		"Seconds since the server started.",

@@ -216,9 +216,9 @@ func TestManagerRetentionByAge(t *testing.T) {
 	}
 	waitForState(t, mgr, st.ID, func(s JobStatus) bool { return s.State.Terminal() })
 	time.Sleep(20 * time.Millisecond)
-	// Age-based retention is enforced lazily on List.
-	if got := len(mgr.List()); got != 0 {
-		t.Errorf("%d jobs retained after expiry, want 0", got)
+	// Age-based retention is enforced lazily on ListPage.
+	if page, _, _ := mgr.ListPage("", 10); len(page) != 0 {
+		t.Errorf("%d jobs retained after expiry, want 0", len(page))
 	}
 	if _, ok := mgr.Get(st.ID); ok {
 		t.Error("expired job still served")
@@ -459,7 +459,7 @@ func TestWindowedFrozenLayout(t *testing.T) {
 
 // --- HTTP: the full continuous-release scenario of the acceptance
 // criteria: append over the wire, a 3-window job, three independently
-// k-anonymous releases, and the linkage metric in /v1/metrics. ---
+// k-anonymous releases, and the linkage counters on /metrics. ---
 
 func TestServerContinuousRelease(t *testing.T) {
 	srv, _ := newTestServer(t)
@@ -581,17 +581,17 @@ func TestServerContinuousRelease(t *testing.T) {
 	// release.
 	batch := submitJob(t, srv.URL, JobSpec{DatasetID: ds.ID, K: k})
 	waitJobDone(t, srv.URL, batch.ID)
-	var rep MetricsReport
-	getJSON(t, srv.URL+"/v1/metrics", &rep)
-	if rep.WindowedJobs != 1 || rep.WindowReleases != 3 {
-		t.Errorf("metrics windowed_jobs %d window_releases %d, want 1 / 3",
-			rep.WindowedJobs, rep.WindowReleases)
+	fams := scrape(t, srv.URL)
+	if got := value(t, fams, "glove_window_releases_total", nil); got != 3 {
+		t.Errorf("glove_window_releases_total = %g, want 3", got)
 	}
-	if rep.MeanCrossWindowLinkage == nil {
-		t.Error("metrics missing mean_cross_window_linkage")
-	} else if *rep.MeanCrossWindowLinkage != job.Linkage.LinkedFraction {
-		t.Errorf("metrics linkage %g != job linkage %g",
-			*rep.MeanCrossWindowLinkage, job.Linkage.LinkedFraction)
+	// The linkage counters sum the windowed job's pairs; the batch job's
+	// one release has no previous release to pair with.
+	if got := value(t, fams, "glove_linkage_probed_total", nil); got != float64(job.Linkage.Probed) {
+		t.Errorf("glove_linkage_probed_total = %g, want the job's %d", got, job.Linkage.Probed)
+	}
+	if got := value(t, fams, "glove_linkage_linked_total", nil); got != float64(job.Linkage.Linked) {
+		t.Errorf("glove_linkage_linked_total = %g, want the job's %d", got, job.Linkage.Linked)
 	}
 }
 

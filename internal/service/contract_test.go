@@ -113,6 +113,7 @@ func TestServerErrorEnvelope(t *testing.T) {
 	}{
 		{"route fallthrough", "GET", "/nope", "", 404, api.CodeNotFound},
 		{"deep fallthrough", "GET", "/v1/unknown/deep/path", "", 404, api.CodeNotFound},
+		{"removed JSON metrics report", "GET", "/v1/metrics", "", 404, api.CodeNotFound},
 		{"method mismatch", "PUT", "/v1/datasets", "", 405, api.CodeMethodNotAllowed},
 		{"method mismatch on item", "PATCH", "/v1/jobs/job-000001", "", 405, api.CodeMethodNotAllowed},
 		{"bad lat", "POST", "/v1/datasets?lat=bogus", "x", 400, api.CodeInvalidArgument},
@@ -550,5 +551,57 @@ func TestServerResultCaching(t *testing.T) {
 	resp2.Body.Close()
 	if enc := resp2.Header.Get("Content-Encoding"); enc == "gzip" {
 		t.Error("gzip served despite q=0")
+	}
+}
+
+// TestEventStreamTerminalRacingItsEndCheck pins the stream's end
+// condition against a terminal transition landing between its read of
+// the log and its status check: the stream must still send the
+// terminal event before it ends. The test parks the handler between the
+// two by holding the locks they take, in the order the race needs.
+func TestEventStreamTerminalRacingItsEndCheck(t *testing.T) {
+	srv, mgr := newTestServer(t)
+	ds := ingestTable(t, srv.URL, synthTable(t, 20, 1), "race")
+	// A follow job whose one window never closes runs until cancelled.
+	st := submitJob(t, srv.URL, JobSpec{DatasetID: ds.ID, K: 2, WindowHours: 1000, Follow: true})
+	waitForState(t, mgr, st.ID, func(s JobStatus) bool { return s.State == JobRunning })
+	mgr.mu.Lock()
+	job := mgr.jobs[st.ID]
+	mgr.mu.Unlock()
+
+	// A cursor one past the log: the next event appended still leaves
+	// the stream nothing to send.
+	job.mu.Lock()
+	after := len(job.events) + 1
+	job.mu.Unlock()
+	resp, err := http.Get(fmt.Sprintf("%s/v1/jobs/%s/events?after=%d", srv.URL, st.ID, after))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	time.Sleep(50 * time.Millisecond) // the handler parks on its wake channel
+
+	// Wake it, and hold the job lock so its next read of the log waits.
+	job.mu.Lock()
+	job.appendEventLocked(api.JobEvent{Type: api.EventProgress, Progress: 0.5})
+	time.Sleep(50 * time.Millisecond)
+	// Its status check then waits on the manager lock while the job turns
+	// terminal behind its back.
+	mgr.mu.Lock()
+	job.cancelRequested = true
+	cancel := job.cancel
+	job.mu.Unlock()
+	time.Sleep(50 * time.Millisecond)
+	cancel()
+	for terminal := false; !terminal; {
+		job.mu.Lock()
+		terminal = job.state.Terminal()
+		job.mu.Unlock()
+	}
+	mgr.mu.Unlock()
+
+	evs := readSSE(t, resp.Body)
+	if len(evs) != 1 || !evs[0].data.Terminal() || evs[0].data.State != JobCancelled {
+		t.Fatalf("stream sent %+v, want exactly the terminal cancelled event", evs)
 	}
 }

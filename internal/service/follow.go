@@ -365,11 +365,9 @@ func (m *Manager) executeWindows(ctx context.Context, job *Job, spec JobSpec) (*
 			faultinject.Crash("follow.window.committed")
 			job.commitWindow(wpos, rel, out.Len(), stats, quality, runs)
 			wspan.End()
+			m.tel.releaseCommitted(stats, quality)
 			if !batchJob(spec) {
 				m.tel.windowCommitted(time.Since(closedAt))
-				m.agg.Lock()
-				m.agg.windowReleases++
-				m.agg.Unlock()
 			}
 			total.Add(stats)
 			if first < 0 {

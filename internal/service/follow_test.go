@@ -260,6 +260,62 @@ func TestFollowCancellationKeepsCommittedReleases(t *testing.T) {
 	}
 }
 
+// A follow job without a window bound only ever ends by cancellation,
+// so the engine counters must take each release's work at its commit:
+// while the job runs, and unchanged by the cancel.
+func TestFollowCancelledJobCountsEngineWork(t *testing.T) {
+	center := geo.LatLon{Lat: 7.54, Lon: -5.55}
+	reg := NewRegistry()
+	mgr := NewManager(reg, ManagerOptions{})
+	defer mgr.Close()
+
+	info, err := reg.Ingest(strings.NewReader(windowCSV(0, "a", "b", "c", "d")), "feed", center, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := mgr.Submit(JobSpec{DatasetID: info.ID, K: 2, Workers: 1, Shards: 1,
+		WindowHours: 1, Follow: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Window-1 records close window 0, window-2 records close window 1;
+	// window 2 stays open.
+	for _, body := range []string{windowCSV(1, "a", "b", "c", "e"), windowCSV(2, "a", "b")} {
+		if _, err := reg.Append(info.ID, strings.NewReader(body)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	running := waitForState(t, mgr, st.ID, func(s JobStatus) bool {
+		return s.State.Terminal() || (len(s.Windows) >= 2 && s.Windows[1].State == WindowDone)
+	})
+	if running.State.Terminal() {
+		t.Fatalf("follow job finished %s (%s) before the cancel", running.State, running.Error)
+	}
+	var calls, merges int
+	for _, w := range running.Windows[:2] {
+		calls += w.Stats.EffortKernelCalls
+		merges += w.Stats.Merges
+	}
+	check := func(when string) {
+		t.Helper()
+		fams := scrapeTelemetry(t, mgr.tel)
+		if got := value(t, fams, "glove_effort_kernel_calls_total", nil); calls == 0 || got != float64(calls) {
+			t.Errorf("%s: glove_effort_kernel_calls_total = %g, want the windows' %d > 0", when, got, calls)
+		}
+		if got := value(t, fams, "glove_merges_total", nil); got != float64(merges) {
+			t.Errorf("%s: glove_merges_total = %g, want the windows' %d", when, got, merges)
+		}
+	}
+	check("running")
+	if _, err := mgr.Cancel(st.ID); err != nil {
+		t.Fatal(err)
+	}
+	if final := waitForState(t, mgr, st.ID, func(s JobStatus) bool { return s.State.Terminal() }); final.State != JobCancelled {
+		t.Fatalf("follow job finished %s (%s), want cancelled", final.State, final.Error)
+	}
+	check("cancelled")
+}
+
 // Records arriving for a window whose release is already committed must
 // fail the job: republishing or silently dropping them would both break
 // the release contract.

@@ -40,7 +40,6 @@ import (
 //	GET    /v1/jobs/{id}/result            download the anonymized CSV (ETag, gzip)
 //	GET    /v1/jobs/{id}/windows/{w}/result  download one window's release (ETag, gzip)
 //	GET    /v1/jobs/{id}/trace             per-job span tree (JSON)
-//	GET    /v1/metrics                     accuracy / anonymizability / linkage summary (JSON)
 //	GET    /metrics                        Prometheus text exposition
 //	GET    /healthz                        liveness + version
 type Server struct {
@@ -56,7 +55,7 @@ type Server struct {
 	Log *slog.Logger
 
 	// RouteTimeout is the processing budget of the quick JSON routes
-	// (listings, status, submit, metrics — never the streaming ingest,
+	// (listings, status, trace, health — never the streaming ingest,
 	// download, or event routes). 0 uses DefaultRouteTimeout; negative
 	// disables the budget.
 	RouteTimeout time.Duration
@@ -126,9 +125,6 @@ func NewServer(reg *Registry, mgr *Manager) *Server {
 	})
 	s.route("/v1/jobs/{id}/trace", map[string]http.HandlerFunc{
 		http.MethodGet: s.quick(s.handleJobTrace),
-	})
-	s.route("/v1/metrics", map[string]http.HandlerFunc{
-		http.MethodGet: s.quick(s.handleMetrics),
 	})
 	s.route("/metrics", map[string]http.HandlerFunc{
 		http.MethodGet: s.handlePrometheus,
@@ -680,12 +676,18 @@ func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 		}
 		// Nothing new: a terminal job appends no further events, so the
 		// log is complete and the client resumed at or past the terminal
-		// event — end the stream instead of heartbeating forever. (The
+		// event — end the stream instead of heartbeating forever. The
 		// terminal event is appended under the same lock that flips the
-		// state, so a terminal status implies it is already in the log;
-		// a transition racing this check closes wake and wakes us.)
+		// state, but the transition may land between the read above and
+		// this check: then wake is already closed, and the loop must
+		// send that event before it ends the stream.
 		if st, ok := s.mgr.Get(id); !ok || st.State.Terminal() {
-			return
+			select {
+			case <-wake:
+				continue
+			default:
+				return
+			}
 		}
 		select {
 		case <-wake:
@@ -832,10 +834,6 @@ func acceptsGzip(r *http.Request) bool {
 		return true
 	}
 	return false
-}
-
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.mgr.Report())
 }
 
 // handleJobTrace serves the per-job span tree recorded by the run.

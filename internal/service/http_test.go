@@ -166,14 +166,13 @@ func TestServerEndToEnd(t *testing.T) {
 		t.Errorf("mean matching crowd %.2f < k = %d", uniq.MeanCrowd, k)
 	}
 
-	// --- Metrics summary includes the finished job. ---
-	var rep MetricsReport
-	getJSON(t, srv.URL+"/v1/metrics", &rep)
-	if rep.Datasets != 1 || rep.JobsByState[JobDone] != 1 {
-		t.Errorf("metrics report: %+v", rep)
+	// --- /metrics counts the dataset and the finished job. ---
+	fams := scrape(t, srv.URL)
+	if got := value(t, fams, "glove_datasets", nil); got != 1 {
+		t.Errorf("glove_datasets = %g, want 1", got)
 	}
-	if len(rep.Completed) != 1 || rep.Completed[0].Accuracy == nil {
-		t.Errorf("metrics missing completed job summary")
+	if got := value(t, fams, "glove_jobs_finished_total", map[string]string{"state": "done"}); got != 1 {
+		t.Errorf(`glove_jobs_finished_total{state="done"} = %g, want 1`, got)
 	}
 
 	// --- Eviction: DELETE on a finished job needs an explicit purge

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"sort"
-	"sync"
 	"time"
 
 	"repro/internal/api"
@@ -159,17 +158,8 @@ type RecoveredState struct {
 // *Journal is an inert sink (non-durable daemons), mirroring the
 // nil-*Telemetry convention.
 type Journal struct {
-	log   *wal.Log
-	dir   string
-	fsync bool
-	tel   *Telemetry
-
-	mu                sync.Mutex
-	lastCompaction    time.Time
-	cleanStart        bool
-	tornTail          bool
-	recoveredDatasets int
-	recoveredJobs     map[string]int
+	log *wal.Log
+	tel *Telemetry
 }
 
 // OpenJournal opens the journal under dir, replays it into a
@@ -193,17 +183,12 @@ func OpenJournal(dir string, fsync bool, tel *Telemetry) (*Journal, *RecoveredSt
 		return nil, nil, err
 	}
 	normalizeRecovered(st)
-	jl := &Journal{
-		log: l, dir: dir, fsync: fsync, tel: tel,
-		cleanStart:        st.CleanShutdown,
-		tornTail:          st.TornTail,
-		recoveredDatasets: len(st.Datasets),
-		recoveredJobs:     make(map[string]int),
-	}
+	jl := &Journal{log: l, tel: tel}
 	if err := jl.compactTo(st); err != nil {
 		l.Close()
 		return nil, nil, err
 	}
+	tel.registerJournal(l, st)
 	return jl, st, nil
 }
 
@@ -484,13 +469,7 @@ func (jl *Journal) compactTo(st *RecoveredState) error {
 	if err != nil {
 		return err
 	}
-	if err := jl.log.Compact(p); err != nil {
-		return err
-	}
-	jl.mu.Lock()
-	jl.lastCompaction = time.Now().UTC()
-	jl.mu.Unlock()
-	return nil
+	return jl.log.Compact(p)
 }
 
 // Checkpoint serializes the live registry and manager state, compacts
@@ -514,46 +493,11 @@ func (jl *Journal) Checkpoint(reg *Registry, m *Manager) error {
 	return jl.commit()
 }
 
-// jobRecovered records a recovery outcome for the durability report and
-// the glove_recovered_jobs_total counter.
+// jobRecovered counts a recovery outcome in glove_recovered_jobs_total.
 func (jl *Journal) jobRecovered(outcome string) {
-	if jl == nil {
-		return
+	if jl != nil {
+		jl.tel.jobRecovered(outcome)
 	}
-	jl.tel.jobRecovered(outcome)
-	jl.mu.Lock()
-	jl.recoveredJobs[outcome]++
-	jl.mu.Unlock()
-}
-
-// Report snapshots the journal for the /v1/metrics durability block.
-func (jl *Journal) Report() *api.DurabilityInfo {
-	if jl == nil {
-		return nil
-	}
-	segs, size := jl.log.Size()
-	jl.mu.Lock()
-	defer jl.mu.Unlock()
-	info := &api.DurabilityInfo{
-		JournalDir:        jl.dir,
-		Fsync:             jl.fsync,
-		JournalSegments:   segs,
-		JournalBytes:      size,
-		LastShutdownClean: jl.cleanStart,
-		TornTailRecovered: jl.tornTail,
-		RecoveredDatasets: jl.recoveredDatasets,
-	}
-	if !jl.lastCompaction.IsZero() {
-		t := jl.lastCompaction
-		info.LastCompaction = &t
-	}
-	if len(jl.recoveredJobs) > 0 {
-		info.RecoveredJobs = make(map[string]int, len(jl.recoveredJobs))
-		for k, v := range jl.recoveredJobs {
-			info.RecoveredJobs[k] = v
-		}
-	}
-	return info
 }
 
 // captureState converts the live registry + manager into the same

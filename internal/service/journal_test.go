@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -21,7 +22,10 @@ import (
 // jobs, then attach the registry journal.
 func bootService(t *testing.T, dir string, mopt ManagerOptions) (*Journal, *Registry, *Manager, *RecoveredState) {
 	t.Helper()
-	jrnl, rec, err := OpenJournal(dir, false, nil)
+	if mopt.Telemetry == nil {
+		mopt.Telemetry = NewTelemetry()
+	}
+	jrnl, rec, err := OpenJournal(dir, false, mopt.Telemetry)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -286,8 +290,8 @@ func TestJournalTerminalJobRestored(t *testing.T) {
 	if !bytes.Equal(storedCSV(t, rel2), storedCSV(t, rel)) {
 		t.Error("restored release differs from the original bytes")
 	}
-	if r := jrnl2.Report(); r.RecoveredJobs["restored"] != 3 {
-		t.Errorf("durability report: %+v", r.RecoveredJobs)
+	if got := value(t, scrapeTelemetry(t, mgr2.tel), "glove_recovered_jobs_total", map[string]string{"outcome": "restored"}); got != 3 {
+		t.Errorf(`glove_recovered_jobs_total{outcome="restored"} = %g, want 3`, got)
 	}
 }
 
@@ -461,8 +465,8 @@ func TestJournalFollowResumeByteIdentity(t *testing.T) {
 					t.Errorf("recovered window-%d release differs from the committed bytes", w)
 				}
 			}
-			if r := jrnl2.Report(); r.RecoveredJobs["resumed"] != 1 {
-				t.Errorf("durability report: %+v", r.RecoveredJobs)
+			if got := value(t, scrapeTelemetry(t, mgr2.tel), "glove_recovered_jobs_total", map[string]string{"outcome": "resumed"}); got != 1 {
+				t.Errorf(`glove_recovered_jobs_total{outcome="resumed"} = %g, want 1`, got)
 			}
 
 			if tc.finish != nil {
@@ -530,7 +534,7 @@ func TestJournalFollowResumeByteIdentity(t *testing.T) {
 			}
 
 			// Cross-window linkage over every release, pairs labeled with
-			// absolute window indices, counted in the metrics mean.
+			// absolute window indices.
 			if final.Linkage == nil {
 				t.Fatal("resumed job reports no cross-window linkage")
 			}
@@ -544,8 +548,21 @@ func TestJournalFollowResumeByteIdentity(t *testing.T) {
 			if !reflect.DeepEqual(final.Linkage, cfinal.Linkage) {
 				t.Errorf("resumed linkage %+v differs from the control's %+v", final.Linkage, cfinal.Linkage)
 			}
-			if mean := mgr2.Report().MeanCrossWindowLinkage; mean == nil || *mean != final.Linkage.LinkedFraction {
-				t.Errorf("mean_cross_window_linkage = %v, want the job's %g", mean, final.Linkage.LinkedFraction)
+			// The linkage counters, like every counter, count only the
+			// windows committed since the restart.
+			var probed, linked int
+			for _, w := range final.Windows {
+				if w.State == WindowDone && !slices.Contains(tc.committed, w.Index) && w.Linkage != nil {
+					probed += w.Linkage.Probed
+					linked += w.Linkage.Linked
+				}
+			}
+			fams := scrapeTelemetry(t, mgr2.tel)
+			if got := value(t, fams, "glove_linkage_probed_total", nil); probed == 0 || got != float64(probed) {
+				t.Errorf("glove_linkage_probed_total = %g, want %d > 0 probed since the restart", got, probed)
+			}
+			if got := value(t, fams, "glove_linkage_linked_total", nil); got != float64(linked) {
+				t.Errorf("glove_linkage_linked_total = %g, want %d linked since the restart", got, linked)
 			}
 			if final.Linkage.Linked == 0 {
 				t.Errorf("no probe re-linked (%+v); the comparison with the control shows nothing", final.Linkage)
@@ -635,8 +652,12 @@ func TestJournalCheckpointCleanShutdown(t *testing.T) {
 	if !rec.CleanShutdown {
 		t.Error("checkpointed shutdown not reported clean")
 	}
-	if r := jrnl2.Report(); !r.LastShutdownClean || r.RecoveredDatasets != 1 {
-		t.Errorf("durability report: %+v", r)
+	fams := scrapeTelemetry(t, mgr2.tel)
+	if got := value(t, fams, "glove_journal_recovery_info", map[string]string{"clean_shutdown": "true", "torn_tail": "false"}); got != 1 {
+		t.Errorf("glove_journal_recovery_info = %g, want a clean, untorn boot", got)
+	}
+	if got := value(t, fams, "glove_recovered_datasets_total", nil); got != 1 {
+		t.Errorf("glove_recovered_datasets_total = %g, want 1", got)
 	}
 	if len(reg2.List()) != 1 {
 		t.Error("checkpointed dataset lost")
@@ -647,6 +668,9 @@ func TestJournalCheckpointCleanShutdown(t *testing.T) {
 	defer crashClose(mgr3, reg3, jrnl3)
 	if rec3.CleanShutdown {
 		t.Error("stale clean-shutdown marker survived an unclean boot")
+	}
+	if got := value(t, scrapeTelemetry(t, mgr3.tel), "glove_journal_recovery_info", map[string]string{"clean_shutdown": "false"}); got != 1 {
+		t.Errorf(`glove_journal_recovery_info{clean_shutdown="false"} = %g, want 1 after an unclean boot`, got)
 	}
 }
 

@@ -119,21 +119,6 @@ type Manager struct {
 	jobs   map[string]*Job
 	order  []string
 	closed bool
-
-	// agg holds the incremental lifetime aggregates behind the JSON
-	// metrics report, updated at submission, window commit, and terminal
-	// transition — never recomputed by walking retained jobs, so the
-	// report stays O(retained) and the totals survive eviction.
-	agg struct {
-		sync.Mutex
-		completedTotal int
-		windowedJobs   int
-		windowReleases int
-		kernelCalls    int
-		kernelPruned   int
-		linkageSum     float64
-		linkageJobs    int
-	}
 }
 
 // NewManager starts a manager executing jobs against the registry.
@@ -305,11 +290,6 @@ func (m *Manager) Submit(spec JobSpec) (JobStatus, error) {
 	}
 
 	m.tel.jobSubmitted()
-	if !batchJob(spec) {
-		m.agg.Lock()
-		m.agg.windowedJobs++
-		m.agg.Unlock()
-	}
 	if m.log != nil {
 		m.log.Info("job submitted", "job_id", job.id,
 			"dataset_id", spec.DatasetID, "k", spec.K, "window_hours", spec.WindowHours)
@@ -326,25 +306,6 @@ func (m *Manager) Get(id string) (JobStatus, bool) {
 		return JobStatus{}, false
 	}
 	return job.Status(), true
-}
-
-// List returns the status of every job in submission order. Age-based
-// retention is enforced lazily here as well, so an idle daemon still
-// sheds expired jobs when observed.
-func (m *Manager) List() []JobStatus {
-	m.mu.Lock()
-	m.evictFinishedLocked()
-	ids := append([]string(nil), m.order...)
-	jobs := make([]*Job, 0, len(ids))
-	for _, id := range ids {
-		jobs = append(jobs, m.jobs[id])
-	}
-	m.mu.Unlock()
-	out := make([]JobStatus, 0, len(jobs))
-	for _, j := range jobs {
-		out = append(out, j.Status())
-	}
-	return out
 }
 
 // ListPage returns up to limit job statuses after the given id (empty
@@ -638,27 +599,12 @@ func (m *Manager) runJob(job *Job) {
 	}
 	job.trace.Root().End()
 	state := job.state
-	stats = job.stats
-	linkage := job.linkage
 	finished := job.finished
 	job.mu.Unlock()
 
 	m.journalTerminal(job)
 
-	m.tel.jobFinished(state, finished.Sub(started), stats)
-	m.agg.Lock()
-	if state == JobDone {
-		m.agg.completedTotal++
-		if stats != nil {
-			m.agg.kernelCalls += stats.EffortKernelCalls
-			m.agg.kernelPruned += stats.EffortKernelPruned
-		}
-		if linkage != nil {
-			m.agg.linkageSum += linkage.LinkedFraction
-			m.agg.linkageJobs++
-		}
-	}
-	m.agg.Unlock()
+	m.tel.jobFinished(state, finished.Sub(started))
 	if m.log != nil {
 		attrs := []any{"job_id", job.id, "state", string(state),
 			"duration", finished.Sub(started)}
@@ -1028,61 +974,6 @@ func maxShardUsers(shards []*colstore.View) int {
 		}
 	}
 	return max
-}
-
-// completedDetailCap bounds the per-job detail list of the JSON metrics
-// report: under job churn the report stays a few tens of kilobytes
-// instead of growing with the retention window.
-const completedDetailCap = 16
-
-// Report assembles the JSON metrics report. Per-state/strategy/index
-// counts walk the retained jobs (bounded by the retention policy);
-// lifetime totals — window releases, kernel counters, completed count,
-// linkage mean — come from the incremental aggregates, so they survive
-// eviction. The Completed detail list is capped to the most recently
-// finished jobs, newest first.
-func (m *Manager) Report() MetricsReport {
-	rep := MetricsReport{
-		Datasets:       m.reg.Count(),
-		JobsByState:    make(map[JobState]int),
-		JobsByStrategy: make(map[core.Strategy]int),
-		JobsByIndex:    make(map[core.IndexKind]int),
-		Runtime:        m.tel.Runtime(),
-		Colstore:       m.reg.ColstoreReport(),
-		Durability:     m.jrnl.Report(),
-	}
-	var done []JobStatus
-	for _, st := range m.List() {
-		rep.Jobs++
-		rep.JobsByState[st.State]++
-		if st.Plan != nil {
-			rep.JobsByStrategy[st.Plan.Strategy]++
-			rep.JobsByIndex[st.Plan.Index]++
-		}
-		if st.State == JobDone {
-			done = append(done, st)
-		}
-	}
-	sort.Slice(done, func(i, j int) bool {
-		return done[i].FinishedAt.After(*done[j].FinishedAt)
-	})
-	if len(done) > completedDetailCap {
-		done = done[:completedDetailCap]
-	}
-	rep.Completed = done
-
-	m.agg.Lock()
-	rep.CompletedTotal = m.agg.completedTotal
-	rep.WindowedJobs = m.agg.windowedJobs
-	rep.WindowReleases = m.agg.windowReleases
-	rep.EffortKernelCalls = m.agg.kernelCalls
-	rep.EffortKernelPruned = m.agg.kernelPruned
-	if m.agg.linkageJobs > 0 {
-		mean := m.agg.linkageSum / float64(m.agg.linkageJobs)
-		rep.MeanCrossWindowLinkage = &mean
-	}
-	m.agg.Unlock()
-	return rep
 }
 
 // Trace returns the span tree a job's execution recorded. Jobs that

@@ -1,14 +1,18 @@
 package service
 
 import (
+	"bytes"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/api"
+	"repro/internal/lint"
 	"repro/internal/obs"
 )
 
@@ -28,7 +32,25 @@ func scrape(t *testing.T, baseURL string) map[string]*obs.Family {
 	if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "text/plain; version=0.0.4") {
 		t.Errorf("scrape content type %q", ct)
 	}
-	fams, err := obs.ParseText(resp.Body)
+	return parseFamilies(t, resp.Body)
+}
+
+// scrapeTelemetry renders a telemetry's registry the way GET /metrics
+// does, for tests that drive a Manager without an HTTP server.
+func scrapeTelemetry(t *testing.T, tel *Telemetry) map[string]*obs.Family {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := tel.Reg.WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return parseFamilies(t, &buf)
+}
+
+// parseFamilies parses an exposition through the strict validator,
+// keyed by family name.
+func parseFamilies(t *testing.T, r io.Reader) map[string]*obs.Family {
+	t.Helper()
+	fams, err := obs.ParseText(r)
 	if err != nil {
 		t.Fatalf("exposition invalid: %v", err)
 	}
@@ -319,15 +341,14 @@ func TestJobTraceNotFound(t *testing.T) {
 	}
 }
 
-// TestMetricsReportCappedAndIncremental pins the satellite fix to the
-// JSON report: the completed-job detail list is bounded by retention
-// and the cap, while the lifetime totals keep counting across eviction.
-func TestMetricsReportCappedAndIncremental(t *testing.T) {
+// TestDoneCounterSurvivesRetention pins the lifetime job counters
+// against eviction: retention keeps only the newest finished jobs, but
+// glove_jobs_finished_total keeps counting every one.
+func TestDoneCounterSurvivesRetention(t *testing.T) {
 	reg := NewRegistry()
 	mgr := NewManager(reg, ManagerOptions{MaxConcurrentJobs: 2, MaxFinishedJobs: 3})
 	t.Cleanup(mgr.Close)
-	srvh := NewServer(reg, mgr)
-	srv := newLocalServer(t, srvh)
+	srv := newLocalServer(t, NewServer(reg, mgr))
 
 	table := synthTable(t, 20, 2)
 	ds := ingestTable(t, srv, table, "cap")
@@ -337,21 +358,75 @@ func TestMetricsReportCappedAndIncremental(t *testing.T) {
 		waitJobDone(t, srv, st.ID)
 	}
 
-	var rep MetricsReport
-	getJSON(t, srv+"/v1/metrics", &rep)
-	if rep.CompletedTotal != jobs {
-		t.Errorf("CompletedTotal = %d, want %d (must survive eviction)", rep.CompletedTotal, jobs)
+	var page api.JobPage
+	getJSON(t, srv+"/v1/jobs", &page)
+	if len(page.Jobs) != 3 {
+		t.Errorf("GET /v1/jobs lists %d jobs, want the 3 retention keeps", len(page.Jobs))
 	}
-	if len(rep.Completed) > 3 {
-		t.Errorf("Completed detail = %d entries, want <= 3 after eviction", len(rep.Completed))
+	fams := scrape(t, srv)
+	if got := value(t, fams, "glove_jobs_finished_total", map[string]string{"state": "done"}); got != jobs {
+		t.Errorf(`glove_jobs_finished_total{state="done"} = %g, want %d (must survive eviction)`, got, jobs)
 	}
-	for i := 1; i < len(rep.Completed); i++ {
-		if rep.Completed[i].FinishedAt.After(*rep.Completed[i-1].FinishedAt) {
-			t.Error("Completed detail not newest-first")
+	if got := value(t, fams, "glove_process_goroutines", nil); got < 1 {
+		t.Errorf("glove_process_goroutines = %g", got)
+	}
+}
+
+// TestMetricVocabularyExposition pins the whole committed metric
+// vocabulary on a live scrape. A durable server ingests, runs a batch
+// and a two-window job, drains to a clean checkpoint and reboots; the
+// second boot runs one more two-window job, because a labeled family
+// shows series only for work done since boot. Every name in the
+// vocabulary must then appear, and the journal's recovery series must
+// read the clean shutdown.
+func TestMetricVocabularyExposition(t *testing.T) {
+	names, err := lint.ReadVocab("../lint/vocab", lint.VocabMetrics)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	jrnl, reg, mgr, _ := bootService(t, dir, ManagerOptions{})
+	srv := httptest.NewServer(NewServer(reg, mgr))
+	ds := ingestTable(t, srv.URL, synthTable(t, 40, 2), "vocab")
+	for _, spec := range []JobSpec{{DatasetID: ds.ID, K: 2}, {DatasetID: ds.ID, K: 2, WindowHours: 24}} {
+		waitJobDone(t, srv.URL, submitJob(t, srv.URL, spec).ID)
+	}
+	srv.Close()
+	mgr.Drain(time.Second)
+	if err := jrnl.Checkpoint(reg, mgr); err != nil {
+		t.Fatal(err)
+	}
+	crashClose(mgr, reg, jrnl)
+
+	jrnl2, reg2, mgr2, _ := bootService(t, dir, ManagerOptions{})
+	defer crashClose(mgr2, reg2, jrnl2)
+	srv2 := httptest.NewServer(NewServer(reg2, mgr2))
+	defer srv2.Close()
+	job := waitJobDone(t, srv2.URL, submitJob(t, srv2.URL, JobSpec{DatasetID: ds.ID, K: 2, WindowHours: 24}).ID)
+
+	fams := scrape(t, srv2.URL)
+	for _, name := range names {
+		if _, ok := fams[name]; !ok {
+			t.Errorf("vocabulary metric %s missing from the scrape", name)
 		}
 	}
-	if rep.Runtime.Goroutines < 1 || rep.Runtime.BootID == "" {
-		t.Errorf("runtime block incomplete: %+v", rep.Runtime)
+	if got := value(t, fams, "glove_journal_recovery_info", map[string]string{"clean_shutdown": "true", "torn_tail": "false"}); got != 1 {
+		t.Errorf("glove_journal_recovery_info = %g, want a clean, untorn boot", got)
+	}
+	if got := value(t, fams, "glove_recovered_datasets_total", nil); got != 1 {
+		t.Errorf("glove_recovered_datasets_total = %g, want 1", got)
+	}
+	if got := value(t, fams, "glove_recovered_jobs_total", map[string]string{"outcome": "restored"}); got != 2 {
+		t.Errorf(`glove_recovered_jobs_total{outcome="restored"} = %g, want 2`, got)
+	}
+	if got := value(t, fams, "glove_wal_size_bytes", nil); got <= 0 {
+		t.Errorf("glove_wal_size_bytes = %g, want > 0", got)
+	}
+	if job.Linkage == nil {
+		t.Fatal("two-window job reports no linkage")
+	}
+	if got := value(t, fams, "glove_linkage_probed_total", nil); got != float64(job.Linkage.Probed) {
+		t.Errorf("glove_linkage_probed_total = %g, want this boot's job's %d", got, job.Linkage.Probed)
 	}
 }
 

@@ -8,7 +8,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/api"
 	"repro/internal/cdr"
 	"repro/internal/colstore"
 	"repro/internal/faultinject"
@@ -146,30 +145,10 @@ func (g *Registry) colstoreStats() colstore.Stats {
 	var sum colstore.Stats
 	for _, st := range g.stores {
 		s := st.Stats()
-		sum.Records += s.Records
-		sum.Chunks += s.Chunks
-		sum.ResidentChunks += s.ResidentChunks
 		sum.SpilledChunks += s.SpilledChunks
 		sum.ResidentBytes += s.ResidentBytes
 	}
 	return sum
-}
-
-// ColstoreReport summarizes the columnar storage tier for the JSON
-// metrics report.
-func (g *Registry) ColstoreReport() *api.ColstoreInfo {
-	g.mu.Lock()
-	datasets := len(g.stores)
-	g.mu.Unlock()
-	st := g.colstoreStats()
-	return &api.ColstoreInfo{
-		Datasets:       datasets,
-		ResidentBytes:  st.ResidentBytes,
-		ResidentChunks: st.ResidentChunks,
-		SpilledChunks:  st.SpilledChunks,
-		ChunkFaults:    g.colCounters.Faults.Load(),
-		ChunkSpills:    g.colCounters.Spills.Load(),
-	}
 }
 
 // publishTotalsLocked pushes the dataset count and record total to the
@@ -180,14 +159,6 @@ func (g *Registry) publishTotalsLocked() {
 		records += g.infos[id].Records
 	}
 	g.tel.datasetTotals(len(g.order), records)
-}
-
-// Count returns the number of registered datasets without copying their
-// metadata (the metrics report calls this per scrape).
-func (g *Registry) Count() int {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return len(g.order)
 }
 
 // countingReader counts bytes consumed from an ingestion body so the

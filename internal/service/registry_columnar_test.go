@@ -9,7 +9,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/api"
 	"repro/internal/cdr"
 	"repro/internal/colstore"
 	"repro/internal/core"
@@ -51,7 +50,7 @@ func TestColumnarRecordCapBoundary(t *testing.T) {
 	if _, err := reg.Ingest(strings.NewReader(capCSV(51)), "over", center, 1); err == nil {
 		t.Fatal("ingest above the cap accepted")
 	}
-	if got := reg.Count(); got != 0 {
+	if got := len(reg.List()); got != 0 {
 		t.Fatalf("failed ingest left %d datasets registered", got)
 	}
 	info, err := reg.Ingest(strings.NewReader(capCSV(40)), "at", center, 1)
@@ -104,8 +103,10 @@ func TestColumnarRegistryEquivalence(t *testing.T) {
 	}
 
 	reg := columnarRegistry(t)
-	if rep := reg.ColstoreReport(); rep == nil || rep.Datasets != 0 {
-		t.Fatalf("fresh registry colstore report: %+v, want Datasets: 0", rep)
+	mgr := NewManager(reg, ManagerOptions{})
+	defer mgr.Close()
+	if got := value(t, scrapeTelemetry(t, mgr.tel), "glove_datasets", nil); got != 0 {
+		t.Fatalf("fresh registry: glove_datasets = %g, want 0", got)
 	}
 	info, err := reg.Ingest(bytes.NewReader(raw.Bytes()), "d", table.Center, table.SpanDays)
 	if err != nil {
@@ -124,8 +125,6 @@ func TestColumnarRegistryEquivalence(t *testing.T) {
 		t.Fatal("snapshot CSV differs from the ingested CSV")
 	}
 
-	mgr := NewManager(reg, ManagerOptions{})
-	defer mgr.Close()
 	st, err := mgr.Submit(JobSpec{DatasetID: info.ID, K: 2, Shards: 2, WindowHours: 24})
 	if err != nil {
 		t.Fatal(err)
@@ -171,9 +170,13 @@ func TestColumnarRegistryEquivalence(t *testing.T) {
 		t.Errorf("stats diverge: job %+v, reference %+v", final.Stats, want)
 	}
 
-	// The store reports its footprint in the metrics block.
-	if rep := reg.ColstoreReport(); rep == nil || rep.Datasets != 1 {
-		t.Fatalf("colstore report missing or wrong: %+v", rep)
+	// The store reports its footprint on /metrics.
+	fams := scrapeTelemetry(t, mgr.tel)
+	if got := value(t, fams, "glove_datasets", nil); got != 1 {
+		t.Errorf("glove_datasets = %g, want 1", got)
+	}
+	if got := value(t, fams, "colstore_resident_bytes", nil); got <= 0 {
+		t.Errorf("colstore_resident_bytes = %g, want > 0", got)
 	}
 }
 
@@ -273,7 +276,7 @@ func TestAppendJournalFailureLeavesDatasetUnchanged(t *testing.T) {
 // TestColstoreMetricsExposition pins the colstore instruments on a live
 // scrape: a budget of one byte forces every sealed chunk to spill, and
 // streaming the snapshot back faults them in, so all four series must
-// show real traffic on /metrics and in the /v1/metrics colstore block.
+// show real traffic on /metrics.
 func TestColstoreMetricsExposition(t *testing.T) {
 	reg := NewRegistry()
 	reg.ColumnarByteBudget = 1
@@ -314,13 +317,7 @@ func TestColstoreMetricsExposition(t *testing.T) {
 	if got := value(t, fams, "colstore_chunk_faults_total", nil); got < 1 {
 		t.Errorf("colstore_chunk_faults_total = %g, want >= 1", got)
 	}
-
-	var rep api.MetricsReport
-	getJSON(t, srv.URL+"/v1/metrics", &rep)
-	if rep.Colstore == nil {
-		t.Fatal("colstore block missing from /v1/metrics")
-	}
-	if rep.Colstore.Datasets != 1 || rep.Colstore.ChunkSpills < 1 || rep.Colstore.ChunkFaults < 1 {
-		t.Errorf("colstore block does not reflect traffic: %+v", rep.Colstore)
+	if got := value(t, fams, "glove_datasets", nil); got != 1 {
+		t.Errorf("glove_datasets = %g, want 1", got)
 	}
 }

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/obs"
+	"repro/internal/wal"
 )
 
 // Telemetry owns every instrument the service exports at GET /metrics.
@@ -52,17 +53,18 @@ type Telemetry struct {
 	indexBuildSeconds *obs.Counter
 	mergeSeconds      *obs.Counter
 	suppressedSamples *obs.Counter
+	linkageProbed     *obs.Counter
+	linkageLinked     *obs.Counter
 
-	walFsync      *obs.Histogram
-	walBytes      *obs.Counter
-	recoveredJobs *obs.CounterVec // {outcome}
+	walFsync          *obs.Histogram
+	walBytes          *obs.Counter
+	recoveredJobs     *obs.CounterVec // {outcome}
+	recoveredDatasets *obs.Counter
 
 	queueOnce    sync.Once
 	bootOnce     sync.Once
 	colstoreOnce sync.Once
-
-	mu     sync.Mutex
-	bootID string
+	journalOnce  sync.Once
 }
 
 // NewTelemetry registers the service instrument set on a fresh obs
@@ -115,9 +117,9 @@ func NewTelemetry() *Telemetry {
 		"Shard anonymization runs started.")
 
 	t.mergesTotal = r.Counter("glove_merges_total",
-		"GLOVE pairwise merge operations across finished jobs.")
+		"GLOVE pairwise merge operations across committed releases.")
 	t.kernelCalls = r.Counter("glove_effort_kernel_calls_total",
-		"Pruned effort-kernel invocations across finished jobs.")
+		"Pruned effort-kernel invocations across committed releases.")
 	t.kernelPruned = r.Counter("glove_effort_kernel_pruned_total",
 		"Effort-kernel invocations that early-exited via threshold pruning.")
 	t.indexBuildSeconds = r.Counter("glove_index_build_seconds_total",
@@ -125,7 +127,11 @@ func NewTelemetry() *Telemetry {
 	t.mergeSeconds = r.Counter("glove_merge_seconds_total",
 		"Wall-clock seconds spent in GLOVE merge loops.")
 	t.suppressedSamples = r.Counter("glove_suppressed_samples_total",
-		"Original samples removed by suppression across finished jobs.")
+		"Original samples removed by suppression across committed releases.")
+	t.linkageProbed = r.Counter("glove_linkage_probed_total",
+		"Subscribers probed by the cross-window linkage attack, summed over committed releases.")
+	t.linkageLinked = r.Counter("glove_linkage_linked_total",
+		"Probed subscribers the cross-window linkage attack re-linked, summed over committed releases.")
 
 	t.walFsync = r.Histogram("glove_wal_fsync_seconds",
 		"Write-ahead journal fsync latency (group commits, rotations, compactions).", nil)
@@ -133,6 +139,8 @@ func NewTelemetry() *Telemetry {
 		"Framed bytes appended to the write-ahead journal.")
 	t.recoveredJobs = r.CounterVec("glove_recovered_jobs_total",
 		"Jobs rebuilt from the journal at boot, by recovery outcome.", "outcome")
+	t.recoveredDatasets = r.Counter("glove_recovered_datasets_total",
+		"Datasets rebuilt from the journal at boot.")
 	return t
 }
 
@@ -176,22 +184,32 @@ func (t *Telemetry) registerBoot(bootID string) {
 		return
 	}
 	t.bootOnce.Do(func() {
-		t.mu.Lock()
-		t.bootID = bootID
-		t.mu.Unlock()
 		obs.RegisterRuntime(t.Reg, bootID, t.start)
 	})
 }
 
-// Runtime snapshots process health for the JSON metrics report.
-func (t *Telemetry) Runtime() obs.RuntimeInfo {
+// registerJournal exposes a durable daemon's journal: its live size as
+// a gauge, and what the boot recovered — the dataset count, and a
+// constant glove_journal_recovery_info{clean_shutdown,torn_tail} 1
+// series telling how the previous run ended. Only the first journal
+// attached to this telemetry wires the gauges.
+func (t *Telemetry) registerJournal(log *wal.Log, st *RecoveredState) {
 	if t == nil {
-		return obs.RuntimeInfo{}
+		return
 	}
-	t.mu.Lock()
-	bootID := t.bootID
-	t.mu.Unlock()
-	return obs.ReadRuntime(bootID, t.start)
+	t.recoveredDatasets.Add(float64(len(st.Datasets)))
+	t.journalOnce.Do(func() {
+		t.Reg.GaugeFunc("glove_wal_size_bytes",
+			"Bytes in the write-ahead journal's live segments.",
+			func() float64 {
+				_, n := log.Size()
+				return float64(n)
+			})
+		info := t.Reg.GaugeVec("glove_journal_recovery_info",
+			"Constant 1, labeled with how the run before this boot ended: clean_shutdown (drained and checkpointed) and torn_tail (a frame torn by a crash was truncated off the journal).",
+			"clean_shutdown", "torn_tail")
+		info.With(strconv.FormatBool(st.CleanShutdown), strconv.FormatBool(st.TornTail)).Set(1)
+	})
 }
 
 // --- HTTP middleware hooks ---
@@ -248,23 +266,14 @@ func (t *Telemetry) jobPlanned(p *core.Plan) {
 	}
 }
 
-// jobFinished folds a terminal job into the counters. stats is nil for
-// failed and cancelled runs.
-func (t *Telemetry) jobFinished(state JobState, d time.Duration, stats *core.GloveStats) {
+// jobFinished counts a terminal job.
+func (t *Telemetry) jobFinished(state JobState, d time.Duration) {
 	if t == nil {
 		return
 	}
 	t.jobsRunning.Dec()
 	t.jobsFinished.With(string(state)).Inc()
 	t.jobDuration.Observe(d.Seconds())
-	if stats != nil {
-		t.mergesTotal.Add(float64(stats.Merges))
-		t.kernelCalls.Add(float64(stats.EffortKernelCalls))
-		t.kernelPruned.Add(float64(stats.EffortKernelPruned))
-		t.indexBuildSeconds.Add(time.Duration(stats.IndexBuildNanos).Seconds())
-		t.mergeSeconds.Add(time.Duration(stats.MergeNanos).Seconds())
-		t.suppressedSamples.Add(float64(stats.SuppressedSamples))
-	}
 }
 
 // jobNeverStarted accounts a queued job cancelled before it ran: it is
@@ -273,6 +282,25 @@ func (t *Telemetry) jobFinished(state JobState, d time.Duration, stats *core.Glo
 func (t *Telemetry) jobNeverStarted() {
 	if t != nil {
 		t.jobsFinished.With(string(JobCancelled)).Inc()
+	}
+}
+
+// releaseCommitted folds one committed release — a batch job's
+// included — into the engine and linkage counters, so a job's work
+// shows while it runs and whatever way it ends.
+func (t *Telemetry) releaseCommitted(stats *core.GloveStats, q ReleaseQuality) {
+	if t == nil {
+		return
+	}
+	t.mergesTotal.Add(float64(stats.Merges))
+	t.kernelCalls.Add(float64(stats.EffortKernelCalls))
+	t.kernelPruned.Add(float64(stats.EffortKernelPruned))
+	t.indexBuildSeconds.Add(time.Duration(stats.IndexBuildNanos).Seconds())
+	t.mergeSeconds.Add(time.Duration(stats.MergeNanos).Seconds())
+	t.suppressedSamples.Add(float64(stats.SuppressedSamples))
+	if q.Linkage != nil {
+		t.linkageProbed.Add(float64(q.Linkage.Probed))
+		t.linkageLinked.Add(float64(q.Linkage.Linked))
 	}
 }
 

@@ -14,7 +14,6 @@ type (
 	WindowState    = api.WindowState
 	WindowStatus   = api.WindowStatus
 	ReleaseQuality = api.ReleaseQuality
-	MetricsReport  = api.MetricsReport
 )
 
 const (

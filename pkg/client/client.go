@@ -37,20 +37,19 @@ import (
 
 // Wire DTOs, re-exported from the contract package.
 type (
-	DatasetInfo   = api.DatasetInfo
-	DatasetPage   = api.DatasetPage
-	JobSpec       = api.JobSpec
-	JobStatus     = api.JobStatus
-	JobPage       = api.JobPage
-	JobState      = api.JobState
-	JobEvent      = api.JobEvent
-	WindowStatus  = api.WindowStatus
-	WindowState   = api.WindowState
-	MetricsReport = api.MetricsReport
-	JobTrace      = api.JobTrace
-	TraceSpan     = api.TraceSpan
-	Health        = api.Health
-	Code          = api.Code
+	DatasetInfo  = api.DatasetInfo
+	DatasetPage  = api.DatasetPage
+	JobSpec      = api.JobSpec
+	JobStatus    = api.JobStatus
+	JobPage      = api.JobPage
+	JobState     = api.JobState
+	JobEvent     = api.JobEvent
+	WindowStatus = api.WindowStatus
+	WindowState  = api.WindowState
+	JobTrace     = api.JobTrace
+	TraceSpan    = api.TraceSpan
+	Health       = api.Health
+	Code         = api.Code
 )
 
 // APIError is the typed error for any non-2xx response: the HTTP
@@ -312,13 +311,6 @@ func (c *Client) Health(ctx context.Context) (Health, error) {
 	var h Health
 	err := c.doJSON(ctx, http.MethodGet, "/healthz", nil, nil, &h)
 	return h, err
-}
-
-// Metrics fetches the service-wide utility/risk summary.
-func (c *Client) Metrics(ctx context.Context) (MetricsReport, error) {
-	var m MetricsReport
-	err := c.doJSON(ctx, http.MethodGet, "/v1/metrics", nil, nil, &m)
-	return m, err
 }
 
 // JobTrace fetches the span tree a job's run recorded (plan, windows,

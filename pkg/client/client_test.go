@@ -19,6 +19,7 @@ import (
 	"repro/internal/api"
 	"repro/internal/cdr"
 	"repro/internal/core"
+	"repro/internal/obs"
 	"repro/internal/service"
 	"repro/internal/synth"
 	"repro/pkg/client"
@@ -35,6 +36,30 @@ func newService(t *testing.T) *httptest.Server {
 	srv := httptest.NewServer(service.NewServer(reg, mgr))
 	t.Cleanup(srv.Close)
 	return srv
+}
+
+// scrapeValue reads the unlabeled sample of one family from the
+// server's Prometheus exposition.
+func scrapeValue(t *testing.T, baseURL, name string) float64 {
+	t.Helper()
+	resp, err := http.Get(baseURL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	fams, err := obs.ParseText(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range fams {
+		for _, s := range f.Samples {
+			if s.Name == name && len(s.Labels) == 0 {
+				return s.Value
+			}
+		}
+	}
+	t.Fatalf("%s missing from /metrics", name)
+	return 0
 }
 
 // synthCSV renders a synthetic table as the raw-record CSV the ingest
@@ -205,13 +230,9 @@ func TestClientEndToEnd(t *testing.T) {
 		t.Errorf("ListJobs = %+v, %v", jp, err)
 	}
 
-	// --- Metrics reflect the finished windowed job. ---
-	m, err := c.Metrics(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.WindowedJobs != 1 || m.WindowReleases != len(final.Windows) {
-		t.Errorf("metrics: %d windowed jobs, %d releases", m.WindowedJobs, m.WindowReleases)
+	// --- /metrics counts the finished windowed job's releases. ---
+	if got := scrapeValue(t, srv.URL, "glove_window_releases_total"); got != float64(len(final.Windows)) {
+		t.Errorf("glove_window_releases_total = %g, want %d", got, len(final.Windows))
 	}
 
 	// --- Cleanup through the SDK; the purged job 404s afterwards. ---
