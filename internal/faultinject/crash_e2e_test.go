@@ -157,6 +157,18 @@ func (d *daemon) stop(t *testing.T) {
 	}
 }
 
+// kill SIGKILLs the daemon outside any crash point and waits for it to
+// exit: whatever it acknowledged must already be durable.
+func (d *daemon) kill(t *testing.T) {
+	t.Helper()
+	d.cmd.Process.Kill()
+	select {
+	case <-d.exit:
+	case <-time.After(60 * time.Second):
+		t.Fatalf("daemon survived SIGKILL\n%s", d.stderrText())
+	}
+}
+
 func newClient(t *testing.T, addr string) *client.Client {
 	t.Helper()
 	c, err := client.New("http://"+addr, client.WithBackoff(5*time.Millisecond, 50*time.Millisecond))
@@ -628,5 +640,113 @@ func TestDrainCleanShutdown(t *testing.T) {
 	}
 	if got := d2.metric(t, "glove_journal_recovery_info", map[string]string{"clean_shutdown": "true"}); got != 1 {
 		t.Errorf(`glove_journal_recovery_info{clean_shutdown="true"} = %g, want 1 after a checkpointed shutdown`, got)
+	}
+}
+
+// TestKillAfterQueuedCancel kills gloved right after it acknowledged
+// cancelling a queued job: the cancellation was journaled before the
+// acknowledgement, so the restarted daemon reports the job cancelled
+// and never runs it, even with an executor free for it.
+func TestKillAfterQueuedCancel(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+	defer cancel()
+	dataDir := t.TempDir()
+
+	d := startDaemon(t, dataDir, nil, "-max-jobs", "1")
+	c := newClient(t, d.addr)
+	ds, err := c.CreateDataset(ctx, strings.NewReader(windowCSV(0, "a", "b", "c")),
+		client.IngestOptions{Name: "feed", Lat: 7.54, Lon: -5.55, Days: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A follow job whose feed never closes a window holds the only
+	// executor, so the batch job behind it stays queued.
+	blocker, err := c.SubmitJob(ctx, client.JobSpec{DatasetID: ds.ID, K: 2, WindowHours: 1, Follow: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitRunning := func(c *client.Client, id string) {
+		t.Helper()
+		for {
+			st, err := c.GetJob(ctx, id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.State == api.JobRunning {
+				return
+			}
+			select {
+			case <-ctx.Done():
+				t.Fatalf("job %s never ran: %s", id, st.State)
+			case <-time.After(5 * time.Millisecond):
+			}
+		}
+	}
+	waitRunning(c, blocker.ID)
+	queued, err := c.SubmitJob(ctx, client.JobSpec{DatasetID: ds.ID, K: 2, Workers: 1, Shards: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st, err := c.CancelJob(ctx, queued.ID); err != nil || st.State != api.JobCancelled {
+		t.Fatalf("cancel of the queued job = %+v, %v", st, err)
+	}
+	d.kill(t)
+
+	// The follow job never finishes on its own: the shutdown drain
+	// cancels it at once.
+	d2 := startDaemon(t, dataDir, nil, "-max-jobs", "2", "-drain-timeout", "0s")
+	defer d2.stop(t)
+	c2 := newClient(t, d2.addr)
+	// Once the requeued blocker runs, the recovered queue is drained.
+	waitRunning(c2, blocker.ID)
+	got, err := c2.GetJob(ctx, queued.ID)
+	if err != nil || got.State != api.JobCancelled {
+		t.Fatalf("queued-then-cancelled job after the restart = %+v, %v; want cancelled", got, err)
+	}
+	if _, err := c2.JobTrace(ctx, queued.ID); client.ErrorCode(err) != api.CodeTraceNotFound {
+		t.Errorf("trace of the cancelled job: %v, want %s (it never ran)", err, api.CodeTraceNotFound)
+	}
+}
+
+// TestKillAfterPurge kills gloved right after it acknowledged purging a
+// finished job: the purge was journaled before its 204, so the
+// restarted daemon answers job_not_found for it.
+func TestKillAfterPurge(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+	defer cancel()
+	dataDir := t.TempDir()
+
+	d := startDaemon(t, dataDir, nil)
+	c := newClient(t, d.addr)
+	ds, err := c.CreateDataset(ctx, strings.NewReader(windowCSV(0, "a", "b", "c", "d")),
+		client.IngestOptions{Name: "batch", Lat: 7.54, Lon: -5.55, Days: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var jobs []string
+	for range 2 {
+		st, err := c.SubmitJob(ctx, client.JobSpec{DatasetID: ds.ID, K: 2, Workers: 1, Shards: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st, err = c.WaitJob(ctx, st.ID); err != nil || st.State != api.JobDone {
+			t.Fatalf("job = %+v, %v", st, err)
+		}
+		jobs = append(jobs, st.ID)
+	}
+	purged, kept := jobs[0], jobs[1]
+	if err := c.PurgeJob(ctx, purged); err != nil {
+		t.Fatal(err)
+	}
+	d.kill(t)
+
+	d2 := startDaemon(t, dataDir, nil)
+	defer d2.stop(t)
+	c2 := newClient(t, d2.addr)
+	if _, err := c2.GetJob(ctx, purged); client.ErrorCode(err) != api.CodeJobNotFound {
+		t.Errorf("purged job after the restart: %v, want %s", err, api.CodeJobNotFound)
+	}
+	if st, err := c2.GetJob(ctx, kept); err != nil || st.State != api.JobDone {
+		t.Errorf("kept job after the restart = %+v, %v; want done", st, err)
 	}
 }

@@ -364,10 +364,10 @@ func (m *Manager) executeWindows(ctx context.Context, job *Job, spec JobSpec) (*
 			}
 			faultinject.Crash("follow.window.committed")
 			job.commitWindow(wpos, rel, out.Len(), stats, quality, runs)
-			wspan.End()
+			run := wspan.End()
 			m.tel.releaseCommitted(stats, quality)
 			if !batchJob(spec) {
-				m.tel.windowCommitted(time.Since(closedAt))
+				m.tel.windowCommitted(run, time.Since(closedAt))
 			}
 			total.Add(stats)
 			if first < 0 {

@@ -375,8 +375,8 @@ func TestFollowDatasetDeletionFailsTheJob(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitForState(t, mgr, st.ID, func(s JobStatus) bool { return s.State == JobRunning })
-	if !reg.Delete(info.ID) {
-		t.Fatal("delete failed")
+	if err := reg.Delete(info.ID); err != nil {
+		t.Fatal(err)
 	}
 	final := waitForState(t, mgr, st.ID, func(s JobStatus) bool { return s.State.Terminal() })
 	if final.State != JobFailed || !strings.Contains(final.Error, "disappeared") {

@@ -96,16 +96,16 @@ func NewServer(reg *Registry, mgr *Manager) *Server {
 	})
 	s.route("/v1/datasets/{id}", map[string]http.HandlerFunc{
 		http.MethodGet:    s.quick(s.handleGetDataset),
-		http.MethodDelete: s.quick(s.handleDeleteDataset),
+		http.MethodDelete: s.handleDeleteDataset,
 	})
 	s.route("/v1/datasets/{id}/records", map[string]http.HandlerFunc{
 		http.MethodPost: s.handleAppendRecords,
 	})
-	// The mutating job routes stay outside the quick() budget: they are
-	// in-memory operations that cannot usefully time out, and a 504
-	// issued while the detached handler still enqueues (or cancels)
-	// would invite clients to replay a submit whose side effect already
-	// happened.
+	// The mutating routes (the dataset delete above included) stay
+	// outside the quick() budget: they cannot usefully time out, and a
+	// 504 issued while the detached handler still enqueues, cancels or
+	// deletes would invite clients to replay a call whose side effect
+	// already happened.
 	s.route("/v1/jobs", map[string]http.HandlerFunc{
 		http.MethodGet:  s.quick(s.handleListJobs),
 		http.MethodPost: s.handleSubmitJob,
@@ -527,9 +527,8 @@ func (s *Server) handleGetDataset(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleDeleteDataset(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	if !s.reg.Delete(id) {
-		writeError(w, r, api.Errorf(api.CodeDatasetNotFound, "unknown dataset %q", id).With("dataset_id", id))
+	if err := s.reg.Delete(r.PathValue("id")); err != nil {
+		writeError(w, r, err)
 		return
 	}
 	w.WriteHeader(http.StatusNoContent)

@@ -90,12 +90,11 @@ type Job struct {
 	eventCh     chan struct{}
 	progressPct int
 
-	// onEvent, when set, journals every event-log append (attached at
-	// submission on durable daemons). suppressJournal silences it — set
-	// when a graceful drain cancels a running job, so the journal keeps
-	// saying "running" and the next boot requeues the job instead of
-	// restoring a cancellation the user never asked for.
-	onEvent         func(api.JobEvent)
+	// suppressJournal keeps the job's terminal record out of the journal
+	// and its checkpoint — set when a graceful drain cancels a running
+	// job, so the journal keeps saying "running" and the next boot
+	// requeues the job instead of restoring a cancellation the user never
+	// asked for.
 	suppressJournal bool
 
 	// resume carries a recovered job's committed prefix into
@@ -158,9 +157,6 @@ func (j *Job) appendEventLocked(e api.JobEvent) {
 	e.Seq = len(j.events) + 1
 	e.JobID = j.id
 	j.events = append(j.events, e)
-	if j.onEvent != nil && !j.suppressJournal {
-		j.onEvent(e)
-	}
 	if j.eventCh != nil {
 		close(j.eventCh)
 	}

@@ -52,9 +52,14 @@ type journalEntry struct {
 	// anonymized release CSV of a job_result.
 	CSV    []byte         `json:"csv,omitempty"`
 	Spec   *api.JobSpec   `json:"spec,omitempty"`
-	Event  *api.JobEvent  `json:"event,omitempty"`
 	Window *journalWindow `json:"window,omitempty"`
+	// Status and Events are a job_status frame's terminal status and
+	// full event log. Event is only read: a journal written before the
+	// terminal frame carried the log holds one job_event frame per
+	// event-log append, and its job_status frame no Events.
 	Status *api.JobStatus `json:"status,omitempty"`
+	Events []api.JobEvent `json:"events,omitempty"`
+	Event  *api.JobEvent  `json:"event,omitempty"`
 }
 
 // journalWindow is the window metadata persisted with a committed
@@ -294,6 +299,9 @@ func replayJournal(rec *wal.Recovery) (*RecoveredState, error) {
 		case jeJobStatus:
 			if j, ok := jobs[e.ID]; ok && e.Status != nil {
 				j.Status = e.Status
+				if e.Events != nil {
+					j.Events = e.Events
+				}
 			}
 		case jeJobEvict:
 			delete(jobs, e.ID)
@@ -417,19 +425,6 @@ func (jl *Journal) jobSubmitted(id string, spec JobSpec, at time.Time) error {
 	return jl.append(journalEntry{Kind: jeJobSubmit, ID: id, Spec: &spec, At: at})
 }
 
-// jobEvent journals one event-log append. Events ride the next fsync
-// (result commits, terminal transitions) rather than forcing their own:
-// progress events are reconstructible noise, and the state
-// machine is re-derived at replay anyway.
-func (jl *Journal) jobEvent(id string, e api.JobEvent) {
-	jl.append(e2entry(id, e))
-}
-
-func e2entry(id string, e api.JobEvent) journalEntry {
-	ev := e
-	return journalEntry{Kind: jeJobEvent, ID: id, Event: &ev}
-}
-
 // jobResult journals a committed release's CSV (nil for an
 // empty-window marker) and fsyncs: this is THE commit point of the
 // release pipeline. A window whose result frame is durable is
@@ -446,18 +441,23 @@ func (jl *Journal) jobResult(id string, w journalWindow, csv []byte) error {
 	return jl.commit()
 }
 
-func (jl *Journal) jobTerminalStatus(id string, status JobStatus) error {
+// jobTerminalStatus journals a job's terminal record — its status and full
+// event log — and fsyncs: the frame that turns a replayed job from
+// "interrupted, requeue" into "finished, restore verbatim".
+func (jl *Journal) jobTerminalStatus(id string, status JobStatus, events []api.JobEvent) error {
 	if jl == nil {
 		return nil
 	}
-	if err := jl.append(journalEntry{Kind: jeJobStatus, ID: id, Status: &status}); err != nil {
+	if err := jl.append(journalEntry{Kind: jeJobStatus, ID: id, Status: &status, Events: events}); err != nil {
 		return err
 	}
 	return jl.commit()
 }
 
-func (jl *Journal) jobEvicted(id string) {
-	jl.append(journalEntry{Kind: jeJobEvict, ID: id})
+// jobEvicted journals a job's removal; it rides the next fsync unless
+// the caller commits.
+func (jl *Journal) jobEvicted(id string) error {
+	return jl.append(journalEntry{Kind: jeJobEvict, ID: id})
 }
 
 // compactTo collapses the journal to a snapshot of the given state.

@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"reflect"
 	"slices"
 	"strings"
@@ -14,6 +16,7 @@ import (
 	"repro/internal/api"
 	"repro/internal/cdr"
 	"repro/internal/geo"
+	"repro/internal/wal"
 )
 
 // bootService wires one daemon "life" against dir, in the exact order
@@ -86,8 +89,8 @@ func TestJournalDatasetRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reg.Delete(doomed.ID) {
-			t.Fatal("delete failed")
+		if err := reg.Delete(doomed.ID); err != nil {
+			t.Fatal(err)
 		}
 		want := sourceCSV(t, reg, info.ID)
 		wantInfo, _ := reg.Get(info.ID)
@@ -235,7 +238,7 @@ func TestJournalTerminalJobRestored(t *testing.T) {
 	if err := jrnl.jobResult(legacy, journalWindow{Batch: true, Stats: final.Stats}, storedCSV(t, rel)); err != nil {
 		t.Fatal(err)
 	}
-	if err := jrnl.jobTerminalStatus(legacy, legacyStatus); err != nil {
+	if err := jrnl.jobTerminalStatus(legacy, legacyStatus, nil); err != nil {
 		t.Fatal(err)
 	}
 	// A batch job cancelled mid-run committed no release; its progress
@@ -247,7 +250,7 @@ func TestJournalTerminalJobRestored(t *testing.T) {
 	if err := jrnl.jobSubmitted(cancelled, final.Spec, final.CreatedAt); err != nil {
 		t.Fatal(err)
 	}
-	if err := jrnl.jobTerminalStatus(cancelled, cancelledStatus); err != nil {
+	if err := jrnl.jobTerminalStatus(cancelled, cancelledStatus, nil); err != nil {
 		t.Fatal(err)
 	}
 	crashClose(mgr, reg, jrnl)
@@ -295,33 +298,60 @@ func TestJournalTerminalJobRestored(t *testing.T) {
 	}
 }
 
-// stallAtWindow parks a job's executor on the running event of window
-// w until the manager shuts down, and closes the returned channel when
-// it gets there: a deterministic "killed mid-run" point at which every
-// earlier window has committed and window w has published nothing. The
-// job must not have started yet. Events are appended under the job's
-// lock, so nothing may read the job between the stall and the
-// shutdown.
-func stallAtWindow(t *testing.T, mgr *Manager, jobID string, w int) <-chan struct{} {
+// lastSegment reads and decodes the newest segment of the journal
+// under dir: its path, bytes, frames, and the offset each frame ends at.
+func lastSegment(t *testing.T, dir string) (string, []byte, []wal.Frame, []int64) {
 	t.Helper()
-	mgr.mu.Lock()
-	job := mgr.jobs[jobID]
-	mgr.mu.Unlock()
-	reached := make(chan struct{})
-	job.mu.Lock()
-	defer job.mu.Unlock()
-	if job.state != JobQueued {
-		t.Fatalf("job %s already %s", jobID, job.state)
+	segs, err := filepath.Glob(filepath.Join(dir, "wal-*.log"))
+	if err != nil || len(segs) == 0 {
+		t.Fatalf("no journal segment in %s (%v)", dir, err)
 	}
-	journal := job.onEvent
-	job.onEvent = func(e api.JobEvent) {
-		journal(e)
-		if e.Window != nil && e.Window.Index == w && e.Window.State == WindowRunning {
-			close(reached)
-			<-mgr.baseCtx.Done()
+	path := segs[len(segs)-1]
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	frames, n, torn, err := wal.Decode(data)
+	if err != nil || torn || n != int64(len(data)) {
+		t.Fatalf("segment %s: %d of %d bytes decoded, torn %v: %v", path, n, len(data), torn, err)
+	}
+	ends := make([]int64, len(frames))
+	var off int64
+	for i, f := range frames {
+		off += int64(len(wal.AppendFrame(nil, f.Kind, f.Payload)))
+		ends[i] = off
+	}
+	return path, data, frames, ends
+}
+
+// frameEntry decodes a record frame's journal entry.
+func frameEntry(t *testing.T, f wal.Frame) journalEntry {
+	t.Helper()
+	var e journalEntry
+	if err := json.Unmarshal(f.Payload, &e); err != nil {
+		t.Fatal(err)
+	}
+	return e
+}
+
+// cutJournalAfterWindow truncates the journal under dir right after the
+// release frame of window w of a job: what a crash between that window's
+// commit and the next leaves on disk.
+func cutJournalAfterWindow(t *testing.T, dir, jobID string, w int) {
+	t.Helper()
+	path, _, frames, ends := lastSegment(t, dir)
+	for i, f := range frames {
+		if f.Kind != wal.KindRecord {
+			continue
+		}
+		if e := frameEntry(t, f); e.Kind == jeJobResult && e.ID == jobID && e.Window.Index == w {
+			if err := os.Truncate(path, ends[i]); err != nil {
+				t.Fatal(err)
+			}
+			return
 		}
 	}
-	return reached
+	t.Fatalf("no release frame of %s window %d", jobID, w)
 }
 
 // TestJournalFollowResumeByteIdentity is the crash-recovery acceptance
@@ -338,9 +368,10 @@ func TestJournalFollowResumeByteIdentity(t *testing.T) {
 		spec JobSpec
 		// ingest is the feed at submission. advance drives the first
 		// life until the windows in committed have committed and the job
-		// waits on window inflight; without it the job is parked on the
-		// running event of window inflight. finish drives the resumed run
-		// to its end.
+		// waits on window inflight; without it the job runs to its end
+		// and the crash is a journal cut right after the frame of the
+		// last window in committed. finish drives the resumed run to its
+		// end.
 		ingest   []string
 		advance  func(t *testing.T, mgr *Manager, reg *Registry, dsID, jobID string)
 		finish   func(t *testing.T, reg *Registry, dsID string)
@@ -405,16 +436,6 @@ func TestJournalFollowResumeByteIdentity(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			var blocker JobStatus
-			if tc.advance == nil {
-				// A follow job on a feed that never closes a window holds
-				// the only executor, so the job queues behind it and its
-				// stall point is in place before it starts.
-				if blocker, err = mgr.Submit(JobSpec{DatasetID: info.ID, K: 2, WindowHours: 1000, Follow: true}); err != nil {
-					t.Fatal(err)
-				}
-				waitForState(t, mgr, blocker.ID, func(s JobStatus) bool { return s.State == JobRunning })
-			}
 			spec := tc.spec
 			spec.DatasetID = info.ID
 			st, err := mgr.Submit(spec)
@@ -423,12 +444,11 @@ func TestJournalFollowResumeByteIdentity(t *testing.T) {
 			}
 			if tc.advance != nil {
 				tc.advance(t, mgr, reg, info.ID, st.ID)
-			} else {
-				reached := stallAtWindow(t, mgr, st.ID, tc.inflight)
-				if _, err := mgr.Cancel(blocker.ID); err != nil {
-					t.Fatal(err)
+				if _, err := mgr.WindowResult(st.ID, tc.inflight); err == nil {
+					t.Fatal("the in-flight window served a release before the crash")
 				}
-				<-reached
+			} else {
+				waitForState(t, mgr, st.ID, func(s JobStatus) bool { return s.State == JobDone })
 			}
 			// Drain with a zero budget cancels the running job suppressed
 			// from the journal (crash-equivalent); no checkpoint is written.
@@ -442,10 +462,10 @@ func TestJournalFollowResumeByteIdentity(t *testing.T) {
 			if len(before) == 0 {
 				t.Fatal("no release committed before the crash")
 			}
-			if _, err := mgr.WindowResult(st.ID, tc.inflight); err == nil {
-				t.Fatal("the in-flight window served a release before the crash")
-			}
 			crashClose(mgr, reg, jrnl)
+			if tc.advance == nil {
+				cutJournalAfterWindow(t, dir, st.ID, tc.committed[len(tc.committed)-1])
+			}
 
 			jrnl2, reg2, mgr2, rec := bootService(t, dir, ManagerOptions{MaxConcurrentJobs: 2})
 			defer crashClose(mgr2, reg2, jrnl2)

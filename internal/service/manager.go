@@ -71,9 +71,10 @@ type ManagerOptions struct {
 	// correlated by job_id.
 	Log *slog.Logger
 	// Journal, when non-nil, makes the job lifecycle durable: every
-	// submission, event, committed release, and terminal status is
-	// journaled, and Restore rebuilds jobs from a replay at boot. nil
-	// runs the manager fully in memory (the non-durable default).
+	// submission, committed release, terminal record (status and event
+	// log) and removal is journaled, and Restore rebuilds jobs from a
+	// replay at boot. nil runs the manager fully in memory (the
+	// non-durable default).
 	Journal *Journal
 }
 
@@ -168,19 +169,13 @@ func (m *Manager) Close() {
 
 	// Anything still sitting in the (now drained) queue map as queued
 	// was never picked up: mark it cancelled so clients see a terminal
-	// state.
-	draining := m.draining.Load()
+	// state. The cancellation is not journaled, so the next boot
+	// requeues the job.
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	for _, j := range m.jobs {
 		j.mu.Lock()
 		if j.state == JobQueued {
-			if draining {
-				// The checkpoint captured this job as still queued; the
-				// in-memory cancellation is cosmetic and must not reach
-				// the journal, or the next boot would not requeue it.
-				j.suppressJournal = true
-			}
 			j.err = "service shut down before the job started"
 			j.transition(JobCancelled)
 			m.tel.jobNeverStarted()
@@ -254,17 +249,15 @@ func (m *Manager) Submit(spec JobSpec) (JobStatus, error) {
 	}
 	m.seq++
 	job := newJob(fmt.Sprintf("job-%06d", m.seq), spec)
-	// Journal the submission (and attach the event hook) BEFORE the
-	// enqueue: an executor may pick the job up and start journaling its
-	// events the moment it hits the channel, and those must replay after
-	// the submission. Still under m.mu, so journal order matches ID
-	// order.
+	// Journal the submission BEFORE the enqueue: an executor may pick
+	// the job up and journal its releases the moment it hits the
+	// channel, and those must replay after the submission. Still under
+	// m.mu, so journal order matches ID order.
 	if err := m.jrnl.jobSubmitted(job.id, spec, job.created); err != nil {
 		m.seq--
 		m.mu.Unlock()
 		return JobStatus{}, err
 	}
-	m.attachJobJournal(job)
 	// Snapshot the status before the enqueue: once the job is on the
 	// queue an idle executor may start it, and the caller must see the
 	// state it submitted, not a racing "running" (m.mu -> job.mu is the
@@ -348,8 +341,9 @@ func (m *Manager) ListPage(after string, limit int) (page []JobStatus, more, ok 
 }
 
 // Cancel requests cancellation of a queued or running job. Queued jobs
-// move to cancelled immediately; running jobs are interrupted via their
-// context and reach the cancelled state when the run unwinds.
+// move to cancelled immediately, journaled as terminal; running jobs
+// are interrupted via their context and reach the cancelled state when
+// the run unwinds.
 func (m *Manager) Cancel(id string) (JobStatus, error) {
 	m.mu.Lock()
 	job, ok := m.jobs[id]
@@ -363,52 +357,66 @@ func (m *Manager) Cancel(id string) (JobStatus, error) {
 		job.cancelRequested = true
 		job.err = "cancelled before start"
 		job.transition(JobCancelled)
+		job.mu.Unlock()
 		m.tel.jobNeverStarted()
-		// Now terminal: subject to retention like any finished job.
-		defer func() {
-			m.mu.Lock()
-			m.evictFinishedLocked()
-			m.mu.Unlock()
-		}()
+		// Now terminal: journaled, and subject to retention like any
+		// finished job.
+		m.journalTerminal(job)
+		m.mu.Lock()
+		m.evictFinishedLocked()
+		m.mu.Unlock()
 	case job.state == JobRunning:
 		job.cancelRequested = true
 		if job.cancel != nil {
 			job.cancel()
 		}
+		job.mu.Unlock()
 	default: // terminal
 		state := job.state
 		job.mu.Unlock()
 		return JobStatus{}, api.Errorf(api.CodeJobTerminal, "job %s already %s", id, state).
 			With("state", string(state))
 	}
-	job.mu.Unlock()
 	return job.Status(), nil
 }
 
-// Remove deletes a terminal job and its retained result from memory, so
-// a long-running daemon does not accumulate finished jobs forever.
-// Queued or running jobs must be cancelled first.
+// Remove deletes a terminal job and its retained result, so a
+// long-running daemon does not accumulate finished jobs forever, and
+// makes the removal durable before returning. Queued or running jobs
+// must be cancelled first.
 func (m *Manager) Remove(id string) error {
 	m.mu.Lock()
-	defer m.mu.Unlock()
 	job, ok := m.jobs[id]
 	if !ok {
+		m.mu.Unlock()
 		return api.Errorf(api.CodeJobNotFound, "unknown job %q", id).With("job_id", id)
 	}
 	job.mu.Lock()
 	state := job.state
 	job.mu.Unlock()
 	if !state.Terminal() {
+		m.mu.Unlock()
 		return api.Errorf(api.CodeJobNotTerminal, "job %s is %s, cancel it before removing", id, state).
 			With("state", string(state))
 	}
-	delete(m.jobs, id)
-	for i, oid := range m.order {
-		if oid == id {
-			m.order = append(m.order[:i], m.order[i+1:]...)
-			break
-		}
+	err := m.dropLocked(id)
+	m.mu.Unlock()
+	if err != nil {
+		return err
 	}
+	return m.jrnl.commit()
+}
+
+// dropLocked removes a terminal job after journaling its removal, so a
+// replay does not resurrect it: the one path of an explicit purge and a
+// retention eviction. A job whose removal the journal refused stays.
+// Caller holds m.mu.
+func (m *Manager) dropLocked(id string) error {
+	if err := m.jrnl.jobEvicted(id); err != nil {
+		return err
+	}
+	delete(m.jobs, id)
+	m.order = removeID(m.order, id)
 	return nil
 }
 
@@ -491,18 +499,6 @@ func (m *Manager) EventsSince(id string, after int) (evs []api.JobEvent, wake <-
 	}
 	evs, wake = job.eventsSince(after)
 	return evs, wake, true
-}
-
-// attachJobJournal wires a job's event log into the journal; no-op on
-// non-durable managers.
-func (m *Manager) attachJobJournal(job *Job) {
-	if m.jrnl == nil {
-		return
-	}
-	jl := m.jrnl
-	job.onEvent = func(e api.JobEvent) {
-		jl.jobEvent(job.id, e)
-	}
 }
 
 // executor pops jobs off the queue until the queue closes.
@@ -621,11 +617,10 @@ func (m *Manager) runJob(job *Job) {
 	m.mu.Unlock()
 }
 
-// journalTerminal makes a job's terminal state durable: the full
-// terminal status — the record that turns a replayed job from
-// "interrupted, requeue" into "finished, restore verbatim". Every release
-// was journaled at its window's commit. Drain-cancelled jobs are skipped
-// on purpose.
+// journalTerminal makes a job's terminal state durable: its one
+// terminal record, the full status and event log. Every release was
+// journaled at its window's commit. Drain-cancelled jobs are skipped on
+// purpose. Caller does not hold job.mu.
 func (m *Manager) journalTerminal(job *Job) {
 	if m.jrnl == nil {
 		return
@@ -636,9 +631,11 @@ func (m *Manager) journalTerminal(job *Job) {
 		return
 	}
 	st := job.statusLocked()
+	// Safe to marshal unlocked: appends never write inside this slice.
+	events := job.events
 	job.mu.Unlock()
 
-	if err := m.jrnl.jobTerminalStatus(job.id, st); err != nil && m.log != nil {
+	if err := m.jrnl.jobTerminalStatus(job.id, st, events); err != nil && m.log != nil {
 		m.log.Error("journaling terminal status failed", "job_id", job.id, "error", err.Error())
 	}
 }
@@ -683,22 +680,12 @@ func (m *Manager) evictFinishedLocked() {
 			}
 		}
 	}
-	if len(evict) == 0 {
-		return
-	}
-	for id := range evict {
-		delete(m.jobs, id)
-		// Journal the eviction (riding the next fsync) so a replay does
-		// not resurrect jobs the retention policy already shed.
-		m.jrnl.jobEvicted(id)
-	}
-	kept := m.order[:0]
-	for _, id := range m.order {
-		if !evict[id] {
-			kept = append(kept, id)
+	for _, f := range term {
+		if evict[f.id] {
+			// A refused journal append keeps the job until the next pass.
+			m.dropLocked(f.id)
 		}
 	}
-	m.order = kept
 }
 
 // jobList snapshots the retained jobs in submission order for the
@@ -765,8 +752,7 @@ func (m *Manager) adoptRestored(job *Job) {
 
 // requeueRecovered re-enqueues an interrupted job under its original ID.
 // The submission is already journaled, so nothing is re-journaled here;
-// the event hook is re-attached so the new run's events land in the
-// journal like any other.
+// the new run journals its releases and terminal record like any other.
 func (m *Manager) requeueRecovered(rj *RecoveredJob) error {
 	job := newJob(rj.ID, rj.Spec)
 	job.created = rj.CreatedAt
@@ -782,7 +768,6 @@ func (m *Manager) requeueRecovered(rj *RecoveredJob) error {
 		job.resume = resume
 		outcome = "resumed"
 	}
-	m.attachJobJournal(job)
 
 	m.mu.Lock()
 	select {

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/api"
 	"repro/internal/cdr"
 	"repro/internal/core"
 	"repro/internal/geo"
@@ -312,8 +313,8 @@ func TestManagerRemove(t *testing.T) {
 func TestRegistryDelete(t *testing.T) {
 	reg := NewRegistry()
 	info := ingestSynth(t, reg, 10, 1)
-	if !reg.Delete(info.ID) {
-		t.Fatal("delete failed")
+	if err := reg.Delete(info.ID); err != nil {
+		t.Fatal(err)
 	}
 	if _, ok := reg.Get(info.ID); ok {
 		t.Error("deleted dataset still listed")
@@ -321,7 +322,8 @@ func TestRegistryDelete(t *testing.T) {
 	if len(reg.List()) != 0 {
 		t.Error("deleted dataset still in List")
 	}
-	if reg.Delete(info.ID) {
-		t.Error("double delete succeeded")
+	var ae *api.Error
+	if err := reg.Delete(info.ID); !errors.As(err, &ae) || ae.Code != api.CodeDatasetNotFound {
+		t.Errorf("double delete: %v, want %s", err, api.CodeDatasetNotFound)
 	}
 }

@@ -176,6 +176,52 @@ func TestServerExpositionRoundTrip(t *testing.T) {
 	}
 }
 
+// TestWindowHistogramsMeasureRunAndWait: the window duration histogram
+// observes each window's own run, from the start of its window span to
+// its commit, and the commit histogram the wait from the window becoming
+// committable to its commit, which for a frozen job also covers its
+// plan and the windows before it. After a three-window frozen job both
+// counted three windows and the run sum is the smaller.
+func TestWindowHistogramsMeasureRunAndWait(t *testing.T) {
+	reg := NewRegistry()
+	mgr := NewManager(reg, ManagerOptions{})
+	defer mgr.Close()
+	info := ingestSynth(t, reg, 40, 3)
+	st, err := mgr.Submit(JobSpec{DatasetID: info.ID, K: 2, WindowHours: 24})
+	if err != nil {
+		t.Fatal(err)
+	}
+	final := waitForState(t, mgr, st.ID, func(s JobStatus) bool { return s.State.Terminal() })
+	if final.State != JobDone || len(final.Windows) != 3 {
+		t.Fatalf("job finished %s with %d windows: %s", final.State, len(final.Windows), final.Error)
+	}
+	fams := scrapeTelemetry(t, mgr.tel)
+	sample := func(family, name string) float64 {
+		t.Helper()
+		f, ok := fams[family]
+		if !ok {
+			t.Fatalf("family %s missing", family)
+		}
+		for _, s := range f.Samples {
+			if s.Name == name {
+				return s.Value
+			}
+		}
+		t.Fatalf("no %s sample", name)
+		return 0
+	}
+	for _, family := range []string{"glove_window_duration_seconds", "glove_window_commit_seconds"} {
+		if got := sample(family, family+"_count"); got != 3 {
+			t.Errorf("%s_count = %g, want 3", family, got)
+		}
+	}
+	run := sample("glove_window_duration_seconds", "glove_window_duration_seconds_sum")
+	wait := sample("glove_window_commit_seconds", "glove_window_commit_seconds_sum")
+	if run <= 0 || run >= wait {
+		t.Errorf("window run sum %g s, commit wait sum %g s: want 0 < run < wait", run, wait)
+	}
+}
+
 // TestJobTraceEndpoint pins the trace acceptance criterion: a windowed
 // job's span tree covers plan, every window, per-window shards, and the
 // engine's index-build/merge phases grafted under each shard.

@@ -10,7 +10,6 @@ import (
 	"testing"
 	"unsafe"
 
-	"repro/internal/api"
 	"repro/internal/cdr"
 	"repro/internal/core"
 	"repro/internal/geo"
@@ -153,38 +152,45 @@ func TestJobAccuracyEqualsMeasureOfReleases(t *testing.T) {
 		t.Run(fmt.Sprintf("resumed/checkpoint=%v", checkpoint), func(t *testing.T) {
 			spec := JobSpec{K: 2, Workers: 2, Shards: 2, WindowHours: 24}
 			dir := t.TempDir()
-			jrnl, reg, mgr, _ := bootService(t, dir, ManagerOptions{})
+			jrnl, reg, mgr, _ := bootService(t, dir, ManagerOptions{MaxConcurrentJobs: 2})
 			info, err := reg.Ingest(bytes.NewReader(csv.Bytes()), "synthetic", table.Center, table.SpanDays)
 			if err != nil {
 				t.Fatal(err)
 			}
-			// A follow job on a feed that never closes a window holds the
-			// only executor, so the job queues and its stall point at
-			// window 2 is in place before it starts.
+			// A follow job on a feed that never closes a window, journaled
+			// ahead of the measured job: it is never terminal, so every
+			// later life requeues it first.
 			blocker, err := mgr.Submit(JobSpec{DatasetID: info.ID, K: 2, WindowHours: 1000, Follow: true})
 			if err != nil {
 				t.Fatal(err)
 			}
-			waitForState(t, mgr, blocker.ID, func(s JobStatus) bool { return s.State == JobRunning })
 			spec.DatasetID = info.ID
 			st, err := mgr.Submit(spec)
 			if err != nil {
 				t.Fatal(err)
 			}
-			reached := stallAtWindow(t, mgr, st.ID, 2)
-			if _, err := mgr.Cancel(blocker.ID); err != nil {
-				t.Fatal(err)
-			}
-			<-reached
+			waitForState(t, mgr, st.ID, func(s JobStatus) bool { return s.State == JobDone })
 			mgr.Drain(0)
+			crashClose(mgr, reg, jrnl)
+			// A crash between windows 1 and 2.
+			cutJournalAfterWindow(t, dir, st.ID, 1)
 			if checkpoint {
+				// On one executor the blocker runs and the resumed job stays
+				// queued, so the checkpoint captures it with its two
+				// recovered releases.
+				jrnl, reg, mgr, _ := bootService(t, dir, ManagerOptions{})
+				waitForState(t, mgr, blocker.ID, func(s JobStatus) bool { return s.State == JobRunning })
+				mgr.Drain(0)
+				if got, _ := mgr.Get(st.ID); got.State != JobQueued || len(got.Windows) != 2 {
+					t.Fatalf("job at the checkpoint: %s with %d windows, want queued with 2", got.State, len(got.Windows))
+				}
 				if err := jrnl.Checkpoint(reg, mgr); err != nil {
 					t.Fatal(err)
 				}
+				crashClose(mgr, reg, jrnl)
 			}
-			crashClose(mgr, reg, jrnl)
 
-			jrnl2, reg2, mgr2, _ := bootService(t, dir, ManagerOptions{})
+			jrnl2, reg2, mgr2, _ := bootService(t, dir, ManagerOptions{MaxConcurrentJobs: 2})
 			defer crashClose(mgr2, reg2, jrnl2)
 			final := waitForState(t, mgr2, st.ID, func(s JobStatus) bool { return s.State.Terminal() })
 			if final.State != JobDone || len(final.Windows) != 3 {
@@ -237,47 +243,35 @@ func followFeedWindow(w int) string {
 	return b.String()
 }
 
-// A follow job keeps no committed release decoded: after runtime.GC, the
-// heap grows from the commit of window 10 to that of window 50 by well
-// under half of what those 40 releases hold in memory. The feed is
-// ingested before the job starts, so the job commits every window in one
-// pass and the dataset's store does not grow in between; what remains
-// per window is its stored compressed release, its status, events and
-// spans.
+// A follow job keeps no committed release decoded: after runtime.GC, a
+// follow job waiting with 50 committed windows holds well under half of
+// what the releases of its windows 10..49 hold in memory more than one
+// waiting with 10. Both feeds are ingested before either job starts, so
+// the datasets' stores do not grow in between; what remains per window
+// is its stored compressed release, its status, events and spans.
 func TestFollowHeapStaysFlat(t *testing.T) {
 	reg := NewRegistry()
 	mgr := NewManager(reg, ManagerOptions{})
 	defer mgr.Close()
 	center := geo.LatLon{Lat: 7.54, Lon: -5.55}
-	var feed strings.Builder
-	for w := 0; w <= 50; w++ {
-		body := followFeedWindow(w)
-		if w > 0 {
-			body = strings.TrimPrefix(body, "user,lat,lon,minute\n")
+	// feed ingests windows 0..last; a follow job over it commits every
+	// window but the last, which stays open.
+	feed := func(last int) DatasetInfo {
+		var b strings.Builder
+		for w := 0; w <= last; w++ {
+			body := followFeedWindow(w)
+			if w > 0 {
+				body = strings.TrimPrefix(body, "user,lat,lon,minute\n")
+			}
+			b.WriteString(body)
 		}
-		feed.WriteString(body)
+		info, err := reg.Ingest(strings.NewReader(b.String()), "feed", center, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return info
 	}
-	info, err := reg.Ingest(strings.NewReader(feed.String()), "feed", center, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// A follow job on a dataset that never closes a window holds the
-	// only executor, so the measured job is still queued while its event
-	// hook is installed.
-	idle, err := reg.Ingest(strings.NewReader(windowCSV(0, "a", "b")), "idle", center, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	blocker, err := mgr.Submit(JobSpec{DatasetID: idle.ID, K: 2, WindowHours: 1, Follow: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	waitForState(t, mgr, blocker.ID, func(s JobStatus) bool { return s.State == JobRunning })
-	st, err := mgr.Submit(JobSpec{DatasetID: info.ID, K: 2, Workers: 1, Shards: 1, WindowHours: 1,
-		Follow: true, FollowWindows: 50})
-	if err != nil {
-		t.Fatal(err)
-	}
+	short, long := feed(10), feed(50)
 	heap := func() uint64 {
 		// Twice: the first cycle only moves pooled buffers to the
 		// victim cache, the second frees them.
@@ -287,36 +281,38 @@ func TestFollowHeapStaysFlat(t *testing.T) {
 		runtime.ReadMemStats(&ms)
 		return ms.HeapAlloc
 	}
-	// The run goroutine emits the window's done event right after its
-	// commit and waits for the hook, so nothing allocates meanwhile.
-	heaps := map[int]uint64{}
-	mgr.mu.Lock()
-	job := mgr.jobs[st.ID]
-	mgr.mu.Unlock()
-	job.mu.Lock()
-	job.onEvent = func(e api.JobEvent) {
-		if w := e.Window; w != nil && w.State == WindowDone && (w.Index == 9 || w.Index == 49) {
-			heaps[w.Index] = heap()
+	// waiting runs a follow job until it has committed n windows and
+	// waits for the feed to close the next, and reads the heap there,
+	// with the run and everything it holds still live.
+	waiting := func(info DatasetInfo, n int) (JobStatus, uint64) {
+		st, err := mgr.Submit(JobSpec{DatasetID: info.ID, K: 2, Workers: 1, Shards: 1, WindowHours: 1, Follow: true})
+		if err != nil {
+			t.Fatal(err)
 		}
+		st = waitForState(t, mgr, st.ID, func(s JobStatus) bool {
+			return len(s.Windows) == n && s.Windows[n-1].State == WindowDone
+		})
+		return st, heap()
 	}
-	job.mu.Unlock()
-	if _, err := mgr.Cancel(blocker.ID); err != nil {
+	first, h10 := waiting(short, 10)
+	if _, err := mgr.Cancel(first.ID); err != nil {
 		t.Fatal(err)
 	}
-	final := waitForState(t, mgr, st.ID, func(s JobStatus) bool { return s.State.Terminal() })
-	if final.State != JobDone || len(final.Windows) != 50 {
-		t.Fatalf("job finished %s with %d windows: %s", final.State, len(final.Windows), final.Error)
+	waitForState(t, mgr, first.ID, func(s JobStatus) bool { return s.State.Terminal() })
+	if err := mgr.Remove(first.ID); err != nil {
+		t.Fatal(err)
 	}
+	st, h50 := waiting(long, 50)
 
 	// What the 40 releases of windows 10..49 hold decoded: their
 	// samples alone.
 	var samples int
-	for _, w := range final.Windows[10:50] {
+	for _, w := range st.Windows[10:50] {
 		samples += w.Stats.OutputSamples
 	}
 	released := uint64(samples) * uint64(unsafe.Sizeof(core.Sample{}))
-	growth := int64(heaps[49]) - int64(heaps[9])
-	t.Logf("heap %d -> %d bytes (%+d) over 40 windows whose releases hold %d bytes of samples", heaps[9], heaps[49], growth, released)
+	growth := int64(h50) - int64(h10)
+	t.Logf("heap %d -> %d bytes (%+d) from 10 to 50 committed windows, whose releases 10..49 hold %d bytes of samples", h10, h50, growth, released)
 	if growth > int64(released/2) {
 		t.Errorf("heap grew %d bytes over 40 windows, more than half of their releases' %d bytes of samples", growth, released)
 	}

@@ -8,6 +8,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/api"
 	"repro/internal/cdr"
 	"repro/internal/colstore"
 	"repro/internal/faultinject"
@@ -476,35 +477,32 @@ func (g *Registry) SnapshotSource(id string) (*colstore.View, DatasetInfo, bool)
 	return st.Snapshot(), g.infos[id], true
 }
 
-// Delete removes a dataset. Jobs already holding a snapshot keep
-// running; queued jobs referencing the ID fail when they start. The
-// store is unregistered but not closed — running jobs may still fault
-// its spilled chunks; the unlinked spill file is reclaimed once the last
-// view is garbage collected.
-func (g *Registry) Delete(id string) bool {
+// Delete removes a dataset, journaled and committed before it returns.
+// Jobs already holding a snapshot keep running; queued jobs referencing
+// the ID fail when they start. The store is unregistered but not closed
+// — running jobs may still fault its spilled chunks; the unlinked spill
+// file is reclaimed once the last view is garbage collected. A journal
+// failure leaves the dataset registered.
+func (g *Registry) Delete(id string) error {
 	g.mu.Lock()
-	defer g.mu.Unlock()
 	if _, ok := g.infos[id]; !ok {
-		return false
+		g.mu.Unlock()
+		return api.Errorf(api.CodeDatasetNotFound, "unknown dataset %q", id).With("dataset_id", id)
+	}
+	if err := g.jrnl.datasetDeleted(id); err != nil {
+		g.mu.Unlock()
+		return err
 	}
 	delete(g.infos, id)
 	delete(g.stores, id)
-	for i, oid := range g.order {
-		if oid == id {
-			g.order = append(g.order[:i], g.order[i+1:]...)
-			break
-		}
-	}
+	g.order = removeID(g.order, id)
 	g.publishTotalsLocked()
 	// Wake watchers so follow jobs notice the deletion instead of
 	// sleeping forever on a dataset that no longer exists.
 	g.wakeLocked(id)
-	g.jrnl.datasetDeleted(id)
 	jl := g.jrnl
 	g.mu.Unlock()
-	jl.commit()
-	g.mu.Lock() // re-acquire for the deferred unlock
-	return true
+	return jl.commit()
 }
 
 // List returns all registered datasets in ingestion order.

@@ -2,13 +2,16 @@ package service
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"io"
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/api"
 	"repro/internal/cdr"
 	"repro/internal/colstore"
 	"repro/internal/core"
@@ -270,6 +273,43 @@ func TestAppendJournalFailureLeavesDatasetUnchanged(t *testing.T) {
 	}
 	if !bytes.Equal(sourceCSV(t, reg, info.ID), want) {
 		t.Fatal("refused append changed the dataset records")
+	}
+}
+
+// TestDeleteJournalFailureKeepsDataset: a deletion the journal refuses
+// is refused, over the HTTP surface with an envelope, and leaves the
+// dataset registered and listed.
+func TestDeleteJournalFailureKeepsDataset(t *testing.T) {
+	center := geo.LatLon{Lat: 7.54, Lon: -5.55}
+	jrnl, reg, mgr, _ := bootService(t, t.TempDir(), ManagerOptions{})
+	defer crashClose(mgr, reg, jrnl)
+	srv := httptest.NewServer(NewServer(reg, mgr))
+	defer srv.Close()
+	info, err := reg.Ingest(strings.NewReader(capCSV(40)), "feed", center, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	jrnl.Close()
+	if err := reg.Delete(info.ID); err == nil {
+		t.Fatal("delete accepted with the journal closed")
+	}
+	req, _ := http.NewRequest(http.MethodDelete, srv.URL+"/v1/datasets/"+info.ID, nil)
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var env api.Error
+	json.NewDecoder(resp.Body).Decode(&env)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusInternalServerError || env.Code != api.CodeInternal {
+		t.Errorf("DELETE with the journal closed: status %d code %q, want 500 %q", resp.StatusCode, env.Code, api.CodeInternal)
+	}
+	if got, ok := reg.Get(info.ID); !ok || got != info {
+		t.Fatalf("refused delete changed the dataset: %+v (found %v), want %+v", got, ok, info)
+	}
+	if list := reg.List(); len(list) != 1 || list[0].ID != info.ID {
+		t.Fatalf("datasets after the refused delete: %+v", list)
 	}
 }
 

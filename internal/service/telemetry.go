@@ -104,7 +104,7 @@ func NewTelemetry() *Telemetry {
 	t.jobDuration = r.Histogram("glove_job_duration_seconds",
 		"Wall-clock duration of finished jobs.", nil)
 	t.windowDuration = r.Histogram("glove_window_duration_seconds",
-		"Wall-clock duration of committed windows of windowed jobs.", nil)
+		"Wall-clock seconds a committed window ran, from the start of its window span to its commit (follow and windowed jobs).", nil)
 	t.windowReleases = r.Counter("glove_window_releases_total",
 		"Committed per-window releases across windowed jobs.")
 	t.windowCommit = r.Histogram("glove_window_commit_seconds",
@@ -304,11 +304,15 @@ func (t *Telemetry) releaseCommitted(stats *core.GloveStats, q ReleaseQuality) {
 	}
 }
 
-func (t *Telemetry) windowCommitted(d time.Duration) {
+// windowCommitted counts one committed window release: run is its own
+// run time, from the start of its window span to its commit, and wait
+// the time from the window becoming committable to its commit, which
+// includes the earlier windows of the same pass.
+func (t *Telemetry) windowCommitted(run, wait time.Duration) {
 	if t != nil {
 		t.windowReleases.Inc()
-		t.windowDuration.Observe(d.Seconds())
-		t.windowCommit.Observe(d.Seconds())
+		t.windowDuration.Observe(run.Seconds())
+		t.windowCommit.Observe(wait.Seconds())
 	}
 }
 

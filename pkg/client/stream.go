@@ -104,7 +104,7 @@ func (c *Client) WaitJob(ctx context.Context, jobID string) (JobStatus, error) {
 // between (detected via X-Glove-Boot-ID), in which case the recovered
 // event log is replayed from scratch and the callback may observe
 // events again, marked by the sequence numbers restarting at 1.
-func (c *Client) WatchJob(ctx context.Context, jobID string, onEvent func(JobEvent)) (JobStatus, error) {
+func (c *Client) WatchJob(ctx context.Context, jobID string, callback func(JobEvent)) (JobStatus, error) {
 	after := 0
 	bootID := ""
 	for {
@@ -146,8 +146,8 @@ func (c *Client) WatchJob(ctx context.Context, jobID string, onEvent func(JobEve
 				break // clean EOF or broken pipe: re-check status below
 			}
 			after = ev.Seq
-			if onEvent != nil {
-				onEvent(ev)
+			if callback != nil {
+				callback(ev)
 			}
 			if ev.Terminal() {
 				terminal = true
