@@ -98,8 +98,13 @@ bench:
 # release (one-day windows, split into user halves) with its kernel
 # calls per op: the dense build and merge loop a window commit pays
 # (DESIGN.md Sec. 8).
+# BenchmarkRegistryAppend pins the journaled ingest path, fsync on: a
+# 250-subscriber CIV create plus six daily appends, with the bytes
+# allocated per byte of CSV (alloc/payload). BenchmarkJournalReplay pins
+# a boot of that feed's journal: replay, boot compaction and the
+# registry restore (DESIGN.md Sec. 13).
 bench-json:
-	$(GO) test -run=^$$ -bench='BenchmarkAblation|BenchmarkAnonymizability|BenchmarkFingerprintEffortKernel|BenchmarkEffortKernel|BenchmarkScaling|BenchmarkWindowCommit|BenchmarkWAL|BenchmarkReleaseDownload|BenchmarkWindowedWeekEngine|BenchmarkReleaseQuality' \
+	$(GO) test -run=^$$ -bench='BenchmarkAblation|BenchmarkAnonymizability|BenchmarkFingerprintEffortKernel|BenchmarkEffortKernel|BenchmarkScaling|BenchmarkWindowCommit|BenchmarkWAL|BenchmarkReleaseDownload|BenchmarkWindowedWeekEngine|BenchmarkReleaseQuality|BenchmarkRegistryAppend|BenchmarkJournalReplay' \
 		-benchtime=1x -timeout=30m -json . ./internal/core ./internal/wal ./internal/service > BENCH_glove.json
 
 # profile writes a CPU pprof of the k=2 civ GLOVE run (the

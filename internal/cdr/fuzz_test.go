@@ -2,8 +2,12 @@ package cdr
 
 import (
 	"bytes"
+	"encoding/csv"
+	"fmt"
+	"io"
 	"math"
 	"strconv"
+	"strings"
 	"testing"
 )
 
@@ -14,6 +18,14 @@ import (
 // re-encoded by WriteRecordsCSV, read back equal — the round trip a
 // journal checkpoint (captureState in internal/service) relies on to
 // persist a dataset.
+//
+// It is also a differential test of the reader's own line scanner:
+// encoding/csv with four fields a record, each record parsed by
+// parseRecord (csvReference), must return the same records bit for bit
+// and stop on the same error, message and line included. The seeds
+// cover quoted fields, a quote after unquoted lines, CRLF, blank lines,
+// a bare \r, no final newline and lines longer than the reader's
+// buffer.
 //
 // The seed corpus runs under plain go test; fuzz with
 // go test -run '^$' -fuzz FuzzRecordReader -fuzztime 30s ./internal/cdr/
@@ -35,23 +47,45 @@ func FuzzRecordReader(f *testing.F) {
 		"user,lat,lon,minute\n\"a\"b,7.5,-5.5,10\n",
 		"user,lat,lon\n",
 		"group,x,dx,y,dy,t,dt\n",
+		"\"user\",lat,lon,minute\na,7.5,-5.5,10\n",
+		"user,lat,lon,minute\na,7.5,-5.5,10\nb,7.6,-5.4,20\n\"c,d\",7.7,-5.3,30\ne,7.8,-5.2,40\n",
+		"user,lat,lon,minute\n\na,7.5,-5.5,10\n\n\r\n\nb,7.6,-5.4,20\n\nc,7.6,-5.4\n",
+		"user,lat,lon,minute\na,7.5,-5.5,10\r\n\nb,7.6,-5.4,20\n\n\"x\ny\",1,2\n",
+		"user,lat,lon,minute\na,7.5,-5.5,10\rb,7.6,-5.4,20\r",
+		"user,lat,lon,minute\na,7.5,-5.5,10\r\r\nb,1,2,3\n\r",
+		"user,lat,lon,minute\na,7.5,-5.5,10\nb,1,2,3\n\r",
+		"user,lat,lon,minute\r\na,7.5,-5.5,10\r\nb,1,2,3\r",
+		"user,lat,lon,minute\na,7.5,-5.5,10\nb,7.6,-5.4,20",
+		"user,lat,lon,minute\na,7.5,-5.5,10\n\n\nb,7.6,-5.4,20,\n",
+		"user,lat,lon,minute\na,7.5,-5.5,10\nb\",7.6,-5.4,20\n",
+		"user,lat,lon,minute\na,7.5,-5.5,10\n\"b,7.6,-5.4,20\n",
+		"user,lat,lon,minute\n" + strings.Repeat("x", readBufferSize+10) + ",7.5,-5.5,10\na,1,2,3\n",
+		"user,lat,lon,minute\na,7.5,-5.5,10\n" + strings.Repeat("y", 2*readBufferSize) + "\",1,2,3\n",
 	} {
 		f.Add([]byte(seed))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		rr := NewRecordReader(bytes.NewReader(data))
-		var recs []Record
-		var stop error
-		for {
-			rec, err := rr.Next()
-			if err != nil {
-				stop = err
-				break
-			}
+		recs, stop := readAll(rr.Next)
+		for i, rec := range recs {
 			if verr := rec.Validate(); verr != nil {
-				t.Fatalf("record %d accepted but invalid: %v", len(recs), verr)
+				t.Fatalf("record %d accepted but invalid: %v", i, verr)
 			}
-			recs = append(recs, rec)
+		}
+		refRecs, refStop := readAll(csvReference(bytes.NewReader(data)))
+		if fmt.Sprint(stop) != fmt.Sprint(refStop) {
+			t.Fatalf("reader stopped on %v, encoding/csv on %v", stop, refStop)
+		}
+		if len(recs) != len(refRecs) {
+			t.Fatalf("reader accepted %d records, encoding/csv %d", len(recs), len(refRecs))
+		}
+		for i, rec := range recs {
+			ref := refRecs[i]
+			if rec.User != ref.User || math.Float64bits(rec.Pos.Lat) != math.Float64bits(ref.Pos.Lat) ||
+				math.Float64bits(rec.Pos.Lon) != math.Float64bits(ref.Pos.Lon) ||
+				math.Float64bits(rec.Minute) != math.Float64bits(ref.Minute) {
+				t.Fatalf("record %d = %+v, encoding/csv gives %+v", i, rec, ref)
+			}
 		}
 		for i := 0; i < 2; i++ {
 			// Identity, not errors.Is: the reader must hand back the
@@ -85,6 +119,50 @@ func FuzzRecordReader(f *testing.F) {
 			}
 		}
 	})
+}
+
+// readAll drains a record source, returning the records and the error
+// it stopped on.
+func readAll(next func() (Record, error)) ([]Record, error) {
+	var recs []Record
+	for {
+		rec, err := next()
+		if err != nil {
+			return recs, err
+		}
+		recs = append(recs, rec)
+	}
+}
+
+// csvReference reads a record stream the plain way: encoding/csv with
+// four fields a record, the header checked, each row parsed by
+// parseRecord, lines numbered as RecordReader numbers them.
+func csvReference(r io.Reader) func() (Record, error) {
+	cr := csv.NewReader(r)
+	cr.FieldsPerRecord = 4
+	line := 1
+	header := false
+	return func() (Record, error) {
+		if !header {
+			h, err := cr.Read()
+			if err != nil {
+				return Record{}, fmt.Errorf("cdr: reading header: %w", err)
+			}
+			if h[0] != "user" || h[1] != "lat" || h[2] != "lon" || h[3] != "minute" {
+				return Record{}, fmt.Errorf("cdr: unexpected header %v", h)
+			}
+			header = true
+		}
+		line++
+		row, err := cr.Read()
+		if err == io.EOF {
+			return Record{}, io.EOF
+		}
+		if err != nil {
+			return Record{}, fmt.Errorf("cdr: line %d: %w", line, err)
+		}
+		return parseRecord(row[0], row[1], row[2], row[3], line)
+	}
 }
 
 // FuzzAppendFloat1 pins the release formatter against the standard

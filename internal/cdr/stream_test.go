@@ -2,7 +2,10 @@ package cdr
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
 	"io"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -201,5 +204,75 @@ func TestReadAnonymizedCSVErrors(t *testing.T) {
 		if _, err := ReadAnonymizedCSV(strings.NewReader(csv)); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
+	}
+}
+
+// failAfter yields data, then fails with err, the way a body capped by
+// http.MaxBytesReader or cut by a dropped connection ends.
+type failAfter struct {
+	data []byte
+	err  error
+}
+
+func (f *failAfter) Read(p []byte) (int, error) {
+	if len(f.data) == 0 {
+		return 0, f.err
+	}
+	n := copy(p, f.data)
+	f.data = f.data[n:]
+	return n, nil
+}
+
+// A stream that ends in a read error stops on the same error as
+// encoding/csv, wherever the error cuts it: mid-line, between lines, in
+// the unquoted part or after the hand-off to encoding/csv.
+func TestRecordReaderReadErrorMatchesCSV(t *testing.T) {
+	cause := errors.New("body cut")
+	for _, body := range []string{
+		"user,lat,lon,minute\na,7.5,-5.5,10\nb,7.6,-5.4,20\n",
+		"user,lat,lon,minute\na,7.5,-5.5,10\n\"b\",7.6,-5.4,20\nc,1,2,3\n",
+	} {
+		for cut := 0; cut <= len(body); cut++ {
+			recs, stop := readAll(NewRecordReader(&failAfter{[]byte(body[:cut]), cause}).Next)
+			refRecs, refStop := readAll(csvReference(&failAfter{[]byte(body[:cut]), cause}))
+			if len(recs) != len(refRecs) || stop.Error() != refStop.Error() || !errors.Is(stop, cause) {
+				t.Errorf("cut at %d of %q: %d records, stop %v; encoding/csv %d records, stop %v",
+					cut, body, len(recs), stop, len(refRecs), refStop)
+			}
+		}
+	}
+}
+
+// BenchmarkRecordReader parses a 250-subscriber, seven-day CIV-like
+// feed (about 42,000 records) with RecordReader and, as the reference,
+// with encoding/csv plus parseRecord.
+func BenchmarkRecordReader(b *testing.B) {
+	var buf bytes.Buffer
+	buf.WriteString("user,lat,lon,minute\n")
+	rng := uint64(1)
+	for i := 0; i < 42000; i++ {
+		rng = rng*6364136223846793005 + 1442695040888963407
+		lat := 5 + float64(rng>>40)/float64(1<<24)*5
+		lon := -8 + float64(rng>>16&0xffffff)/float64(1<<24)*5
+		fmt.Fprintf(&buf, "u%04d,%s,%s,%s\n", rng%250, strconv.FormatFloat(lat, 'f', -1, 64),
+			strconv.FormatFloat(lon, 'f', -1, 64), strconv.FormatFloat(float64(i)*0.24, 'f', -1, 64))
+	}
+	feed := buf.Bytes()
+	for _, impl := range []struct {
+		name string
+		next func(io.Reader) func() (Record, error)
+	}{
+		{"scanner", func(r io.Reader) func() (Record, error) { return NewRecordReader(r).Next }},
+		{"encoding-csv", csvReference},
+	} {
+		b.Run(impl.name, func(b *testing.B) {
+			b.SetBytes(int64(len(feed)))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if recs, err := readAll(impl.next(bytes.NewReader(feed))); err != io.EOF || len(recs) != 42000 {
+					b.Fatalf("%d records, %v", len(recs), err)
+				}
+			}
+		})
 	}
 }

@@ -1,10 +1,15 @@
 package service
 
 import (
+	"bytes"
 	"math"
 	"testing"
+	"time"
 
+	"repro/internal/api"
 	"repro/internal/core"
+	"repro/internal/geo"
+	"repro/internal/wal"
 )
 
 // FuzzJobSpecValidate pins the submission gate against hostile specs:
@@ -87,6 +92,83 @@ func FuzzJobSpecValidate(f *testing.F) {
 			if _, err := core.PlanFor(n, opt); err != nil {
 				t.Fatalf("accepted spec %+v fails to plan n=%d: %v", spec, n, err)
 			}
+		}
+	})
+}
+
+// FuzzJournalEntryDecode pins the journal's frame decoders against
+// hostile payloads: replay decodes any payload, as a snapshot or as a
+// record, or returns an error, and never panics, even when a header
+// length runs past the payload; and every entry decodeEntry returns
+// re-encodes, in the raw layout, to a frame that decodes back to the
+// same entry and body.
+//
+// The seed corpus runs under plain go test; fuzz with
+// go test -run '^$' -fuzz FuzzJournalEntryDecode -fuzztime 30s ./internal/service/
+func FuzzJournalEntryDecode(f *testing.F) {
+	at := time.Date(2026, 1, 2, 3, 4, 5, 0, time.UTC)
+	center := geo.LatLon{Lat: 7.54, Lon: -5.55}
+	spec := JobSpec{DatasetID: "ds-000001", K: 2, WindowHours: 24}
+	status := api.JobStatus{ID: "job-000001", State: JobDone, CreatedAt: at}
+	csv := []byte("user,lat,lon,minute\na,7.5,-5.5,10\n")
+	for _, e := range []journalEntry{
+		{Kind: jeDatasetCreate, ID: "ds-000001", Name: "feed", At: at, Center: &center, SpanDays: 7, body: csv},
+		{Kind: jeDatasetAppend, ID: "ds-000001", At: at, body: csv},
+		{Kind: jeDatasetDelete, ID: "ds-000001"},
+		{Kind: jeJobSubmit, ID: "job-000001", Spec: &spec, At: at},
+		{Kind: jeJobResult, ID: "job-000001", Window: &journalWindow{Index: 3, Groups: 2}, body: []byte("group,count\n")},
+		{Kind: jeJobResult, ID: "job-000001", Window: &journalWindow{Index: 4, Empty: true}},
+		{Kind: jeJobStatus, ID: "job-000001", Status: &status, Events: []api.JobEvent{{Seq: 1, Type: api.EventState}}},
+		{Kind: jeCleanShutdown},
+	} {
+		hdr, err := encodeEntry(e)
+		if err != nil {
+			f.Fatal(err)
+		}
+		frame := append(hdr, e.body...)
+		f.Add(frame)
+		f.Add(frame[:len(frame)/2])
+	}
+	snapHdr, snapBody, err := encodeSnapshot(&RecoveredState{DatasetSeq: 1,
+		Datasets: []*RecoveredDataset{{ID: "ds-000001", Center: center, SpanDays: 1, Ops: [][]byte{csv, csv}}},
+		Jobs:     []*RecoveredJob{{ID: "job-000001", Results: []RecoveredResult{{CSV: csv}, {Window: journalWindow{Empty: true}}}}}})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(append(snapHdr, snapBody...))
+	f.Add(append(snapHdr, snapBody[:len(snapBody)-1]...))
+	for _, seed := range []string{
+		"",
+		"\x01",
+		"\x01\x05{}",
+		"\x01\xff\xff\xff\xff\xff\xff\xff\xff\xff\x01{}",
+		"\x01\x02{}body",
+		"\x02\x02{}",
+		`{"kind":"ds_create","id":"ds-000001","center":{"Lat":1,"Lon":2},"csv":"dXNlcg=="}`,
+		`{"kind":"job_event","id":"job-000001","event":{"seq":2}}`,
+		`{"kind":"ds_append","csv":"!!"}`,
+		`{"datasets":[null],"jobs":[null]}`,
+		"\x01\x18{\"datasets\":[{}],\"jobs\":[]}\x05",
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		replayJournal(&wal.Recovery{Snapshot: payload, Records: [][]byte{payload}})
+		replayJournal(&wal.Recovery{Records: [][]byte{payload}})
+		e, err := decodeEntry(payload)
+		if err != nil {
+			return
+		}
+		hdr, err := encodeEntry(e)
+		if err != nil {
+			t.Fatalf("decoded entry does not re-encode: %v", err)
+		}
+		back, err := decodeEntry(append(hdr, e.body...))
+		if err != nil {
+			t.Fatalf("re-encoded entry does not decode: %v", err)
+		}
+		if got, want := mustJSON(t, back), mustJSON(t, e); !bytes.Equal(got, want) || !bytes.Equal(back.body, e.body) {
+			t.Fatalf("entry round-trips as %s body %q, want %s body %q", got, back.body, want, e.body)
 		}
 	})
 }

@@ -430,16 +430,28 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	body := r.Body
-	if s.MaxIngestBytes > 0 {
-		body = http.MaxBytesReader(w, r.Body, s.MaxIngestBytes)
-	}
-	info, err := s.reg.Ingest(body, q.Get("name"), geo.LatLon{Lat: lat, Lon: lon}, days)
+	info, err := s.reg.Ingest(s.ingestBody(w, r), q.Get("name"), geo.LatLon{Lat: lat, Lon: lon}, days)
 	if err != nil {
 		writeError(w, r, ingestError(err, s.MaxIngestBytes))
 		return
 	}
 	writeJSON(w, http.StatusCreated, info)
+}
+
+// maxIngestSizeHint bounds the size an ingestion body's journal copy is
+// presized to when MaxIngestBytes sets no bound: a declared
+// Content-Length is the client's word, not bytes that arrived.
+const maxIngestSizeHint = 8 << 20
+
+// ingestBody is a request's ingestion body, capped at MaxIngestBytes,
+// with its declared Content-Length, clamped to that cap (or to
+// maxIngestSizeHint when there is none), as its expected size.
+func (s *Server) ingestBody(w http.ResponseWriter, r *http.Request) io.Reader {
+	body, limit := io.Reader(r.Body), int64(maxIngestSizeHint)
+	if s.MaxIngestBytes > 0 {
+		body, limit = http.MaxBytesReader(w, r.Body, s.MaxIngestBytes), s.MaxIngestBytes
+	}
+	return sizedBody{Reader: body, size: min(max(r.ContentLength, 0), limit)}
 }
 
 // ingestError classifies a streaming-ingestion failure: the byte-cap
@@ -463,11 +475,7 @@ func (s *Server) handleAppendRecords(w http.ResponseWriter, r *http.Request) {
 		writeError(w, r, api.Errorf(api.CodeDatasetNotFound, "unknown dataset %q", id).With("dataset_id", id))
 		return
 	}
-	body := r.Body
-	if s.MaxIngestBytes > 0 {
-		body = http.MaxBytesReader(w, r.Body, s.MaxIngestBytes)
-	}
-	info, err := s.reg.Append(id, body)
+	info, err := s.reg.Append(id, s.ingestBody(w, r))
 	if err != nil {
 		writeError(w, r, ingestError(err, s.MaxIngestBytes))
 		return

@@ -2,8 +2,11 @@ package service
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -16,12 +19,12 @@ import (
 )
 
 // journalKind names one journal entry kind. The payload of every WAL
-// record is one JSON-encoded journalEntry; the set is append-only
-// vocabulary like the error-code registry — replay of an old journal
-// must keep working. The named type is what lets glovelint's errcode
-// analyzer pin every constructed kind to this registry and the
-// registry to the committed vocabulary (internal/lint/vocab/
-// journalkinds.txt).
+// record is one journalEntry (laid out as rawLayout describes); the set
+// is append-only vocabulary like the error-code registry — replay of an
+// old journal must keep working. The named type is what lets
+// glovelint's errcode analyzer pin every constructed kind to this
+// registry and the registry to the committed vocabulary
+// (internal/lint/vocab/journalkinds.txt).
 type journalKind string
 
 const (
@@ -37,7 +40,8 @@ const (
 )
 
 // journalEntry is the union of every journaled mutation; Kind selects
-// which fields are meaningful.
+// which fields are meaningful. Its exported fields are the frame's JSON
+// header; body is the raw bytes that follow the header.
 type journalEntry struct {
 	Kind journalKind `json:"kind"`
 	// ID is the dataset or job the entry belongs to.
@@ -46,13 +50,10 @@ type journalEntry struct {
 	Name string    `json:"name,omitempty"`
 	// Center/SpanDays carry the creation metadata the record CSV format
 	// does not (ds_create).
-	Center   *geo.LatLon `json:"center,omitempty"`
-	SpanDays int         `json:"span_days,omitempty"`
-	// CSV holds the raw record CSV of a dataset mutation, or the
-	// anonymized release CSV of a job_result.
-	CSV    []byte         `json:"csv,omitempty"`
-	Spec   *api.JobSpec   `json:"spec,omitempty"`
-	Window *journalWindow `json:"window,omitempty"`
+	Center   *geo.LatLon    `json:"center,omitempty"`
+	SpanDays int            `json:"span_days,omitempty"`
+	Spec     *api.JobSpec   `json:"spec,omitempty"`
+	Window   *journalWindow `json:"window,omitempty"`
 	// Status and Events are a job_status frame's terminal status and
 	// full event log. Event is only read: a journal written before the
 	// terminal frame carried the log holds one job_event frame per
@@ -60,6 +61,170 @@ type journalEntry struct {
 	Status *api.JobStatus `json:"status,omitempty"`
 	Events []api.JobEvent `json:"events,omitempty"`
 	Event  *api.JobEvent  `json:"event,omitempty"`
+
+	// body is the raw record CSV of a dataset mutation, or the
+	// anonymized release CSV of a job_result; nil for other kinds.
+	body []byte
+}
+
+// rawLayout opens every frame payload the journal writes:
+//
+//	[rawLayout][uvarint header length][JSON header][raw body]
+//
+// A record frame's header is its journalEntry and its body the entry's
+// CSV; a snapshot's header is the RecoveredState without its CSVs, and
+// its body those CSVs (encodeSnapshot). A payload that starts with '{'
+// instead is a legacy frame, one JSON object with its CSVs inline as
+// base64; those are only read.
+const rawLayout byte = 0x01
+
+// legacyEntry reads a legacy record frame.
+type legacyEntry struct {
+	journalEntry
+	CSV []byte `json:"csv"`
+}
+
+// layoutHeader prefixes a frame's JSON header with the layout byte and
+// the header's length; the raw body follows it.
+func layoutHeader(js []byte) []byte {
+	hdr := make([]byte, 0, 1+binary.MaxVarintLen64+len(js))
+	hdr = append(hdr, rawLayout)
+	hdr = binary.AppendUvarint(hdr, uint64(len(js)))
+	return append(hdr, js...)
+}
+
+// splitFrame splits a frame payload into its JSON header and its body;
+// legacy reports a '{' payload, whose JSON is all of it.
+func splitFrame(p []byte) (js, body []byte, legacy bool, err error) {
+	if len(p) > 0 && p[0] == '{' {
+		return p, nil, true, nil
+	}
+	if len(p) == 0 || p[0] != rawLayout {
+		return nil, nil, false, errors.New("unknown frame layout")
+	}
+	n, k := binary.Uvarint(p[1:])
+	if k <= 0 || n > uint64(len(p)-1-k) {
+		return nil, nil, false, errors.New("frame header length runs past the frame")
+	}
+	end := 1 + k + int(n)
+	return p[1+k : end], p[end:], false, nil
+}
+
+// encodeEntry returns the part of e's frame that precedes e.body.
+func encodeEntry(e journalEntry) ([]byte, error) {
+	js, err := json.Marshal(e)
+	if err != nil {
+		return nil, err
+	}
+	return layoutHeader(js), nil
+}
+
+// decodeEntry decodes a record frame of either layout.
+func decodeEntry(p []byte) (journalEntry, error) {
+	js, body, legacy, err := splitFrame(p)
+	if err != nil {
+		return journalEntry{}, err
+	}
+	if legacy {
+		var le legacyEntry
+		if err := json.Unmarshal(js, &le); err != nil {
+			return journalEntry{}, err
+		}
+		le.body = le.CSV
+		return le.journalEntry, nil
+	}
+	var e journalEntry
+	if err := json.Unmarshal(js, &e); err != nil {
+		return journalEntry{}, err
+	}
+	if len(body) > 0 {
+		e.body = body
+	}
+	return e, nil
+}
+
+// encodeSnapshot lays a state out as a snapshot frame: the part before
+// the body, and the body. The header is the state with every CSV left
+// null, which keeps each dataset's op count; the body holds the CSVs in
+// header order, each dataset's ops and then each job's releases, every
+// one prefixed with its uvarint length.
+func encodeSnapshot(st *RecoveredState) (hdr, body []byte, err error) {
+	bare := *st
+	bare.Datasets = make([]*RecoveredDataset, len(st.Datasets))
+	for i, d := range st.Datasets {
+		dc := *d
+		dc.Ops = make([][]byte, len(d.Ops))
+		bare.Datasets[i] = &dc
+		for _, op := range d.Ops {
+			body = appendBlob(body, op)
+		}
+	}
+	bare.Jobs = make([]*RecoveredJob, len(st.Jobs))
+	for i, j := range st.Jobs {
+		jc := *j
+		jc.Results = make([]RecoveredResult, len(j.Results))
+		for k, r := range j.Results {
+			jc.Results[k].Window = r.Window
+			body = appendBlob(body, r.CSV)
+		}
+		bare.Jobs[i] = &jc
+	}
+	js, err := json.Marshal(&bare)
+	if err != nil {
+		return nil, nil, err
+	}
+	return layoutHeader(js), body, nil
+}
+
+func appendBlob(b, blob []byte) []byte {
+	return append(binary.AppendUvarint(b, uint64(len(blob))), blob...)
+}
+
+// decodeSnapshot decodes a snapshot frame of either layout into st.
+func decodeSnapshot(p []byte, st *RecoveredState) error {
+	js, body, legacy, err := splitFrame(p)
+	if err != nil {
+		return err
+	}
+	if err := json.Unmarshal(js, st); err != nil {
+		return err
+	}
+	if slices.Contains(st.Datasets, nil) || slices.Contains(st.Jobs, nil) {
+		return errors.New("snapshot holds a null dataset or job")
+	}
+	if legacy {
+		return nil
+	}
+	blob := func() ([]byte, error) {
+		n, k := binary.Uvarint(body)
+		if k <= 0 || n > uint64(len(body)-k) {
+			return nil, errors.New("snapshot body shorter than its header")
+		}
+		b := body[k : k+int(n)]
+		body = body[k+int(n):]
+		if n == 0 {
+			return nil, nil
+		}
+		return b, nil
+	}
+	for _, d := range st.Datasets {
+		for i := range d.Ops {
+			if d.Ops[i], err = blob(); err != nil {
+				return err
+			}
+		}
+	}
+	for _, j := range st.Jobs {
+		for k := range j.Results {
+			if j.Results[k].CSV, err = blob(); err != nil {
+				return err
+			}
+		}
+	}
+	if len(body) != 0 {
+		return errors.New("snapshot body longer than its header")
+	}
+	return nil
 }
 
 // journalWindow is the window metadata persisted with a committed
@@ -141,7 +306,7 @@ type RecoveredJob struct {
 }
 
 // RecoveredState is everything a journal replay reconstructs — and,
-// marshalled, the snapshot payload a compaction writes. Replay is a
+// laid out by encodeSnapshot, the snapshot payload a compaction writes. Replay is a
 // pure function of the journal bytes, which makes it idempotent:
 // replaying the compaction of a replay yields the same state
 // (TestJournalReplayIdempotent).
@@ -219,7 +384,7 @@ func replayJournal(rec *wal.Recovery) (*RecoveredState, error) {
 	jobs := make(map[string]*RecoveredJob)
 	var dsOrder, jobOrder []string
 	if rec.Snapshot != nil {
-		if err := json.Unmarshal(rec.Snapshot, st); err != nil {
+		if err := decodeSnapshot(rec.Snapshot, st); err != nil {
 			return nil, fmt.Errorf("service: journal snapshot: %w", err)
 		}
 		for _, d := range st.Datasets {
@@ -232,8 +397,8 @@ func replayJournal(rec *wal.Recovery) (*RecoveredState, error) {
 		}
 	}
 	for i, payload := range rec.Records {
-		var e journalEntry
-		if err := json.Unmarshal(payload, &e); err != nil {
+		e, err := decodeEntry(payload)
+		if err != nil {
 			return nil, fmt.Errorf("service: journal record %d: %w", i, err)
 		}
 		switch e.Kind {
@@ -243,7 +408,7 @@ func replayJournal(rec *wal.Recovery) (*RecoveredState, error) {
 			}
 			d := &RecoveredDataset{
 				ID: e.ID, Name: e.Name, Center: *e.Center, SpanDays: e.SpanDays,
-				CreatedAt: e.At, UpdatedAt: e.At, Ops: [][]byte{e.CSV},
+				CreatedAt: e.At, UpdatedAt: e.At, Ops: [][]byte{e.body},
 			}
 			ds[e.ID] = d
 			dsOrder = append(dsOrder, e.ID)
@@ -255,7 +420,7 @@ func replayJournal(rec *wal.Recovery) (*RecoveredState, error) {
 			if !ok {
 				return nil, fmt.Errorf("service: journal: append to unknown dataset %s", e.ID)
 			}
-			d.Ops = append(d.Ops, e.CSV)
+			d.Ops = append(d.Ops, e.body)
 			d.UpdatedAt = e.At
 		case jeDatasetDelete:
 			delete(ds, e.ID)
@@ -284,7 +449,7 @@ func replayJournal(rec *wal.Recovery) (*RecoveredState, error) {
 			if !ok || e.Window == nil {
 				continue
 			}
-			r := RecoveredResult{Window: *e.Window, CSV: e.CSV}
+			r := RecoveredResult{Window: *e.Window, CSV: e.body}
 			replaced := false
 			for k := range j.Results {
 				if j.Results[k].Window.Batch == r.Window.Batch && j.Results[k].Window.Index == r.Window.Index {
@@ -387,11 +552,11 @@ func (jl *Journal) append(e journalEntry) error {
 	if jl == nil {
 		return nil
 	}
-	p, err := json.Marshal(e)
+	hdr, err := encodeEntry(e)
 	if err != nil {
 		return err
 	}
-	return jl.log.Append(p)
+	return jl.log.Append(hdr, e.body)
 }
 
 // commit makes everything appended so far durable (group-commit fsync).
@@ -409,12 +574,12 @@ func (jl *Journal) datasetCreated(info DatasetInfo, csv []byte) error {
 	center := info.Center
 	return jl.append(journalEntry{
 		Kind: jeDatasetCreate, ID: info.ID, Name: info.Name, At: info.CreatedAt,
-		Center: &center, SpanDays: info.SpanDays, CSV: csv,
+		Center: &center, SpanDays: info.SpanDays, body: csv,
 	})
 }
 
 func (jl *Journal) datasetAppended(id string, csv []byte, at time.Time) error {
-	return jl.append(journalEntry{Kind: jeDatasetAppend, ID: id, CSV: csv, At: at})
+	return jl.append(journalEntry{Kind: jeDatasetAppend, ID: id, At: at, body: csv})
 }
 
 func (jl *Journal) datasetDeleted(id string) error {
@@ -435,7 +600,7 @@ func (jl *Journal) jobResult(id string, w journalWindow, csv []byte) error {
 	if jl == nil {
 		return nil
 	}
-	if err := jl.append(journalEntry{Kind: jeJobResult, ID: id, Window: &w, CSV: csv}); err != nil {
+	if err := jl.append(journalEntry{Kind: jeJobResult, ID: id, Window: &w, body: csv}); err != nil {
 		return err
 	}
 	return jl.commit()
@@ -465,11 +630,11 @@ func (jl *Journal) compactTo(st *RecoveredState) error {
 	if jl == nil {
 		return nil
 	}
-	p, err := json.Marshal(st)
+	hdr, body, err := encodeSnapshot(st)
 	if err != nil {
 		return err
 	}
-	return jl.log.Compact(p)
+	return jl.log.Compact(hdr, body)
 }
 
 // Checkpoint serializes the live registry and manager state, compacts

@@ -327,8 +327,8 @@ func lastSegment(t *testing.T, dir string) (string, []byte, []wal.Frame, []int64
 // frameEntry decodes a record frame's journal entry.
 func frameEntry(t *testing.T, f wal.Frame) journalEntry {
 	t.Helper()
-	var e journalEntry
-	if err := json.Unmarshal(f.Payload, &e); err != nil {
+	e, err := decodeEntry(f.Payload)
+	if err != nil {
 		t.Fatal(err)
 	}
 	return e
@@ -719,24 +719,36 @@ func TestJournalReplayIdempotent(t *testing.T) {
 	mgr.Drain(0)
 	crashClose(mgr, reg, jrnl)
 
-	// Boots 2 and 3 open the journal without restoring into a manager —
-	// a requeued job starting to run would append fresh records and make
-	// the comparison about scheduling, not replay.
-	jrnl2, rec2, err := OpenJournal(dir, false, nil)
-	if err != nil {
-		t.Fatal(err)
+	// The journal's frames are raw-layout ones; a legacy-layout journal
+	// must converge too.
+	_, _, frames, _ := lastSegment(t, dir)
+	for i, f := range frames {
+		if f.Payload[0] != rawLayout {
+			t.Fatalf("frame %d is not in the raw layout: %.20q", i, f.Payload)
+		}
 	}
-	snap2, _ := json.Marshal(rec2)
-	// Close without running anything: boot 3 replays boot 2's compaction.
-	jrnl2.Close()
-	jrnl3, rec3, err := OpenJournal(dir, false, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer jrnl3.Close()
-	snap3, _ := json.Marshal(rec3)
-	if !bytes.Equal(snap2, snap3) {
-		t.Errorf("replay not idempotent:\nboot2 %s\nboot3 %s", snap2, snap3)
+	for name, dir := range map[string]string{"raw": dir, "legacy": copyLegacyJournal(t)} {
+		// Boots 2 and 3 open the journal without restoring into a
+		// manager — a requeued job starting to run would append fresh
+		// records and make the comparison about scheduling, not replay.
+		jrnl2, rec2, err := OpenJournal(dir, false, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		snap2, _ := json.Marshal(rec2)
+		// Close without running anything: boot 3 replays boot 2's
+		// compaction, written in the raw layout.
+		jrnl2.Close()
+		requireRawSnapshot(t, dir)
+		jrnl3, rec3, err := OpenJournal(dir, false, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		jrnl3.Close()
+		snap3, _ := json.Marshal(rec3)
+		if !bytes.Equal(snap2, snap3) {
+			t.Errorf("%s: replay not idempotent:\nboot2 %s\nboot3 %s", name, snap2, snap3)
+		}
 	}
 }
 

@@ -358,10 +358,10 @@ func (m *prefixModel) apply(t *testing.T, e journalEntry) {
 	t.Helper()
 	switch e.Kind {
 	case jeDatasetCreate:
-		m.records[e.ID] = csvRecords(e.CSV)
+		m.records[e.ID] = csvRecords(e.body)
 		m.datasets = append(m.datasets, e.ID)
 	case jeDatasetAppend:
-		m.records[e.ID] += csvRecords(e.CSV)
+		m.records[e.ID] += csvRecords(e.body)
 	case jeDatasetDelete:
 		delete(m.records, e.ID)
 		m.datasets = slices.DeleteFunc(m.datasets, func(id string) bool { return id == e.ID })

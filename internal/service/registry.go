@@ -56,6 +56,10 @@ type Registry struct {
 	// owned by this registry; shared so the exported fault and
 	// spill counters stay monotone as datasets come and go.
 	colCounters colstore.Counters
+
+	// onTee, when non-nil, observes the capacity each journal tee is
+	// presized to.
+	onTee func(int)
 }
 
 // attachTelemetry wires the registry's dataset gauges; NewManager calls
@@ -235,7 +239,9 @@ func (g *Registry) Ingest(r io.Reader, name string, center geo.LatLon, spanDays 
 
 // journalTee wraps an ingestion body so the raw CSV is retained for the
 // journal; when no journal is attached the body streams through
-// untouched and nothing is buffered.
+// untouched and nothing is buffered. A body that reports its Size
+// (sizedBody, *bytes.Reader, *strings.Reader) gets a copy presized to
+// it, which still grows if more bytes arrive.
 func (g *Registry) journalTee(r io.Reader) (io.Reader, *bytes.Buffer) {
 	g.mu.Lock()
 	jl := g.jrnl
@@ -243,9 +249,25 @@ func (g *Registry) journalTee(r io.Reader) (io.Reader, *bytes.Buffer) {
 	if jl == nil {
 		return r, nil
 	}
-	var raw bytes.Buffer
-	return io.TeeReader(r, &raw), &raw
+	var size int64
+	if s, ok := r.(interface{ Size() int64 }); ok {
+		size = max(s.Size(), 0)
+	}
+	if g.onTee != nil {
+		g.onTee(int(size))
+	}
+	raw := bytes.NewBuffer(make([]byte, 0, size))
+	return io.TeeReader(r, raw), raw
 }
+
+// sizedBody is an ingestion body together with the number of bytes it
+// is expected to hold.
+type sizedBody struct {
+	io.Reader
+	size int64
+}
+
+func (b sizedBody) Size() int64 { return b.size }
 
 // ingest is Ingest plus an optional forced ID, used by Restore to
 // reissue the exact IDs the journal recorded.

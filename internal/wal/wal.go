@@ -11,6 +11,12 @@
 // group-commit fsync batching: concurrent committers share a single
 // fsync covering every write that preceded it.
 //
+// A frame's payload may be handed to Append in parts (a header and a
+// body, say); the checksum runs over the parts in order and they are
+// written without first being joined into one buffer. A failed or short
+// write poisons the Log: every later Append, Commit and Compact returns
+// that error, so nothing is ever appended behind a partial frame.
+//
 // Recovery (Open) tolerates a torn tail — a trailing frame whose bytes
 // were only partially written before a crash — by truncating the last
 // segment at the tear and reporting it. A fully-present frame whose
@@ -28,6 +34,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -95,6 +102,13 @@ type Frame struct {
 	Payload []byte
 }
 
+// segmentFile is what a Log needs of the segment file it appends to.
+type segmentFile interface {
+	io.Writer
+	Sync() error
+	Close() error
+}
+
 // Log is an open write-ahead journal. All methods are safe for
 // concurrent use.
 type Log struct {
@@ -103,16 +117,19 @@ type Log struct {
 
 	mu         sync.Mutex
 	cond       *sync.Cond
-	f          *os.File
-	seq        int   // sequence number of the current segment
-	size       int64 // bytes in the current segment
-	otherBytes int64 // bytes in older live segments
-	numSegs    int   // live segments including the current one
+	f          segmentFile
+	scratch    []byte // a frame header and the parts written with it
+	seq        int    // sequence number of the current segment
+	size       int64  // bytes in the current segment
+	otherBytes int64  // bytes in older live segments
+	numSegs    int    // live segments including the current one
 	writeSeq   uint64
 	syncSeq    uint64
 	syncing    bool
-	syncErr    error
-	closed     bool
+	// failed is the first write or fsync error; once set, the segment's
+	// tail is unknown and the Log refuses every further append.
+	failed error
+	closed bool
 }
 
 func segName(seq int) string { return fmt.Sprintf("wal-%08d.log", seq) }
@@ -149,17 +166,76 @@ func Decode(data []byte) (frames []Frame, n int64, torn bool, err error) {
 	}
 }
 
+// frameHeader returns the length, checksum and kind that precede a
+// frame whose payload is the concatenation of parts, and the frame's
+// total size.
+func frameHeader(kind byte, parts [][]byte) ([headerSize + 1]byte, int) {
+	var hdr [headerSize + 1]byte
+	hdr[8] = kind
+	length := 1
+	sum := crc32.Checksum(hdr[8:9], crcTable)
+	for _, p := range parts {
+		length += len(p)
+		sum = crc32.Update(sum, crcTable, p)
+	}
+	binary.LittleEndian.PutUint32(hdr[0:], uint32(length))
+	binary.LittleEndian.PutUint32(hdr[4:], sum)
+	return hdr, headerSize + length
+}
+
 // AppendFrame appends the wire encoding of one frame to buf.
 func AppendFrame(buf []byte, kind byte, payload []byte) []byte {
-	length := uint32(1 + len(payload))
-	var hdr [headerSize + 1]byte
-	binary.LittleEndian.PutUint32(hdr[0:], length)
-	hdr[8] = kind
-	sum := crc32.Checksum(hdr[8:9], crcTable)
-	sum = crc32.Update(sum, crcTable, payload)
-	binary.LittleEndian.PutUint32(hdr[4:], sum)
+	hdr, _ := frameHeader(kind, [][]byte{payload})
 	buf = append(buf, hdr[:]...)
 	return append(buf, payload...)
+}
+
+// writeFrameLocked writes one frame in at most two writes: the frame
+// header with every payload part but the last copied behind it, then
+// the last part, a frame's body, as it is. A failed write leaves a
+// partial frame behind, so it poisons the Log. Caller holds l.mu.
+func (l *Log) writeFrameLocked(hdr []byte, parts [][]byte) error {
+	buf := append(l.scratch[:0], hdr...)
+	var last []byte
+	if n := len(parts); n > 0 {
+		for _, p := range parts[:n-1] {
+			buf = append(buf, p...)
+		}
+		last = parts[n-1]
+	}
+	l.scratch = buf[:0]
+	if err := l.writeLocked(buf); err != nil {
+		return err
+	}
+	return l.writeLocked(last)
+}
+
+func (l *Log) writeLocked(p []byte) error {
+	if len(p) == 0 {
+		return nil
+	}
+	if _, err := l.f.Write(p); err != nil {
+		return l.poisonLocked(err)
+	}
+	return nil
+}
+
+// poisonLocked records the Log's first failure and returns it; every
+// later append, commit and compaction returns it too. Caller holds l.mu.
+func (l *Log) poisonLocked(err error) error {
+	if l.failed == nil {
+		l.failed = fmt.Errorf("wal: log unusable: %w", err)
+	}
+	return l.failed
+}
+
+// usableLocked reports why the Log can take no more frames, or nil.
+// Caller holds l.mu.
+func (l *Log) usableLocked() error {
+	if l.closed {
+		return errors.New("wal: closed")
+	}
+	return l.failed
 }
 
 func syncDir(dir string) error {
@@ -296,31 +372,35 @@ func (l *Log) createSegment(seq int) error {
 	return nil
 }
 
-// Append writes one record frame to the journal. The write lands in
-// the OS page cache; call Commit to make it (and everything before it)
-// durable. Rotation to a new segment happens after the append that
-// crosses SegmentBytes.
-func (l *Log) Append(payload []byte) error {
-	frame := AppendFrame(nil, KindRecord, payload)
+// Append writes one record frame, whose payload is the concatenation
+// of parts, to the journal. The write lands in the OS page cache; call
+// Commit to make it (and everything before it) durable. Rotation to a
+// new segment happens after the append that crosses SegmentBytes.
+func (l *Log) Append(parts ...[]byte) error {
+	hdr, size := frameHeader(KindRecord, parts)
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.closed {
-		return errors.New("wal: closed")
+	if err := l.usableLocked(); err != nil {
+		return err
 	}
 	if faultinject.Armed("wal.append.partial") {
 		// Simulate a crash mid-write: half the frame reaches the disk,
 		// the rest never does.
+		frame := append([]byte(nil), hdr[:]...)
+		for _, p := range parts {
+			frame = append(frame, p...)
+		}
 		l.f.Write(frame[:len(frame)/2])
 		l.f.Sync()
 		faultinject.Kill()
 	}
-	if _, err := l.f.Write(frame); err != nil {
+	if err := l.writeFrameLocked(hdr[:], parts); err != nil {
 		return err
 	}
-	l.size += int64(len(frame))
+	l.size += int64(size)
 	l.writeSeq++
 	if l.opt.OnAppend != nil {
-		l.opt.OnAppend(len(frame))
+		l.opt.OnAppend(size)
 	}
 	if l.size >= l.opt.SegmentBytes {
 		return l.rotateLocked()
@@ -334,7 +414,7 @@ func (l *Log) rotateLocked() error {
 	if l.opt.Fsync {
 		start := time.Now()
 		if err := l.f.Sync(); err != nil {
-			return err
+			return l.poisonLocked(err)
 		}
 		if l.opt.OnSync != nil {
 			l.opt.OnSync(time.Since(start))
@@ -348,15 +428,15 @@ func (l *Log) rotateLocked() error {
 // Commit makes every previously appended record durable. Concurrent
 // commits batch: one fsync covers all writes that preceded it, and
 // callers whose writes are already covered return without a new fsync.
-// A no-op when Options.Fsync is false.
+// Without Options.Fsync it only reports a failure that poisoned the Log.
 func (l *Log) Commit() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if !l.opt.Fsync {
-		return nil
+		return l.failed
 	}
 	target := l.writeSeq
-	for l.syncSeq < target && l.syncErr == nil {
+	for l.syncSeq < target && l.failed == nil {
 		if l.syncing {
 			l.cond.Wait()
 			continue
@@ -370,8 +450,8 @@ func (l *Log) Commit() error {
 		d := time.Since(start)
 		l.mu.Lock()
 		l.syncing = false
-		if err != nil && l.syncErr == nil {
-			l.syncErr = err
+		if err != nil {
+			l.poisonLocked(err)
 		}
 		if upto > l.syncSeq {
 			l.syncSeq = upto
@@ -381,34 +461,34 @@ func (l *Log) Commit() error {
 		}
 		l.cond.Broadcast()
 	}
-	return l.syncErr
+	return l.failed
 }
 
-// Compact writes snapshot as the sole frame of a brand-new segment,
-// fsyncs it, and deletes every older segment. Replay after Compact
-// starts from the snapshot. Crash-safe: until the new segment is
-// durable the old ones still exist, and replay always picks the newest
-// snapshot-led segment.
-func (l *Log) Compact(snapshot []byte) error {
-	frame := AppendFrame(nil, KindSnapshot, snapshot)
+// Compact writes a snapshot, the concatenation of parts, as the sole
+// frame of a brand-new segment, fsyncs it, and deletes every older
+// segment. Replay after Compact starts from the snapshot. Crash-safe:
+// until the new segment is durable the old ones still exist, and replay
+// always picks the newest snapshot-led segment.
+func (l *Log) Compact(parts ...[]byte) error {
+	hdr, size := frameHeader(KindSnapshot, parts)
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.closed {
-		return errors.New("wal: closed")
+	if err := l.usableLocked(); err != nil {
+		return err
 	}
 	if err := l.createSegment(l.seq + 1); err != nil {
 		return err
 	}
 	l.numSegs = 1
 	l.otherBytes = 0
-	if _, err := l.f.Write(frame); err != nil {
+	if err := l.writeFrameLocked(hdr[:], parts); err != nil {
 		return err
 	}
-	l.size = int64(len(frame))
+	l.size = int64(size)
 	l.writeSeq++
 	start := time.Now()
 	if err := l.f.Sync(); err != nil {
-		return err
+		return l.poisonLocked(err)
 	}
 	if l.opt.OnSync != nil {
 		l.opt.OnSync(time.Since(start))

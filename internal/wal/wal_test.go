@@ -310,3 +310,87 @@ func BenchmarkWALAppend(b *testing.B) {
 		})
 	}
 }
+
+// failingFile is a segment file whose nth write stores only half its
+// bytes and fails, the way a full disk or an I/O error leaves a segment.
+type failingFile struct {
+	*os.File
+	writes, failAt int
+}
+
+func (f *failingFile) Write(p []byte) (int, error) {
+	f.writes++
+	if f.writes == f.failAt {
+		n, _ := f.File.Write(p[:len(p)/2])
+		return n, errors.New("injected write failure")
+	}
+	return f.File.Write(p)
+}
+
+// A failed or short write poisons the log: the append that hit it
+// fails, and so does every later append and commit, so no frame is
+// ever written behind the partial one. A reopen then sees at most a
+// torn tail, never interior corruption.
+func TestFailedWritePoisonsLog(t *testing.T) {
+	for _, fsync := range []bool{false, true} {
+		t.Run(fmt.Sprintf("fsync=%v", fsync), func(t *testing.T) {
+			dir := t.TempDir()
+			l, _ := openT(t, dir, Options{Fsync: fsync})
+			// Each append is two writes, its header and its body: the
+			// fourth write is the second append's body.
+			l.f = &failingFile{File: l.f.(*os.File), failAt: 4}
+			if err := l.Append([]byte("first")); err != nil {
+				t.Fatal(err)
+			}
+			body := bytes.Repeat([]byte("b"), 1<<13)
+			if err := l.Append([]byte("head"), body); err == nil {
+				t.Fatal("append over a failed write succeeded")
+			}
+			for i := 0; i < 3; i++ {
+				if err := l.Append([]byte("later")); err == nil {
+					t.Fatal("append after a failed write succeeded")
+				}
+				if err := l.Commit(); err == nil {
+					t.Fatal("commit after a failed write succeeded")
+				}
+			}
+			if err := l.Compact([]byte("snap")); err == nil {
+				t.Fatal("compaction after a failed write succeeded")
+			}
+			l.Close()
+
+			_, rec, err := Open(dir, Options{})
+			if err != nil {
+				t.Fatalf("reopen after a failed write: %v", err)
+			}
+			if len(rec.Records) != 1 || string(rec.Records[0]) != "first" {
+				t.Fatalf("replayed %q, want only the frame before the failure", rec.Records)
+			}
+		})
+	}
+}
+
+// A payload handed over in parts is one frame: it replays as the
+// concatenation, and its bytes on disk equal AppendFrame's encoding.
+func TestAppendPartsIsOneFrame(t *testing.T) {
+	dir := t.TempDir()
+	l, _ := openT(t, dir, Options{})
+	big := bytes.Repeat([]byte("x"), 1<<13)
+	parts := [][]byte{[]byte("hdr"), nil, big, []byte("tail"), big}
+	if err := l.Append(parts...); err != nil {
+		t.Fatal(err)
+	}
+	l.Close()
+	want := bytes.Join(parts, nil)
+	data, err := os.ReadFile(segFiles(t, dir)[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(data, AppendFrame(nil, KindRecord, want)) {
+		t.Fatal("multi-part frame differs from its joined encoding")
+	}
+	_, rec := openT(t, dir, Options{})
+	if len(rec.Records) != 1 || !bytes.Equal(rec.Records[0], want) {
+		t.Fatalf("replayed %d records", len(rec.Records))
+	}
+}
